@@ -5,15 +5,13 @@ verification), ``transfer`` (simplex structure constants), ``tot``
 (total-complex products and cohomology), ``conv`` (series checks and
 fiber Lie algebras), ``minimal-model``, ``conn`` (flatness, transport,
 holonomy) and ``pipeline``.  Exit codes: 0 pass, 1 verification failure,
-2 input error, 3 cap overflow.  All sampling is seeded and the seed is
-printed.
+2 input error, 3 cap overflow.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
@@ -148,7 +146,6 @@ def _series_from_json(data, gens, target, trunc):
         names = label.split("|") if label else []
         w = tuple(gens.keys.index(_parse_key(n)) for n in names)
         series[w] = {_parse_key(k): rat(c) for k, c in vec.items()}
-    degree = int(trunc) if False else 1
     return TensorSeries(gens, target, trunc, 1, series)
 
 
@@ -294,8 +291,6 @@ def build_parser():
         prog="totconn",
         description="exact homotopy transfer, total-complex products and "
                     "flat-connection holonomy")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks (printed)")
     sub = parser.add_subparsers(dest="group", required=True)
 
     dup = sub.add_parser("dupont", help="simplicial contraction checks")
@@ -387,8 +382,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
-    print("seed: %d" % args.seed, file=sys.stderr)
     try:
         return args.fn(args)
     except (ArityCapError, LevelCapError, TruncationError) as exc:

@@ -340,10 +340,6 @@ def _series_mul(a, b, order, m):
     return out
 
 
-def _series_scale(a, c, m):
-    return {w: f.scale(c) for w, f in a.items() if not f.scale(c).is_zero()}
-
-
 def _series_add(a, b, m, c=Fraction(1)):
     out = dict(a)
     for w, f in b.items():

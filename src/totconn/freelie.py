@@ -420,22 +420,11 @@ class FiberLieAlgebra:
         coords = [{w: Fraction(1)} for w in self.basis]
         for a, b, c in itertools.combinations(coords, 3):
             j = self.bracket(a, self.bracket(b, c))
-            j = _coords_add(j, self.bracket(b, self.bracket(c, a)))
-            j = _coords_add(j, self.bracket(c, self.bracket(a, b)))
+            j = vec_add(j, self.bracket(b, self.bracket(c, a)))
+            j = vec_add(j, self.bracket(c, self.bracket(a, b)))
             if j:
                 failures.append((a, b, c, j))
         return failures
-
-
-def _coords_add(a, b, coeff=Fraction(1)):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, Fraction(0)) + coeff * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 class EnvelopingQuotient:

@@ -156,21 +156,6 @@ class GradedMap:
         return cls(source, target, degree, blocks)
 
 
-def tensor_map_apply(maps, elems_with_degrees):
-    """Koszul sign for applying f_1 x ... x f_k to homogeneous blocks.
-
-    ``maps`` is a list of map degrees, ``elems_with_degrees`` the block
-    degrees; returns the global sign (-1)^{sum_{a<b} |f_b| * |block_a|}.
-    """
-    sign = 1
-    for b in range(1, len(maps)):
-        if maps[b] % 2:
-            left = sum(elems_with_degrees[:b])
-            if left % 2:
-                sign = -sign
-    return sign
-
-
 def tensor_space(V: GradedVectorSpace, W: GradedVectorSpace) -> GradedVectorSpace:
     """Tensor product space with basis names "v(x)w"."""
     degrees = {}

@@ -29,10 +29,6 @@ def vec_scale(a: dict, coeff) -> dict:
     return {k: coeff * v for k, v in a.items()}
 
 
-def vec_eq(a: dict, b: dict) -> bool:
-    return vec_add(a, b, Fraction(-1)) == {}
-
-
 class Echelon:
     """Incrementally reduced spanning set with deterministic pivots.
 

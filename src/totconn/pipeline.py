@@ -47,8 +47,7 @@ def exterior_cdga(gen_names, rel_diff=None, arity_cap=4) -> FiniteAlgebra:
     def name_of(combo):
         if not combo:
             return "1"
-        return "".join(gens[i][0] + gens[i][1:] for i in combo) if False else \
-            "".join(gens[i] for i in combo)
+        return "".join(gens[i] for i in combo)
 
     degrees = {}
     for combo in words:

@@ -9,7 +9,7 @@ equality of values literal equality of objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 Scalar = Fraction
 
@@ -53,11 +53,3 @@ def bernoulli(n: int) -> Fraction:
         values.append(acc / (m + 1))
     # The recurrence above yields the B1 = +1/2 convention directly.
     return values[n]
-
-
-def factorial_fraction(*ks: int) -> Fraction:
-    """Product of factorials as an exact Fraction numerator helper."""
-    out = 1
-    for k in ks:
-        out *= factorial(k)
-    return Fraction(out)

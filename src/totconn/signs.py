@@ -125,37 +125,3 @@ def shuffle_product(a: TensorWord, b: TensorWord) -> dict:
         if out[w] == 0:
             del out[w]
     return out
-
-
-def nontrivial_shuffle_words(entries):
-    """All shuffle-product sums mu'(u, v) with u+v a fixed word ``entries``.
-
-    Returns a list of formal sums, one for each proper split of the word;
-    these span the non-trivial-shuffles subspace in the given word length.
-    """
-    entries = tuple(entries)
-    sums = []
-    for p in range(1, len(entries)):
-        u = TensorWord(entries[:p])
-        v = TensorWord(entries[p:])
-        sums.append(shuffle_product(u, v))
-    return sums
-
-
-def deconcatenations(w: TensorWord, parts: int):
-    """All ordered splittings of ``w`` into ``parts`` (possibly empty) words."""
-    n = len(w)
-    for cuts in itertools.combinations_with_replacement(range(n + 1), parts - 1):
-        pieces = []
-        prev = 0
-        ok = True
-        for c in cuts:
-            if c < prev:
-                ok = False
-                break
-            pieces.append(TensorWord(tuple(w)[prev:c]))
-            prev = c
-        if not ok:
-            continue
-        pieces.append(TensorWord(tuple(w)[prev:]))
-        yield tuple(pieces)

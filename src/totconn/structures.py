@@ -461,13 +461,6 @@ def antisymmetrize(alg: FiniteAlgebra) -> FiniteAlgebra:
     return out
 
 
-def perm_inverse(perm):
-    inv = [0] * len(perm)
-    for j, p in enumerate(perm):
-        inv[p] = j
-    return tuple(inv)
-
-
 def linfty_defect(alg, elems):
     """The skew-symmetric relation on one probe word.
 

@@ -9,6 +9,12 @@ Two backends share one element model (bidegree-indexed components):
 * a finite presentation (explicit bases, differentials, products, coface
   and codegeneracy matrices per level).
 
+Both backends implement one protocol: ``d(a, p)`` and ``wedge(a, b, p)``
+act within level p, ``coface(a, i, p)`` maps level p to p+1 and
+``codegeneracy(a, i, p)`` maps level p to p-1, where the level ``p`` of the
+input is always required; ``zero(p)``, ``one()``, ``add``, ``scale``,
+``is_zero`` and ``form_degree`` complete it.
+
 The product of total-complex elements is computed levelwise from the
 transferred simplex structures: for inputs of bidegrees (p_i, q_i) the
 output lives at level l = sum p_i + 2 - n and equals
@@ -30,7 +36,7 @@ from math import comb, factorial
 
 from .forms import PolyForm
 from .graded import GradedVectorSpace
-from .linalg import Echelon, vec_add
+from .linalg import Echelon, vec_add, vec_scale
 from .scalars import bernoulli, rat, rat_str
 from .structures import FiniteAlgebra
 from .transfer import nc_structure
@@ -199,7 +205,10 @@ class GroupCochain:
 
 
 class GroupCochainBackend:
-    """The translation action of Z^m on R^m, handled symbolically."""
+    """The translation action of Z^m on R^m, handled symbolically.
+
+    The level arguments ``p`` are ignored: a GroupCochain knows its level.
+    """
 
     def __init__(self, m):
         self.m = m
@@ -219,16 +228,16 @@ class GroupCochainBackend:
     def one(self):
         return GroupCochain(self.m, 0, PolyForm.one(self.m, varname="z", ndiff=self.m))
 
-    def d(self, a):
+    def d(self, a, p):
         return a.d()
 
-    def wedge(self, a, b):
+    def wedge(self, a, b, p):
         return a.wedge(b)
 
-    def coface(self, a, i):
+    def coface(self, a, i, p):
         return a.coface(i)
 
-    def codegeneracy(self, a, i):
+    def codegeneracy(self, a, i, p):
         return a.codegeneracy(i)
 
     def form_degree(self, a):
@@ -244,8 +253,12 @@ class FinitePresentation:
 
     ``levels[p]`` is a FiniteAlgebra (a dga); ``cofaces[p]`` is a list of
     p+2 linear maps level p -> p+1 given as {src key: vector}; similarly
-    ``codegeneracies[p]`` maps level p+1 -> p with p+2 entries... indexed
+    ``codegeneracies[p]`` is a list of p+1 maps level p+1 -> p, indexed
     0..p.
+
+    Elements are sparse vectors that do not know their level, so the
+    protocol's ``p`` (always the source level) selects the level algebra
+    or the coface/codegeneracy table.
     """
 
     def __init__(self, levels, cofaces, codegeneracies):
@@ -264,7 +277,7 @@ class FinitePresentation:
         return vec_add(a, b)
 
     def scale(self, a, c):
-        return {k: rat(c) * v for k, v in a.items()} if rat(c) else {}
+        return vec_scale(a, rat(c))
 
     def is_zero(self, a):
         return not a
@@ -272,22 +285,17 @@ class FinitePresentation:
     def one(self):
         return {self.levels[0].unit_key: Fraction(1)}
 
-    def d(self, a, p=None):
-        if not a:
-            return {}
-        if p is None:
-            p = self._level_of(a)
+    def d(self, a, p):
         return self.levels[p].m(1, [a])
 
-    def wedge(self, a, b, p=None):
-        if not a or not b:
-            return {}
-        if p is None:
-            p = self._level_of(a)
+    def wedge(self, a, b, p):
         return self.levels[p].m(2, [a, b])
 
-    def _level_of(self, a):
-        raise ValueError("finite presentation needs explicit levels")
+    def form_degree(self, a):
+        degs = {k[0] for k in a}
+        if len(degs) == 1:
+            return degs.pop()
+        return None
 
     def apply_map(self, table, vec):
         out = {}
@@ -304,8 +312,8 @@ class FinitePresentation:
         return self.apply_map(self.cofaces[p][i], a)
 
     def codegeneracy(self, a, i, p):
-        """s^i applied to a level-(p+1) element."""
-        return self.apply_map(self.codegeneracies[p][i], a)
+        """s^i applied to a level-p element."""
+        return self.apply_map(self.codegeneracies[p - 1][i], a)
 
     def check_identities(self):
         """Cosimplicial identities and dga-map property on basis probes."""
@@ -322,18 +330,12 @@ class FinitePresentation:
                         if lhs != rhs:
                             failures.append(("d^j d^i", p, i, j, key))
         for p in range(self.level_cap):
-            for i in range(p + 1):
-                for key in self.levels[p + 1].space.keys():
-                    v = {key: Fraction(1)}
-                    got = self.codegeneracy(v, i, p)
-                    back = self.coface(got, i, p) if p + 1 <= self.level_cap else None
-                    del back
             # s^i d^i = id = s^i d^{i+1}
             for i in range(p + 1):
                 for key in self.levels[p].space.keys():
                     v = {key: Fraction(1)}
                     for j in (i, i + 1):
-                        got = self.codegeneracy(self.coface(v, j, p), i, p)
+                        got = self.codegeneracy(self.coface(v, j, p), i, p + 1)
                         if got != v:
                             failures.append(("s^i d^j != id", p, i, j, key))
         return failures
@@ -487,11 +489,8 @@ class TotElement:
         self.components = {}
         if components:
             for (p, q), val in components.items():
-                if not self._bz(val):
+                if not backend.is_zero(val):
                     self.components[(p, q)] = val
-
-    def _bz(self, val):
-        return self.backend.is_zero(val)
 
     @classmethod
     def zero(cls, backend):
@@ -517,7 +516,7 @@ class TotElement:
         for key, val in other.components.items():
             cur = out.get(key)
             s = self.backend.add(cur, val) if cur is not None else val
-            if self._bz(s):
+            if self.backend.is_zero(s):
                 out.pop(key, None)
             else:
                 out[key] = s
@@ -538,7 +537,6 @@ class TotElement:
             return NotImplemented
         keys = set(self.components) | set(other.components)
         for k in keys:
-            p, _ = k
             diff = self.backend.add(self.component(*k),
                                     self.backend.scale(other.component(*k), Fraction(-1)))
             if not self.backend.is_zero(diff):
@@ -556,30 +554,16 @@ class TotElement:
             if p == 0:
                 continue
             for i in range(p):
-                if not self._bz(self._codegeneracy(val, i, p)):
+                if not self.backend.is_zero(self.backend.codegeneracy(val, i, p)):
                     return False
         return True
-
-    def _codegeneracy(self, val, i, p):
-        be = self.backend
-        if isinstance(be, GroupCochainBackend):
-            return be.codegeneracy(val, i)
-        return be.codegeneracy(val, i, p - 1)
-
-    def _coface(self, val, i, p):
-        be = self.backend
-        if isinstance(be, GroupCochainBackend):
-            return be.coface(val, i)
-        return be.coface(val, i, p)
 
 
 def partial_tilde(backend, val, p):
     """The cosimplicial differential: alternating sum of cofaces."""
-    out = backend.zero(p + 1) if isinstance(backend, GroupCochainBackend) else {}
+    out = backend.zero(p + 1)
     for i in range(p + 2):
-        piece = (backend.coface(val, i) if isinstance(backend, GroupCochainBackend)
-                 else backend.coface(val, i, p))
-        piece = backend.scale(piece, Fraction((-1) ** i))
+        piece = backend.scale(backend.coface(val, i, p), Fraction((-1) ** i))
         out = backend.add(out, piece)
     return out
 
@@ -589,8 +573,7 @@ def tot_differential(v: TotElement) -> TotElement:
     be = v.backend
     out = TotElement.zero(be)
     for (p, q), val in v.components.items():
-        dpart = be.scale(be.d(val) if isinstance(be, GroupCochainBackend)
-                         else be.d(val, p), Fraction((-1) ** p))
+        dpart = be.scale(be.d(val, p), Fraction((-1) ** p))
         out = out + TotElement(be, {(p, q + 1): dpart})
         out = out + TotElement(be, {(p + 1, q): partial_tilde(be, val, p)})
     return out
@@ -606,8 +589,7 @@ def sigma_pushforward(backend, val, I, p, target_level):
     cur = val
     cur_level = p
     for j in sorted(missing):
-        cur = (backend.coface(cur, j) if isinstance(backend, GroupCochainBackend)
-               else backend.coface(cur, j, cur_level))
+        cur = backend.coface(cur, j, cur_level)
         cur_level += 1
     return cur
 
@@ -740,9 +722,7 @@ class TotalComplexAlgebra:
             wedge = None
             for I, p, val in zip(strings, ps, vals):
                 img = sigma_pushforward(be, val, I, p, l)
-                wedge = img if wedge is None else (
-                    be.wedge(wedge, img) if isinstance(be, GroupCochainBackend)
-                    else be.wedge(wedge, img, l))
+                wedge = img if wedge is None else be.wedge(wedge, img, l)
                 if be.is_zero(wedge):
                     break
             else:
@@ -874,7 +854,7 @@ def tot_product_degree1(alg: TotalComplexAlgebra, elems):
         out = alg.zero()
         # m2(c1, c2): levelwise wedge at level 0
         if not be.is_zero(c1) and not be.is_zero(c2):
-            out = out + TotElement(be, {(0, 2): _wedge(be, c1, c2, 0)})
+            out = out + TotElement(be, {(0, 2): be.wedge(c1, c2, 0)})
         # m2(b1, c2) = -1/2 b1 ptilde(c2) + b1 d0(c2)
         out = out + _m2_bc(alg, b1, c2)
         # m2(c1, b2) = -m2(b2, c1) by graded commutativity in degree 1
@@ -896,10 +876,10 @@ def tot_product_degree1(alg: TotalComplexAlgebra, elems):
             if be.is_zero(bs[j]):
                 prod = None
                 break
-            prod = bs[j] if prod is None else _wedge(be, prod, bs[j], 1)
+            prod = bs[j] if prod is None else be.wedge(prod, bs[j], 1)
         if prod is None:
             continue
-        term = _wedge(be, prod, _ptilde(be, ci, 0), 1)
+        term = be.wedge(prod, partial_tilde(be, ci, 0), 1)
         # an odd insertion alternates with its slot (calibrated against
         # the general formula)
         sgn = Fraction((-1) ** (l - 1)) * ((-1) ** i) * comb(l - 1, i)
@@ -912,34 +892,14 @@ def tot_product_degree1(alg: TotalComplexAlgebra, elems):
     return out
 
 
-def _wedge(be, a, b, level):
-    return be.wedge(a, b) if isinstance(be, GroupCochainBackend) else be.wedge(a, b, level)
-
-
-def _ptilde(be, val, p):
-    return partial_tilde(be, val, p)
-
-
-def _d0(be, val, p):
-    return be.coface(val, 0) if isinstance(be, GroupCochainBackend) else be.coface(val, 0, p)
-
-
 def _m2_bc(alg, b, c):
     """m2(b, c) = -1/2 b ptilde(c) + b d^0(c) for b (1,0) and c (0,q)."""
     be = alg.backend
     if be.is_zero(b) or be.is_zero(c):
         return alg.zero()
-    q = be.form_degree(c) if isinstance(be, GroupCochainBackend) else _fp_degree(be, c)
-    term = be.add(be.scale(_wedge(be, b, _ptilde(be, c, 0), 1), Fraction(-1, 2)),
-                  _wedge(be, b, _d0(be, c, 0), 1))
-    return TotElement(be, {(1, q): term})
-
-
-def _fp_degree(be, vec):
-    degs = {k[0] for k in vec}
-    if len(degs) == 1:
-        return degs.pop()
-    return None
+    term = be.add(be.scale(be.wedge(b, partial_tilde(be, c, 0), 1), Fraction(-1, 2)),
+                  be.wedge(b, be.coface(c, 0, 0), 1))
+    return TotElement(be, {(1, be.form_degree(c)): term})
 
 
 def _m2_bb(alg, b1, b2):
@@ -947,16 +907,11 @@ def _m2_bb(alg, b1, b2):
     be = alg.backend
     if be.is_zero(b1) or be.is_zero(b2):
         return alg.zero()
-
-    def dcb(val, i):
-        return be.coface(val, i) if isinstance(be, GroupCochainBackend) \
-            else be.coface(val, i, 1)
-
-    d0b1, d1b1, d2b1 = dcb(b1, 0), dcb(b1, 1), dcb(b1, 2)
-    d0b2, d1b2, d2b2 = dcb(b2, 0), dcb(b2, 1), dcb(b2, 2)
-    acc = be.scale(_wedge(be, d0b1, be.add(d1b2, d2b2), 2), Fraction(-1))
-    acc = be.add(acc, _wedge(be, d1b1, be.add(d0b2, be.scale(d2b2, Fraction(-1))), 2))
-    acc = be.add(acc, _wedge(be, d2b1, be.add(d0b2, d1b2), 2))
+    d0b1, d1b1, d2b1 = (be.coface(b1, i, 1) for i in range(3))
+    d0b2, d1b2, d2b2 = (be.coface(b2, i, 1) for i in range(3))
+    acc = be.scale(be.wedge(d0b1, be.add(d1b2, d2b2), 2), Fraction(-1))
+    acc = be.add(acc, be.wedge(d1b1, be.add(d0b2, be.scale(d2b2, Fraction(-1))), 2))
+    acc = be.add(acc, be.wedge(d2b1, be.add(d0b2, d1b2), 2))
     return TotElement(be, {(2, 0): be.scale(acc, Fraction(1, 6))})
 
 
@@ -971,25 +926,20 @@ def tot_product_degree1_with_scalar(alg: TotalComplexAlgebra, elems, x, slot):
     split = [_split_degree_one(e) for e in elems]
     bs = [s[0] for s in split]
     if l == 2:
-        other = elems[0]
         b, c = split[0]
         out = alg.zero()
-        # m2(c, x) = c x and m2(x, c) = x c; m2(b, x) = -1/2 b ptilde x + b d0 x
+        # m2(c, x) = c x and m2(x, c) = x c; m2(b, x) as in _m2_bc
         if not be.is_zero(c):
-            out = out + TotElement(be, {(0, 1): _wedge(be, c, x, 0)})
-        if not be.is_zero(b):
-            term = be.add(be.scale(_wedge(be, b, _ptilde(be, x, 0), 1), Fraction(-1, 2)),
-                          _wedge(be, b, _d0(be, x, 0), 1))
-            out = out + TotElement(be, {(1, 0): term})
-        return out
+            out = out + TotElement(be, {(0, 1): be.wedge(c, x, 0)})
+        return out + _m2_bc(alg, b, x)
     if any(be.is_zero(b) for b in bs):
         return alg.zero()
     prod = None
     for b in bs:
-        prod = b if prod is None else _wedge(be, prod, b, 1)
+        prod = b if prod is None else be.wedge(prod, b, 1)
     # an even (degree-0) insertion enters only through the binomial;
     # no per-slot sign occurs (calibrated against the general formula)
     coeff = (Fraction((-1) ** (l - 1)) * comb(l - 1, slot - 1)
              * bernoulli(l - 1) / factorial(l - 1))
-    term = be.scale(_wedge(be, prod, _ptilde(be, x, 0), 1), coeff)
+    term = be.scale(be.wedge(prod, partial_tilde(be, x, 0), 1), coeff)
     return TotElement(be, {(1, 0): term})

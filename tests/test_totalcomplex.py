@@ -407,6 +407,22 @@ def test_group_action_presentation_z2():
     ddx = tot_differential(dx)
     assert not ddx.is_zero()
     assert ddx.component(1, 1)
+    # normalized degree-1 elements: b the indicator of g=1 at (1,0), c a
+    # 1-form at (0,1); the closed form and psi go through the cofaces,
+    # wedges and codegeneracies of the presentation
+    b = TotElement(pres, {(1, 0): {(0, str(((1,), "1"))): Fraction(1)}})
+    c = TotElement(pres, {(0, 1): {(1, str(((), "dx"))): Fraction(1),
+                                   (1, str(((), "dy"))): Fraction(-3)}})
+    c2 = TotElement(pres, {(0, 1): {(1, str(((), "dy"))): Fraction(1, 2)}})
+    a1, a2, a3 = b + c, b.scale(2) + c2, b + c2
+    assert b.is_normalized()
+    assert not TotElement(pres, {(1, 0): {(0, str(((0,), "1"))): Fraction(1)}}
+                          ).is_normalized()
+    for elems in ([a1, a2], [a1, a2, a3]):
+        assert tot.m(len(elems), elems) == tot_product_degree1(tot, elems)
+    assert not tot.m(3, [a1, a2, a3]).is_zero()
+    for level in (1, 2):
+        assert psi_roundtrip_ok(a1, level)
 
 
 def test_presentation_json_roundtrip():
