@@ -35,6 +35,18 @@ from .transfer import ArityCapError, nc_structure
 PASS, FAIL, INPUT_ERROR, CAP_ERROR = 0, 1, 2, 3
 
 
+def _int_at_least(lo):
+    """argparse type for sizes: an int no smaller than ``lo``, so that a
+    negative size is a parse error rather than an empty, passing run."""
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (lo, value))
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _emit(data, as_json):
     if as_json:
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -296,8 +308,8 @@ def build_parser():
     dup = sub.add_parser("dupont", help="simplicial contraction checks")
     dups = dup.add_subparsers(dest="cmd", required=True)
     v = dups.add_parser("verify")
-    v.add_argument("--n", type=int, default=3)
-    v.add_argument("--max-poly-deg", type=int, default=4)
+    v.add_argument("--n", type=_int_at_least(0), default=3)
+    v.add_argument("--max-poly-deg", type=_int_at_least(0), default=4)
     v.add_argument("--corrupt", action="store_true",
                    help="inject a deliberate error (test hook)")
     v.set_defaults(fn=cmd_dupont_verify)
@@ -305,8 +317,8 @@ def build_parser():
     tr = sub.add_parser("transfer", help="transferred simplex structures")
     trs = tr.add_subparsers(dest="cmd", required=True)
     t = trs.add_parser("nc")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--arity", type=int, default=4)
+    t.add_argument("--n", type=_int_at_least(0), required=True)
+    t.add_argument("--arity", type=_int_at_least(1), default=4)
     t.add_argument("--json", action="store_true")
     t.set_defaults(fn=cmd_transfer_nc)
 

@@ -8,6 +8,13 @@ side conditions
     Int o E = Id,   Int o s = s o E = s o s = 0,   ds + sd = E Int - Id,
 
 Stokes compatibility and simplicial naturality.  All arithmetic is exact.
+
+E, Int and each h^i are linear, so they are applied to a form as sparse
+sums of cached images of its monomials t^exps dt_dts: ``elementary_form``
+per index string, ``_int_monomial`` per (exps, dts, n) from the closed
+Dirichlet integral, and ``_h_monomial`` per (exps, dts, n, i).  The
+tables hold tuples and cached forms are only read, never mutated, and
+the sums accumulate in place into a dict of terms.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import comb, factorial
 
-from .forms import (PolyForm, SimplicialOperator, integrate_over_simplex,
-                    simplex_dt, simplex_monomials, simplex_t)
+from .forms import (PolyForm, SimplicialOperator, _accumulate, simplex_dt,
+                    simplex_monomials, simplex_t)
 from .scalars import rat, rat_str
 
 
@@ -114,131 +122,149 @@ def elementary_form(I, n) -> PolyForm:
     if not I or list(I) != sorted(set(I)) or I[0] < 0 or I[-1] > n:
         raise ValueError("elementary_form: invalid index set")
     p = len(I) - 1
-    out = PolyForm.zero(n)
+    fact = factorial(p)
+    acc = {}
     for j in range(p + 1):
         term = simplex_t(n, I[j])
         for k in range(p + 1):
             if k == j:
                 continue
             term = term.wedge(simplex_dt(n, I[k]))
-        if j % 2:
-            term = term.scale(-1)
-        out = out + term
-    fact = 1
-    for k in range(2, p + 1):
-        fact *= k
-    return out.scale(fact)
+        c = -fact if j % 2 else fact
+        _accumulate(acc, ((key, c * v) for key, v in term.terms.items()))
+    return PolyForm._trusted(n, acc, "t", n)
 
 
 def dupont_E(lam: NCElement) -> PolyForm:
-    out = PolyForm.zero(lam.n)
+    acc = {}
     for I, c in lam.coeffs.items():
-        out = out + elementary_form(I, lam.n).scale(c)
-    return out
+        terms = elementary_form(I, lam.n).terms
+        _accumulate(acc, ((key, c * v) for key, v in terms.items()))
+    return PolyForm._trusted(lam.n, acc, "t", lam.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _int_monomial(exps, dts, n):
+    """Int of the monomial t^exps dt_dts on the n-simplex: (I, value) pairs.
+
+    See ``dupont_Int`` for the formula.  With S = {j + 1 for j in dts},
+    the only candidates are I = S + {x}: x is forced when one variable
+    with a positive exponent lies outside S, and the integral vanishes on
+    every I when two do.
+    """
+    S = {j + 1 for j in dts}
+    outside = {j + 1 for j, a in enumerate(exps) if a} - S
+    if len(outside) > 1:
+        return ()
+    num = 1
+    for a in exps:
+        num *= factorial(a)
+    value = Fraction(num, factorial(sum(exps) + len(dts)))
+    out = []
+    for x in outside or [x for x in range(n + 1) if x not in S]:
+        I = tuple(sorted(S | {x}))
+        out.append((I, -value if I.index(x) % 2 else value))
+    return tuple(out)
 
 
 def dupont_Int(form: PolyForm, n: int) -> NCElement:
-    """Integrate pullbacks over all sub-simplices of the n-simplex."""
+    """Integrate over all sub-simplices sigma_I of the n-simplex.
+
+    Int is linear, so it is applied termwise from the per-monomial table
+    ``_int_monomial``, which uses the Dirichlet integral in closed form.
+    For the monomial t^a dt_S (eliminated coordinates t_1..t_n, S a set of
+    p indices in 1..n) and I = (i_0 < ... < i_p), the integral over
+    sigma_I is non-zero only if every t_j with a_j > 0 and every j in S
+    lies in I, so that S = I minus {i_m} for one position m; it is then
+
+        (-1)^m * prod_{i in I, i >= 1} a_i!  /  (sum_{i in I} a_i + p)!.
+
+    The sign is that of the geometric pullback along the inclusion
+    [p] -> [n] with image I, whose chart eliminates the first vertex of
+    sigma_I: for m > 0 the factor dt_{i_0} pulls back to minus the sum of
+    the other p differentials, of which only -dt_{i_m} survives, and it
+    passes m - 1 others to sit in increasing order.  For p = 0 the value
+    is that of the monomial at the vertex i_0.
+    """
     if form.nvars != n:
         raise ValueError("dupont_Int: form is not on the n-simplex")
     coeffs = {}
-    for size in range(1, n + 2):
-        p = size - 1
-        comp = form.component(p)
-        if comp.is_zero():
-            continue
-        for I in index_strings(n, size):
-            pulled = SimplicialOperator.inclusion(I, n).pullback(comp)
-            val = integrate_over_simplex(pulled, p)
-            if val:
-                coeffs[I] = val
-    return NCElement(n, coeffs)
+    for (exps, dts), c in form.terms.items():
+        _accumulate(coeffs, ((I, c * v) for I, v in _int_monomial(exps, dts, n)))
+    # faces by size, then lexicographically: the key order does not
+    # depend on the order of the form's terms
+    faces = sorted(coeffs, key=lambda I: (len(I), I))
+    return NCElement(n, {I: coeffs[I] for I in faces})
 
 
 # ---------------------------------------------------------------------
 # the homotopy operator
 # ---------------------------------------------------------------------
 
-def _expand_phi_terms(form: PolyForm, i: int):
-    """Expansion of phi_i^*(form) as {(uexp, has_du): PolyForm}.
+@functools.lru_cache(maxsize=None)
+def _h_monomial(exps, dts, n, i):
+    """h^i of the monomial t^exps dt_dts on the n-simplex: (key, coeff) pairs.
 
-    Work in full barycentric coordinates: write the form over monomials in
-    t_0..t_n and dt_0..dt_n is unnecessary -- the eliminated coordinates
-    t_1..t_n transform as t_k -> u t_k + (1-u) delta_ik, which stays inside
-    the eliminated chart.
+    phi_i^* works in the eliminated coordinates t_1..t_n, which transform
+    as t_k -> u t_k + (1-u) delta_ik and stay inside the eliminated chart;
+    dt_k -> u dt_k + (t_k - delta_ik) du.  Only the du-component survives
+    the fiber integral, where u^e du integrates to -1/(e+1) (see
+    ``h_operator`` for the sign).
     """
-    n = form.nvars
-    buckets = {}
-
-    def emit(uexp, has_du, exps, dts, c):
-        key = (uexp, has_du)
-        d = buckets.setdefault(key, {})
-        tk = (tuple(exps), tuple(dts))
-        s = d.get(tk, Fraction(0)) + c
-        if s:
-            d[tk] = s
+    # polynomial factor: (exps, uexp, coeff)
+    poly_parts = [((0,) * n, 0, 1)]
+    for j in range(n):
+        e = exps[j]
+        if e == 0:
+            continue
+        new_parts = []
+        if i == j + 1:
+            # (u t + 1 - u)^e -- expand binomially in (u t) and (1-u)
+            for a in range(e + 1):
+                coeff = comb(e, a)
+                # (u t)^a (1-u)^{e-a}; expand (1-u)^{e-a}
+                for b in range(e - a + 1):
+                    cb = comb(e - a, b) * ((-1) ** b)
+                    for pexps, pu, pc in poly_parts:
+                        ne = list(pexps)
+                        ne[j] += a
+                        new_parts.append((tuple(ne), pu + a + b, pc * coeff * cb))
         else:
-            d.pop(tk, None)
-
-    for (exps, dts), c in form.terms.items():
-        # polynomial factor
-        poly_parts = [((0,) * n, 0, Fraction(1))]  # (exps, uexp, coeff)
-        for j in range(n):
-            e = exps[j]
-            if e == 0:
-                continue
-            new_parts = []
-            # t_{j+1} -> u t_{j+1} + (1-u) delta_{i,j+1}
-            if i == j + 1:
-                # (u t + 1 - u)^e -- expand binomially in (u t) and (1-u)
-                for a in range(e + 1):
-                    from math import comb
-                    coeff = comb(e, a)
-                    # (u t)^a (1-u)^{e-a}; expand (1-u)^{e-a}
-                    for b in range(e - a + 1):
-                        cb = comb(e - a, b) * ((-1) ** b)
-                        for pexps, pu, pc in poly_parts:
-                            ne = list(pexps)
-                            ne[j] += a
-                            new_parts.append((tuple(ne), pu + a + b, pc * coeff * cb))
-            else:
-                for pexps, pu, pc in poly_parts:
-                    ne = list(pexps)
-                    ne[j] += e
-                    new_parts.append((tuple(ne), pu + e, pc))
-            poly_parts = new_parts
-        # dt factor: product over j in dts of (u dt_j + (t_j - delta) du)
-        dt_parts = [((), False, (0,) * n, 0, Fraction(1))]
-        # entries: (dts_so_far, has_du, extra_exps, extra_uexp, coeff)
-        for j in dts:
-            new_parts = []
-            for (pd, pdu, pe, pu, pc) in dt_parts:
-                # option A: u dt_{j+1}; the new dt only passes the larger
-                # dt indices already collected (du stays leftmost)
-                if j not in pd:
-                    sign = 1
-                    for b in pd:
-                        if b > j:
-                            sign = -sign
-                    new_parts.append((tuple(sorted(pd + (j,))), pdu, pe, pu + 1,
-                                      pc * sign))
-                # option B: (t_j - delta_{i,j+1}) du
-                if not pdu:
-                    sign = 1
-                    for b in pd:
-                        sign = -sign  # du passes over every existing dt
-                    ne = list(pe)
-                    ne[j] += 1
-                    new_parts.append((pd, True, tuple(ne), pu, pc * sign))
-                    if i == j + 1:
-                        new_parts.append((pd, True, pe, pu, pc * sign * Fraction(-1)))
-            dt_parts = new_parts
-        for pexps, pu, pc in poly_parts:
-            for (qd, qdu, qe, qu, qc) in dt_parts:
-                exps_total = tuple(a + b for a, b in zip(pexps, qe))
-                emit(pu + qu, qdu, exps_total, qd, c * pc * qc)
-
-    return {key: PolyForm(n, terms) for key, terms in buckets.items() if terms}
+            for pexps, pu, pc in poly_parts:
+                ne = list(pexps)
+                ne[j] += e
+                new_parts.append((tuple(ne), pu + e, pc))
+        poly_parts = new_parts
+    # dt factor: product over j in dts of (u dt_j + (t_j - delta) du)
+    dt_parts = [((), False, (0,) * n, 0, 1)]
+    # entries: (dts_so_far, has_du, extra_exps, extra_uexp, coeff)
+    for j in dts:
+        new_parts = []
+        for (pd, pdu, pe, pu, pc) in dt_parts:
+            # option A: u dt_{j+1}; the new dt only passes the larger
+            # dt indices already collected (du stays leftmost)
+            if j not in pd:
+                sign = 1
+                for b in pd:
+                    if b > j:
+                        sign = -sign
+                new_parts.append((tuple(sorted(pd + (j,))), pdu, pe, pu + 1,
+                                  pc * sign))
+            # option B: (t_j - delta_{i,j+1}) du
+            if not pdu:
+                sign = -1 if len(pd) % 2 else 1  # du passes over every existing dt
+                ne = list(pe)
+                ne[j] += 1
+                new_parts.append((pd, True, tuple(ne), pu, pc * sign))
+                if i == j + 1:
+                    new_parts.append((pd, True, pe, pu, -pc * sign))
+        dt_parts = new_parts
+    acc = {}
+    _accumulate(acc, (((tuple(a + b for a, b in zip(pexps, qe)), qd),
+                       Fraction(-pc * qc, pu + qu + 1))
+                      for pexps, pu, pc in poly_parts
+                      for qd, qdu, qe, qu, qc in dt_parts if qdu))
+    return tuple(acc.items())
 
 
 @functools.lru_cache(maxsize=200000)
@@ -249,15 +275,14 @@ def h_operator(form: PolyForm, i: int) -> PolyForm:
     polynomial u-dependence exactly.  The fiber orientation is pinned by
     the side conditions: with du collected leftmost, the integral carries
     a global minus sign (the other orientation breaks ds + sd = E Int - Id
-    on the monomial spanning set).
+    on the monomial spanning set).  h^i is linear, so it is applied
+    termwise from the per-monomial table ``_h_monomial``.
     """
     n = form.nvars
-    out = PolyForm.zero(n)
-    for (uexp, has_du), part in _expand_phi_terms(form, i).items():
-        if not has_du:
-            continue
-        out = out + part.scale(Fraction(-1, uexp + 1))
-    return out
+    acc = {}
+    for (exps, dts), c in form.terms.items():
+        _accumulate(acc, ((key, c * v) for key, v in _h_monomial(exps, dts, n, i)))
+    return PolyForm._trusted(n, acc, "t", n)
 
 
 def dupont_s(form: PolyForm, n: int) -> PolyForm:
@@ -268,7 +293,7 @@ def dupont_s(form: PolyForm, n: int) -> PolyForm:
     """
     if form.nvars != n:
         raise ValueError("dupont_s: form is not on the n-simplex")
-    out = PolyForm.zero(n)
+    acc = {}
     for p in sorted({len(key[1]) for key in form.terms}):
         comp = form.component(p)
         # h-composites along ascending strings share prefixes; walk them
@@ -277,7 +302,7 @@ def dupont_s(form: PolyForm, n: int) -> PolyForm:
         while stack:
             I, inner = stack.pop()
             if I:
-                out = out + elementary_form(I, n).wedge(inner)
+                _accumulate(acc, elementary_form(I, n).wedge(inner).terms.items())
             if len(I) >= p:
                 continue
             lo = I[-1] + 1 if I else 0
@@ -285,7 +310,7 @@ def dupont_s(form: PolyForm, n: int) -> PolyForm:
                 nxt = h_operator(inner, idx)
                 if not nxt.is_zero():
                     stack.append((I + (idx,), nxt))
-    return out
+    return PolyForm._trusted(n, acc, "t", n)
 
 
 def nc_differential(lam: NCElement) -> NCElement:
@@ -359,11 +384,11 @@ def verify_stokes(n, max_poly_deg=4):
     failures = []
     for w in simplex_monomials(n, max_poly_deg):
         left = dupont_Int(w.d(), n)
+        val = dupont_Int(w, n)
         for size in range(2, n + 2):
             for I in index_strings(n, size):
                 lhs = left.coeffs.get(I, Fraction(0))
                 rhs = Fraction(0)
-                val = dupont_Int(w, n)
                 for j in range(size):
                     J = I[:j] + I[j + 1:]
                     rhs += (-1) ** j * val.coeffs.get(J, Fraction(0))

@@ -39,6 +39,21 @@ def _merge_dts(d1, d2):
     return tuple(sorted(merged)), sign
 
 
+def _accumulate(acc, items):
+    """acc += items in place, over (key, Fraction) pairs; zero sums are
+    dropped, so acc stays valid ``terms`` for ``PolyForm._trusted``."""
+    for key, v in items:
+        s = acc.get(key)
+        if s is None:
+            acc[key] = v
+        else:
+            s += v
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+
+
 class PolyForm:
     """Immutable polynomial differential form on a fixed variable set.
 
@@ -64,6 +79,21 @@ class PolyForm:
         self.terms = {k: v for k, v in clean.items() if v}
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def _trusted(cls, nvars, terms, varname, ndiff):
+        """Wrap ``terms`` as is, skipping the checks of ``__init__``.
+
+        Only for terms already known to be clean: tuple keys, non-zero
+        ``Fraction`` values, no dt on a variable at or beyond ``ndiff``.
+        The new form owns ``terms``; the caller must not keep mutating it.
+        """
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = terms
+        self.varname = varname
+        self.ndiff = ndiff
+        return self
+
     @classmethod
     def zero(cls, nvars, varname="t", ndiff=None):
         return cls(nvars, {}, varname, ndiff)
@@ -103,9 +133,9 @@ class PolyForm:
         return degs.pop()
 
     def component(self, degree):
-        return PolyForm(self.nvars,
-                        {k: v for k, v in self.terms.items() if len(k[1]) == degree},
-                        self.varname, self.ndiff)
+        return PolyForm._trusted(self.nvars,
+                                 {k: v for k, v in self.terms.items() if len(k[1]) == degree},
+                                 self.varname, self.ndiff)
 
     def max_poly_degree(self):
         return max((sum(e) for e, _ in self.terms), default=0)
@@ -117,17 +147,19 @@ class PolyForm:
     def __hash__(self):
         return hash((self.nvars, self.ndiff, frozenset(self.terms.items())))
 
+    def _combined(self, other, terms):
+        """A result built from the clean terms of ``self`` and ``other``;
+        re-validated only when ``other`` may carry a dt that is not
+        smooth for ``self``."""
+        make = PolyForm._trusted if other.ndiff <= self.ndiff else PolyForm
+        return make(self.nvars, terms, self.varname, self.ndiff)
+
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("PolyForm: mixed ambients")
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return PolyForm(self.nvars, out, self.varname, self.ndiff)
+        _accumulate(out, other.terms.items())
+        return self._combined(other, out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -139,45 +171,42 @@ class PolyForm:
         c = rat(c)
         if not c:
             return PolyForm.zero(self.nvars, self.varname, self.ndiff)
-        return PolyForm(self.nvars, {k: c * v for k, v in self.terms.items()},
-                        self.varname, self.ndiff)
+        return PolyForm._trusted(self.nvars, {k: c * v for k, v in self.terms.items()},
+                                 self.varname, self.ndiff)
 
     def wedge(self, other):
         if self.nvars != other.nvars:
             raise ValueError("PolyForm: mixed ambients")
+
+        def products():
+            for (e1, d1), c1 in self.terms.items():
+                for (e2, d2), c2 in other.terms.items():
+                    dts, sign = _merge_dts(d1, d2)
+                    if dts is not None:
+                        c = c1 * c2
+                        exps = tuple(a + b for a, b in zip(e1, e2))
+                        yield (exps, dts), (c if sign > 0 else -c)
+
         out = {}
-        for (e1, d1), c1 in self.terms.items():
-            for (e2, d2), c2 in other.terms.items():
-                dts, sign = _merge_dts(d1, d2)
-                if dts is None:
-                    continue
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                key = (exps, dts)
-                s = out.get(key, Fraction(0)) + sign * c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return PolyForm(self.nvars, out, self.varname, self.ndiff)
+        _accumulate(out, products())
+        return self._combined(other, out)
 
     def d(self):
+        def derivatives():
+            for (exps, dts), c in self.terms.items():
+                for j in range(self.ndiff):
+                    if exps[j] == 0:
+                        continue
+                    dnew, sign = _merge_dts((j,), dts)
+                    if dnew is None:
+                        continue
+                    e = list(exps)
+                    e[j] -= 1
+                    yield (tuple(e), dnew), sign * exps[j] * c
+
         out = {}
-        for (exps, dts), c in self.terms.items():
-            for j in range(self.ndiff):
-                if exps[j] == 0:
-                    continue
-                dnew, sign = _merge_dts((j,), dts)
-                if dnew is None:
-                    continue
-                e = list(exps)
-                e[j] -= 1
-                key = (tuple(e), dnew)
-                s = out.get(key, Fraction(0)) + sign * c * exps[j]
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return PolyForm(self.nvars, out, self.varname, self.ndiff)
+        _accumulate(out, derivatives())
+        return PolyForm._trusted(self.nvars, out, self.varname, self.ndiff)
 
     def substitute(self, images):
         """Pull back along x_j -> images[j] (PolyForms of degree 0).

@@ -25,6 +25,20 @@ def test_dupont_n0_trivially_passes():
     assert run(["dupont", "verify", "--n", "0", "--max-poly-deg", "2"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["dupont", "verify", "--n", "-1"],
+    ["dupont", "verify", "--n", "1", "--max-poly-deg", "-3"],
+    ["transfer", "nc", "--n", "-1", "--arity", "2"],
+    ["transfer", "nc", "--n", "1", "--arity", "0"],
+])
+def test_negative_sizes_are_parse_errors(argv, capsys):
+    # a negative size used to verify nothing and exit 0
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_transfer_nc_json(capsys):
     assert run(["transfer", "nc", "--n", "1", "--arity", "3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from totconn.dupont import (NCElement, dupont_E, dupont_Int, dupont_s,
-                            elementary_form, h_operator, nc_basis,
+                            elementary_form, h_operator, index_strings, nc_basis,
                             nc_differential, nc_simplicial_action,
                             verify_naturality, verify_side_conditions,
                             verify_stokes)
@@ -54,6 +54,46 @@ def test_int_records_vertex_values_and_edge_integral():
     assert lam.coeffs.get((1,), 0) == 0
     onedim = dupont_Int(simplex_t(1, 0).wedge(simplex_dt(1, 1)), 1)
     assert onedim.coeffs == {(0, 1): Fraction(1, 2)}
+
+
+def _int_by_pullback(form, n):
+    """Int by its definition: pull back along every inclusion of a face
+    sigma_I and integrate the component of top degree over it."""
+    coeffs = {}
+    for size in range(1, n + 2):
+        p = size - 1
+        for I in index_strings(n, size):
+            pulled = SimplicialOperator.inclusion(I, n).pullback(form.component(p))
+            val = integrate_over_simplex(pulled, p)
+            if val:
+                coeffs[I] = val
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_int_closed_form_matches_integral_on_monomials(n):
+    for w in simplex_monomials(n, 4):
+        assert dupont_Int(w, n).coeffs == _int_by_pullback(w, n), w
+
+
+def test_int_closed_form_matches_integral_on_mixed_forms():
+    t, dt = simplex_t, simplex_dt
+    forms = [
+        # mixed degrees on the interval and the triangle
+        (t(1, 1).wedge(t(1, 1)).scale(3) + t(1, 0).wedge(dt(1, 1)).scale(Fraction(-2, 3)), 1),
+        (t(2, 1).wedge(t(2, 2)) + t(2, 0).wedge(dt(2, 1)).scale(Fraction(-2, 3))
+         + dt(2, 1).wedge(dt(2, 2)).scale(3), 2),
+        # every edge integral of d(t0 t1 t2) cancels between its monomials
+        (t(2, 0).wedge(t(2, 1)).wedge(t(2, 2)).d(), 2),
+        # elementary forms with cancelling coefficients plus a vertex function
+        (dupont_E(NCElement(2, {(0, 1): 1, (1, 2): -2, (0, 1, 2): Fraction(1, 2)}))
+         - t(2, 2).scale(2), 2),
+        (t(3, 0).wedge(t(3, 3)).wedge(t(3, 3)).d().scale(Fraction(1, 3))
+         + dt(3, 1).wedge(dt(3, 2)).wedge(dt(3, 3)).scale(5) + t(3, 0)
+         - t(3, 2).wedge(dt(3, 0)).wedge(dt(3, 3)), 3),
+    ]
+    for w, n in forms:
+        assert dupont_Int(w, n).coeffs == _int_by_pullback(w, n), w
 
 
 def test_int_E_identity_small():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totconn.forms import (PolyForm, SimplicialOperator, integrate_over_simplex,
                            simplex_dt, simplex_monomials, simplex_t)
@@ -115,3 +117,76 @@ def test_json_roundtrip():
     w = simplex_t(2, 0).wedge(simplex_dt(2, 2)).scale(Fraction(3, 7))
     again = PolyForm.from_json(2, w.to_json())
     assert again == w
+
+
+# ---------------------------------------------------------------------
+# property tests on random forms
+# ---------------------------------------------------------------------
+
+COEFFS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+def random_form(draw, n, ndiff):
+    """A PolyForm on n variables, dt's among the first ndiff, built
+    through the validating constructor from a few random monomials."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        dts = tuple(sorted(draw(st.sets(st.integers(0, ndiff - 1), max_size=ndiff))
+                           if ndiff else ()))
+        terms[(exps, dts)] = terms.get((exps, dts), 0) + draw(COEFFS)
+    return PolyForm(n, terms, "t", ndiff)
+
+
+@st.composite
+def form_pairs(draw):
+    n = draw(st.integers(0, 3))
+    ndiff = draw(st.integers(0, n))
+    return random_form(draw, n, ndiff), random_form(draw, n, ndiff)
+
+
+def degrees(w):
+    return sorted({len(dts) for _, dts in w.terms})
+
+
+@given(form_pairs())
+@settings(deadline=None, max_examples=100)
+def test_d_squared_is_zero(pair):
+    a, _ = pair
+    assert a.d().d().is_zero()
+
+
+@given(form_pairs())
+@settings(deadline=None, max_examples=100)
+def test_leibniz_rule(pair):
+    a, b = pair
+    rhs = a.d().wedge(b)
+    for p in degrees(a):
+        rhs = rhs + a.component(p).wedge(b.d()).scale((-1) ** p)
+    assert a.wedge(b).d() == rhs
+
+
+@given(form_pairs())
+@settings(deadline=None, max_examples=100)
+def test_wedge_graded_commutative_random(pair):
+    a, b = pair
+    swapped = PolyForm.zero(a.nvars, a.varname, a.ndiff)
+    for p in degrees(a):
+        for q in degrees(b):
+            swapped = swapped + b.component(q).wedge(a.component(p)).scale((-1) ** (p * q))
+    assert a.wedge(b) == swapped
+
+
+@given(form_pairs(), COEFFS, st.integers(0, 3))
+@settings(deadline=None, max_examples=100)
+def test_operation_results_are_clean(pair, c, degree):
+    # wedge, +, scale, d and component build their results without
+    # re-validation; each must equal its re-validated copy and hold only
+    # tuple keys and non-zero Fraction values
+    a, b = pair
+    for r in (a.wedge(b), a + b, a.scale(c), a.d(), a.component(degree)):
+        assert PolyForm(r.nvars, r.terms, r.varname, r.ndiff) == r
+        for key, v in r.terms.items():
+            assert isinstance(key, tuple) and len(key) == 2
+            assert isinstance(key[0], tuple) and isinstance(key[1], tuple)
+            assert type(v) is Fraction and v != 0
