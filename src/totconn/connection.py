@@ -17,6 +17,7 @@ from .convolution import TensorSeries
 from .forms import PolyForm
 from .freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                       lyndon_bracket)
+from .linalg import vec_add
 from .scalars import rat, rat_str
 
 
@@ -40,6 +41,62 @@ def translate_form(form: PolyForm, g) -> PolyForm:
     return form.substitute(images)
 
 
+# Form-valued series are dicts {word: PolyForm}: Lie-valued ones are keyed
+# by quotient basis words, enveloping-valued ones by tensor words.  Zero
+# forms are never stored.
+
+def _put(out, w, form):
+    """out[w] += form in place, dropping a zero sum."""
+    cur = out.get(w)
+    s = form if cur is None else cur + form
+    if s.is_zero():
+        out.pop(w, None)
+    else:
+        out[w] = s
+
+
+def fv_add(a, b, c=1):
+    """a + c * b."""
+    out = dict(a)
+    for w, f in b.items():
+        _put(out, w, f if c == 1 else f.scale(c))
+    return out
+
+
+def fv_mul(a, b, word_mul):
+    """sum of (f1 ^ f2) (x) word_mul(w1, w2) over the terms f1 (x) w1 of a
+    and f2 (x) w2 of b; ``word_mul`` returns a {word: coeff} dict."""
+    out = {}
+    for w1, f1 in a.items():
+        for w2, f2 in b.items():
+            words = word_mul(w1, w2)
+            if not words:
+                continue
+            form = f1.wedge(f2)
+            if form.is_zero():
+                continue
+            for w, c in words.items():
+                _put(out, w, form if c == 1 else form.scale(c))
+    return out
+
+
+def fv_map(a, word_map, m):
+    """The linear map ``word_map`` on {word: coeff} vectors, applied one
+    form monomial at a time: the words carrying a monomial of ``a`` form
+    one vector, so ``word_map`` may be a normal form that accepts only
+    whole elements (Lie elements, say) rather than single words.  The
+    results are forms on R^m."""
+    by_monomial = {}
+    for w, f in a.items():
+        for key, c in f.terms.items():
+            by_monomial.setdefault(key, {})[w] = c
+    out = {}
+    for key, vec in by_monomial.items():
+        for w, c in word_map(vec).items():
+            _put(out, w, PolyForm(m, {key: c}, varname="x", ndiff=m))
+    return out
+
+
 class LieFormValued:
     """Finite sums of (polynomial form) (x) (quotient Lie basis element)."""
 
@@ -58,15 +115,7 @@ class LieFormValued:
         return not self.coeffs
 
     def add(self, other, c=Fraction(1)):
-        out = dict(self.coeffs)
-        for w, form in other.coeffs.items():
-            cur = out.get(w, form_zero(self.m))
-            s = cur + form.scale(c)
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return LieFormValued(self.m, self.fib, out)
+        return LieFormValued(self.m, self.fib, fv_add(self.coeffs, other.coeffs, c))
 
     def scale(self, c):
         return LieFormValued(self.m, self.fib,
@@ -77,21 +126,9 @@ class LieFormValued:
                              {w: f.d() for w, f in self.coeffs.items()})
 
     def bracket(self, other):
-        out = {}
-        for w1, f1 in self.coeffs.items():
-            for w2, f2 in other.coeffs.items():
-                form = f1.wedge(f2)
-                if form.is_zero():
-                    continue
-                br = self.fib.bracket({w1: Fraction(1)}, {w2: Fraction(1)})
-                for w, c in br.items():
-                    cur = out.get(w, form_zero(self.m))
-                    s = cur + form.scale(c)
-                    if s.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
-        return LieFormValued(self.m, self.fib, out)
+        return LieFormValued(self.m, self.fib, fv_mul(
+            self.coeffs, other.coeffs,
+            lambda w1, w2: self.fib.bracket({w1: Fraction(1)}, {w2: Fraction(1)})))
 
     def translate(self, g):
         return LieFormValued(self.m, self.fib,
@@ -187,34 +224,23 @@ def restrict_connection(alpha: TensorSeries, source, fib: FiberLieAlgebra,
                            "ideal: %r" % (sorted(bad)[:3],))
     if realize is None:
         realize = _base_one_form
-    m = ambient_dim
-    by_word = {}
+    forms = {}
     for w, val in alpha.data.items():
         form = realize(val)
-        if form is None:
-            continue
-        if m is None:
-            m = form.nvars
-        try:
-            ww = tuple(gen_of_index[i] for i in w)
-        except KeyError:
-            continue
-        cur = by_word.get(ww, None)
-        by_word[ww] = form if cur is None else cur + form
-    if m is None:
-        m = 1
-    # per form-monomial Lie reduction
-    monomials = {}
-    for ww, form in by_word.items():
-        for key, c in form.terms.items():
-            monomials.setdefault(key, {})[ww] = c
-    coeffs = {}
-    for key, vec in monomials.items():
-        coords = fib.normal_form(vec)
-        for w, c in coords.items():
-            cur = coeffs.get(w, form_zero(m))
-            coeffs[w] = cur + PolyForm(m, {key: c}, varname="x", ndiff=m)
-    return ConnectionForm(m, fib, coeffs)
+        if form is not None:
+            forms[w] = form
+    m = ambient_dim if ambient_dim is not None else \
+        next((f.nvars for f in forms.values()), 1)
+
+    def to_fiber(vec):
+        # rename generators into the fiber; words with an unmapped
+        # generator are dropped
+        lie = {}
+        for w, c in vec.items():
+            if all(i in gen_of_index for i in w):
+                lie = vec_add(lie, {tuple(gen_of_index[i] for i in w): c})
+        return fib.normal_form(lie)
+    return ConnectionForm(m, fib, fv_map(forms, to_fiber, m))
 
 
 def _base_one_form(val):
@@ -235,16 +261,6 @@ def _base_one_form(val):
     return None
 
 
-def connection_from_model_values(m, fib, values) -> ConnectionForm:
-    """Assemble a connection from {generator index: 1-form} directly."""
-    coeffs = {}
-    for i, form in values.items():
-        w = (i,)
-        cur = coeffs.get(w, form_zero(m))
-        coeffs[w] = cur + form
-    return ConnectionForm(m, fib, coeffs)
-
-
 # ---------------------------------------------------------------------
 # gauge action
 # ---------------------------------------------------------------------
@@ -259,10 +275,6 @@ class GaugeElement(LieFormValued):
             if v:
                 out[w] = v
         return out
-
-
-def ad_action(h: LieFormValued, beta: LieFormValued) -> LieFormValued:
-    return h.bracket(beta)
 
 
 def gauge(alpha: ConnectionForm, h: GaugeElement) -> ConnectionForm:
@@ -282,7 +294,7 @@ def gauge(alpha: ConnectionForm, h: GaugeElement) -> ConnectionForm:
     j = 0
     while not term.is_zero():
         out = out.add(term, Fraction((-1) ** j, factorial(j)))
-        term = ad_action(h, term)
+        term = h.bracket(term)
         j += 1
         if j > fib.k + 2:
             break
@@ -291,7 +303,7 @@ def gauge(alpha: ConnectionForm, h: GaugeElement) -> ConnectionForm:
     j = 0
     while not term.is_zero():
         out = out.add(term, Fraction((-1) ** j, factorial(j + 1)))
-        term = ad_action(h, term)
+        term = h.bracket(term)
         j += 1
         if j > fib.k + 2:
             break
@@ -312,73 +324,35 @@ def gauge_compose_check(alpha, h1, h2):
     env_order = alpha.fib.k
     e1 = _exp_form_series(h2, env_order)
     e2 = _exp_form_series(h1, env_order)
-    prod = _series_mul(e1, e2, env_order, h1.m)
+    prod = _series_mul(e1, e2, env_order)
     log = _series_log(prod, env_order, h1.m)
-    h12 = _series_to_lie(log, alpha.fib, h1.m)
+    h12 = GaugeElement(h1.m, alpha.fib, fv_map(log, alpha.fib.normal_form, h1.m))
     rhs = gauge(alpha, h12)
     return lhs.add(rhs, Fraction(-1))
 
 
 # enveloping-valued polynomial series helpers: {tensor word: PolyForm}
 
-def _series_mul(a, b, order, m):
-    out = {}
-    for w1, f1 in a.items():
-        for w2, f2 in b.items():
-            if len(w1) + len(w2) > order:
-                continue
-            form = f1.wedge(f2)
-            if form.is_zero():
-                continue
-            w = w1 + w2
-            cur = out.get(w, form_zero(m))
-            s = cur + form
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return out
+def _series_mul(a, b, order):
+    return fv_mul(a, b, lambda w1, w2: {w1 + w2: 1} if len(w1 + w2) <= order else {})
 
 
-def _series_add(a, b, m, c=Fraction(1)):
-    out = dict(a)
-    for w, f in b.items():
-        cur = out.get(w, form_zero(m))
-        s = cur + f.scale(c)
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-    return out
-
-
-def _lie_to_series(x: LieFormValued, order, reduce_env=None):
-    out = {}
-    m = x.m
-    for w, f in x.coeffs.items():
-        expansion = lyndon_bracket(tuple(w), order)
-        for ww, c in expansion.items():
-            if len(ww) > order:
-                continue
-            cur = out.get(ww, form_zero(m))
-            s = cur + f.scale(c)
-            if s.is_zero():
-                out.pop(ww, None)
-            else:
-                out[ww] = s
-    return out
+def _lie_to_series(x: LieFormValued, order):
+    free = x.fib.free
+    return fv_map(x.coeffs, lambda vec: {w: c for w, c in free.from_lyndon(vec).items()
+                                         if len(w) <= order}, x.m)
 
 
 def _exp_form_series(x: LieFormValued, order):
     m = x.m
     base = _lie_to_series(x, order)
-    out = {(): form_zero(m) + PolyForm.one(m, varname="x", ndiff=m)}
-    power = {(): PolyForm.one(m, varname="x", ndiff=m)}
+    out = {(): PolyForm.one(m, varname="x", ndiff=m)}
+    power = out
     for j in range(1, order + 1):
-        power = _series_mul(power, base, order, m)
+        power = _series_mul(power, base, order)
         if not power:
             break
-        out = _series_add(out, power, m, Fraction(1, factorial(j)))
+        out = fv_add(out, power, Fraction(1, factorial(j)))
     return out
 
 
@@ -387,25 +361,11 @@ def _series_log(t, order, m):
     out = {}
     power = {(): PolyForm.one(m, varname="x", ndiff=m)}
     for j in range(1, order + 1):
-        power = _series_mul(power, u, order, m)
+        power = _series_mul(power, u, order)
         if not power:
             break
-        out = _series_add(out, power, m, Fraction((-1) ** (j + 1), j))
+        out = fv_add(out, power, Fraction((-1) ** (j + 1), j))
     return out
-
-
-def _series_to_lie(series, fib: FiberLieAlgebra, m) -> "GaugeElement":
-    monomials = {}
-    for w, f in series.items():
-        for key, c in f.terms.items():
-            monomials.setdefault(key, {})[w] = c
-    coeffs = {}
-    for key, vec in monomials.items():
-        coords = fib.normal_form(vec)
-        for w, c in coords.items():
-            cur = coeffs.get(w, form_zero(m))
-            coeffs[w] = cur + PolyForm(m, {key: c}, varname="x", ndiff=m)
-    return GaugeElement(m, fib, coeffs)
 
 
 # ---------------------------------------------------------------------
@@ -423,12 +383,9 @@ class AutomorphyFactor:
     def at(self, g):
         """F_g(x) = e^{-h(gx)} e^{h(x)} as an enveloping-valued series."""
         order = self.env.order
-        m = self.m
         h_shift = self.h.translate(g).scale(-1)
-        left = _exp_form_series(h_shift, order)
-        right = _exp_form_series(self.h, order)
-        prod = _series_mul(left, right, order, m)
-        return {w: f for w, f in prod.items()}
+        return _series_mul(_exp_form_series(h_shift, order),
+                           _exp_form_series(self.h, order), order)
 
     def at_point(self, g, point):
         """F_g(p) as a rational enveloping element, reduced."""
@@ -441,32 +398,10 @@ class AutomorphyFactor:
 
     def cocycle_defect(self, g1, g2):
         """F_{g1+g2}(x) - F_{g1}(g2 x) F_{g2}(x), reduced wordwise."""
-        m = self.m
-        order = self.env.order
-        total = self.at(tuple(rat(a) + rat(b) for a, b in zip(g1, g2)))
-        lhs = {w: f for w, f in total.items()}
+        lhs = self.at(tuple(rat(a) + rat(b) for a, b in zip(g1, g2)))
         left = {w: translate_form(f, g2) for w, f in self.at(g1).items()}
-        rhs = _series_mul(left, self.at(g2), order, m)
-        diff = _series_add(lhs, rhs, m, Fraction(-1))
-        return _reduce_series_forms(diff, self.env, m)
-
-
-def _reduce_series_forms(series, env, m):
-    monomials = {}
-    for w, f in series.items():
-        for key, c in f.terms.items():
-            monomials.setdefault(key, {})[w] = c
-    out = {}
-    for key, vec in monomials.items():
-        red = env.reduce(vec)
-        for w, c in red.items():
-            cur = out.get(w, form_zero(m))
-            s = cur + PolyForm(m, {key: c}, varname="x", ndiff=m)
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return out
+        rhs = _series_mul(left, self.at(g2), self.env.order)
+        return fv_map(fv_add(lhs, rhs, -1), self.env.reduce, self.m)
 
 
 def automorphy_from_gauge(h: GaugeElement, env: EnvelopingQuotient,
@@ -494,14 +429,13 @@ def equivariance_defect(alpha: ConnectionForm, F: AutomorphyFactor, g):
     # F^{-1} = exp(-(-h(gx)) ... ) computed directly
     h_shift = F.h.translate(g)
     inv = _series_mul(_exp_form_series(F.h.scale(-1), order),
-                      _exp_form_series(h_shift, order), order, m)
-    conj = _series_mul(_series_mul(Fg, alpha_series, order, m), inv, order, m)
+                      _exp_form_series(h_shift, order), order)
+    conj = _series_mul(_series_mul(Fg, alpha_series, order), inv, order)
     dF = {w: f.d() for w, f in Fg.items() if not f.d().is_zero()}
-    term = _series_mul(dF, inv, order, m)
-    rhs = _series_add(conj, term, m)
+    term = _series_mul(dF, inv, order)
+    rhs = fv_add(conj, term)
     pulled = {w: translate_form(f, g) for w, f in alpha_series.items()}
-    diff = _series_add(pulled, rhs, m, Fraction(-1))
-    return _reduce_series_forms(diff, env, m)
+    return fv_map(fv_add(pulled, rhs, -1), env.reduce, m)
 
 
 # ---------------------------------------------------------------------
@@ -704,20 +638,9 @@ def gauge_between(alpha1: ConnectionForm, alpha2: ConnectionForm):
             if not f.d().is_zero():
                 raise NonFlatError("gauge obstruction: residual not closed at %r" % (w,))
             add[w] = poincare_primitive(f)
-        h = GaugeElement(m, fib, vec_form_add(h.coeffs, add, m))
+        h = GaugeElement(m, fib, fv_add(h.coeffs, add))
     residual = alpha2.add(gauge(alpha1, h), Fraction(-1))
     if not residual.is_zero():
         raise NonFlatError("gauge solve failed: residual %r" % (residual,))
     return h
 
-
-def vec_form_add(a, b, m):
-    out = dict(a)
-    for w, f in b.items():
-        cur = out.get(w, form_zero(m))
-        s = cur + f
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import Echelon, vec_add, vec_scale
+from .linalg import Coordinates, Echelon, vec_add, vec_scale
 from .scalars import rat, rat_str
 
 
@@ -135,6 +135,11 @@ def is_primitive(x: dict, order: int) -> bool:
 # Lyndon words and the free Lie algebra
 # ---------------------------------------------------------------------
 
+def _length_first(w):
+    """Key order on words: by length, then lexicographically."""
+    return (len(w), w)
+
+
 def lyndon_words(num_gens, max_len):
     """All Lyndon words over 0..num_gens-1 of length <= max_len (Duval)."""
     out = []
@@ -148,7 +153,7 @@ def lyndon_words(num_gens, max_len):
                 w.append(w[len(w) - m])
         while w and w[-1] == num_gens - 1:
             w.pop()
-    return sorted(out, key=lambda t: (len(t), t))
+    return sorted(out, key=_length_first)
 
 
 def standard_factorization(w):
@@ -194,35 +199,18 @@ class FreeLie:
         self.order = order
         self.lyndon = [w for w in lyndon_words(len(self.gen_names), order)]
         self._bracket_elems = {w: lyndon_bracket(w, order) for w in self.lyndon}
-        # echelon of Lie elements per length, tagged with Lyndon coordinates
-        self._lie_ech = Echelon(self._tag_order)
-        for w in self.lyndon:
-            v = dict(self._bracket_elems[w])
-            v[("_lyn_", w)] = Fraction(1)
-            self._lie_ech.insert(v)
-
-    @staticmethod
-    def _tag_order(k):
-        if isinstance(k, tuple) and len(k) == 2 and k[0] == "_lyn_":
-            return (1, len(k[1]), k[1])
-        return (0, len(k), k)
+        self._lyndon_coords = Coordinates(
+            [self._bracket_elems[w] for w in self.lyndon], _length_first)
 
     def gen(self, i) -> dict:
         return {(i,): Fraction(1)}
 
     def to_lyndon(self, x: dict):
         """Lyndon coordinates of a Lie element; None if not a Lie element."""
-        res = self._lie_ech.reduce(dict(x))
-        coords = {}
-        leftover = {}
-        for k, c in res.items():
-            if isinstance(k, tuple) and len(k) == 2 and k[0] == "_lyn_":
-                coords[k[1]] = -c
-            else:
-                leftover[k] = c
+        coords, leftover = self._lyndon_coords(x)
         if leftover:
             return None
-        return coords
+        return {self.lyndon[i]: c for i, c in coords.items()}
 
     def from_lyndon(self, coords) -> dict:
         out = {}
@@ -244,7 +232,7 @@ def series_repr(x: dict, gen_names):
     if not x:
         return "0"
     bits = []
-    for w in sorted(x, key=lambda t: (len(t), t)):
+    for w in sorted(x, key=_length_first):
         label = "1" if not w else "".join(gen_names[i] for i in w)
         bits.append("%s*%s" % (rat_str(x[w]), label))
     return " + ".join(bits)
@@ -323,7 +311,7 @@ class LieIdealPresentation:
             if not free.is_lie_element(g):
                 raise ValueError("ideal generator is not a Lie element")
         # ad-closure: span{ ad_{x_{i1}} ... ad_{x_im} g } truncated
-        self.span = Echelon(lambda k: (len(k), k))
+        self.span = Echelon(_length_first)
         frontier = list(self.generators)
         for g in frontier:
             self.span.insert(g)
@@ -362,14 +350,14 @@ class FiberLieAlgebra:
         self.ideal = ideal
         self.k = k
         # span of (ideal + words of length >= k), echelonized
-        self._mod = Echelon(lambda key: (len(key), key))
+        self._mod = Echelon(_length_first)
         for row in ideal.span.basis():
             self._mod.insert({w: c for w, c in row.items() if len(w) < k})
-        # pick complement basis among Lyndon brackets of length < k, and
-        # tag their reduced forms so normal forms come out as coordinates
+        # pick complement basis among Lyndon brackets of length < k; normal
+        # forms are coordinates on their reduced forms
         self.basis = []
-        indep = Echelon(lambda key: (len(key), key))
-        self._coord_ech = Echelon(self._tag_order)
+        reduced = []
+        indep = Echelon(_length_first)
         for w in free.lyndon:
             if len(w) >= k:
                 continue
@@ -378,28 +366,16 @@ class FiberLieAlgebra:
             red = self._mod.reduce(elem)
             if indep.insert(red):
                 self.basis.append(w)
-                tagged = dict(red)
-                tagged[("_q_", w)] = Fraction(1)
-                self._coord_ech.insert(tagged)
-
-    @staticmethod
-    def _tag_order(key):
-        if isinstance(key, tuple) and len(key) == 2 and key[0] == "_q_":
-            return (1, len(key[1]), key[1])
-        return (0, len(key), key)
+                reduced.append(red)
+        self._coords = Coordinates(reduced, _length_first)
 
     def normal_form(self, x: dict) -> dict:
         """Image of a Lie series in u/I^k, as quotient-basis coordinates."""
         x = {w: c for w, c in x.items() if len(w) < self.k}
-        res = self._coord_ech.reduce(self._mod.reduce(x))
-        coords = {}
-        for key, c in res.items():
-            if isinstance(key, tuple) and len(key) == 2 and key[0] == "_q_":
-                if key[1] in set(self.basis):
-                    coords[key[1]] = -c
-            elif c:
-                raise ArithmeticError("element does not reduce to the quotient basis")
-        return coords
+        coords, leftover = self._coords(self._mod.reduce(x))
+        if leftover:
+            raise ArithmeticError("element does not reduce to the quotient basis")
+        return {self.basis[i]: c for i, c in coords.items()}
 
     def bracket(self, coords_a, coords_b):
         a = self.free.from_lyndon(coords_a)
@@ -439,7 +415,7 @@ class EnvelopingQuotient:
         self.free = free
         self.order = order
         self.ideal = ideal
-        self._mod = Echelon(lambda key: (len(key), key))
+        self._mod = Echelon(_length_first)
         num = len(free.gen_names)
         gens = [{w: c for w, c in g.items() if len(w) <= order}
                 for g in ideal.generators]
@@ -489,7 +465,7 @@ class EnvelopingQuotient:
         """log(t) is a Lie element modulo the ideal span."""
         x = self.log(t)
         # solve x = lie + ideal: reduce x modulo (Lie span + ideal span)
-        ech = Echelon(lambda key: (len(key), key))
+        ech = Echelon(_length_first)
         for w in self.free.lyndon:
             if len(w) > self.order:
                 continue

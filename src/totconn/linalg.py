@@ -4,6 +4,13 @@ Vectors are dicts {key: Fraction} over arbitrary hashable keys; zero
 entries are never stored.  Elimination pivots are chosen deterministically
 from a fixed key order, so all constructions downstream (Hodge
 decompositions, quotient bases) are reproducible.
+
+``Coordinates`` is the one tagged elimination: it appends a private tag
+key to each input vector, and tags sort after every ordinary key, in the
+order the vectors were given.  So the ordinary keys are eliminated first
+under the caller's key order, and among the tags the earlier vector wins
+a pivot; with the same inputs in the same order, every pivot, residual
+and coordinate dict comes out the same.
 """
 
 from __future__ import annotations
@@ -82,28 +89,52 @@ class Echelon:
         return [self.rows[p] for p in self.pivots()]
 
 
-def rank(vectors, key_order=None) -> int:
-    ech = Echelon(key_order)
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
+class _Tag:
+    """The marker key of the i-th vector of a ``Coordinates``.
 
-
-def complement_basis(sub_vectors, ambient_keys, key_order=None):
-    """Keys of ``ambient_keys`` completing span(sub_vectors) to the ambient.
-
-    Returns coordinate vectors {k: 1} chosen greedily in key order; the
-    deterministic choice is what makes Hodge decompositions reproducible.
+    A class of its own, so that no ordinary key (a tuple, say) can equal
+    a tag.
     """
-    ech = Echelon(key_order)
-    for v in sub_vectors:
-        ech.insert(v)
-    chosen = []
-    keys = sorted(ambient_keys, key=key_order if key_order else (lambda k: k))
-    for k in keys:
-        if ech.insert({k: Fraction(1)}):
-            chosen.append({k: Fraction(1)})
-    return chosen
+
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        self.i = i
+
+
+class Coordinates:
+    """Coordinates with respect to a fixed list of vectors.
+
+    Each vector gets a tag key of its own and goes into one ``Echelon``;
+    reducing a vector then leaves minus its coefficients on the tags.
+    Tags sort after every ordinary key, in the order of ``vectors``.
+    """
+
+    def __init__(self, vectors, key_order=None):
+        order = key_order if key_order is not None else (lambda k: k)
+        self._ech = Echelon(lambda k: (1, k.i) if type(k) is _Tag else (0, order(k)))
+        for i, v in enumerate(vectors):
+            row = dict(v)
+            row[_Tag(i)] = Fraction(1)
+            self._ech.insert(row)
+
+    def __call__(self, vec: dict):
+        """``({i: c}, leftover)`` with vec = sum c * vectors[i] + leftover;
+        the leftover is the canonical residual modulo span(vectors)."""
+        coords = {}
+        leftover = {}
+        for k, c in self._ech.reduce(vec).items():
+            if type(k) is _Tag:
+                coords[k.i] = -c
+            else:
+                leftover[k] = c
+        return coords, leftover
+
+    def relations(self):
+        """Basis {i: c} of the relations sum c * vectors[i] = 0."""
+        return [{k.i: c for k, c in row.items()}
+                for row in self._ech.rows.values()
+                if all(type(k) is _Tag for k in row)]
 
 
 def solve(rows, rhs, key_order=None):
@@ -112,53 +143,24 @@ def solve(rows, rhs, key_order=None):
     ``rows`` is a list of vectors; returns a list of Fractions (one
     coefficient per row) or None.
     """
-    ech = Echelon(key_order)
-    tagged = []
-    for i, row in enumerate(rows):
-        v = dict(row)
-        v[("_coeff_", i)] = Fraction(1)
-        tagged.append(v)
-
-    def order(k):
-        if isinstance(k, tuple) and len(k) == 2 and k[0] == "_coeff_":
-            return (1, k[1])
-        return (0, key_order(k) if key_order else k)
-
-    ech2 = Echelon(order)
-    for v in tagged:
-        ech2.insert(v)
-    res = ech2.reduce(dict(rhs))
-    coeffs = [Fraction(0)] * len(rows)
-    leftover = {}
-    for k, v in res.items():
-        if isinstance(k, tuple) and len(k) == 2 and k[0] == "_coeff_":
-            coeffs[k[1]] = -v
-        else:
-            leftover[k] = v
+    coords, leftover = Coordinates(rows, key_order)(rhs)
     if leftover:
         return None
-    return coeffs
+    return [coords.get(i, Fraction(0)) for i in range(len(rows))]
 
 
 def intersect_spans(vectors_a, vectors_b, key_order=None):
-    """Basis of span(A) ∩ span(B) by the tagged-sum (Zassenhaus) trick."""
-    tagged = []
-    for v in vectors_a:
-        w = {("L", k): c for k, c in v.items()}
-        w.update({("R", k): c for k, c in v.items()})
-        tagged.append(w)
-    for v in vectors_b:
-        tagged.append({("L", k): c for k, c in v.items()})
+    """Basis of span(A) ∩ span(B) for linearly independent A and B.
 
-    def order(k):
-        side, kk = k
-        return (0 if side == "L" else 1, key_order(kk) if key_order else kk)
-
-    ech = Echelon(order)
-    for v in tagged:
-        ech.insert(v)
+    Each relation sum a_i A_i + sum b_j B_j = 0 gives the element
+    sum a_i A_i of the intersection.
+    """
+    vectors_a = list(vectors_a)
     out = []
-    for pivot, row in ech.rows.items():
-        if pivot[0] == "R" and all(k[0] == "R" for k in row):
-            out.append({k[1]: c for k, c in row.items()})
+    for rel in Coordinates(vectors_a + list(vectors_b), key_order).relations():
+        v = {}
+        for i, c in rel.items():
+            if i < len(vectors_a):
+                v = vec_add(v, vectors_a[i], c)
+        out.append(v)
     return out

@@ -18,8 +18,7 @@ from fractions import Fraction
 from .convolution import Generators, delta_star, mc_check, morphism_to_mc
 from .freelie import FiberLieAlgebra, lyndon_bracket
 from .graded import GradedVectorSpace
-from .linalg import Echelon
-from .scalars import rat
+from .linalg import Coordinates, Echelon, intersect_spans, solve
 from .structures import FiniteAlgebra, InfinityMorphism, check_morphism
 from .transfer import (TransferResult, contraction_from_hodge,
                        transfer_structure)
@@ -64,18 +63,10 @@ def hodge_decomposition(alg: FiniteAlgebra, pivot="lex"):
             dv = alg.m(1, [{k: Fraction(1)}])
             if dv:
                 exact.insert(dv)
-        closed = []
+        # closed subspace: the relations among the differentials of the keys
+        images = Coordinates([alg.m(1, [{k: Fraction(1)}]) for k in keys], order)
+        closed = [{keys[i]: c for i, c in rel.items()} for rel in images.relations()]
         closed_ech = Echelon(order)
-        # closed subspace via kernel elimination: tag source coordinates
-        tagged = Echelon(lambda key: ((0, order(key[1])) if key[0] == "v"
-                                      else (1, order(key[1]))))
-        for k in keys:
-            vec = {("v", kk): c for kk, c in alg.m(1, [{k: Fraction(1)}]).items()}
-            vec[("s", k)] = Fraction(1)
-            tagged.insert(vec)
-        for pivot_key, row in tagged.rows.items():
-            if pivot_key[0] == "s" and all(kk[0] == "s" for kk in row):
-                closed.append({kk[1]: c for kk, c in row.items()})
         for v in closed:
             closed_ech.insert(v)
         # W: complement of exact inside closed, picked from the pivot
@@ -363,7 +354,6 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     k_tables = {1: k1}
     one2 = W2.space.keys(1)
     two2 = W2.space.keys(2)
-    from .linalg import solve
     from .structures import morphism_defect
 
     # the arity-2 relation must hold for the linear part alone
@@ -508,7 +498,6 @@ def formality_check(model: OneMinimalModel, trunc=4):
             spans[n] = ech.basis()
     inter_rank = None
     if len(spans) >= 2:
-        from .linalg import intersect_spans
         items = list(spans.values())
         cur = items[0]
         for nxt in items[1:]:

@@ -14,10 +14,9 @@ import itertools
 from fractions import Fraction
 
 from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
-                         flatness_check, form_dvar, gauge_between, holonomy,
-                         parse_loop, restrict_connection)
+                         flatness_check, form_dvar, fv_map, gauge_between,
+                         holonomy, parse_loop, restrict_connection)
 from .convolution import degree_zero_restrict
-from .forms import PolyForm
 from .freelie import EnvelopingQuotient, bracket_label
 from .graded import GradedVectorSpace
 from .minimal import (check_comparison, compare_models, formality_check,
@@ -320,20 +319,9 @@ def compare_pipeline_models(name, trunc=4, k=4, pivots=("lex", "revlex"),
 
 
 def _map_connection(conn: ConnectionForm, dual_map, fib2) -> ConnectionForm:
-    from .freelie import lyndon_bracket
-    m = conn.m
-    monomials = {}
-    for w, form in conn.coeffs.items():
-        expanded = lyndon_bracket(tuple(w), conn.fib.free.order)
-        mapped = dual_map(expanded)
-        for key, c in form.terms.items():
-            acc = monomials.setdefault(key, {})
-            for ww, c2 in mapped.items():
-                acc[ww] = acc.get(ww, Fraction(0)) + c * c2
-    coeffs = {}
-    for key, vec in monomials.items():
-        coords = fib2.normal_form({w: c for w, c in vec.items() if c})
-        for w, c in coords.items():
-            cur = coeffs.get(w, PolyForm.zero(m, varname="x", ndiff=m))
-            coeffs[w] = cur + PolyForm(m, {key: c}, varname="x", ndiff=m)
-    return ConnectionForm(m, fib2, coeffs)
+    """``conn`` pushed through ``dual_map`` on tensor words into ``fib2``."""
+    free = conn.fib.free
+
+    def to_fib2(vec):
+        return fib2.normal_form(dual_map(free.from_lyndon(vec)))
+    return ConnectionForm(conn.m, fib2, fv_map(conn.coeffs, to_fib2, conn.m))

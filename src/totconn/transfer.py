@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .dupont import NCElement, dupont_E, dupont_Int, dupont_s, index_strings
 from .graded import GradedVectorSpace
-from .linalg import Echelon, vec_add
+from .linalg import Coordinates, Echelon, vec_add
 from .structures import (FiniteAlgebra, FormsAlgebra, InfinityMorphism,
                          shift_sign)
 
@@ -253,29 +253,13 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
         if exact.contains(dict(m)):
             raise HodgeError("M contains a nonzero exact element", witness=m)
 
-    # tagged elimination: express any vector in the (W, M, dM) basis
-    blocks = [("W", v) for v in w_vectors] + [("M", v) for v in m_vectors] + \
-             [("dM", v) for v in dm_vectors]
-
-    def tag_order(k):
-        if isinstance(k, tuple) and len(k) == 2 and k[0] == "_blk_":
-            return (1, k[1])
-        return (0, order(k))
-
-    tagged = Echelon(tag_order)
-    for j, (_, v) in enumerate(blocks):
-        vv = dict(v)
-        vv[("_blk_", j)] = Fraction(1)
-        tagged.insert(vv)
+    # express any vector in the (W, M, dM) basis
+    coordinates = Coordinates(list(w_vectors) + list(m_vectors) + dm_vectors, order)
 
     def coords(vec):
-        res = tagged.reduce(dict(vec))
-        out = [Fraction(0)] * len(blocks)
-        for k, c in res.items():
-            if isinstance(k, tuple) and len(k) == 2 and k[0] == "_blk_":
-                out[k[1]] = -c
-            elif c:
-                raise HodgeError("vector outside the decomposition", witness=vec)
+        out, leftover = coordinates(vec)
+        if leftover:
+            raise HodgeError("vector outside the decomposition", witness=vec)
         return out
 
     if names is None:
@@ -302,20 +286,15 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
 
     def project(vec):
         cs = coords(vec)
-        out = {}
-        for j in range(len(w_vectors)):
-            if cs[j]:
-                out[w_keys[j]] = cs[j]
-        return out
+        return {w_keys[j]: cs[j] for j in range(len(w_vectors)) if j in cs}
 
     def homotopy(vec):
         cs = coords(vec)
         out = {}
         base = len(w_vectors) + len(m_vectors)
         for j in range(len(m_vectors)):
-            c = cs[base + j]
-            if c:
-                out = vec_add(out, m_vectors[j], -c)
+            if base + j in cs:
+                out = vec_add(out, m_vectors[j], -cs[base + j])
         return out
 
     return Contraction(alg, small, include, project, homotopy,

@@ -142,8 +142,11 @@ def test_nc_action_collapses_and_includes():
     s0 = SimplicialOperator.codegeneracy(0, 0)
     lam = NCElement.basis(0, (0,))
     assert nc_simplicial_action(s0, lam) == NCElement(1, {(0,): 1, (1,): 1})
-    # ...and kills the edge
-    assert nc_simplicial_action(s0, NCElement.basis(0, ())) if False else True
+    # s^0: [2] -> [1] sends vertices 0 and 1 to 0, so the edge L01 comes
+    # from L02 + L12, and the collapsed edge (0, 1) does not appear
+    s0 = SimplicialOperator.codegeneracy(1, 0)
+    assert nc_simplicial_action(s0, NCElement.basis(1, (0, 1))) == \
+        NCElement(2, {(0, 2): 1, (1, 2): 1})
 
 
 def test_h_operator_lowers_degree():

@@ -1,0 +1,44 @@
+"""Byte-for-byte CLI outputs, pinned against files in ``tests/golden``.
+
+The expected files are the stdout of ``python -m totconn.cli <argv>`` as
+committed; any change to an output, including key order or number
+formatting, fails here.  Regenerate a file only for an intended change of
+behaviour, and say so in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from totconn.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CIRCLE = str(GOLDEN / "circle.json")
+CONN = str(GOLDEN / "nilpotent_connection.json")
+PATH = str(GOLDEN / "path.json")
+
+CASES = {
+    "pipeline_torus.json": ["pipeline", "--input", "torus", "--json"],
+    "pipeline_torus_compare.json": ["pipeline", "--input", "torus", "--compare",
+                                    "--json"],
+    "pipeline_heisenberg_compare.json": ["pipeline", "--input", "heisenberg",
+                                         "--compare", "--json"],
+    "minimal_model_circle_shear.json": ["minimal-model", "--input", CIRCLE,
+                                        "--pivot", "shear", "--json"],
+    "conn_transport.json": ["conn", "transport", "--input", CONN, "--path", PATH,
+                            "--order", "4", "--json"],
+    "conn_holonomy.json": ["conn", "holonomy", "--input", CONN, "--loop",
+                           "a b a- b- a a b", "--basepoint", "1/2,-1/3", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_circle_input_is_the_test_fixture():
+    import json
+    from tests.test_minimal import circle_cdga
+    assert json.loads(Path(CIRCLE).read_text()) == circle_cdga().to_json()
