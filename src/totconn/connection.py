@@ -17,7 +17,7 @@ from .convolution import TensorSeries
 from .forms import PolyForm
 from .freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                       lyndon_bracket)
-from .linalg import vec_add
+from .linalg import accumulate
 from .scalars import rat, rat_str
 
 
@@ -235,10 +235,9 @@ def restrict_connection(alpha: TensorSeries, source, fib: FiberLieAlgebra,
     def to_fiber(vec):
         # rename generators into the fiber; words with an unmapped
         # generator are dropped
-        lie = {}
-        for w, c in vec.items():
-            if all(i in gen_of_index for i in w):
-                lie = vec_add(lie, {tuple(gen_of_index[i] for i in w): c})
+        lie = accumulate({}, ((tuple(gen_of_index[i] for i in w), c)
+                              for w, c in vec.items()
+                              if all(i in gen_of_index for i in w)))
         return fib.normal_form(lie)
     return ConnectionForm(m, fib, fv_map(forms, to_fiber, m))
 
@@ -431,7 +430,7 @@ def equivariance_defect(alpha: ConnectionForm, F: AutomorphyFactor, g):
     inv = _series_mul(_exp_form_series(F.h.scale(-1), order),
                       _exp_form_series(h_shift, order), order)
     conj = _series_mul(_series_mul(Fg, alpha_series, order), inv, order)
-    dF = {w: f.d() for w, f in Fg.items() if not f.d().is_zero()}
+    dF = {w: df for w, f in Fg.items() if not (df := f.d()).is_zero()}
     term = _series_mul(dF, inv, order)
     rhs = fv_add(conj, term)
     pulled = {w: translate_form(f, g) for w, f in alpha_series.items()}
@@ -484,8 +483,6 @@ def transport(alpha: ConnectionForm, path: PLPath, env: EnvelopingQuotient):
     T solves T' = T * A(s) along each segment; segments compose by
     multiplication in traversal order.
     """
-    m = alpha.m
-    order = env.order
     total = {EMPTY: Fraction(1)}
     for a, b in zip(path.vertices, path.vertices[1:]):
         seg = _segment_transport(alpha, a, b, env)
@@ -506,18 +503,15 @@ def _segment_transport(alpha, a, b, env):
         images.append(img)
     for w, form in alpha.coeffs.items():
         pulled = form.substitute(images)
-        # the ds-coefficient as a polynomial in s
-        poly = {}
-        for (exps, dts), c in pulled.terms.items():
-            if dts == (0,):
-                poly[exps[0]] = poly.get(exps[0], Fraction(0)) + c
+        # the ds-coefficient as a polynomial in s; one variable, so one
+        # term per exponent
+        poly = {exps[0]: c for (exps, dts), c in pulled.terms.items() if dts == (0,)}
         if poly:
             for ww, c2 in lyndon_bracket(tuple(w), order).items():
                 if len(ww) > order:
                     continue
-                cur = coeff_polys.setdefault(ww, {})
-                for e, c in poly.items():
-                    cur[e] = cur.get(e, Fraction(0)) + c * c2
+                accumulate(coeff_polys.setdefault(ww, {}),
+                           ((e, c * c2) for e, c in poly.items()))
     # iterated indefinite integrals: I_0 = 1; I_r = int I_{r-1} A
     total = {EMPTY: Fraction(1)}
     current = {(): {0: Fraction(1)}}  # word -> poly in s
@@ -527,22 +521,16 @@ def _segment_transport(alpha, a, b, env):
             for w2, poly2 in coeff_polys.items():
                 if len(w1) + len(w2) > order:
                     continue
-                w = w1 + w2
-                prod = {}
-                for e1, c1 in poly1.items():
-                    for e2, c2 in poly2.items():
-                        prod[e1 + e2] = prod.get(e1 + e2, Fraction(0)) + c1 * c2
-                integ = {e + 1: c / (e + 1) for e, c in prod.items()}
-                cur = nxt.setdefault(w, {})
-                for e, c in integ.items():
-                    cur[e] = cur.get(e, Fraction(0)) + c
-        current = {w: p for w, p in nxt.items() if any(p.values())}
+                prod = accumulate({}, ((e1 + e2, c1 * c2) for e1, c1 in poly1.items()
+                                       for e2, c2 in poly2.items()))
+                accumulate(nxt.setdefault(w1 + w2, {}),
+                           ((e + 1, c / (e + 1)) for e, c in prod.items()))
+        current = {w: p for w, p in nxt.items() if p}
         if not current:
             break
-        for w, poly in current.items():
-            val = sum(poly.values(), Fraction(0))  # evaluate at s = 1
-            if val:
-                total[w] = total.get(w, Fraction(0)) + val
+        # evaluate at s = 1
+        accumulate(total, ((w, sum(poly.values(), Fraction(0)))
+                           for w, poly in current.items()))
     return env.reduce(total)
 
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
                       LieIdealPresentation, TruncationError, is_primitive)
 from .graded import GradedVectorSpace
+from .linalg import accumulate
 from .scalars import rat
 from .signs import antisym_sign, shuffle_product, word
 from .structures import (FiniteAlgebra, InfinityMorphism, delta_apply,
@@ -208,14 +209,8 @@ def source_delta(gens: Generators, source: FiniteAlgebra, w, trunc):
             sign = -1 if sum(d - 1 for d in degs[:p]) % 2 else 1
             elems = [{gens.keys[i]: Fraction(1)} for i in sub]
             val = delta_apply(source, q, elems, degs[p:p + q])
-            for key, c in val.items():
-                j = gens.index_of(key)
-                w2 = w[:p] + (j,) + w[p + q:]
-                s = out.get(w2, Fraction(0)) + sign * c
-                if s:
-                    out[w2] = s
-                else:
-                    out.pop(w2, None)
+            accumulate(out, ((w[:p] + (gens.index_of(key),) + w[p + q:], sign * c)
+                             for key, c in val.items()))
     return out
 
 
@@ -379,23 +374,12 @@ def delta_star(mW: FiniteAlgebra, trunc: int):
     one_keys = mW.space.keys(1)
     two_keys = mW.space.keys(2)
     free = FreeLie([name for _, name in one_keys], trunc)
-    gens_out = {key: {} for key in two_keys}
-    for n in range(2, mW.arity_cap + 1):
-        table = mW.maps.get(n, {})
-        for wrd, val in table.items():
-            if any(k not in one_keys for k in wrd):
-                continue
-            w = tuple(one_keys.index(k) for k in wrd)
-            if len(w) > trunc:
-                continue
-            for key, c in val.items():
-                if key in gens_out:
-                    cur = gens_out[key]
-                    s = cur.get(w, Fraction(0)) + c
-                    if s:
-                        cur[w] = s
-                    else:
-                        cur.pop(w, None)
+    words = [(tuple(one_keys.index(k) for k in wrd), val)
+             for n in range(2, mW.arity_cap + 1)
+             for wrd, val in mW.maps.get(n, {}).items()
+             if len(wrd) <= trunc and all(k in one_keys for k in wrd)]
+    gens_out = {key: accumulate({}, ((w, val[key]) for w, val in words if key in val))
+                for key in two_keys}
     generators = []
     for key in two_keys:
         g = gens_out[key]

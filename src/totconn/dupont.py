@@ -24,8 +24,9 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-from .forms import (PolyForm, SimplicialOperator, _accumulate, simplex_dt,
-                    simplex_monomials, simplex_t)
+from .forms import (PolyForm, SimplicialOperator, simplex_dt, simplex_monomials,
+                    simplex_t)
+from .linalg import accumulate
 from .scalars import rat, rat_str
 
 
@@ -45,18 +46,17 @@ class NCElement:
 
     def __init__(self, n, coeffs=None):
         self.n = n
-        clean = {}
-        if coeffs:
+
+        def checked():
             for I, c in coeffs.items():
                 I = tuple(I)
                 if list(I) != sorted(set(I)):
                     raise ValueError("NCElement: index set not strictly increasing")
                 if I and not (0 <= I[0] and I[-1] <= n):
                     raise ValueError("NCElement: index out of range")
-                c = rat(c)
-                if c:
-                    clean[I] = clean.get(I, Fraction(0)) + c
-        self.coeffs = {k: v for k, v in clean.items() if v}
+                yield I, rat(c)
+
+        self.coeffs = accumulate({}, checked()) if coeffs else {}
 
     @classmethod
     def basis(cls, n, I):
@@ -86,14 +86,7 @@ class NCElement:
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("NCElement: mixed simplices")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return NCElement(self.n, out)
+        return NCElement(self.n, accumulate(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -131,7 +124,7 @@ def elementary_form(I, n) -> PolyForm:
                 continue
             term = term.wedge(simplex_dt(n, I[k]))
         c = -fact if j % 2 else fact
-        _accumulate(acc, ((key, c * v) for key, v in term.terms.items()))
+        accumulate(acc, ((key, c * v) for key, v in term.terms.items()))
     return PolyForm._trusted(n, acc, "t", n)
 
 
@@ -139,7 +132,7 @@ def dupont_E(lam: NCElement) -> PolyForm:
     acc = {}
     for I, c in lam.coeffs.items():
         terms = elementary_form(I, lam.n).terms
-        _accumulate(acc, ((key, c * v) for key, v in terms.items()))
+        accumulate(acc, ((key, c * v) for key, v in terms.items()))
     return PolyForm._trusted(lam.n, acc, "t", lam.n)
 
 
@@ -190,7 +183,7 @@ def dupont_Int(form: PolyForm, n: int) -> NCElement:
         raise ValueError("dupont_Int: form is not on the n-simplex")
     coeffs = {}
     for (exps, dts), c in form.terms.items():
-        _accumulate(coeffs, ((I, c * v) for I, v in _int_monomial(exps, dts, n)))
+        accumulate(coeffs, ((I, c * v) for I, v in _int_monomial(exps, dts, n)))
     # faces by size, then lexicographically: the key order does not
     # depend on the order of the form's terms
     faces = sorted(coeffs, key=lambda I: (len(I), I))
@@ -260,10 +253,10 @@ def _h_monomial(exps, dts, n, i):
                     new_parts.append((pd, True, pe, pu, -pc * sign))
         dt_parts = new_parts
     acc = {}
-    _accumulate(acc, (((tuple(a + b for a, b in zip(pexps, qe)), qd),
-                       Fraction(-pc * qc, pu + qu + 1))
-                      for pexps, pu, pc in poly_parts
-                      for qd, qdu, qe, qu, qc in dt_parts if qdu))
+    accumulate(acc, (((tuple(a + b for a, b in zip(pexps, qe)), qd),
+                      Fraction(-pc * qc, pu + qu + 1))
+                     for pexps, pu, pc in poly_parts
+                     for qd, qdu, qe, qu, qc in dt_parts if qdu))
     return tuple(acc.items())
 
 
@@ -281,7 +274,7 @@ def h_operator(form: PolyForm, i: int) -> PolyForm:
     n = form.nvars
     acc = {}
     for (exps, dts), c in form.terms.items():
-        _accumulate(acc, ((key, c * v) for key, v in _h_monomial(exps, dts, n, i)))
+        accumulate(acc, ((key, c * v) for key, v in _h_monomial(exps, dts, n, i)))
     return PolyForm._trusted(n, acc, "t", n)
 
 
@@ -302,7 +295,7 @@ def dupont_s(form: PolyForm, n: int) -> PolyForm:
         while stack:
             I, inner = stack.pop()
             if I:
-                _accumulate(acc, elementary_form(I, n).wedge(inner).terms.items())
+                accumulate(acc, elementary_form(I, n).wedge(inner).terms.items())
             if len(I) >= p:
                 continue
             lo = I[-1] + 1 if I else 0
@@ -327,13 +320,10 @@ def nc_simplicial_action(theta: SimplicialOperator, lam: NCElement) -> NCElement
     if theta.m != lam.n:
         raise ValueError("nc_simplicial_action: dimension mismatch")
     q = theta.n
-    out = {}
-    for I, c in lam.coeffs.items():
-        size = len(I)
-        for K in itertools.combinations(range(q + 1), size):
-            if tuple(theta.images[k] for k in K) == I:
-                out[K] = out.get(K, Fraction(0)) + c
-    return NCElement(q, out)
+    # theta(K) = I fixes I, so no two terms share a K
+    return NCElement(q, {K: c for I, c in lam.coeffs.items()
+                         for K in itertools.combinations(range(q + 1), len(I))
+                         if tuple(theta.images[k] for k in K) == I})
 
 
 # ---------------------------------------------------------------------

@@ -18,6 +18,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+from .linalg import accumulate
 from .scalars import rat, rat_str
 
 
@@ -39,21 +40,6 @@ def _merge_dts(d1, d2):
     return tuple(sorted(merged)), sign
 
 
-def _accumulate(acc, items):
-    """acc += items in place, over (key, Fraction) pairs; zero sums are
-    dropped, so acc stays valid ``terms`` for ``PolyForm._trusted``."""
-    for key, v in items:
-        s = acc.get(key)
-        if s is None:
-            acc[key] = v
-        else:
-            s += v
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-
-
 class PolyForm:
     """Immutable polynomial differential form on a fixed variable set.
 
@@ -68,15 +54,14 @@ class PolyForm:
         self.nvars = nvars
         self.varname = varname
         self.ndiff = nvars if ndiff is None else ndiff
-        clean = {}
-        if terms:
+
+        def checked():
             for (exps, dts), c in terms.items():
                 if any(j >= self.ndiff for j in dts):
                     raise ValueError("differential on a non-smooth variable")
-                c = rat(c)
-                if c:
-                    clean[(tuple(exps), tuple(dts))] = clean.get((tuple(exps), tuple(dts)), Fraction(0)) + c
-        self.terms = {k: v for k, v in clean.items() if v}
+                yield (tuple(exps), tuple(dts)), rat(c)
+
+        self.terms = accumulate({}, checked()) if terms else {}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -137,9 +122,6 @@ class PolyForm:
                                  {k: v for k, v in self.terms.items() if len(k[1]) == degree},
                                  self.varname, self.ndiff)
 
-    def max_poly_degree(self):
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def __eq__(self, other):
         return (isinstance(other, PolyForm) and self.nvars == other.nvars
                 and self.ndiff == other.ndiff and self.terms == other.terms)
@@ -157,9 +139,7 @@ class PolyForm:
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("PolyForm: mixed ambients")
-        out = dict(self.terms)
-        _accumulate(out, other.terms.items())
-        return self._combined(other, out)
+        return self._combined(other, accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return self.scale(-1)
@@ -187,9 +167,7 @@ class PolyForm:
                         exps = tuple(a + b for a, b in zip(e1, e2))
                         yield (exps, dts), (c if sign > 0 else -c)
 
-        out = {}
-        _accumulate(out, products())
-        return self._combined(other, out)
+        return self._combined(other, accumulate({}, products()))
 
     def d(self):
         def derivatives():
@@ -204,9 +182,8 @@ class PolyForm:
                     e[j] -= 1
                     yield (tuple(e), dnew), sign * exps[j] * c
 
-        out = {}
-        _accumulate(out, derivatives())
-        return PolyForm._trusted(self.nvars, out, self.varname, self.ndiff)
+        return PolyForm._trusted(self.nvars, accumulate({}, derivatives()),
+                                 self.varname, self.ndiff)
 
     def substitute(self, images):
         """Pull back along x_j -> images[j] (PolyForms of degree 0).
@@ -221,8 +198,8 @@ class PolyForm:
             tgt_name = images[0].varname
             tgt_ndiff = images[0].ndiff
         else:
-            tgt_nvars, tgt_name, tgt_ndiff = 0, self.varname, None
-        out = PolyForm.zero(tgt_nvars, tgt_name, tgt_ndiff)
+            tgt_nvars, tgt_name, tgt_ndiff = 0, self.varname, 0
+        out = {}
         dimages = [im.d() for im in images]
         for (exps, dts), c in self.terms.items():
             acc = PolyForm.const(tgt_nvars, c, tgt_name, tgt_ndiff)
@@ -231,18 +208,19 @@ class PolyForm:
                     acc = acc.wedge(images[j])
             for j in dts:
                 acc = acc.wedge(dimages[j])
-            out = out + acc
-        return out
+            accumulate(out, acc.terms.items())
+        return PolyForm._trusted(tgt_nvars, out, tgt_name, tgt_ndiff)
 
     def partial(self, j):
-        out = {}
-        for (exps, dts), c in self.terms.items():
-            if exps[j] == 0:
-                continue
-            e = list(exps)
-            e[j] -= 1
-            out[(tuple(e), dts)] = out.get((tuple(e), dts), Fraction(0)) + c * exps[j]
-        return PolyForm(self.nvars, out, self.varname, self.ndiff)
+        def derivatives():
+            for (exps, dts), c in self.terms.items():
+                if exps[j]:
+                    e = list(exps)
+                    e[j] -= 1
+                    yield (tuple(e), dts), c * exps[j]
+
+        return PolyForm._trusted(self.nvars, accumulate({}, derivatives()),
+                                 self.varname, self.ndiff)
 
     def eval_at(self, point):
         """Evaluate the degree-0 part at a rational point."""
@@ -277,10 +255,8 @@ class PolyForm:
 
     @classmethod
     def from_json(cls, nvars, data, varname="t"):
-        terms = {}
-        for item in data:
-            key = (tuple(item["exps"]), tuple(j - 1 for j in item["dts"]))
-            terms[key] = terms.get(key, Fraction(0)) + rat(item["coeff"])
+        terms = accumulate({}, (((tuple(item["exps"]), tuple(j - 1 for j in item["dts"])),
+                                 rat(item["coeff"])) for item in data))
         return cls(nvars, terms, varname)
 
 
@@ -347,9 +323,6 @@ class SimplicialOperator:
             raise ValueError("compose: dimension mismatch")
         return SimplicialOperator(inner.n, self.m,
                                   [self.images[v] for v in inner.images])
-
-    def is_injective(self):
-        return len(set(self.images)) == len(self.images)
 
     def pullback(self, form: PolyForm) -> PolyForm:
         """Pull a form on the target simplex back to the source simplex."""

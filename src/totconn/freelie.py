@@ -9,10 +9,11 @@ All generators sit in degree zero, so no Koszul signs appear here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
-from .linalg import Coordinates, Echelon, vec_add, vec_scale
+from .linalg import Coordinates, Echelon, accumulate, vec_add, vec_scale
 from .scalars import rat, rat_str
 
 
@@ -30,18 +31,8 @@ def check_order(order):
 
 def tensor_mul(a: dict, b: dict, order: int) -> dict:
     """Concatenation product, dropping words longer than ``order``."""
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            if len(wa) + len(wb) > order:
-                continue
-            w = wa + wb
-            s = out.get(w, Fraction(0)) + ca * cb
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
+    return accumulate({}, ((wa + wb, ca * cb) for wa, ca in a.items()
+                           for wb, cb in b.items() if len(wa) + len(wb) <= order))
 
 
 def tensor_exp(x: dict, order: int) -> dict:
@@ -56,7 +47,8 @@ def tensor_exp(x: dict, order: int) -> dict:
         if not power:
             break
         fact *= k
-        out = vec_add(out, power, Fraction(1, fact))
+        coeff = Fraction(1, fact)
+        accumulate(out, ((w, coeff * c) for w, c in power.items()))
     return out
 
 
@@ -71,7 +63,8 @@ def tensor_log(t: dict, order: int) -> dict:
         power = tensor_mul(power, u, order)
         if not power:
             break
-        out = vec_add(out, power, Fraction((-1) ** (k + 1), k))
+        coeff = Fraction((-1) ** (k + 1), k)
+        accumulate(out, ((w, coeff * c) for w, c in power.items()))
     return out
 
 
@@ -84,19 +77,15 @@ def bch(x: dict, y: dict, order: int) -> dict:
 
 def unshuffle_coproduct(t: dict, order: int) -> dict:
     """Delta(T) as {(left word, right word): coeff}; generators primitive."""
-    out = {}
-    for w, c in t.items():
-        for r in range(len(w) + 1):
-            for S in itertools.combinations(range(len(w)), r):
-                left = tuple(w[i] for i in S)
-                right = tuple(w[i] for i in range(len(w)) if i not in S)
-                key = (left, right)
-                s = out.get(key, Fraction(0)) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return out
+    def terms():
+        for w, c in t.items():
+            for r in range(len(w) + 1):
+                for S in itertools.combinations(range(len(w)), r):
+                    left = tuple(w[i] for i in S)
+                    right = tuple(w[i] for i in range(len(w)) if i not in S)
+                    yield (left, right), c
+
+    return accumulate({}, terms())
 
 
 def is_grouplike(t: dict, order: int) -> bool:
@@ -104,17 +93,8 @@ def is_grouplike(t: dict, order: int) -> bool:
     if t.get(EMPTY) != 1:
         return False
     delta = unshuffle_coproduct(t, order)
-    want = {}
-    for w1, c1 in t.items():
-        for w2, c2 in t.items():
-            if len(w1) + len(w2) > order:
-                continue
-            key = (w1, w2)
-            s = want.get(key, Fraction(0)) + c1 * c2
-            if s:
-                want[key] = s
-            else:
-                want.pop(key, None)
+    want = accumulate({}, (((w1, w2), c1 * c2) for w1, c1 in t.items()
+                           for w2, c2 in t.items() if len(w1) + len(w2) <= order))
     delta = {k: v for k, v in delta.items() if len(k[0]) + len(k[1]) <= order}
     return delta == want
 
@@ -215,7 +195,8 @@ class FreeLie:
     def from_lyndon(self, coords) -> dict:
         out = {}
         for w, c in coords.items():
-            out = vec_add(out, self._bracket_elems[tuple(w)], rat(c))
+            c = rat(c)
+            accumulate(out, ((ww, c * v) for ww, v in self._bracket_elems[tuple(w)].items()))
         return out
 
     def is_lie_element(self, x: dict) -> bool:
@@ -272,22 +253,12 @@ def parse_bracket(expr, gen_names):
     raise ValueError("no top-level comma in %r" % (expr,))
 
 
-def lie_series_to_json(x: dict, free: "FreeLie"):
-    """Lyndon-normal JSON form {"trunc": N, "terms": {label: coeff}}."""
-    coords = free.to_lyndon(x)
-    if coords is None:
-        raise ValueError("not a Lie element")
-    return {"trunc": free.order,
-            "terms": {bracket_label(w, free.gen_names): rat_str(c)
-                      for w, c in sorted(coords.items())}}
-
-
 def lie_series_from_json(data, free: "FreeLie"):
     out = {}
     for label, c in data["terms"].items():
-        br = parse_bracket(label, free.gen_names)
-        out = vec_add(out, {w: v for w, v in br.items() if len(w) <= free.order},
-                      rat(c))
+        c = rat(c)
+        accumulate(out, ((w, c * v) for w, v in parse_bracket(label, free.gen_names).items()
+                         if len(w) <= free.order))
     return out
 
 
@@ -328,7 +299,7 @@ class LieIdealPresentation:
             frontier = nxt
 
     def reduce(self, x: dict) -> dict:
-        return self.span.reduce(dict(x))
+        return self.span.reduce(x)
 
     def contains(self, x: dict) -> bool:
         return not self.reduce(x)
@@ -396,8 +367,8 @@ class FiberLieAlgebra:
         coords = [{w: Fraction(1)} for w in self.basis]
         for a, b, c in itertools.combinations(coords, 3):
             j = self.bracket(a, self.bracket(b, c))
-            j = vec_add(j, self.bracket(b, self.bracket(c, a)))
-            j = vec_add(j, self.bracket(c, self.bracket(a, b)))
+            accumulate(j, self.bracket(b, self.bracket(c, a)).items())
+            accumulate(j, self.bracket(c, self.bracket(a, b)).items())
             if j:
                 failures.append((a, b, c, j))
         return failures
@@ -463,8 +434,12 @@ class EnvelopingQuotient:
 
     def is_grouplike(self, t: dict) -> bool:
         """log(t) is a Lie element modulo the ideal span."""
-        x = self.log(t)
-        # solve x = lie + ideal: reduce x modulo (Lie span + ideal span)
+        return self._lie_plus_ideal.contains(self.log(t))
+
+    @functools.cached_property
+    def _lie_plus_ideal(self):
+        """Echelon of the Lyndon brackets up to the order plus the ideal
+        rows, built once per quotient on first use."""
         ech = Echelon(_length_first)
         for w in self.free.lyndon:
             if len(w) > self.order:
@@ -472,5 +447,5 @@ class EnvelopingQuotient:
             ech.insert({ww: c for ww, c in lyndon_bracket(w, self.order).items()
                         if len(ww) <= self.order})
         for row in self._mod.basis():
-            ech.insert(dict(row))
-        return not ech.reduce(x)
+            ech.insert(row)
+        return ech

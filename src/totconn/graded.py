@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import vec_add, vec_scale
+from .linalg import accumulate, vec_scale
 from .scalars import rat, rat_str
 
 
@@ -44,9 +44,6 @@ class GradedVectorSpace:
     def shift(self, n):
         """Relabel degrees d -> d - n (elements of V[n])."""
         return GradedVectorSpace({d - n: names for d, names in self.degrees.items()})
-
-    def min_degree(self):
-        return min(self.degrees) if self.degrees else 0
 
     def max_degree(self):
         return max(self.degrees) if self.degrees else 0
@@ -99,22 +96,14 @@ class GradedMap:
         return cls(source, target, degree, {})
 
     def __call__(self, vec: dict) -> dict:
-        out = {}
-        for k, c in vec.items():
-            col = self.blocks.get(k)
-            if col:
-                out = vec_add(out, col, c)
-        return out
+        return accumulate({}, ((t, c * v) for k, c in vec.items()
+                               for t, v in self.blocks.get(k, {}).items()))
 
     def compose(self, inner: "GradedMap") -> "GradedMap":
         """self o inner; degrees add."""
         blocks = {}
         for src, col in inner.blocks.items():
-            acc = {}
-            for mid, c in col.items():
-                col2 = self.blocks.get(mid)
-                if col2:
-                    acc = vec_add(acc, col2, c)
+            acc = self(col)
             if acc:
                 blocks[src] = acc
         return GradedMap(inner.source, self.target, self.degree + inner.degree, blocks)
@@ -124,11 +113,8 @@ class GradedMap:
             raise ValueError("GradedMap.add: degree mismatch")
         blocks = {k: dict(v) for k, v in self.blocks.items()}
         for src, col in other.blocks.items():
-            acc = vec_add(blocks.get(src, {}), col)
-            if acc:
-                blocks[src] = acc
-            else:
-                blocks.pop(src, None)
+            if not accumulate(blocks.setdefault(src, {}), col.items()):
+                del blocks[src]
         return GradedMap(self.source, self.target, self.degree, blocks)
 
     def scale(self, c) -> "GradedMap":

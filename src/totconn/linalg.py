@@ -1,9 +1,16 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts {key: Fraction} over arbitrary hashable keys; zero
-entries are never stored.  Elimination pivots are chosen deterministically
-from a fixed key order, so all constructions downstream (Hodge
-decompositions, quotient bases) are reproducible.
+Vectors are dicts {key: value} over arbitrary hashable keys, with
+``Fraction`` (or int) values, and one rule: a zero entry is never
+stored.  ``accumulate`` is the one place that adds into such a vector,
+in place; ``vec_add`` is its copying form.  A function mutates only an
+accumulator it created itself, never an argument, an ``lru_cache``
+result, a ``FiniteAlgebra.maps`` value or an ``Echelon`` row, since all
+of those may be shared.
+
+Elimination pivots are chosen deterministically from a fixed key order,
+so all constructions downstream (Hodge decompositions, quotient bases)
+are reproducible.
 
 ``Coordinates`` is the one tagged elimination: it appends a private tag
 key to each input vector, and tags sort after every ordinary key, in the
@@ -15,25 +22,49 @@ and coordinate dict comes out the same.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
-def vec_add(a: dict, b: dict, coeff=Fraction(1)) -> dict:
-    """a + coeff*b, pruning zeros."""
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + coeff * v
-        if s:
-            out[k] = s
+def accumulate(acc: dict, items) -> dict:
+    """acc += items in place, over (key, value) pairs; returns ``acc``.
+
+    A sum that reaches zero is deleted and a zero value is never stored
+    under a new key, so a sparse ``acc`` stays sparse.
+    """
+    for key, v in items:
+        s = acc.get(key)
+        if s is None:
+            if v:
+                acc[key] = v
         else:
-            out.pop(k, None)
-    return out
+            s += v
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return acc
+
+
+def vec_add(a: dict, b: dict, coeff=Fraction(1)) -> dict:
+    """a + coeff*b as a new dict."""
+    return accumulate(dict(a), ((k, coeff * v) for k, v in b.items()))
 
 
 def vec_scale(a: dict, coeff) -> dict:
     if not coeff:
         return {}
     return {k: coeff * v for k, v in a.items()}
+
+
+def multilinear_terms(vectors):
+    """Yield (word, product of coefficients), one pair for each choice of
+    one term from every vector, in ``itertools.product`` order."""
+    for combo in itertools.product(*[list(v.items()) for v in vectors]):
+        coeff = Fraction(1)
+        for _, c in combo:
+            coeff *= c
+        yield tuple(key for key, _ in combo), coeff
 
 
 class Echelon:
@@ -49,17 +80,17 @@ class Echelon:
         self.rows = {}  # pivot key -> row dict (pivot coefficient 1)
 
     def reduce(self, vec: dict) -> dict:
-        """Canonical residual of ``vec`` modulo the current span."""
+        """Canonical residual of ``vec`` modulo the current span.
+
+        Rows hold no pivot but their own, so subtracting one never brings
+        in another pivot: one pass over the pivots of ``vec``, in key
+        order, leaves the residual.
+        """
         vec = dict(vec)
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(vec, key=self.key_order):
-                row = self.rows.get(k)
-                if row is not None:
-                    vec = vec_add(vec, row, -vec[k])
-                    changed = True
-                    break
+        rows = self.rows
+        for k in sorted([k for k in vec if k in rows], key=self.key_order):
+            c = -vec[k]
+            accumulate(vec, ((key, c * v) for key, v in rows[k].items()))
         return vec
 
     def insert(self, vec: dict) -> bool:
@@ -161,6 +192,6 @@ def intersect_spans(vectors_a, vectors_b, key_order=None):
         v = {}
         for i, c in rel.items():
             if i < len(vectors_a):
-                v = vec_add(v, vectors_a[i], c)
+                accumulate(v, ((k, c * x) for k, x in vectors_a[i].items()))
         out.append(v)
     return out

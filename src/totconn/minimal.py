@@ -18,7 +18,7 @@ from fractions import Fraction
 from .convolution import Generators, delta_star, mc_check, morphism_to_mc
 from .freelie import FiberLieAlgebra, lyndon_bracket
 from .graded import GradedVectorSpace
-from .linalg import Coordinates, Echelon, intersect_spans, solve
+from .linalg import Coordinates, Echelon, accumulate, intersect_spans, solve, vec_add
 from .structures import FiniteAlgebra, InfinityMorphism, check_morphism
 from .transfer import (TransferResult, contraction_from_hodge,
                        transfer_structure)
@@ -73,24 +73,24 @@ def hodge_decomposition(alg: FiniteAlgebra, pivot="lex"):
         # candidates (so different strategies change the representatives)
         w_ech = Echelon(order)
         for v in exact.basis():
-            w_ech.insert(dict(v))
+            w_ech.insert(v)
         chosen_w = []
         if d == 0 and alg.unit_key is not None:
             unit = {alg.unit_key: Fraction(1)}
-            if closed_ech.contains(unit) and w_ech.insert(dict(unit)):
+            if closed_ech.contains(unit) and w_ech.insert(unit):
                 chosen_w.append(unit)
-        for cand in _pivot_candidates(keys, pivot) + [dict(v) for v in closed]:
-            if not closed_ech.contains(dict(cand)):
+        for cand in _pivot_candidates(keys, pivot) + closed:
+            if not closed_ech.contains(cand):
                 continue
-            if w_ech.insert(dict(cand)):
+            if w_ech.insert(cand):
                 chosen_w.append(dict(cand))
         w_vectors.extend(chosen_w)
         # M: complement of closed inside the degree, from pivot candidates
         m_ech = Echelon(order)
         for v in closed:
-            m_ech.insert(dict(v))
+            m_ech.insert(v)
         for cand in _pivot_candidates(keys, pivot):
-            if m_ech.insert(dict(cand)):
+            if m_ech.insert(cand):
                 m_vectors.append(dict(cand))
     return w_vectors, m_vectors
 
@@ -171,7 +171,7 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
     kept2 = []
     probe = Echelon(full.space.key_order)
     for row in gen2.basis():
-        probe.insert(dict(row))
+        probe.insert(row)
     for k in two_keys:
         if probe.contains({k: Fraction(1)}):
             kept2.append(k)
@@ -305,18 +305,9 @@ class Comparison:
         names1 = free1.gen_names
         names2 = free2.gen_names
         for i in w:
-            step = {}
             col = self.dual_matrix.get(names1[i], {})
-            for ww, c in out.items():
-                for name2, c2 in col.items():
-                    j = names2.index(name2)
-                    w2 = ww + (j,)
-                    s = step.get(w2, Fraction(0)) + c * c2
-                    if s:
-                        step[w2] = s
-                    else:
-                        step.pop(w2, None)
-            out = step
+            out = accumulate({}, ((ww + (names2.index(name2),), c * c2)
+                                  for ww, c in out.items() for name2, c2 in col.items()))
         return out
 
     def dual_series(self, series, free1, free2, trunc):
@@ -324,12 +315,8 @@ class Comparison:
         for w, c in series.items():
             if len(w) > trunc:
                 continue
-            for w2, c2 in self.dual_on_word(w, free1, free2).items():
-                s = out.get(w2, Fraction(0)) + c * c2
-                if s:
-                    out[w2] = s
-                else:
-                    out.pop(w2, None)
+            accumulate(out, ((w2, c * c2)
+                             for w2, c2 in self.dual_on_word(w, free1, free2).items()))
         return out
 
 
@@ -344,13 +331,8 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     """
     W1, W2 = model1.algebra, model2.algebra
     p1 = model1.transfer.contraction.project
-    rename = _transfer_key_map(model1)
-    k1 = {}
-    for key in W2.space.keys():
-        img = model2.morphism.apply(1, [{key: Fraction(1)}])
-        proj = p1(img)
-        k1[(key,)] = {rename[kk]: c for kk, c in proj.items()
-                      if rename.get(kk) is not None}
+    k1 = {(key,): dict(p1(model2.morphism.apply(1, [{key: Fraction(1)}])))
+          for key in W2.space.keys()}
     k_tables = {1: k1}
     one2 = W2.space.keys(1)
     two2 = W2.space.keys(2)
@@ -401,17 +383,9 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
         cols = []
         for (j, wrd, vk) in unknowns:
             probe_tables = copy_tables(k_tables)
-            probe_tables.setdefault(j, {}).setdefault(wrd, {})
-            probe_tables[j][wrd][vk] = probe_tables[j][wrd].get(vk, Fraction(0)) + 1
-            col = total_defect(probe_tables)
-            diff = dict(col)
-            for key, c in base.items():
-                s = diff.get(key, Fraction(0)) - c
-                if s:
-                    diff[key] = s
-                else:
-                    diff.pop(key, None)
-            cols.append(diff)
+            accumulate(probe_tables.setdefault(j, {}).setdefault(wrd, {}),
+                       [(vk, Fraction(1))])
+            cols.append(vec_add(total_defect(probe_tables), base, Fraction(-1)))
         sol = solve(cols, {k: -v for k, v in base.items() if v})
         if sol is None:
             raise ModelError("comparison extension is obstructed")
@@ -432,11 +406,6 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     return Comparison(model1, model2, k_tables, dual)
 
 
-def _transfer_key_map(model: OneMinimalModel):
-    """Identity on the model's keys (transfer names are shared)."""
-    return {k: k for k in model.transfer.algebra.space.keys()}
-
-
 def check_comparison(comp: Comparison, trunc=4, k=4):
     """Filtered-isomorphism checks for the induced dual map.
 
@@ -454,13 +423,10 @@ def check_comparison(comp: Comparison, trunc=4, k=4):
     if fib1.dim() != fib2.dim():
         failures.append(("quotient dimensions differ", fib1.dim(), fib2.dim()))
     # rank of the induced map on the quotient
-    reduced = []
     rank_ech = Echelon(lambda key: (len(key), key))
     for w in fib1.basis:
         img = comp.dual_series(lyndon_bracket(w, free1.order), free1, free2, trunc)
-        red = fib2._mod.reduce({ww: c for ww, c in img.items() if len(ww) < k})
-        reduced.append(red)
-        rank_ech.insert(red)
+        rank_ech.insert(fib2._mod.reduce({ww: c for ww, c in img.items() if len(ww) < k}))
     if rank_ech.rank != fib1.dim():
         failures.append(("induced quotient map is not injective", rank_ech.rank))
     return failures

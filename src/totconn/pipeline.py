@@ -19,6 +19,7 @@ from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
 from .convolution import degree_zero_restrict
 from .freelie import EnvelopingQuotient, bracket_label
 from .graded import GradedVectorSpace
+from .linalg import accumulate
 from .minimal import (check_comparison, compare_models, formality_check,
                       massey_report, model_fiber_data, model_mc,
                       one_minimal_model, positive_part)
@@ -80,20 +81,15 @@ def exterior_cdga(gen_names, rel_diff=None, arity_cap=4) -> FiniteAlgebra:
             combo = tuple(sorted(idx[t] for t in _split_word(target, gens)))
             base[idx[g]] = combo
         # extend by the graded Leibniz rule
-        for combo in words:
-            acc = {}
+        def leibniz(combo):
             for pos, i in enumerate(combo):
-                if i not in base:
-                    continue
-                rest = combo[:pos] + combo[pos + 1:]
-                merged, sign = mult(base[i], rest)
-                if not sign:
-                    continue
-                if pos % 2:
-                    sign = -sign
-                key = key_of(merged)
-                acc[key] = acc.get(key, Fraction(0)) + sign
-            acc = {k: c for k, c in acc.items() if c}
+                if i in base:
+                    merged, sign = mult(base[i], combo[:pos] + combo[pos + 1:])
+                    if sign:
+                        yield key_of(merged), Fraction(-sign if pos % 2 else sign)
+
+        for combo in words:
+            acc = accumulate({}, leibniz(combo))
             if acc:
                 diff[key_of(combo)] = acc
     return FiniteAlgebra.from_dga(space, diff, prod, kind="Cinf",
@@ -297,12 +293,8 @@ def compare_pipeline_models(name, trunc=4, k=4, pivots=("lex", "revlex"),
         # transport the first connection through the dual comparison and
         # find the connecting gauge on the second fiber
         def dual_map(series):
-            out = {}
-            for w, c in series.items():
-                img = comp.dual_on_word(w, r1.free, r2.free)
-                for w2, c2 in img.items():
-                    out[w2] = out.get(w2, Fraction(0)) + c * c2
-            return {w: c for w, c in out.items() if c}
+            return accumulate({}, ((w2, c * c2) for w, c in series.items()
+                                   for w2, c2 in comp.dual_on_word(w, r1.free, r2.free).items()))
 
         mapped = _map_connection(r1.connection, dual_map, r2.fib)
         h = gauge_between(mapped, r2.connection)

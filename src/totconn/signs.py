@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .linalg import accumulate
 from .scalars import ONE
 
 
@@ -117,11 +118,6 @@ def shuffle_product(a: TensorWord, b: TensorWord) -> dict:
         return {TensorWord(a): ONE}
     entries = tuple(a) + tuple(b)
     degrees = tuple(d for _, d in entries)
-    out: dict = {}
-    for perm in shuffles(len(a), len(b)):
-        w = TensorWord(tuple(entries[i] for i in perm))
-        coeff = koszul_sign(perm, degrees)
-        out[w] = out.get(w, 0) + coeff
-        if out[w] == 0:
-            del out[w]
-    return out
+    return accumulate({}, ((TensorWord(tuple(entries[i] for i in perm)),
+                            koszul_sign(perm, degrees))
+                           for perm in shuffles(len(a), len(b))))

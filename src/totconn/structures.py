@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .forms import PolyForm
 from .graded import GradedVectorSpace, vector_degree
-from .linalg import vec_add, vec_scale
+from .linalg import accumulate, multilinear_terms, vec_add, vec_scale
 from .scalars import rat
 from .signs import antisym_sign, shuffle_product, word
 
@@ -142,14 +142,10 @@ class FiniteAlgebra(AlgebraBase):
         if not table:
             return {}
         out = {}
-        for combo in itertools.product(*[list(e.items()) for e in elems]):
-            wrd = tuple(key for key, _ in combo)
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
+        for wrd, coeff in multilinear_terms(elems):
             val = table.get(wrd)
             if val:
-                out = vec_add(out, val, coeff)
+                accumulate(out, ((key, coeff * c) for key, c in val.items()))
         return out
 
     def basis_vectors(self, degrees=None):
@@ -351,11 +347,7 @@ class InfinityMorphism:
         if not table:
             return self.target.zero()
         out = self.target.zero()
-        for combo in itertools.product(*[list(e.items()) for e in elems]):
-            wrd = tuple(key for key, _ in combo)
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
+        for wrd, coeff in multilinear_terms(elems):
             val = table.get(wrd)
             if val is not None:
                 out = self.target.add(out, val, coeff)
@@ -398,7 +390,6 @@ def morphism_defect(f: InfinityMorphism, elems):
             pos = 0
             values = []
             value_degs = []
-            dead = False
             for i in arities:
                 block = elems[pos:pos + i]
                 block_degs = degs[pos:pos + i]
@@ -453,9 +444,9 @@ def antisymmetrize(alg: FiniteAlgebra) -> FiniteAlgebra:
             total = {}
             for perm in itertools.permutations(range(k)):
                 val = table.get(tuple(src[p] for p in perm))
-                if not val:
-                    continue
-                total = vec_add(total, val, antisym_sign(perm, degs))
+                if val:
+                    sign = antisym_sign(perm, degs)
+                    accumulate(total, ((key, sign * c) for key, c in val.items()))
             if total:
                 out.set_value(k, src, total)
     return out
@@ -568,13 +559,6 @@ class IntervalAlgebra:
     def include(self, a):
         """A-element -> 1 (x) a."""
         return {(0, False): a}
-
-    def from_poly_pairs(self, pairs):
-        """[(t-exp, has_dt, A-element)] -> element."""
-        out = {}
-        for e, dt, v in pairs:
-            out = self.add(out, {(e, bool(dt)): v})
-        return out
 
     def m(self, k, elems):
         if k == 1:

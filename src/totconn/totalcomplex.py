@@ -36,7 +36,7 @@ from math import comb, factorial
 
 from .forms import PolyForm
 from .graded import GradedVectorSpace
-from .linalg import Echelon, vec_add, vec_scale
+from .linalg import Echelon, accumulate, vec_add, vec_scale
 from .scalars import bernoulli, rat, rat_str
 from .structures import FiniteAlgebra
 from .transfer import nc_structure
@@ -78,9 +78,6 @@ class GroupCochain:
         for (exps, dts), c in form_on_rm.terms.items():
             terms[(tuple(exps), dts)] = c
         return cls(m, 0, PolyForm(m, terms, varname="z", ndiff=m))
-
-    def x_var(self, j):
-        return PolyForm.var(self.m * (self.p + 1), j, varname="z", ndiff=self.m)
 
     def g_var(self, slot, j):
         return PolyForm.var(self.m * (self.p + 1), self.m * slot + j,
@@ -190,19 +187,6 @@ class GroupCochain:
                     for j in range(m)]
         return GroupCochain(m, self.p, self._subst(x_images, amb[m:]))
 
-    def eval_g(self, g_points):
-        """Substitute explicit integer tuples for all group arguments."""
-        if len(g_points) != self.p:
-            raise ValueError("need one group element per slot")
-        m = self.m
-        amb = self._ambient(0)
-        consts = []
-        for gp in g_points:
-            consts.extend(PolyForm.const(m, rat(gj), varname="z", ndiff=m)
-                          for gj in gp)
-        form = self.form.substitute(list(amb) + consts)
-        return GroupCochain(m, 0, form)
-
 
 class GroupCochainBackend:
     """The translation action of Z^m on R^m, handled symbolically.
@@ -298,12 +282,8 @@ class FinitePresentation:
         return None
 
     def apply_map(self, table, vec):
-        out = {}
-        for key, c in vec.items():
-            col = table.get(key)
-            if col:
-                out = vec_add(out, col, c)
-        return out
+        return accumulate({}, ((k, c * v) for key, c in vec.items()
+                               for k, v in table.get(key, {}).items()))
 
     def coface(self, a, i, p):
         """d^i applied to a level-p element."""
@@ -439,23 +419,15 @@ def group_action_presentation(alg: FiniteAlgebra, elements, mult, action,
                 if i == 0:
                     inner_tup = tup[1:]
                     twisted = action(tup[0])  # pullback along x -> g.x
-                    img = twisted.get(key, {})
-                    col = {(k[0], str((tup, k[1]))): c for k, c in img.items()}
-                    src = (key[0], str((inner_tup, key[1])))
-                    table.setdefault(src, {})
-                    table[src] = vec_add(table[src], col)
-                elif i <= p:
-                    inner_tup = tup[:i - 1] + (mult(tup[i - 1], tup[i]),) + tup[i + 1:]
-                    src = (key[0], str((inner_tup, key[1])))
-                    col = {(key[0], str((tup, key[1]))): Fraction(1)}
-                    table.setdefault(src, {})
-                    table[src] = vec_add(table[src], col)
+                    col = [((k[0], str((tup, k[1]))), c)
+                           for k, c in twisted.get(key, {}).items()]
                 else:
-                    inner_tup = tup[:p]
-                    src = (key[0], str((inner_tup, key[1])))
-                    col = {(key[0], str((tup, key[1]))): Fraction(1)}
-                    table.setdefault(src, {})
-                    table[src] = vec_add(table[src], col)
+                    if i <= p:
+                        inner_tup = tup[:i - 1] + (mult(tup[i - 1], tup[i]),) + tup[i + 1:]
+                    else:
+                        inner_tup = tup[:p]
+                    col = [((key[0], str((tup, key[1]))), Fraction(1))]
+                accumulate(table.setdefault((key[0], str((inner_tup, key[1]))), {}), col)
         return table
 
     def codegen_table(p, i):

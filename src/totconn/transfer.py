@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .dupont import NCElement, dupont_E, dupont_Int, dupont_s, index_strings
 from .graded import GradedVectorSpace
-from .linalg import Coordinates, Echelon, vec_add
+from .linalg import Coordinates, Echelon, accumulate, multilinear_terms
 from .structures import (FiniteAlgebra, FormsAlgebra, InfinityMorphism,
                          shift_sign)
 
@@ -163,8 +163,10 @@ class TransferredAlgebra(FiniteAlgebra):
             raise ValueError("arity mismatch")
         if k > self.arity_cap:
             raise ArityCapError("transfer: arity cap %d exceeded" % self.arity_cap)
-        for combo in itertools.product(*[list(e) for e in elems]):
-            self._ensure(k, tuple(combo))
+        # only the words are needed here; their coefficients are
+        # multiplied out once, in FiniteAlgebra.m
+        for wrd in itertools.product(*elems):
+            self._ensure(k, wrd)
         return super().m(k, elems)
 
     def materialize(self, arity):
@@ -182,11 +184,7 @@ def transfer_structure(contraction: Contraction, arity_cap: int,
     def component(k):
         def apply(elems):
             out = big.zero()
-            for combo in itertools.product(*[list(e.items()) for e in elems]):
-                wrd = tuple(key for key, _ in combo)
-                coeff = Fraction(1)
-                for _, c in combo:
-                    coeff *= c
+            for wrd, coeff in multilinear_terms(elems):
                 if k == 1:
                     val = contraction.include(wrd[0])
                 else:
@@ -235,7 +233,7 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
 
     ech = Echelon(order)
     for v in list(w_vectors) + list(m_vectors) + dm_vectors:
-        if not ech.insert(dict(v)):
+        if not ech.insert(v):
             raise HodgeError("decomposition is not direct", witness=v)
     ambient = alg.space.keys()
     missing = [k for k in ambient if not ech.contains({k: Fraction(1)})]
@@ -250,7 +248,7 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
         if dv:
             exact.insert(dv)
     for m in m_vectors:
-        if exact.contains(dict(m)):
+        if exact.contains(m):
             raise HodgeError("M contains a nonzero exact element", witness=m)
 
     # express any vector in the (W, M, dM) basis
@@ -290,12 +288,9 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
 
     def homotopy(vec):
         cs = coords(vec)
-        out = {}
         base = len(w_vectors) + len(m_vectors)
-        for j in range(len(m_vectors)):
-            if base + j in cs:
-                out = vec_add(out, m_vectors[j], -cs[base + j])
-        return out
+        return accumulate({}, ((k, -cs[base + j] * v) for j, mv in enumerate(m_vectors)
+                               if base + j in cs for k, v in mv.items()))
 
     return Contraction(alg, small, include, project, homotopy,
                        unit_key=unit_key, tag=tag)
@@ -334,21 +329,19 @@ def nc_key_to_lambda(key, n):
 
 def nc_vector_from_element(elem: NCElement):
     """NCElement -> sparse vector over the nc_space basis."""
-    n = elem.n
-    out = {}
-    for I, c in elem.coeffs.items():
-        if len(I) == 1:
-            i = I[0]
-            if i == 0:
-                # lambda_0 = 1 - sum_i lambda_i in the adapted basis
-                out = vec_add(out, {(0, "1"): Fraction(1)}, c)
-                for j in range(1, n + 1):
-                    out = vec_add(out, {(0, "v%d" % j): Fraction(1)}, -c)
+    def terms():
+        for I, c in elem.coeffs.items():
+            if len(I) > 1:
+                yield (len(I) - 1, "L" + "".join(map(str, I))), c
+            elif I[0]:
+                yield (0, "v%d" % I[0]), c
             else:
-                out = vec_add(out, {(0, "v%d" % i): Fraction(1)}, c)
-        else:
-            out = vec_add(out, {(len(I) - 1, "L" + "".join(map(str, I))): Fraction(1)}, c)
-    return out
+                # lambda_0 = 1 - sum_i lambda_i in the adapted basis
+                yield (0, "1"), c
+                for j in range(1, elem.n + 1):
+                    yield (0, "v%d" % j), -c
+
+    return accumulate({}, terms())
 
 
 def dupont_contraction(n) -> Contraction:

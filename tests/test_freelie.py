@@ -146,3 +146,17 @@ def test_enveloping_quotient_free_not_abelian():
     commut = env.mul(env.mul(ex, ey), env.mul(env.inverse(ex), env.inverse(ey)))
     assert not env.eq(commut, {EMPTY: Fraction(1)})
     assert env.is_grouplike(commut)
+
+
+@pytest.mark.parametrize("abelian", [False, True])
+def test_enveloping_is_grouplike_repeats_on_one_quotient(abelian):
+    # the echelon behind is_grouplike is built on the first call and reused
+    free = FreeLie(["x", "y"], 4)
+    gens = [commutator(free.gen(0), free.gen(1), 4)] if abelian else []
+    env = EnvelopingQuotient(free, LieIdealPresentation(free, gens), 4)
+    lie = vec_add(free.gen(0), commutator(free.gen(0), free.gen(1), 4), Fraction(-3))
+    grouplike = env.exp(lie)
+    not_grouplike = {EMPTY: Fraction(1), (0,): Fraction(2)}  # 1 + 2x
+    for _ in range(2):
+        assert env.is_grouplike(grouplike)
+        assert not env.is_grouplike(not_grouplike)

@@ -29,6 +29,8 @@ CASES = {
                             "--order", "4", "--json"],
     "conn_holonomy.json": ["conn", "holonomy", "--input", CONN, "--loop",
                            "a b a- b- a a b", "--basepoint", "1/2,-1/3", "--json"],
+    "transfer_nc_2_4.json": ["transfer", "nc", "--n", "2", "--arity", "4", "--json"],
+    "transfer_nc_3_3.json": ["transfer", "nc", "--n", "3", "--arity", "3", "--json"],
 }
 
 

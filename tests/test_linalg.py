@@ -5,7 +5,9 @@ coefficients, so dependent families and inconsistent systems both occur
 often.
 """
 
+import copy
 import functools
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -13,12 +15,17 @@ from hypothesis import strategies as st
 
 from totconn.freelie import (FiberLieAlgebra, FreeLie, LieIdealPresentation,
                              commutator)
-from totconn.linalg import (Coordinates, Echelon, intersect_spans, solve,
-                            vec_add)
+from totconn.graded import GradedVectorSpace
+from totconn.linalg import (Coordinates, Echelon, accumulate, intersect_spans,
+                            solve, vec_add)
+from totconn.structures import FiniteAlgebra
 
 COEFF = st.integers(-3, 3).filter(bool).map(Fraction)
 VEC = st.dictionaries(st.integers(0, 5), COEFF, max_size=6)
 VECS = st.lists(VEC, max_size=6)
+# (key, value) pairs whose values may be zero, as a sum may present them
+ITEMS = st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3).map(Fraction)),
+                 max_size=12)
 
 
 def combine(vectors, coeffs):
@@ -35,6 +42,107 @@ def echelon(vectors):
     for v in vectors:
         ech.insert(v)
     return ech
+
+
+def dense(vec):
+    return [vec.get(k, Fraction(0)) for k in range(6)]
+
+
+def dense_rank(vectors):
+    """Rank by plain Gaussian elimination on dense rows over keys 0..5."""
+    rows = [dense(v) for v in vectors]
+    rank = 0
+    for col in range(6):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            f = r[col] / pivot[col]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+@given(VEC, ITEMS)
+@settings(deadline=None, max_examples=100)
+def test_accumulate_is_the_dense_sum_without_zeros(start, items):
+    acc = dict(start)
+    assert accumulate(acc, items) is acc
+    want = dense(start)
+    for k, v in items:
+        want[k] += v
+    assert dense(acc) == want
+    assert all(v for v in acc.values())
+
+
+@given(VEC, VEC, st.integers(-2, 2).map(Fraction))
+@settings(deadline=None, max_examples=100)
+def test_vec_add_is_the_dense_sum_and_copies(a, b, c):
+    a0, b0 = dict(a), dict(b)
+    out = vec_add(a, b, c)
+    assert (a, b) == (a0, b0)
+    assert out is not a
+    assert dense(out) == [x + c * y for x, y in zip(dense(a), dense(b))]
+    assert all(v for v in out.values())
+
+
+@given(VECS, VEC, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+@settings(deadline=None, max_examples=100)
+def test_reduce_leaves_no_pivot_and_removes_an_element_of_the_span(vectors, vec, xs):
+    ech = echelon(vectors)
+    vec0 = dict(vec)
+    res = ech.reduce(vec)
+    assert vec == vec0
+    assert not set(res) & set(ech.pivots())
+    assert all(v for v in res.values())
+    removed = vec_add(vec, res, Fraction(-1))
+    assert dense_rank(vectors + [removed]) == dense_rank(vectors) == ech.rank
+    # canonical: adding an element of the span does not change the residual
+    assert ech.reduce(vec_add(vec, combine(vectors, xs[:len(vectors)]))) == res
+
+
+@given(VECS, VECS)
+@settings(deadline=None, max_examples=100)
+def test_basis_rows_are_not_changed_by_later_inserts(first, later):
+    ech = echelon(first)
+    rows = ech.basis()
+    snapshot = copy.deepcopy(rows)
+    for v in later:
+        ech.insert(v)
+    assert rows == snapshot
+
+
+@st.composite
+def algebra_and_elements(draw):
+    """A FiniteAlgebra with a random m_k on degree-0 keys, k <= 3, and k
+    random degree-0 elements."""
+    k = draw(st.integers(1, 3))
+    space = GradedVectorSpace({-1: ["u", "w"], 0: ["a", "b", "c"], 1: ["x", "y"]})
+    ins, outs = space.keys(0), space.keys(2 - k)
+    table = {wrd: draw(st.dictionaries(st.sampled_from(outs), COEFF, max_size=2))
+             for wrd in itertools.product(ins, repeat=k)}
+    elem = st.dictionaries(st.sampled_from(ins), COEFF, min_size=1)
+    return FiniteAlgebra(space, maps={k: table}), k, [draw(elem) for _ in range(k)]
+
+
+@given(algebra_and_elements())
+@settings(deadline=None, max_examples=100)
+def test_finite_algebra_m_is_multilinear_and_leaves_maps_unchanged(case):
+    alg, k, elems = case
+    maps = copy.deepcopy(alg.maps)
+    got = alg.m(k, elems)
+    assert alg.maps == maps
+    want = {}
+    for combo in itertools.product(*[e.items() for e in elems]):
+        coeff = Fraction(1)
+        for _, c in combo:
+            coeff *= c
+        for key, v in maps.get(k, {}).get(tuple(key for key, _ in combo), {}).items():
+            want[key] = want.get(key, 0) + coeff * v
+    assert got == {key: v for key, v in want.items() if v}
+    assert alg.m(k, elems) == got and alg.maps == maps
 
 
 @given(VECS, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
