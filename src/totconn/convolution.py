@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
 from .freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
                       LieIdealPresentation, TruncationError, is_primitive)
@@ -143,6 +144,59 @@ def _splittings(w, parts):
         yield pieces
 
 
+def _word_order(w):
+    """Words by length, then index order, with () last."""
+    return (not w, len(w), w)
+
+
+def _support_tuples(series_list, trunc, nonempty=False):
+    """The tuples (u_1..u_n), each u_b a key of f_b.data with a nonzero
+    value (a non-empty one if ``nonempty``) and total length <= trunc,
+    grouped by their concatenation.
+
+    Returns {word: [(sign, pieces, values)]}.  A tuple is one splitting of
+    its word, so each list comes in the splitting order of ``_splittings``
+    (piece lengths ascending lexicographically); ``sign`` is the Koszul
+    sign of every odd f_b passing the shifted degrees of the earlier
+    pieces.
+    """
+    shifted = series_list[0].gens.shifted
+    supports = []
+    seen = {}     # a series passed more than once is read once
+    for f in series_list:
+        items = seen.get(id(f))
+        if items is None:
+            items = seen[id(f)] = sorted(
+                [(len(u), sum([shifted[i] for i in u]) & 1, u, v)
+                 for u, v in f.data.items()
+                 if (u or not nonempty) and not f.target.is_zero(v)],
+                key=itemgetter(0))
+        if not items:
+            return {}
+        supports.append(items)
+    n = len(series_list)
+    odd = [f.degree % 2 for f in series_list]
+    rest = [0] * (n + 1)      # least length the pieces b.. still need
+    for b in range(n - 1, -1, -1):
+        rest[b] = rest[b + 1] + supports[b][0][0]
+    groups = {}
+
+    def walk(b, w, parity, sign, pieces, vals):
+        if b == n:
+            groups.setdefault(w, []).append((sign, pieces, vals))
+            return
+        if odd[b] and parity:
+            sign = -sign
+        room = trunc - len(w) - rest[b + 1]
+        for length, par, u, v in supports[b]:
+            if length > room:
+                break
+            walk(b + 1, w + u, parity ^ par, sign, pieces + (u,), vals + (v,))
+
+    walk(0, (), 0, 1, (), ())
+    return groups
+
+
 def conv_M(n, series_list, trunc=None):
     """M_n(f_1..f_n): the twisted target structure convolved along the
     deconcatenation coproduct.
@@ -152,41 +206,27 @@ def conv_M(n, series_list, trunc=None):
     equation exactly when their coalgebra avatars are morphisms is a
     global minus on every arity (the degree-1 case m~_1 = -m_1 included);
     the correspondence is asserted jointly in the tests.
+
+    Only tuples of support words are visited, so the cost follows the
+    supports, not the number of words up to ``trunc``.  Each word sums its
+    tuples in splitting order, and the output keys come by length, then
+    index order, with () last.
     """
     f0 = series_list[0]
     gens, target = f0.gens, f0.target
     if any(f.trunc != f0.trunc for f in series_list):
         raise TruncationError("conv_M: truncation mismatch")
     trunc = trunc if trunc is not None else f0.trunc
-    degs = [f.degree for f in series_list]
-    out_degree = sum(degs) + 2 - n
+    out_degree = sum(f.degree for f in series_list) + 2 - n
+    groups = _support_tuples(series_list, trunc)
+    signs = {1: Fraction(1), -1: Fraction(-1)}
     out = {}
-    for w in list(gens.words(trunc)) + [()]:
+    for w in sorted(groups, key=_word_order):
         total = target.zero()
-        for pieces in _splittings(tuple(w), n):
-            vals = []
-            sign = 1
-            dead = False
-            for b, (f, u) in enumerate(zip(series_list, pieces)):
-                if len(u) > f.trunc:
-                    dead = True
-                    break
-                v = f.value(u) if u else f.data.get((), None)
-                if v is None:
-                    v = target.zero()
-                if target.is_zero(v):
-                    dead = True
-                    break
-                # Koszul: f_b passes the earlier subwords
-                if degs[b] % 2 and sum(gens.word_degree(pieces[a])
-                                       for a in range(b)) % 2:
-                    sign = -sign
-                vals.append(v)
-            if dead:
-                continue
-            total = target.add(total, target.m(n, vals), Fraction(sign))
+        for sign, _, vals in groups[w]:
+            total = target.add(total, target.m(n, list(vals)), signs[sign])
         if not target.is_zero(total):
-            out[tuple(w)] = target.scale(total, Fraction(-1))
+            out[w] = target.scale(total, Fraction(-1))
     return TensorSeries(gens, target, trunc, out_degree, out)
 
 
@@ -214,29 +254,69 @@ def source_delta(gens: Generators, source: FiniteAlgebra, w, trunc):
     return out
 
 
+def _delta_transpose(gens: Generators, source, max_len):
+    """{generator index g: [(subword s, coeff c, rank)]}: the shifted
+    structure component delta(s) holds c * g, as its rank-th term.
+
+    One ``delta_apply`` per subword of length <= max_len that passes the
+    source's window; subwords come by length, then index order.
+    """
+    out = {}
+    for s in gens.words(max_len):
+        keys = [gens.keys[i] for i in s]
+        if hasattr(source, "in_window") and not source.in_window(len(s), keys):
+            continue
+        val = delta_apply(source, len(s), [{k: Fraction(1)} for k in keys],
+                          [k[0] for k in keys])
+        for rank, (key, c) in enumerate(val.items()):
+            out.setdefault(gens.index_of(key), []).append((s, c, rank))
+    return out
+
+
 def conv_partial(f: TensorSeries, source: FiniteAlgebra) -> TensorSeries:
-    """partial(f) = -m_1 f - (-1)^{|f|} f o delta."""
+    """partial(f) = -m_1 f - (-1)^{|f|} f o delta.
+
+    f o delta is pushed from f's support through the transpose of the
+    source coderivation, built once per call: a supported word w2 with a
+    generator g at position p reaches every w = w2[:p] + s + w2[p+1:]
+    with g in delta(s).  Each word sums its terms in the order of
+    ``source_delta(w)``.  The words where -m_1 f is non-zero come first,
+    in f's order, then the other words by length and index order.
+    """
     gens, target = f.gens, f.target
     out = {}
     for w, val in f.data.items():
         dv = target.scale(target.m(1, [val]), Fraction(-1))
         if not target.is_zero(dv):
             out[w] = dv
+    min_len = min((len(w) for w in f.data if w), default=f.trunc + 1)
+    transpose = _delta_transpose(gens, source, f.trunc - min_len + 1)
+    reached = {}
+    for w2 in f.data:
+        room = f.trunc - len(w2) + 1
+        for p, g in enumerate(w2):
+            head, tail = w2[:p], w2[p + 1:]
+            sign = -1 if gens.word_degree(head) % 2 else 1
+            for s, c, rank in transpose.get(g, ()):
+                if len(s) > room:
+                    break
+                reached.setdefault(head + s + tail, []).append(
+                    ((len(s), p, rank), w2, sign * c))
     sgn = Fraction(-((-1) ** f.degree))
-    for w in gens.words(f.trunc):
+    for w in sorted(reached, key=_word_order):
+        terms = sorted(reached[w], key=lambda t: t[0])
+        coeffs = accumulate({}, ((w2, c) for _, w2, c in terms))
         total = target.zero()
-        for w2, c in source_delta(gens, source, w, f.trunc).items():
-            v = f.data.get(w2)
-            if v is not None:
-                total = target.add(total, v, c)
+        for w2, c in coeffs.items():
+            total = target.add(total, f.data[w2], c)
         if not target.is_zero(total):
-            cur = out.get(tuple(w))
+            cur = out.get(w)
             s = target.add(cur, total, sgn) if cur is not None \
                 else target.scale(total, sgn)
             if target.is_zero(s):
-                out.pop(tuple(w), None)
+                out.pop(w, None)
             else:
-                out[tuple(w)] = s
+                out[w] = s
     return TensorSeries(gens, target, f.trunc, f.degree + 1, out)
 
 
@@ -247,10 +327,13 @@ def conv_l(n, series_list, source: FiniteAlgebra):
     f0 = series_list[0]
     degs = [f.degree for f in series_list]
     out = TensorSeries(f0.gens, f0.target, f0.trunc, sum(degs) + 2 - n)
+    terms = {}    # a repeated argument repeats orderings: convolve each once
     for perm in itertools.permutations(range(n)):
         chi = antisym_sign(perm, degs)
-        term = conv_M(n, [series_list[p] for p in perm])
-        out = out.add(term, chi)
+        order = tuple(id(series_list[p]) for p in perm)
+        if order not in terms:
+            terms[order] = conv_M(n, [series_list[p] for p in perm])
+        out = out.add(terms[order], chi)
     return out
 
 
@@ -490,31 +573,29 @@ def pullback_along(k_mor: InfinityMorphism, alpha: TensorSeries,
 
 def pushforward_along(h_mor: InfinityMorphism, alpha: TensorSeries,
                       new_target) -> TensorSeries:
-    """Postcomposition with an infinity-morphism of the target."""
+    """Postcomposition with an infinity-morphism of the target.
+
+    Visits the tuples of non-empty support words of alpha, by arity and
+    then splitting order within each word; keys by length, then index
+    order.
+    """
     gens = alpha.gens
+    terms = {}
+    for parts in range(1, alpha.trunc + 1):
+        groups = _support_tuples([alpha] * parts, alpha.trunc, nonempty=True)
+        if not groups:
+            break
+        for w, tuples in groups.items():
+            terms.setdefault(w, []).extend(tuples)
     data = {}
-    for w in gens.words(alpha.trunc):
+    for w in sorted(terms, key=_word_order):
         total = new_target.zero()
-        for parts in range(1, len(w) + 1):
-            for pieces in _splittings(tuple(w), parts):
-                if any(not u for u in pieces):
-                    continue
-                vals = []
-                degs = []
-                dead = False
-                for u in pieces:
-                    v = alpha.data.get(tuple(u))
-                    if v is None:
-                        dead = True
-                        break
-                    vals.append(v)
-                    degs.append(alpha.degree + gens.word_degree(u))
-                if dead:
-                    continue
-                out = f_shifted(h_mor, parts, vals, degs)
-                total = new_target.add(total, out)
+        for _, pieces, vals in terms[w]:
+            degs = [alpha.degree + gens.word_degree(u) for u in pieces]
+            total = new_target.add(total, f_shifted(h_mor, len(pieces),
+                                                    list(vals), degs))
         if not new_target.is_zero(total):
-            data[tuple(w)] = total
+            data[w] = total
     return TensorSeries(gens, new_target, alpha.trunc, alpha.degree, data)
 
 

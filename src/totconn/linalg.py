@@ -99,7 +99,7 @@ class Echelon:
         if not res:
             return False
         pivot = min(res, key=self.key_order)
-        res = vec_scale(res, 1 / res[pivot])
+        res = vec_scale(res, Fraction(1) / res[pivot])
         for p, row in list(self.rows.items()):
             if pivot in row:
                 self.rows[p] = vec_add(row, res, -row[pivot])

@@ -17,7 +17,7 @@ from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
                          flatness_check, form_dvar, fv_map, gauge_between,
                          holonomy, parse_loop, restrict_connection)
 from .convolution import degree_zero_restrict
-from .freelie import EnvelopingQuotient, bracket_label
+from .freelie import EnvelopingQuotient, FiberLieAlgebra, bracket_label
 from .graded import GradedVectorSpace
 from .linalg import accumulate
 from .minimal import (check_comparison, compare_models, formality_check,
@@ -240,9 +240,7 @@ def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineRes
     k = k or trunc
     model = one_minimal_model(B, arity_cap=arity_cap, pivot=pivot)
     free, ideal, fib = model_fiber_data(model, trunc=trunc, k=k)
-    dims = {}
-    for kk in range(2, k + 1):
-        dims[kk] = model_fiber_data(model, trunc=trunc, k=kk)[2].dim()
+    dims = {kk: FiberLieAlgebra(free, ideal, kk).dim() for kk in range(2, k + 1)}
     verdict, meta = formality_check(model, trunc=trunc)
     result = PipelineResult(label, model, free, ideal, fib, verdict, meta,
                             dims_per_k=dims)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totconn.convolution import (ConvolutionAlgebra, Generators, TensorSeries,
                                  check_filtration_additive, check_reduced,
@@ -14,8 +16,11 @@ from totconn.convolution import (ConvolutionAlgebra, Generators, TensorSeries,
                                  source_delta)
 from totconn.freelie import EnvelopingQuotient, commutator
 from totconn.graded import GradedVectorSpace
+from totconn.minimal import positive_part
+from totconn.pipeline import run_pipeline
 from totconn.structures import (FiniteAlgebra, InfinityMorphism, check_linfty,
-                                check_morphism, interval_tensor)
+                                check_morphism, delta_apply, f_shifted,
+                                interval_tensor)
 from totconn.transfer import nc_structure
 from tests.test_structures import all_words, torus_cdga
 
@@ -405,3 +410,282 @@ def test_im_delta_star_absorption():
     out0 = degree_zero_restrict(out)
     zero = TensorSeries(gens, B, trunc, out.degree)
     assert series_eq_mod_ideal(out0, zero, env, index_map)
+
+
+# ---------------------------------------------------------------------
+# the all-words loops, kept here as the reference for the support loops
+# ---------------------------------------------------------------------
+
+def ref_splittings(w, parts):
+    """Ordered splittings into possibly-empty consecutive subwords."""
+    for cuts in itertools.combinations_with_replacement(range(len(w) + 1), parts - 1):
+        bounds = (0,) + cuts + (len(w),)
+        yield [w[bounds[i]:bounds[i + 1]] for i in range(parts)]
+
+
+def ref_conv_M(n, series_list, trunc=None):
+    """Every word up to trunc, then (), and every splitting of each."""
+    f0 = series_list[0]
+    gens, target = f0.gens, f0.target
+    trunc = trunc if trunc is not None else f0.trunc
+    degs = [f.degree for f in series_list]
+    out = {}
+    for w in list(gens.words(trunc)) + [()]:
+        total = target.zero()
+        for pieces in ref_splittings(tuple(w), n):
+            vals = []
+            sign = 1
+            for b, (f, u) in enumerate(zip(series_list, pieces)):
+                v = f.data.get(u) if len(u) <= f.trunc else None
+                if v is None or target.is_zero(v):
+                    break
+                if degs[b] % 2 and sum(gens.word_degree(pieces[a])
+                                       for a in range(b)) % 2:
+                    sign = -sign
+                vals.append(v)
+            else:
+                total = target.add(total, target.m(n, vals), Fraction(sign))
+        if not target.is_zero(total):
+            out[tuple(w)] = target.scale(total, Fraction(-1))
+    return TensorSeries(gens, target, trunc, sum(degs) + 2 - n, out)
+
+
+def ref_source_delta(gens, source, w):
+    out = {}
+    degs = [gens.keys[i][0] for i in w]
+    for q in range(1, len(w) + 1):
+        for p in range(0, len(w) - q + 1):
+            sub = w[p:p + q]
+            if not source.in_window(q, [gens.keys[i] for i in sub]):
+                continue
+            sign = -1 if sum(d - 1 for d in degs[:p]) % 2 else 1
+            val = delta_apply(source, q, [{gens.keys[i]: Fraction(1)} for i in sub],
+                              degs[p:p + q])
+            for key, c in val.items():
+                w2 = w[:p] + (gens.index_of(key),) + w[p + q:]
+                s = out.pop(w2, 0) + sign * c
+                if s:
+                    out[w2] = s
+    return out
+
+
+def ref_conv_partial(f, source):
+    """-m_1 f, then f o delta on every word up to the truncation."""
+    gens, target = f.gens, f.target
+    out = {}
+    for w, val in f.data.items():
+        dv = target.scale(target.m(1, [val]), Fraction(-1))
+        if not target.is_zero(dv):
+            out[w] = dv
+    sgn = Fraction(-((-1) ** f.degree))
+    for w in gens.words(f.trunc):
+        total = target.zero()
+        for w2, c in ref_source_delta(gens, source, tuple(w)).items():
+            v = f.data.get(w2)
+            if v is not None:
+                total = target.add(total, v, c)
+        if not target.is_zero(total):
+            cur = out.get(tuple(w))
+            s = target.add(cur, total, sgn) if cur is not None \
+                else target.scale(total, sgn)
+            if target.is_zero(s):
+                out.pop(tuple(w), None)
+            else:
+                out[tuple(w)] = s
+    return TensorSeries(gens, target, f.trunc, f.degree + 1, out)
+
+
+def ref_pushforward_along(h_mor, alpha, new_target):
+    """Every word, every splitting into non-empty pieces."""
+    gens = alpha.gens
+    data = {}
+    for w in gens.words(alpha.trunc):
+        total = new_target.zero()
+        for parts in range(1, len(w) + 1):
+            for pieces in ref_splittings(tuple(w), parts):
+                vals = [alpha.data.get(u) for u in pieces]
+                if any(not u for u in pieces) or any(v is None for v in vals):
+                    continue
+                degs = [alpha.degree + gens.word_degree(u) for u in pieces]
+                total = new_target.add(total, f_shifted(h_mor, parts, vals, degs))
+        if not new_target.is_zero(total):
+            data[tuple(w)] = total
+    return TensorSeries(gens, new_target, alpha.trunc, alpha.degree, data)
+
+
+def assert_same_series(got, want):
+    """Equal values, the same key order and the same order inside values."""
+    assert (got.degree, got.trunc) == (want.degree, want.trunc)
+    assert list(got.data) == list(want.data)
+    for w, v in want.data.items():
+        assert got.data[w] == v
+        if isinstance(v, dict):
+            assert list(got.data[w]) == list(v)
+    assert repr(got) == repr(want)
+
+
+def product_target():
+    """A target with m_1..m_4 all non-zero, so every arity multiplies."""
+    space = GradedVectorSpace({0: ["e"], 1: ["x", "y"], 2: ["z"]})
+    alg = FiniteAlgebra(space, kind="Ainf", arity_cap=4)
+    rng = random.Random(11)
+    keys = space.keys()
+    for k in range(1, 5):
+        for wrd in itertools.product(keys, repeat=k):
+            options = [key for key in keys
+                       if key[0] == sum(d for d, _ in wrd) + 2 - k]
+            if options and rng.random() < 0.5:
+                alg.set_value(k, wrd, {rng.choice(options): rng.choice([-2, -1, 1, 3])})
+    return alg
+
+
+def two_key_model():
+    """The heisenberg structure plus an m_2 with two output keys, so one
+    subword reaches a word through two generators."""
+    alg = heisenberg_model()
+    a, b, p, q = (1, "a"), (1, "b"), (2, "p"), (2, "q")
+    alg.set_value(2, (a, b), {p: Fraction(1), q: Fraction(2)})
+    alg.set_value(2, (b, a), {q: Fraction(-2), p: Fraction(-1)})
+    return alg
+
+
+SOURCES = {"torus": torus_model, "heisenberg": heisenberg_model,
+           "two-key": two_key_model}
+TARGET = product_target()
+
+
+def as_kind(alg, kind):
+    """The same structure maps under another kind (another window)."""
+    return FiniteAlgebra(alg.space, kind=kind, arity_cap=alg.arity_cap,
+                         maps=alg.maps)
+
+
+@st.composite
+def series(draw, gens, trunc, degree=None):
+    """A sparse series, possibly with a value at the empty word."""
+    words = [()] + [tuple(w) for w in gens.words(trunc)]
+    keys = TARGET.space.keys()
+    value = st.dictionaries(st.sampled_from(keys),
+                            st.integers(-2, 2).filter(bool).map(Fraction),
+                            min_size=1, max_size=2)
+    data = draw(st.dictionaries(st.sampled_from(words), value, max_size=6))
+    if degree is None:
+        degree = draw(st.integers(0, 2))
+    return TensorSeries(gens, TARGET, trunc, degree, data)
+
+
+@st.composite
+def convolution_case(draw):
+    gens = Generators(SOURCES[draw(st.sampled_from(sorted(SOURCES)))]().space)
+    trunc = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 4))
+    fs = [draw(series(gens, trunc)) for _ in range(n)]
+    cut = draw(st.one_of(st.none(), st.integers(1, trunc)))
+    return n, fs, cut
+
+
+@given(convolution_case())
+@settings(deadline=None, max_examples=80)
+def test_conv_M_matches_the_all_words_loop(case):
+    n, fs, cut = case
+    assert_same_series(conv_M(n, fs, cut), ref_conv_M(n, fs, cut))
+
+
+@given(convolution_case())
+@settings(deadline=None, max_examples=40)
+def test_conv_M_matches_on_a_repeated_argument(case):
+    n, fs, cut = case
+    fs = [fs[0]] * n
+    assert_same_series(conv_M(n, fs, cut), ref_conv_M(n, fs, cut))
+
+
+@st.composite
+def partial_case(draw):
+    name = draw(st.sampled_from(sorted(SOURCES)))
+    source = as_kind(SOURCES[name](), draw(st.sampled_from(["1Cinf", "Ainf"])))
+    gens = Generators(source.space)
+    return draw(series(gens, draw(st.integers(1, 4)))), source
+
+
+@given(partial_case())
+@settings(deadline=None, max_examples=80)
+def test_conv_partial_matches_the_all_words_loop(case):
+    f, source = case
+    assert_same_series(conv_partial(f, source), ref_conv_partial(f, source))
+
+
+def test_conv_partial_cancels_against_m1():
+    # at w1 w2 the -m_1 part cancels f o delta exactly and the word drops
+    # out; at w2 w1 only f o delta is left
+    W = torus_model()
+    gens = Generators(W.space)
+    B = FiniteAlgebra(GradedVectorSpace({0: ["t"], 1: ["u"]}), kind="Ainf")
+    t, u = (0, "t"), (1, "u")
+    B.set_value(1, (t,), {u: Fraction(1)})
+    i1, i2, i12 = (gens.index_of(k) for k in ((1, "w1"), (1, "w2"), (2, "w12")))
+    f = TensorSeries(gens, B, 2, 0, {(i12,): {u: Fraction(1)},
+                                     (i1, i2): {t: Fraction(-1)}})
+    got = conv_partial(f, W)
+    assert_same_series(got, ref_conv_partial(f, W))
+    assert got.data == {(i2, i1): {u: Fraction(1)}}
+
+
+def test_conv_partial_sums_in_source_delta_order():
+    # delta(a b) = p + 2q: the value at a b adds f(p) before f(q), as
+    # source_delta lists them, whatever the order of f's keys
+    W = two_key_model()
+    gens = Generators(W.space)
+    a, b, p, q = (gens.index_of((d, n)) for d, n in
+                  ((1, "a"), (1, "b"), (2, "p"), (2, "q")))
+    x, y = (1, "x"), (1, "y")
+    f = TensorSeries(gens, TARGET, 2, 0, {(q,): {x: Fraction(1)},
+                                          (p,): {y: Fraction(1)}})
+    got = conv_partial(f, W)
+    assert_same_series(got, ref_conv_partial(f, W))
+    assert list(got.data[(a, b)].items()) == [(y, Fraction(-1)), (x, Fraction(-2))]
+
+
+def morphism_h(target):
+    """A non-strict endomorphism of ``target`` with components f_1..f_3."""
+    rng = random.Random(5)
+    keys = target.space.keys()
+    tables = {1: {(k,): {k: Fraction(1 + (i % 2))} for i, k in enumerate(keys)}}
+    for k in (2, 3):
+        tables[k] = {}
+        for wrd in itertools.product(keys, repeat=k):
+            options = [key for key in keys if key[0] == sum(d for d, _ in wrd) + 1 - k]
+            if options and rng.random() < 0.4:
+                tables[k][wrd] = {rng.choice(options): Fraction(rng.randint(1, 3))}
+    return InfinityMorphism(target, target, tables=tables, arity_cap=3)
+
+
+@given(convolution_case())
+@settings(deadline=None, max_examples=40)
+def test_pushforward_matches_the_all_words_loop(case):
+    _, fs, _ = case
+    h = morphism_h(TARGET)
+    assert_same_series(pushforward_along(h, fs[0], TARGET),
+                       ref_pushforward_along(h, fs[0], TARGET))
+
+
+@pytest.mark.parametrize("trunc", [3, 4])
+def test_pushforward_matches_the_all_words_loop_on_the_fixtures(trunc):
+    W, B, incl = torus_inclusion()
+    gens = Generators(W.space)
+    alpha = morphism_to_mc(incl, gens, trunc=trunc)
+    strict = {1: {(key,): {key: Fraction(2) if key[0] == 1 else Fraction(1)}
+                  for key in B.space.keys()}}
+    for h in (InfinityMorphism(B, B, tables=strict, arity_cap=4), morphism_h(B)):
+        assert_same_series(pushforward_along(h, alpha, B),
+                           ref_pushforward_along(h, alpha, B))
+
+
+def test_torus_pipeline_at_trunc_8():
+    r = run_pipeline("torus", trunc=8, k=8)
+    W = positive_part(r.model.algebra)
+    alpha = morphism_to_mc(r.model.morphism, Generators(W.space), 8)
+    assert mc_check(alpha, W) == []
+    assert r.certificate.flat
+    assert r.theta
+    assert all(r.env.is_grouplike(value) for value in r.theta.values())
+    assert r.dims_per_k == {kk: 2 for kk in range(2, 9)}

@@ -19,6 +19,8 @@ PATH = str(GOLDEN / "path.json")
 
 CASES = {
     "pipeline_torus.json": ["pipeline", "--input", "torus", "--json"],
+    "pipeline_torus_t7.json": ["pipeline", "--input", "torus", "--trunc", "7",
+                               "--json"],
     "pipeline_torus_compare.json": ["pipeline", "--input", "torus", "--compare",
                                     "--json"],
     "pipeline_heisenberg_compare.json": ["pipeline", "--input", "heisenberg",

@@ -230,3 +230,32 @@ def test_normal_form_inverts_from_lyndon(case):
     fib, coords = case
     assert fib.normal_form(fib.free.from_lyndon(coords)) == coords
     assert fib.free.to_lyndon(fib.free.from_lyndon(coords)) == coords
+
+
+INT_VECS = st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool),
+                                    max_size=6), max_size=6)
+
+
+def exact(value):
+    return type(value) in (int, Fraction)
+
+
+@given(INT_VECS, st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          min_size=1, max_size=3))
+@settings(deadline=None, max_examples=100)
+def test_int_inputs_give_exact_rows(vectors, lie_coeffs):
+    # rows are normalized by an exact reciprocal, never 1 / int
+    ech = echelon(vectors)
+    assert all(exact(c) for row in ech.rows.values() for c in row.values())
+    assert all(exact(c) for row in ech.basis() for c in ech.reduce(row).values())
+    free = FreeLie(["x", "y"], 4)
+    xy = commutator(free.gen(0), free.gen(1), 4)
+    xxy = commutator(free.gen(0), xy, 4)
+    generators = []
+    for a, b in lie_coeffs:
+        g = accumulate({}, [(w, a * int(c)) for w, c in xy.items()]
+                       + [(w, b * int(c)) for w, c in xxy.items()])
+        if g:
+            generators.append(g)
+    ideal = LieIdealPresentation(free, generators)
+    assert all(exact(c) for row in ideal.span.rows.values() for c in row.values())
