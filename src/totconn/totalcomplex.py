@@ -23,15 +23,34 @@ output lives at level l = sum p_i + 2 - n and equals
     +/- (top coefficient of m_n^{[l]}(lam_{I_1}, ..., lam_{I_n}))
         (x) sigma_{I_1 *} a_1 ^ ... ^ sigma_{I_n *} a_n,
 
-with the sign (-1)^{sum_{i<j} p_i q_j}.  The closed-form products on
+with the sign (-1)^{sum_{i<j} q_i p_j}.  The closed-form products on
 degree-1 elements are implemented independently and tested against this
 general formula.
+
+The formula is evaluated on its support, in this order:
+
+* each non-zero top coefficient is read from a table built once per
+  algebra and per (l, input levels), arranged as a trie over the slots
+  so that a prefix of index strings with no non-zero coefficient below
+  it never appears;
+* each pushforward sigma_{I *} a_i is computed at most once per call,
+  when the walk first reaches it;
+* the walk over the trie carries the wedge of the prefix, so a prefix
+  shared by many strings is wedged once, and it stops at a zero prefix;
+* at the last slot it forms sum_I c(prefix, I) sigma_{I *} a_n and takes
+  one wedge with it instead of one per string;
+* each subtree's terms are summed before they join their parent's sum,
+  so at most one partial sum per slot is alive.
+
+By bilinearity of the wedge this is the same sum as the per-string
+formula above; only the order of the additions differs.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 
 from .forms import PolyForm
@@ -540,15 +559,21 @@ def partial_tilde(backend, val, p):
     return out
 
 
+def _sum_by_bidegree(backend, pieces):
+    """One TotElement from {bidegree: [values]}, each list summed in order."""
+    return TotElement(backend, {key: reduce(backend.add, vals)
+                                for key, vals in pieces.items()})
+
+
 def tot_differential(v: TotElement) -> TotElement:
     """D(a) = partial-tilde(a) + (-1)^p d(a) on bidegree (p, q)."""
     be = v.backend
-    out = TotElement.zero(be)
+    pieces = {}
     for (p, q), val in v.components.items():
-        dpart = be.scale(be.d(val, p), Fraction((-1) ** p))
-        out = out + TotElement(be, {(p, q + 1): dpart})
-        out = out + TotElement(be, {(p + 1, q): partial_tilde(be, val, p)})
-    return out
+        pieces.setdefault((p, q + 1), []).append(
+            be.scale(be.d(val, p), Fraction((-1) ** p)))
+        pieces.setdefault((p + 1, q), []).append(partial_tilde(be, val, p))
+    return _sum_by_bidegree(be, pieces)
 
 
 # ---------------------------------------------------------------------
@@ -632,6 +657,12 @@ def _nc_top_coefficient(l, n, strings, arity_cap):
     return val.get(top, Fraction(0))
 
 
+def _freeze(trie):
+    """Nested dicts as nested tuples of (index string, child) pairs."""
+    return tuple((I, _freeze(child) if isinstance(child, dict) else child)
+                 for I, child in trie.items())
+
+
 class TotalComplexAlgebra:
     """The normalized total complex as an infinity-structure carrier."""
 
@@ -640,6 +671,7 @@ class TotalComplexAlgebra:
         self.level_cap = level_cap
         self.arity_cap = arity_cap
         self.kind = "Cinf"
+        self._top_tables = {}
 
     def zero(self):
         return TotElement.zero(self.backend)
@@ -662,48 +694,91 @@ class TotalComplexAlgebra:
     def m(self, k, elems):
         if k == 1:
             return tot_differential(elems[0])
-        out = self.zero()
-        pieces = [list(e.components.items()) for e in elems]
-        for combo in itertools.product(*pieces):
+        pieces = {}
+        for combo in itertools.product(*[list(e.components.items()) for e in elems]):
             bidegs = [key for key, _ in combo]
             vals = [val for _, val in combo]
-            out = out + self._pure_product(k, bidegs, vals)
-        return out
+            piece = self._pure_product(k, bidegs, vals)
+            if piece is not None:
+                pieces.setdefault(piece[0], []).append(piece[1])
+        return _sum_by_bidegree(self.backend, pieces)
+
+    def _top_table(self, l, ps):
+        """The non-zero top coefficients of m_n^{[l]} for input levels ps.
+
+        A trie over the n = len(ps) slots: level i holds (I_i, child)
+        pairs and the last level (I_n, coefficient) pairs.  A prefix
+        appears only when some coefficient below it is non-zero.  Built
+        once per algebra from ``_nc_top_coefficient`` and kept as nested
+        tuples, so no caller can change it.
+        """
+        table = self._top_tables.get((l, ps))
+        if table is None:
+            trie = {}
+            for strings in itertools.product(
+                    *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
+                c = _nc_top_coefficient(l, len(ps), strings, self.arity_cap)
+                if c:
+                    node = trie
+                    for I in strings[:-1]:
+                        node = node.setdefault(I, {})
+                    node[strings[-1]] = c
+            table = self._top_tables[(l, ps)] = _freeze(trie)
+        return table
 
     def _pure_product(self, n, bidegs, vals):
+        """The level-l part of m_n on one component per slot.
+
+        Returns ``((l, sum q), value)``, or None when it vanishes.  Walks
+        the trie of non-zero top coefficients slot by slot, carrying the
+        wedge of the pushforwards chosen so far and dropping a branch
+        whose prefix wedge is zero; each sigma_{I *} a_i is computed at
+        most once, when first reached.  At the last slot the pushforwards
+        are combined with their coefficients before the one wedge with
+        the prefix.  The result is the per-string sum of the module
+        docstring, times (-1)^{sum_{i<j} q_i p_j}.
+        """
         be = self.backend
         if n > self.arity_cap:
             raise LevelCapError("product arity %d exceeds cap %d" % (n, self.arity_cap))
-        ps = [p for p, _ in bidegs]
+        ps = tuple(p for p, _ in bidegs)
         qs = [q for _, q in bidegs]
         l = sum(ps) + 2 - n
         if l < 0:
-            return self.zero()
+            return None
         if l > self.level_cap:
             raise LevelCapError("product level %d exceeds cap %d" % (l, self.level_cap))
         sign_exp = 0
         for i in range(n):
             for j in range(i + 1, n):
                 sign_exp += qs[i] * ps[j]
-        total = None
-        for strings in itertools.product(
-                *[list(itertools.combinations(range(l + 1), p + 1)) for p in ps]):
-            c = _nc_top_coefficient(l, n, strings, self.arity_cap)
-            if not c:
-                continue
-            wedge = None
-            for I, p, val in zip(strings, ps, vals):
-                img = sigma_pushforward(be, val, I, p, l)
-                wedge = img if wedge is None else be.wedge(wedge, img, l)
-                if be.is_zero(wedge):
-                    break
-            else:
-                piece = be.scale(wedge, c)
-                total = piece if total is None else be.add(total, piece)
+        pushed = {}
+
+        def push(slot, I):
+            img = pushed.get((slot, I))
+            if img is None:
+                img = pushed[(slot, I)] = sigma_pushforward(be, vals[slot], I, ps[slot], l)
+            return img
+
+        def walk(node, slot, prefix):
+            """prefix ^ (the sum below node), or None if nothing is below."""
+            if slot == n - 1:
+                last = reduce(be.add, (be.scale(push(slot, I), c) for I, c in node))
+                return last if prefix is None else be.wedge(prefix, last, l)
+            total = None
+            for I, child in node:
+                img = push(slot, I)
+                wedge = img if prefix is None else be.wedge(prefix, img, l)
+                if not be.is_zero(wedge):
+                    part = walk(child, slot + 1, wedge)
+                    if part is not None:
+                        total = part if total is None else be.add(total, part)
+            return total
+
+        total = walk(self._top_table(l, ps), 0, None)
         if total is None or be.is_zero(total):
-            return self.zero()
-        total = be.scale(total, Fraction((-1) ** sign_exp))
-        return TotElement(be, {(l, sum(qs)): total})
+            return None
+        return (l, sum(qs)), be.scale(total, Fraction((-1) ** sign_exp))
 
 
 def project_to_base(v: TotElement) -> TotElement:

@@ -40,6 +40,7 @@ from totconn.totalcomplex import (GroupCochain, GroupCochainBackend,
                                   tot_window_cohomology)
 from totconn.transfer import nc_structure
 from totconn.signs import shuffle_product, word
+from tests.test_convolution import torus_inclusion
 
 SEED = 20260810
 
@@ -209,7 +210,6 @@ def test_criterion_5_structure_coherence():
                 defect = _shuffle_defect(alg, list(elems), p)
                 ok = ok and alg.is_zero(defect)
     # convolution skew relations on >= 100 seeded probes, word length <= 4
-    from tests.test_convolution import torus_inclusion
     W, B, incl = torus_inclusion()
     gens = Generators(W.space)
     conv = ConvolutionAlgebra(gens, B, W, trunc=4)

@@ -16,6 +16,10 @@ GOLDEN = Path(__file__).parent / "golden"
 CIRCLE = str(GOLDEN / "circle.json")
 CONN = str(GOLDEN / "nilpotent_connection.json")
 PATH = str(GOLDEN / "path.json")
+TOT_R1 = str(GOLDEN / "tot_degree1_r1_a5_inputs.json")
+TOT_R2 = str(GOLDEN / "tot_degree1_r2_a5_inputs.json")
+TOT_MIXED = str(GOLDEN / "tot_mixed_r1_a3_inputs.json")
+TOT_CAPS = ["--level-cap", "2", "--arity-cap", "5", "--json"]
 
 CASES = {
     "pipeline_torus.json": ["pipeline", "--input", "torus", "--json"],
@@ -33,6 +37,16 @@ CASES = {
                            "a b a- b- a a b", "--basepoint", "1/2,-1/3", "--json"],
     "transfer_nc_2_4.json": ["transfer", "nc", "--n", "2", "--arity", "4", "--json"],
     "transfer_nc_3_3.json": ["transfer", "nc", "--n", "3", "--arity", "3", "--json"],
+    "tot_product_degree1_r1_a5.json": ["tot", "product", "--inputs", TOT_R1,
+                                       "--degree1"] + TOT_CAPS,
+    "tot_product_degree1_r2_a5.json": ["tot", "product", "--inputs", TOT_R2,
+                                       "--degree1"] + TOT_CAPS,
+    "tot_product_mixed_r1_a3.json": ["tot", "product", "--inputs", TOT_MIXED]
+                                    + TOT_CAPS,
+    "tot_cohomology_r1.json": ["tot", "cohomology", "--window", "0..2",
+                               "--group-rank", "1", "--json"],
+    "tot_cohomology_r2.json": ["tot", "cohomology", "--window", "0..2",
+                               "--group-rank", "2", "--json"],
 }
 
 

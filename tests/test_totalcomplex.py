@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totconn.forms import PolyForm
 from totconn.linalg import Echelon
@@ -11,7 +13,7 @@ from totconn.structures import check_shuffle_vanishing, check_stasheff
 from totconn.totalcomplex import (FinitePresentation, GroupCochain,
                                   GroupCochainBackend, LevelCapError,
                                   TotalComplexAlgebra, TotElement,
-                                  constant_presentation,
+                                  _nc_top_coefficient, constant_presentation,
                                   group_action_presentation, partial_tilde,
                                   project_to_base, psi_components,
                                   psi_roundtrip_ok, sigma_pushforward,
@@ -444,3 +446,177 @@ def test_presentation_json_roundtrip():
     for p in range(pres.level_cap):
         for i in range(p + 2):
             assert again.cofaces[p][i] == pres.cofaces[p][i]
+
+
+# -------------------------------------------------------------------
+# the general product against the per-string-tuple loop
+# -------------------------------------------------------------------
+
+def ref_pure_product(alg, n, bidegs, vals):
+    """Every tuple of index strings, each with its own pushforwards and
+    left-fold wedge, in ``itertools.product`` order."""
+    be = alg.backend
+    if n > alg.arity_cap:
+        raise LevelCapError("product arity %d exceeds cap %d" % (n, alg.arity_cap))
+    ps = [p for p, _ in bidegs]
+    qs = [q for _, q in bidegs]
+    l = sum(ps) + 2 - n
+    if l < 0:
+        return alg.zero()
+    if l > alg.level_cap:
+        raise LevelCapError("product level %d exceeds cap %d" % (l, alg.level_cap))
+    sign_exp = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            sign_exp += qs[i] * ps[j]
+    total = None
+    for strings in itertools.product(
+            *[list(itertools.combinations(range(l + 1), p + 1)) for p in ps]):
+        c = _nc_top_coefficient(l, n, strings, alg.arity_cap)
+        if not c:
+            continue
+        wedge = None
+        for I, p, val in zip(strings, ps, vals):
+            img = sigma_pushforward(be, val, I, p, l)
+            wedge = img if wedge is None else be.wedge(wedge, img, l)
+            if be.is_zero(wedge):
+                break
+        else:
+            piece = be.scale(wedge, c)
+            total = piece if total is None else be.add(total, piece)
+    if total is None or be.is_zero(total):
+        return alg.zero()
+    total = be.scale(total, Fraction((-1) ** sign_exp))
+    return TotElement(be, {(l, sum(qs)): total})
+
+
+def ref_m(alg, k, elems):
+    out = alg.zero()
+    for combo in itertools.product(*[list(e.components.items()) for e in elems]):
+        out = out + ref_pure_product(alg, k, [key for key, _ in combo],
+                                     [val for _, val in combo])
+    return out
+
+
+def assert_m_matches_reference(alg, elems):
+    k = len(elems)
+    try:
+        want = ref_m(alg, k, elems)
+    except LevelCapError:
+        with pytest.raises(LevelCapError):
+            alg.m(k, elems)
+        return
+    assert alg.m(k, elems) == want
+
+
+PRODUCT_BIDEGREES = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+# one algebra per backend for the whole run, so later examples read the
+# top-coefficient tables that earlier ones filled
+COCHAIN_ALGEBRAS = {m: TotalComplexAlgebra(GroupCochainBackend(m), level_cap=2,
+                                           arity_cap=5) for m in (1, 2)}
+
+
+@st.composite
+def cochain(draw, m, p, q):
+    """A normalized GroupCochain of bidegree (p, q): 1-2 terms, each
+    carrying every group slot, with small exponents."""
+    nv = m * (p + 1)
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        exps = [0] * nv
+        exps[draw(st.integers(0, m - 1))] = draw(st.integers(0, 1))
+        for s in range(1, p + 1):
+            exps[m * s + draw(st.integers(0, m - 1))] += draw(st.integers(1, 2))
+        dts = tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=q,
+                                        max_size=q))))
+        terms[(tuple(exps), dts)] = Fraction(draw(st.sampled_from([-2, -1, 1, 3])),
+                                             draw(st.sampled_from([1, 2])))
+    return GroupCochain(m, p, PolyForm(nv, terms, varname="z", ndiff=m))
+
+
+@st.composite
+def top_levels(draw):
+    """The highest input level of each slot.  Three cases in four keep
+    every output level within the cap of 2; the rest pass it."""
+    n = draw(st.integers(2, 5))
+    levels = draw(st.lists(st.sampled_from([1, 1, 1, 0, 2]), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)):
+        while sum(levels) > n:
+            levels[levels.index(max(levels))] -= 1
+    else:
+        while sum(levels) <= n:
+            levels[levels.index(min(levels))] += 1
+    return levels
+
+
+@st.composite
+def bidegrees_up_to(draw, top, q_max=2):
+    """1-3 bidegrees of PRODUCT_BIDEGREES with p <= top, one with p = top."""
+    allowed = [pq for pq in PRODUCT_BIDEGREES if pq[0] <= top and pq[1] <= q_max]
+    first = draw(st.sampled_from([pq for pq in allowed if pq[0] == top]))
+    rest = draw(st.lists(st.sampled_from(allowed), max_size=2))
+    return list(dict.fromkeys([first] + rest))
+
+
+@st.composite
+def cochain_product_case(draw):
+    m = draw(st.sampled_from([1, 2]))
+    be = COCHAIN_ALGEBRAS[m].backend
+    elems = []
+    for top in draw(top_levels()):
+        elems.append(TotElement(be, {(p, q): draw(cochain(m, p, q))
+                                     for p, q in draw(bidegrees_up_to(top, m))}))
+    return m, elems
+
+
+@given(cochain_product_case())
+@settings(deadline=None, max_examples=100)
+def test_m_matches_the_per_tuple_loop(case):
+    m, elems = case
+    assert_m_matches_reference(COCHAIN_ALGEBRAS[m], elems)
+
+
+def z2_torus_presentation():
+    """Z/2 acting on the torus algebra by dx -> -dx, dy -> -dy."""
+    alg = torus_cdga()
+    ident_map = {k: {k: Fraction(1)} for k in alg.space.keys()}
+    flip = {k: {k: Fraction(-1 if k[0] == 1 else 1)} for k in alg.space.keys()}
+    return group_action_presentation(
+        alg, [0, 1], lambda a, b: (a + b) % 2,
+        lambda g: ident_map if g == 0 else flip, level_cap=2)
+
+
+Z2_PRESENTATION = z2_torus_presentation()
+Z2_ALGEBRA = TotalComplexAlgebra(Z2_PRESENTATION, level_cap=2, arity_cap=5)
+
+
+@st.composite
+def presentation_product_case(draw):
+    elems = []
+    for top in draw(top_levels()):
+        comps = {}
+        for p, q in draw(bidegrees_up_to(top)):
+            keys = [k for k in Z2_PRESENTATION.levels[p].space.keys() if k[0] == q]
+            comps[(p, q)] = {k: Fraction(draw(st.sampled_from([-2, -1, 1, 3])))
+                             for k in draw(st.lists(st.sampled_from(keys),
+                                                    min_size=1, max_size=3))}
+        elems.append(TotElement(Z2_PRESENTATION, comps))
+    return elems
+
+
+@given(presentation_product_case())
+@settings(deadline=None, max_examples=100)
+def test_m_matches_the_per_tuple_loop_on_a_presentation(elems):
+    assert_m_matches_reference(Z2_ALGEBRA, elems)
+
+
+def test_coface_past_the_presentation_cap_raises_as_before():
+    # an algebra cap above the presentation's: a level-3 product needs a
+    # coface the presentation does not have
+    tot = TotalComplexAlgebra(Z2_PRESENTATION, level_cap=3, arity_cap=4)
+    b = TotElement(Z2_PRESENTATION, {(2, 0): {(0, str(((1, 1), "1"))): Fraction(1)}})
+    c = TotElement(Z2_PRESENTATION, {(1, 0): {(0, str(((1,), "1"))): Fraction(1)}})
+    with pytest.raises(LevelCapError):
+        ref_m(tot, 2, [b, c])
+    with pytest.raises(LevelCapError):
+        tot.m(2, [b, c])
