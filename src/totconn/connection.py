@@ -19,6 +19,7 @@ from .freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                       lyndon_bracket)
 from .linalg import accumulate
 from .scalars import rat, rat_str
+from .structures import FormSpace, KeyedCarrier
 
 
 def form_zero(m):
@@ -45,39 +46,34 @@ def translate_form(form: PolyForm, g) -> PolyForm:
 # by quotient basis words, enveloping-valued ones by tensor words.  Zero
 # forms are never stored.
 
-def _put(out, w, form):
-    """out[w] += form in place, dropping a zero sum."""
-    cur = out.get(w)
-    s = form if cur is None else cur + form
-    if s.is_zero():
-        out.pop(w, None)
-    else:
-        out[w] = s
+def _series(m):
+    """The carrier of form-valued series with forms on R^m."""
+    return KeyedCarrier(FormSpace(m, varname="x", ndiff=m))
+
+
+def _ambient(*series):
+    """The m of the first form of these series (0 if they have none)."""
+    return next((f.nvars for s in series for f in s.values()), 0)
 
 
 def fv_add(a, b, c=1):
     """a + c * b."""
-    out = dict(a)
-    for w, f in b.items():
-        _put(out, w, f if c == 1 else f.scale(c))
-    return out
+    return _series(_ambient(a, b)).add(a, b, c)
 
 
 def fv_mul(a, b, word_mul):
     """sum of (f1 ^ f2) (x) word_mul(w1, w2) over the terms f1 (x) w1 of a
     and f2 (x) w2 of b; ``word_mul`` returns a {word: coeff} dict."""
-    out = {}
-    for w1, f1 in a.items():
-        for w2, f2 in b.items():
-            words = word_mul(w1, w2)
-            if not words:
-                continue
-            form = f1.wedge(f2)
-            if form.is_zero():
-                continue
-            for w, c in words.items():
-                _put(out, w, form if c == 1 else form.scale(c))
-    return out
+    def terms():
+        for w1, f1 in a.items():
+            for w2, f2 in b.items():
+                words = word_mul(w1, w2)
+                if words:
+                    form = f1.wedge(f2)
+                    for w, c in words.items():
+                        yield {w: form}, c
+
+    return _series(_ambient(a)).sum(terms())
 
 
 def fv_map(a, word_map, m):
@@ -90,11 +86,14 @@ def fv_map(a, word_map, m):
     for w, f in a.items():
         for key, c in f.terms.items():
             by_monomial.setdefault(key, {})[w] = c
-    out = {}
-    for key, vec in by_monomial.items():
-        for w, c in word_map(vec).items():
-            _put(out, w, PolyForm(m, {key: c}, varname="x", ndiff=m))
-    return out
+
+    def terms():
+        for key, vec in by_monomial.items():
+            monomial = PolyForm(m, {key: 1}, varname="x", ndiff=m)
+            for w, c in word_map(vec).items():
+                yield {w: monomial}, c
+
+    return _series(m).sum(terms())
 
 
 class LieFormValued:
@@ -288,26 +287,18 @@ def gauge(alpha: ConnectionForm, h: GaugeElement) -> ConnectionForm:
     flatness (both facts pinned by tests).
     """
     fib = alpha.fib
-    out = LieFormValued(alpha.m, fib)
-    term = alpha
-    j = 0
-    while not term.is_zero():
-        out = out.add(term, Fraction((-1) ** j, factorial(j)))
-        term = h.bracket(term)
-        j += 1
-        if j > fib.k + 2:
-            break
-    dh = h.d()
-    term = dh
-    j = 0
-    while not term.is_zero():
-        out = out.add(term, Fraction((-1) ** j, factorial(j + 1)))
-        term = h.bracket(term)
-        j += 1
-        if j > fib.k + 2:
-            break
-    result = ConnectionForm(alpha.m, fib, out.coeffs, flags=alpha.flags)
-    return result
+
+    def terms():
+        for term, shift in ((alpha, 0), (h.d(), 1)):
+            j = 0
+            while not term.is_zero():
+                yield term.coeffs, Fraction((-1) ** j, factorial(j + shift))
+                term = h.bracket(term)
+                j += 1
+                if j > fib.k + 2:
+                    break
+
+    return ConnectionForm(alpha.m, fib, _series(alpha.m).sum(terms()), flags=alpha.flags)
 
 
 def gauge_compose_check(alpha, h1, h2):
@@ -343,28 +334,26 @@ def _lie_to_series(x: LieFormValued, order):
 
 
 def _exp_form_series(x: LieFormValued, order):
-    m = x.m
-    base = _lie_to_series(x, order)
-    out = {(): PolyForm.one(m, varname="x", ndiff=m)}
-    power = out
-    for j in range(1, order + 1):
-        power = _series_mul(power, base, order)
-        if not power:
-            break
-        out = fv_add(out, power, Fraction(1, factorial(j)))
-    return out
+    return _series(x.m).sum((power, Fraction(1, factorial(j)))
+                            for j, power in _powers(_lie_to_series(x, order), order, x.m))
 
 
 def _series_log(t, order, m):
     u = {w: f for w, f in t.items() if w}
-    out = {}
+    return _series(m).sum((power, Fraction((-1) ** (j + 1), j))
+                          for j, power in _powers(u, order, m) if j)
+
+
+def _powers(base, order, m):
+    """(j, base^j) for j = 0, 1, .., up to the first power that vanishes
+    below ``order``."""
     power = {(): PolyForm.one(m, varname="x", ndiff=m)}
+    yield 0, power
     for j in range(1, order + 1):
-        power = _series_mul(power, u, order)
+        power = _series_mul(power, base, order)
         if not power:
             break
-        out = fv_add(out, power, Fraction((-1) ** (j + 1), j))
-    return out
+        yield j, power
 
 
 # ---------------------------------------------------------------------
@@ -591,18 +580,17 @@ def conjugation_compatibility(theta1, theta2, dual_matrix_fn, h_at_p, env2):
 def poincare_primitive(form: PolyForm) -> PolyForm:
     """Exact polynomial primitive of a closed 1-form on R^m (radial)."""
     m = form.nvars
+
     # P(x) = int_0^1 sum_j x_j f_j(t x) dt
-    out = PolyForm.zero(m, varname="x", ndiff=m)
-    for (exps, dts), c in form.terms.items():
-        if len(dts) != 1:
-            raise ValueError("primitive of a non-1-form requested")
-        j = dts[0]
-        total_deg = sum(exps)
-        e = list(exps)
-        e[j] += 1
-        out = out + PolyForm(m, {(tuple(e), ()): c * Fraction(1, total_deg + 1)},
-                             varname="x", ndiff=m)
-    return out
+    def terms():
+        for (exps, dts), c in form.terms.items():
+            if len(dts) != 1:
+                raise ValueError("primitive of a non-1-form requested")
+            e = list(exps)
+            e[dts[0]] += 1
+            yield PolyForm(m, {(tuple(e), ()): 1}, varname="x", ndiff=m), c / (sum(exps) + 1)
+
+    return FormSpace(m, varname="x", ndiff=m).sum(terms())
 
 
 def gauge_between(alpha1: ConnectionForm, alpha2: ConnectionForm):

@@ -24,8 +24,8 @@ from .graded import GradedVectorSpace
 from .linalg import accumulate
 from .scalars import rat
 from .signs import antisym_sign, shuffle_product, word
-from .structures import (FiniteAlgebra, InfinityMorphism, delta_apply,
-                         f_shifted, shift_sign)
+from .structures import (FiniteAlgebra, InfinityMorphism, KeyedCarrier,
+                         delta_apply, f_shifted, shift_sign)
 
 
 class Generators:
@@ -95,18 +95,8 @@ class TensorSeries:
         return min((len(w) for w in self.data), default=None)
 
     def add(self, other, coeff=Fraction(1)):
-        if other.trunc != self.trunc:
-            raise TruncationError("truncation mismatch")
-        out = dict(self.data)
-        for w, val in other.data.items():
-            cur = out.get(w)
-            s = self.target.add(cur, val, coeff) if cur is not None \
-                else self.target.scale(val, coeff)
-            if self.target.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return TensorSeries(self.gens, self.target, self.trunc, self.degree, out)
+        conv = ConvolutionAlgebra(self.gens, self.target, None, self.trunc)
+        return conv.add(self, other, coeff)
 
     def scale(self, c):
         c = rat(c)
@@ -219,14 +209,10 @@ def conv_M(n, series_list, trunc=None):
     trunc = trunc if trunc is not None else f0.trunc
     out_degree = sum(f.degree for f in series_list) + 2 - n
     groups = _support_tuples(series_list, trunc)
-    signs = {1: Fraction(1), -1: Fraction(-1)}
-    out = {}
-    for w in sorted(groups, key=_word_order):
-        total = target.zero()
-        for sign, _, vals in groups[w]:
-            total = target.add(total, target.m(n, list(vals)), signs[sign])
-        if not target.is_zero(total):
-            out[w] = target.scale(total, Fraction(-1))
+    twisted = {1: Fraction(-1), -1: Fraction(1)}     # the sign times the twist
+    out = {w: target.sum((target.m(n, list(vals)), twisted[sign])
+                         for sign, _, vals in groups[w])
+           for w in sorted(groups, key=_word_order)}
     return TensorSeries(gens, target, trunc, out_degree, out)
 
 
@@ -243,8 +229,7 @@ def source_delta(gens: Generators, source: FiniteAlgebra, w, trunc):
     for q in range(1, n + 1):
         for p in range(0, n - q + 1):
             sub = w[p:p + q]
-            if hasattr(source, "in_window") and \
-                    not source.in_window(q, [gens.keys[i] for i in sub]):
+            if not source.in_window(q, [gens.keys[i] for i in sub]):
                 continue
             sign = -1 if sum(d - 1 for d in degs[:p]) % 2 else 1
             elems = [{gens.keys[i]: Fraction(1)} for i in sub]
@@ -264,7 +249,7 @@ def _delta_transpose(gens: Generators, source, max_len):
     out = {}
     for s in gens.words(max_len):
         keys = [gens.keys[i] for i in s]
-        if hasattr(source, "in_window") and not source.in_window(len(s), keys):
+        if not source.in_window(len(s), keys):
             continue
         val = delta_apply(source, len(s), [{k: Fraction(1)} for k in keys],
                           [k[0] for k in keys])
@@ -284,11 +269,6 @@ def conv_partial(f: TensorSeries, source: FiniteAlgebra) -> TensorSeries:
     in f's order, then the other words by length and index order.
     """
     gens, target = f.gens, f.target
-    out = {}
-    for w, val in f.data.items():
-        dv = target.scale(target.m(1, [val]), Fraction(-1))
-        if not target.is_zero(dv):
-            out[w] = dv
     min_len = min((len(w) for w in f.data if w), default=f.trunc + 1)
     transpose = _delta_transpose(gens, source, f.trunc - min_len + 1)
     reached = {}
@@ -302,21 +282,14 @@ def conv_partial(f: TensorSeries, source: FiniteAlgebra) -> TensorSeries:
                     break
                 reached.setdefault(head + s + tail, []).append(
                     ((len(s), p, rank), w2, sign * c))
-    sgn = Fraction(-((-1) ** f.degree))
+    f_delta = {}
     for w in sorted(reached, key=_word_order):
         terms = sorted(reached[w], key=lambda t: t[0])
         coeffs = accumulate({}, ((w2, c) for _, w2, c in terms))
-        total = target.zero()
-        for w2, c in coeffs.items():
-            total = target.add(total, f.data[w2], c)
-        if not target.is_zero(total):
-            cur = out.get(w)
-            s = target.add(cur, total, sgn) if cur is not None \
-                else target.scale(total, sgn)
-            if target.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
+        f_delta[w] = target.sum((f.data[w2], c) for w2, c in coeffs.items())
+    m1_f = {w: target.m(1, [val]) for w, val in f.data.items()}
+    out = KeyedCarrier(target).sum(((m1_f, Fraction(-1)),
+                                    (f_delta, Fraction(-((-1) ** f.degree)))))
     return TensorSeries(gens, target, f.trunc, f.degree + 1, out)
 
 
@@ -326,31 +299,43 @@ def conv_l(n, series_list, source: FiniteAlgebra):
         return conv_partial(series_list[0], source)
     f0 = series_list[0]
     degs = [f.degree for f in series_list]
-    out = TensorSeries(f0.gens, f0.target, f0.trunc, sum(degs) + 2 - n)
     terms = {}    # a repeated argument repeats orderings: convolve each once
-    for perm in itertools.permutations(range(n)):
-        chi = antisym_sign(perm, degs)
+
+    def term(perm):
         order = tuple(id(series_list[p]) for p in perm)
         if order not in terms:
             terms[order] = conv_M(n, [series_list[p] for p in perm])
-        out = out.add(terms[order], chi)
-    return out
+        return terms[order]
+
+    conv = ConvolutionAlgebra(f0.gens, f0.target, source, f0.trunc)
+    return conv.sum(((term(perm), antisym_sign(perm, degs))
+                     for perm in itertools.permutations(range(n))), sum(degs) + 2 - n)
 
 
-class ConvolutionAlgebra:
-    """Carrier adapter so the generic skew-relation checker applies."""
+class ConvolutionAlgebra(KeyedCarrier):
+    """The convolution algebra as a carrier, keyed by word over the target,
+    so the generic skew-relation checker applies.  A sum has the degree
+    of its first term, or ``p`` (0 by default) when it has none; summing
+    series of another truncation raises."""
 
     def __init__(self, gens, target, source, trunc):
+        super().__init__(target)
         self.gens = gens
         self.target = target
         self.source = source
         self.trunc = trunc
 
-    def zero(self):
-        return TensorSeries(self.gens, self.target, self.trunc, 0)
+    def _grade(self, x):
+        return x.degree
 
-    def add(self, a, b, coeff=Fraction(1)):
-        return a.add(b, coeff)
+    def _items(self, x):
+        if x.trunc != self.trunc:
+            raise TruncationError("truncation mismatch")
+        return x.data.items()
+
+    def _wrap(self, acc, p):
+        return TensorSeries(self.gens, self.target, self.trunc, p or 0,
+                            super()._wrap(acc, p))
 
     def scale(self, a, c):
         return a.scale(c)
@@ -374,13 +359,10 @@ def mc_defect(alpha: TensorSeries, source: FiniteAlgebra) -> TensorSeries:
         raise ValueError("Maurer-Cartan elements have degree 1")
     if alpha.data.get(()) is not None:
         raise ValueError("alpha(1) must vanish")
-    out = conv_partial(alpha, source)
-    for k in range(2, alpha.trunc + 1):
-        term = conv_M(k, [alpha] * k)
-        if term.is_zero():
-            continue
-        out = out.add(term)
-    return out
+    conv = ConvolutionAlgebra(alpha.gens, alpha.target, source, alpha.trunc)
+    return conv.sum(itertools.chain(
+        [(conv_partial(alpha, source), Fraction(1))],
+        ((conv_M(k, [alpha] * k), Fraction(1)) for k in range(2, alpha.trunc + 1))))
 
 
 def mc_check(alpha: TensorSeries, source: FiniteAlgebra):
@@ -428,13 +410,9 @@ def check_reduced(alpha: TensorSeries):
     for w in gens.words(alpha.trunc):
         for p in range(1, len(w)):
             entries = tuple((i, gens.shifted[i]) for i in w)
-            total = target.zero()
-            for sh_word, coeff in shuffle_product(word(*entries[:p]),
-                                                  word(*entries[p:])).items():
-                ww = tuple(lab for lab, _ in sh_word)
-                v = alpha.data.get(ww)
-                if v is not None:
-                    total = target.add(total, v, coeff)
+            shuffled = shuffle_product(word(*entries[:p]), word(*entries[p:]))
+            words = ((tuple(lab for lab, _ in sw), c) for sw, c in shuffled.items())
+            total = target.sum((alpha.data[ww], c) for ww, c in words if ww in alpha.data)
             if not target.is_zero(total):
                 failures.append((tuple(w), p))
     return failures
@@ -497,32 +475,16 @@ def reduce_mod_ideal(alpha: TensorSeries, env: EnvelopingQuotient,
     ``index_map`` sends series generator indices to enveloping generator
     indices (only degree-zero generators may map).
     """
-    out = {}
-    for w, val in alpha.data.items():
-        ww = tuple(index_map[i] for i in w)
-        red = env.reduce({ww: Fraction(1)})
-        for w2, c in red.items():
-            cur = out.get(w2)
-            s = alpha.target.add(cur, val, c) if cur is not None \
-                else alpha.target.scale(val, c)
-            if alpha.target.is_zero(s):
-                out.pop(w2, None)
-            else:
-                out[w2] = s
-    return out
+    return KeyedCarrier(alpha.target).sum(
+        ({w2: val}, c) for w, val in alpha.data.items()
+        for w2, c in env.reduce({tuple(index_map[i] for i in w): Fraction(1)}).items())
 
 
 def series_eq_mod_ideal(a: TensorSeries, b: TensorSeries,
                         env: EnvelopingQuotient, index_map) -> bool:
     ra = reduce_mod_ideal(a, env, index_map)
     rb = reduce_mod_ideal(b, env, index_map)
-    keys = set(ra) | set(rb)
-    for k in keys:
-        diff = a.target.add(ra.get(k, a.target.zero()),
-                            a.target.scale(rb.get(k, a.target.zero()), Fraction(-1)))
-        if not a.target.is_zero(diff):
-            return False
-    return True
+    return not KeyedCarrier(a.target).add(ra, rb, Fraction(-1))
 
 
 def pullback_along(k_mor: InfinityMorphism, alpha: TensorSeries,
@@ -534,41 +496,34 @@ def pullback_along(k_mor: InfinityMorphism, alpha: TensorSeries,
     the shift dictionary inside each component.
     """
     gens_v = alpha.gens
-    target = alpha.target
-    data = {}
-    for w in gens_src.words(alpha.trunc):
-        keys = [gens_src.keys[i] for i in w]
-        total = target.zero()
+
+    def terms(w):
         for parts in range(1, len(w) + 1):
-            for pieces in _splittings(tuple(w), parts):
+            for pieces in _splittings(w, parts):
                 if any(not u for u in pieces):
                     continue
                 # each block maps through k to a vector of V-generators
                 block_vecs = []
-                dead = False
                 for u in pieces:
-                    elems = [{keys_u: Fraction(1)}
-                             for keys_u in (gens_src.keys[i] for i in u)]
+                    elems = [{gens_src.keys[i]: Fraction(1)} for i in u]
                     degs = [gens_src.keys[i][0] for i in u]
                     vec = f_shifted(k_mor, len(u), elems, degs)
                     if not vec:
-                        dead = True
                         break
                     block_vecs.append(vec)
-                if dead:
-                    continue
-                for combo in itertools.product(*[list(v.items()) for v in block_vecs]):
-                    coeff = Fraction(1)
-                    target_word = []
-                    for key, c in combo:
-                        coeff *= c
-                        target_word.append(gens_v.index_of(key))
-                    v = alpha.data.get(tuple(target_word))
-                    if v is not None:
-                        total = target.add(total, v, coeff)
-        if not target.is_zero(total):
-            data[tuple(w)] = total
-    return TensorSeries(gens_src, target, alpha.trunc, alpha.degree, data)
+                else:
+                    for combo in itertools.product(*[list(v.items()) for v in block_vecs]):
+                        coeff = Fraction(1)
+                        target_word = []
+                        for key, c in combo:
+                            coeff *= c
+                            target_word.append(gens_v.index_of(key))
+                        v = alpha.data.get(tuple(target_word))
+                        if v is not None:
+                            yield v, coeff
+
+    data = {tuple(w): alpha.target.sum(terms(tuple(w))) for w in gens_src.words(alpha.trunc)}
+    return TensorSeries(gens_src, alpha.target, alpha.trunc, alpha.degree, data)
 
 
 def pushforward_along(h_mor: InfinityMorphism, alpha: TensorSeries,
@@ -587,15 +542,10 @@ def pushforward_along(h_mor: InfinityMorphism, alpha: TensorSeries,
             break
         for w, tuples in groups.items():
             terms.setdefault(w, []).extend(tuples)
-    data = {}
-    for w in sorted(terms, key=_word_order):
-        total = new_target.zero()
-        for _, pieces, vals in terms[w]:
-            degs = [alpha.degree + gens.word_degree(u) for u in pieces]
-            total = new_target.add(total, f_shifted(h_mor, len(pieces),
-                                                    list(vals), degs))
-        if not new_target.is_zero(total):
-            data[w] = total
+    data = {w: new_target.sum(
+        (f_shifted(h_mor, len(pieces), list(vals),
+                   [alpha.degree + gens.word_degree(u) for u in pieces]), Fraction(1))
+        for _, pieces, vals in terms[w]) for w in sorted(terms, key=_word_order)}
     return TensorSeries(gens, new_target, alpha.trunc, alpha.degree, data)
 
 

@@ -349,7 +349,7 @@ def verify_side_conditions(n, max_poly_deg=4, corrupt=False):
     for lam in nc_basis(n):
         got = dupont_Int(dupont_E(lam), n)
         if corrupt:
-            got = got + NCElement.basis(n, (0,))
+            got = NCElement.basis(n, (0,)) + got
         if got != lam:
             failures.append(("Int(E(lambda)) != lambda", n, repr(lam)))
         sE = dupont_s(dupont_E(lam), n)

@@ -331,14 +331,13 @@ class SimplicialOperator:
         if self.m == 0:
             # forms on the point are constants; extend constantly
             return PolyForm.const(self.n, form.eval_at(()))
-        images = []
-        for j in range(1, self.m + 1):
-            acc = PolyForm.zero(self.n)
-            for i in range(self.n + 1):
-                if self.images[i] == j:
-                    acc = acc + simplex_t(self.n, i)
-            images.append(acc)
-        return form.substitute(images)
+        def coordinate(j):
+            """t_j pulled back: the sum of the t_i with images[i] == j."""
+            terms = accumulate({}, (kv for i in range(self.n + 1) if self.images[i] == j
+                                    for kv in simplex_t(self.n, i).terms.items()))
+            return PolyForm._trusted(self.n, terms, "t", self.n)
+
+        return form.substitute([coordinate(j) for j in range(1, self.m + 1)])
 
     def __repr__(self):
         return "[%d]->[%d]:%s" % (self.n, self.m, list(self.images))

@@ -2,11 +2,15 @@
 
 Vectors are dicts {key: value} over arbitrary hashable keys, with
 ``Fraction`` (or int) values, and one rule: a zero entry is never
-stored.  ``accumulate`` is the one place that adds into such a vector,
-in place; ``vec_add`` is its copying form.  A function mutates only an
-accumulator it created itself, never an argument, an ``lru_cache``
-result, a ``FiniteAlgebra.maps`` value or an ``Echelon`` row, since all
-of those may be shared.
+stored.  ``accumulate`` is the one place that adds scalars into such a
+vector, in place; ``vec_add`` is its copying form.  A function mutates
+only an accumulator it created itself, never an argument, an
+``lru_cache`` result, a ``FiniteAlgebra.maps`` value or an ``Echelon``
+row, since all of those may be shared.  Both rules cover the sums of
+carrier elements too: ``structures.Carrier.sum`` builds its result in
+an accumulator of its own, through ``accumulate`` for scalars and
+``structures.KeyedCarrier`` for elements keyed by word or bidegree,
+which never stores a zero element either.
 
 Elimination pivots are chosen deterministically from a fixed key order,
 so all constructions downstream (Hodge decompositions, quotient bases)

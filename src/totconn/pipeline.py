@@ -24,7 +24,7 @@ from .minimal import (check_comparison, compare_models, formality_check,
                       massey_report, model_fiber_data, model_mc,
                       one_minimal_model, positive_part)
 from .scalars import rat_str
-from .structures import FiniteAlgebra
+from .structures import FiniteAlgebra, FormSpace
 
 
 # ---------------------------------------------------------------------
@@ -148,18 +148,13 @@ PRESETS = {
 
 def _realizer(preset, m):
     table = {name: fn(m) for name, fn in preset["realize"].items()}
+    forms = FormSpace(m, varname="x", ndiff=m)
 
     def realize(val):
         if not isinstance(val, dict):
             return None
-        out = None
-        for (d, name), c in val.items():
-            form = table.get(name)
-            if form is None:
-                continue
-            piece = form.scale(c)
-            out = piece if out is None else out + piece
-        if out is None or out.is_zero():
+        out = forms.sum((table[name], c) for (d, name), c in val.items() if name in table)
+        if out.is_zero():
             return None
         if out.homogeneous_degree() != 1:
             return None

@@ -1,10 +1,32 @@
 """Multiplicative infinity-structures and their relation checkers.
 
-Algebra carriers share one informal protocol: ``zero()``, ``add``,
-``scale``, ``is_zero``, ``degree`` (None for zero/mixed) and ``m(k,
-elems)``.  Finite carriers (sparse structure-constant tables over a
-named basis) additionally enumerate basis vectors, which makes the
-checkers exhaustive at small arity.
+Every algebra carrier, and every cosimplicial backend of ``totalcomplex``,
+is a ``Carrier``.  The protocol:
+
+* ``sum(terms, p=None)`` is primary: the sum of c * x over the ``(x, c)``
+  pairs of ``terms``, built in place in one accumulator that it creates
+  itself.  The terms are only read, and the result shares no mutable
+  part with them.  ``p`` is the level or degree of the result, for
+  carriers whose zero depends on one; when it is not given it is read
+  from the first term.
+* ``zero(p=None)`` and ``add(a, b, coeff=1)`` are derived from ``sum``
+  once, here, and equal its empty and two-term cases.
+* ``scale``, ``is_zero``, ``degree`` (None for zero/mixed), ``m(k, elems)``
+  and ``in_window`` (True unless the carrier is 1-truncated) complete it.
+
+``sum`` adds each term into the accumulator with ``_into`` and wraps the
+result once with ``_wrap``.  Accumulators are dicts that never store a
+zero, so an empty accumulator is a zero sum, at every nesting level.
+Carriers over dict vectors accumulate through ``linalg.accumulate``;
+carriers over ``PolyForm`` accumulate its terms the same way;
+``KeyedCarrier`` accumulates {key: element of an inner carrier} and is
+the one place that drops a key whose running sum reaches zero.  A sum
+equals the left fold of two-term adds from zero, key order included: a
+key that cancels and comes back moves to the end.
+
+Finite carriers (sparse structure-constant tables over a named basis)
+additionally enumerate basis vectors, which makes the checkers
+exhaustive at small arity.
 
 Relations are evaluated in the unrestricted form: for structures,
 
@@ -27,14 +49,24 @@ from .scalars import rat
 from .signs import antisym_sign, shuffle_product, word
 
 
-class AlgebraBase:
-    """Shared no-op defaults for algebra carriers over dict-vectors."""
+class Carrier:
+    """The carrier protocol; the defaults are those of dict vectors."""
 
-    def zero(self):
-        return {}
+    def sum(self, terms, p=None):
+        """The sum of c * x over the ``(x, c)`` pairs of ``terms``."""
+        acc = {}
+        into = self._into
+        for x, c in terms:
+            if p is None:
+                p = self._grade(x)
+            into(acc, x, c)
+        return self._wrap(acc, p)
+
+    def zero(self, p=None):
+        return self.sum((), p)
 
     def add(self, a, b, coeff=Fraction(1)):
-        return vec_add(a, b, coeff)
+        return self.sum(((a, Fraction(1)), (b, coeff)))
 
     def scale(self, a, c):
         return vec_scale(a, rat(c))
@@ -45,21 +77,63 @@ class AlgebraBase:
     def degree(self, a):
         return vector_degree(a)
 
+    def in_window(self, arity, word_keys):
+        return True
 
-class FormsAlgebra:
-    """The polynomial-forms dga on the n-simplex as an infinity-target."""
+    def _grade(self, x):
+        """The ``p`` of a sum whose first term is x."""
+        return None
 
-    def __init__(self, n):
-        self.n = n
+    def _into(self, acc, x, c):
+        """acc += c * x in place; x stores no zero, so into an empty acc
+        it is copied as it is."""
+        if c != 1:
+            accumulate(acc, ((k, c * v) for k, v in x.items()))
+        elif acc:
+            accumulate(acc, x.items())
+        else:
+            acc.update(x)
 
-    def zero(self):
-        return PolyForm.zero(self.n)
+    def _wrap(self, acc, p):
+        """The element summed in ``acc``, which the caller gives up."""
+        return acc
 
-    def one(self):
-        return PolyForm.one(self.n)
 
-    def add(self, a, b, coeff=Fraction(1)):
-        return a + b.scale(coeff)
+class KeyedCarrier(Carrier):
+    """Elements {key: element of ``inner``}, no key holding a zero."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def _items(self, x):
+        return x.items()
+
+    def _level(self, key):
+        """The ``p`` of the inner element at ``key``."""
+        return None
+
+    def _into(self, acc, x, c):
+        into = self.inner._into
+        for key, v in self._items(x):
+            sub = acc.get(key)
+            if sub is None:
+                sub = acc[key] = {}
+            into(sub, v, c)
+            if not sub:
+                del acc[key]
+
+    def _wrap(self, acc, p):
+        wrap = self.inner._wrap
+        return {key: wrap(sub, self._level(key)) for key, sub in acc.items()}
+
+
+class FormSpace(Carrier):
+    """Polynomial forms in one ambient (see ``PolyForm``)."""
+
+    def __init__(self, nvars, varname="t", ndiff=None):
+        self.nvars = nvars
+        self.varname = varname
+        self.ndiff = nvars if ndiff is None else ndiff
 
     def scale(self, a, c):
         return a.scale(c)
@@ -70,6 +144,25 @@ class FormsAlgebra:
     def degree(self, a):
         return a.homogeneous_degree()
 
+    def _into(self, acc, x, c):
+        if x.nvars != self.nvars or x.ndiff > self.ndiff:
+            raise ValueError("PolyForm: mixed ambients")
+        super()._into(acc, x.terms, c)
+
+    def _wrap(self, acc, p):
+        return PolyForm._trusted(self.nvars, acc, self.varname, self.ndiff)
+
+
+class FormsAlgebra(FormSpace):
+    """The polynomial-forms dga on the n-simplex as an infinity-target."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.n = n
+
+    def one(self):
+        return PolyForm.one(self.n)
+
     def m(self, k, elems):
         if k == 1:
             return elems[0].d()
@@ -78,7 +171,7 @@ class FormsAlgebra:
         return PolyForm.zero(self.n)
 
 
-class FiniteAlgebra(AlgebraBase):
+class FiniteAlgebra(Carrier):
     """Arity-indexed structure maps on a finite-type graded space.
 
     ``maps[k]`` is {input word (tuple of basis keys): {output key: coeff}};
@@ -259,20 +352,17 @@ def stasheff_defect(alg, elems):
     degs = probe_degrees(alg, elems)
     if any(d is None for d in degs):
         raise ValueError("probes must be homogeneous and nonzero")
-    total = alg.zero()
-    for coeff, new_elems, new_degs, k in _inner_delta(alg, n, elems, degs):
-        total = alg.add(total, delta_apply(alg, k, new_elems, new_degs), coeff)
-    return total
+    return alg.sum((delta_apply(alg, k, new_elems, new_degs), coeff)
+                   for coeff, new_elems, new_degs, k in _inner_delta(alg, n, elems, degs))
 
 
 def check_stasheff(alg, probes, max_report=10):
     """Evaluate the structure relations on each probe word; list failures."""
     failures = []
     for elems in probes:
-        if hasattr(alg, "in_window"):
-            keys = [next(iter(e)) for e in elems if isinstance(e, dict)]
-            if len(keys) == len(elems) and not alg.in_window(len(elems) - 1, keys):
-                continue
+        keys = [next(iter(e)) for e in elems if isinstance(e, dict)]
+        if len(keys) == len(elems) and not alg.in_window(len(elems) - 1, keys):
+            continue
         defect = stasheff_defect(alg, list(elems))
         if not alg.is_zero(defect):
             failures.append((tuple_repr(elems), defect))
@@ -308,12 +398,10 @@ def check_shuffle_vanishing(alg, arity_cap, degrees=None, max_report=10):
             # the evaluation both use the shifted dictionary
             wrd = word(*[(key, key[0] - 1) for key in entries])
             for p in range(1, k):
-                total = alg.zero()
                 shuffled = shuffle_product(word(*tuple(wrd)[:p]), word(*tuple(wrd)[p:]))
-                for shuffled_word, coeff in shuffled.items():
-                    elems = [{lab: Fraction(1)} for lab, _ in shuffled_word]
-                    degs = [lab[0] for lab, _ in shuffled_word]
-                    total = alg.add(total, delta_apply(alg, k, elems, degs), coeff)
+                total = alg.sum((delta_apply(alg, k, [{lab: Fraction(1)} for lab, _ in sw],
+                                             [lab[0] for lab, _ in sw]), coeff)
+                                for sw, coeff in shuffled.items())
                 if not alg.is_zero(total):
                     failures.append((entries, p, total))
                     if len(failures) >= max_report:
@@ -346,12 +434,8 @@ class InfinityMorphism:
         table = self.tables.get(k)
         if not table:
             return self.target.zero()
-        out = self.target.zero()
-        for wrd, coeff in multilinear_terms(elems):
-            val = table.get(wrd)
-            if val is not None:
-                out = self.target.add(out, val, coeff)
-        return out
+        return self.target.sum((table[wrd], coeff) for wrd, coeff in multilinear_terms(elems)
+                               if wrd in table)
 
     @classmethod
     def identity(cls, alg):
@@ -381,25 +465,25 @@ def morphism_defect(f: InfinityMorphism, elems):
     degs = [src.degree(e) for e in elems]
     if any(d is None for d in degs):
         raise ValueError("probes must be homogeneous and nonzero")
-    lhs = tgt.zero()
-    for coeff, new_elems, new_degs, k in _inner_delta(src, n, elems, degs):
-        lhs = tgt.add(lhs, f_shifted(f, k, new_elems, new_degs), coeff)
-    rhs = tgt.zero()
-    for k in range(1, n + 1):
-        for arities in compositions(n, k):
-            pos = 0
-            values = []
-            value_degs = []
-            for i in arities:
-                block = elems[pos:pos + i]
-                block_degs = degs[pos:pos + i]
-                pos += i
-                values.append(f_shifted(f, i, block, block_degs))
-                value_degs.append(sum(block_degs) + 1 - i)
-            if any(tgt.is_zero(v) for v in values):
-                continue
-            rhs = tgt.add(rhs, delta_apply(tgt, k, values, value_degs))
-    return tgt.add(lhs, rhs, Fraction(-1))
+
+    def terms():
+        for coeff, new_elems, new_degs, k in _inner_delta(src, n, elems, degs):
+            yield f_shifted(f, k, new_elems, new_degs), coeff
+        for k in range(1, n + 1):
+            for arities in compositions(n, k):
+                pos = 0
+                values = []
+                value_degs = []
+                for i in arities:
+                    block = elems[pos:pos + i]
+                    block_degs = degs[pos:pos + i]
+                    pos += i
+                    values.append(f_shifted(f, i, block, block_degs))
+                    value_degs.append(sum(block_degs) + 1 - i)
+                if not any(tgt.is_zero(v) for v in values):
+                    yield delta_apply(tgt, k, values, value_degs), Fraction(-1)
+
+    return tgt.sum(terms())
 
 
 def compositions(n, k):
@@ -461,20 +545,20 @@ def linfty_defect(alg, elems):
     degs = probe_degrees(alg, elems)
     if any(d is None for d in degs):
         raise ValueError("probes must be homogeneous and nonzero")
-    total = alg.zero()
-    for q in range(1, n + 1):
-        p = n + 1 - q
-        for S in itertools.combinations(range(n), q):
-            rest = [j for j in range(n) if j not in S]
-            perm = tuple(S) + tuple(rest)
-            chi = antisym_sign(perm, degs)
-            inner = alg.m(q, [elems[j] for j in S])
-            if alg.is_zero(inner):
-                continue
-            outer = alg.m(p, [inner] + [elems[j] for j in rest])
-            sign = chi * ((-1) ** ((p - 1) * q))
-            total = alg.add(total, outer, Fraction(sign))
-    return total
+
+    def terms():
+        for q in range(1, n + 1):
+            p = n + 1 - q
+            for S in itertools.combinations(range(n), q):
+                rest = [j for j in range(n) if j not in S]
+                perm = tuple(S) + tuple(rest)
+                chi = antisym_sign(perm, degs)
+                inner = alg.m(q, [elems[j] for j in S])
+                if not alg.is_zero(inner):
+                    outer = alg.m(p, [inner] + [elems[j] for j in rest])
+                    yield outer, Fraction(chi * ((-1) ** ((p - 1) * q)))
+
+    return alg.sum(terms())
 
 
 def check_linfty(alg, probes, max_report=10):
@@ -515,24 +599,12 @@ def check_unitality(alg: FiniteAlgebra, max_report=10):
 # interval tensoring and homotopies
 # ---------------------------------------------------------------------
 
-class IntervalAlgebra:
+class IntervalAlgebra(KeyedCarrier):
     """Omega(1) tensor A, elements {(t-exponent, has_dt): A-element}."""
 
     def __init__(self, base):
+        super().__init__(base)
         self.base = base
-
-    def zero(self):
-        return {}
-
-    def add(self, a, b, coeff=Fraction(1)):
-        out = {k: v for k, v in a.items()}
-        for k, v in b.items():
-            s = self.base.add(out.get(k, self.base.zero()), v, coeff)
-            if self.base.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
 
     def scale(self, a, c):
         c = rat(c)
@@ -561,19 +633,19 @@ class IntervalAlgebra:
         return {(0, False): a}
 
     def m(self, k, elems):
-        if k == 1:
-            out = {}
-            for (e, dt), v in elems[0].items():
-                # d(t^e) (x) v
-                if e > 0 and not dt:
-                    out = self.add(out, {(e - 1, True): self.base.scale(v, e)})
-                # +/- t^e (x) d v
-                sign = -1 if dt else 1
-                dv = self.base.m(1, [v])
-                if not self.base.is_zero(dv):
-                    out = self.add(out, {(e, dt): dv}, Fraction(sign))
-            return out
-        out = {}
+        return self.sum(self._d_terms(elems[0]) if k == 1 else self._m_terms(k, elems))
+
+    def _d_terms(self, a):
+        for (e, dt), v in a.items():
+            # d(t^e) (x) v
+            if e > 0 and not dt:
+                yield {(e - 1, True): v}, Fraction(e)
+            # +/- t^e (x) d v
+            dv = self.base.m(1, [v])
+            if not self.base.is_zero(dv):
+                yield {(e, dt): dv}, Fraction(-1 if dt else 1)
+
+    def _m_terms(self, k, elems):
         for combo in itertools.product(*[list(e.items()) for e in elems]):
             exps = 0
             dt_count = 0
@@ -601,10 +673,8 @@ class IntervalAlgebra:
                 if pdegs[i] % 2 and sum(adegs[:i]) % 2:
                     sign = -sign
             inner = self.base.m(k, vals)
-            if self.base.is_zero(inner):
-                continue
-            out = self.add(out, {(exps, dt_count == 1): inner}, Fraction(sign))
-        return out
+            if not self.base.is_zero(inner):
+                yield {(exps, dt_count == 1): inner}, Fraction(sign)
 
     def evaluate(self, a, value):
         """Strict evaluation t -> value in {0, 1}, dt -> 0.
@@ -613,16 +683,8 @@ class IntervalAlgebra:
         evaluation i_0 at vertex 0 substitutes t = 1 and i_1 substitutes
         t = 0.
         """
-        out = self.base.zero()
-        for (e, dt), v in a.items():
-            if dt:
-                continue
-            if value == 0:
-                if e == 0:
-                    out = self.base.add(out, v)
-            else:
-                out = self.base.add(out, v)
-        return out
+        return self.base.sum((v, Fraction(1)) for (e, dt), v in a.items()
+                             if not dt and (value != 0 or e == 0))
 
 
 def interval_tensor(alg):

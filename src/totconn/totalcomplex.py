@@ -12,8 +12,9 @@ Two backends share one element model (bidegree-indexed components):
 Both backends implement one protocol: ``d(a, p)`` and ``wedge(a, b, p)``
 act within level p, ``coface(a, i, p)`` maps level p to p+1 and
 ``codegeneracy(a, i, p)`` maps level p to p-1, where the level ``p`` of the
-input is always required; ``zero(p)``, ``one()``, ``add``, ``scale``,
-``is_zero`` and ``form_degree`` complete it.
+input is always required; ``sum(terms, p)`` (the carrier sum of
+``structures``, in place, with the derived ``zero(p)`` and ``add``),
+``one()``, ``scale``, ``is_zero`` and ``form_degree`` complete it.
 
 The product of total-complex elements is computed levelwise from the
 transferred simplex structures: for inputs of bidegrees (p_i, q_i) the
@@ -50,14 +51,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
 from math import comb, factorial
 
 from .forms import PolyForm
 from .graded import GradedVectorSpace
-from .linalg import Echelon, accumulate, vec_add, vec_scale
+from .linalg import Echelon, accumulate
 from .scalars import bernoulli, rat, rat_str
-from .structures import FiniteAlgebra
+from .structures import Carrier, FiniteAlgebra, KeyedCarrier
 from .transfer import nc_structure
 
 
@@ -207,20 +207,15 @@ class GroupCochain:
         return GroupCochain(m, self.p, self._subst(x_images, amb[m:]))
 
 
-class GroupCochainBackend:
+class GroupCochainBackend(Carrier):
     """The translation action of Z^m on R^m, handled symbolically.
 
     The level arguments ``p`` are ignored: a GroupCochain knows its level.
+    A sum's level is that of its first term, or ``p`` when it has none.
     """
 
     def __init__(self, m):
         self.m = m
-
-    def zero(self, p):
-        return GroupCochain.zero(self.m, p)
-
-    def add(self, a, b):
-        return a + b
 
     def scale(self, a, c):
         return a.scale(c)
@@ -246,12 +241,22 @@ class GroupCochainBackend:
     def form_degree(self, a):
         return a.form_degree()
 
+    def _grade(self, x):
+        return x.p
+
+    def _into(self, acc, x, c):
+        super()._into(acc, x.form.terms, c)
+
+    def _wrap(self, acc, p):
+        m = self.m
+        return GroupCochain(m, p, PolyForm._trusted(m * (p + 1), acc, "z", m))
+
 
 # ---------------------------------------------------------------------
 # backend (a): finite presentations
 # ---------------------------------------------------------------------
 
-class FinitePresentation:
+class FinitePresentation(Carrier):
     """Explicit cosimplicial cdga on levels 0..level_cap.
 
     ``levels[p]`` is a FiniteAlgebra (a dga); ``cofaces[p]`` is a list of
@@ -272,18 +277,6 @@ class FinitePresentation:
     @property
     def level_cap(self):
         return len(self.levels) - 1
-
-    def zero(self, p):
-        return {}
-
-    def add(self, a, b):
-        return vec_add(a, b)
-
-    def scale(self, a, c):
-        return vec_scale(a, rat(c))
-
-    def is_zero(self, a):
-        return not a
 
     def one(self):
         return {self.levels[0].unit_key: Fraction(1)}
@@ -315,7 +308,9 @@ class FinitePresentation:
         return self.apply_map(self.codegeneracies[p - 1][i], a)
 
     def check_identities(self):
-        """Cosimplicial identities and dga-map property on basis probes."""
+        """Cosimplicial identities and dga-map property on basis probes:
+        every coface and codegeneracy commutes with m_1 and m_2 of its
+        levels."""
         failures = []
         for p in range(self.level_cap):
             for i in range(p + 2):
@@ -337,6 +332,28 @@ class FinitePresentation:
                         got = self.codegeneracy(self.coface(v, j, p), i, p + 1)
                         if got != v:
                             failures.append(("s^i d^j != id", p, i, j, key))
+        for p in range(self.level_cap):
+            for i in range(p + 2):
+                failures += self._dga_map_failures(
+                    ("d^i", p, i), p, p + 1, lambda v: self.coface(v, i, p))
+            for i in range(p + 1):
+                failures += self._dga_map_failures(
+                    ("s^i", p + 1, i), p + 1, p, lambda v: self.codegeneracy(v, i, p + 1))
+        return failures
+
+    def _dga_map_failures(self, label, src, tgt, f):
+        """The basis probes on which f: level src -> level tgt does not
+        commute with m_1 or m_2."""
+        a, b = self.levels[src], self.levels[tgt]
+        probes = [(key, {key: Fraction(1)}) for key in a.space.keys()]
+        images = [f(v) for _, v in probes]
+        failures = []
+        for (key, v), fv in zip(probes, images):
+            if f(a.m(1, [v])) != b.m(1, [fv]):
+                failures.append(label + ("m_1", key))
+            for (key2, v2), fv2 in zip(probes, images):
+                if f(a.m(2, [v, v2])) != b.m(2, [fv, fv2]):
+                    failures.append(label + ("m_2", key, key2))
         return failures
 
 
@@ -375,7 +392,8 @@ def presentation_from_json(data) -> FinitePresentation:
     pres = FinitePresentation(levels, cofaces, codegens)
     failures = pres.check_identities()
     if failures:
-        raise ValueError("cosimplicial identities fail: %r" % (failures[:3],))
+        raise ValueError("cosimplicial identities or dga-map property fail: %r"
+                         % (failures[:3],))
     return pres
 
 
@@ -503,15 +521,7 @@ class TotElement:
         return self.components.get((p, q), self.backend.zero(p))
 
     def __add__(self, other):
-        out = dict(self.components)
-        for key, val in other.components.items():
-            cur = out.get(key)
-            s = self.backend.add(cur, val) if cur is not None else val
-            if self.backend.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return TotElement(self.backend, out)
+        return TotalComplexAlgebra(self.backend).add(self, other)
 
     def scale(self, c):
         c = rat(c)
@@ -526,13 +536,7 @@ class TotElement:
     def __eq__(self, other):
         if not isinstance(other, TotElement) or self.backend is not other.backend:
             return NotImplemented
-        keys = set(self.components) | set(other.components)
-        for k in keys:
-            diff = self.backend.add(self.component(*k),
-                                    self.backend.scale(other.component(*k), Fraction(-1)))
-            if not self.backend.is_zero(diff):
-                return False
-        return True
+        return (self - other).is_zero()
 
     def __repr__(self):
         if not self.components:
@@ -552,28 +556,20 @@ class TotElement:
 
 def partial_tilde(backend, val, p):
     """The cosimplicial differential: alternating sum of cofaces."""
-    out = backend.zero(p + 1)
-    for i in range(p + 2):
-        piece = backend.scale(backend.coface(val, i, p), Fraction((-1) ** i))
-        out = backend.add(out, piece)
-    return out
-
-
-def _sum_by_bidegree(backend, pieces):
-    """One TotElement from {bidegree: [values]}, each list summed in order."""
-    return TotElement(backend, {key: reduce(backend.add, vals)
-                                for key, vals in pieces.items()})
+    return backend.sum(((backend.coface(val, i, p), Fraction((-1) ** i))
+                        for i in range(p + 2)), p + 1)
 
 
 def tot_differential(v: TotElement) -> TotElement:
     """D(a) = partial-tilde(a) + (-1)^p d(a) on bidegree (p, q)."""
     be = v.backend
-    pieces = {}
-    for (p, q), val in v.components.items():
-        pieces.setdefault((p, q + 1), []).append(
-            be.scale(be.d(val, p), Fraction((-1) ** p)))
-        pieces.setdefault((p + 1, q), []).append(partial_tilde(be, val, p))
-    return _sum_by_bidegree(be, pieces)
+
+    def terms():
+        for (p, q), val in v.components.items():
+            yield TotElement(be, {(p, q + 1): be.d(val, p)}), Fraction((-1) ** p)
+            yield TotElement(be, {(p + 1, q): partial_tilde(be, val, p)}), Fraction(1)
+
+    return TotalComplexAlgebra(be).sum(terms())
 
 
 # ---------------------------------------------------------------------
@@ -663,24 +659,20 @@ def _freeze(trie):
                  for I, child in trie.items())
 
 
-class TotalComplexAlgebra:
-    """The normalized total complex as an infinity-structure carrier."""
+class TotalComplexAlgebra(KeyedCarrier):
+    """The normalized total complex as an infinity-structure carrier,
+    keyed by bidegree over its backend."""
 
     def __init__(self, backend, level_cap=3, arity_cap=6):
+        super().__init__(backend)
         self.backend = backend
         self.level_cap = level_cap
         self.arity_cap = arity_cap
         self.kind = "Cinf"
         self._top_tables = {}
 
-    def zero(self):
-        return TotElement.zero(self.backend)
-
     def one(self):
         return TotElement(self.backend, {(0, 0): self.backend.one()})
-
-    def add(self, a, b, coeff=Fraction(1)):
-        return a + b.scale(coeff)
 
     def scale(self, a, c):
         return a.scale(c)
@@ -691,17 +683,22 @@ class TotalComplexAlgebra:
     def degree(self, a):
         return a.total_degree()
 
+    def _items(self, x):
+        return x.components.items()
+
+    def _level(self, key):
+        return key[0]
+
+    def _wrap(self, acc, p):
+        return TotElement(self.backend, super()._wrap(acc, p))
+
     def m(self, k, elems):
         if k == 1:
             return tot_differential(elems[0])
-        pieces = {}
-        for combo in itertools.product(*[list(e.components.items()) for e in elems]):
-            bidegs = [key for key, _ in combo]
-            vals = [val for _, val in combo]
-            piece = self._pure_product(k, bidegs, vals)
-            if piece is not None:
-                pieces.setdefault(piece[0], []).append(piece[1])
-        return _sum_by_bidegree(self.backend, pieces)
+        return self.sum(
+            (self._pure_product(k, [key for key, _ in combo], [val for _, val in combo]),
+             Fraction(1))
+            for combo in itertools.product(*[list(e.components.items()) for e in elems]))
 
     def _top_table(self, l, ps):
         """The non-zero top coefficients of m_n^{[l]} for input levels ps.
@@ -729,7 +726,7 @@ class TotalComplexAlgebra:
     def _pure_product(self, n, bidegs, vals):
         """The level-l part of m_n on one component per slot.
 
-        Returns ``((l, sum q), value)``, or None when it vanishes.  Walks
+        Returns a TotElement in bidegree (l, sum q).  Walks
         the trie of non-zero top coefficients slot by slot, carrying the
         wedge of the pushforwards chosen so far and dropping a branch
         whose prefix wedge is zero; each sigma_{I *} a_i is computed at
@@ -745,7 +742,7 @@ class TotalComplexAlgebra:
         qs = [q for _, q in bidegs]
         l = sum(ps) + 2 - n
         if l < 0:
-            return None
+            return self.zero()
         if l > self.level_cap:
             raise LevelCapError("product level %d exceeds cap %d" % (l, self.level_cap))
         sign_exp = 0
@@ -761,24 +758,21 @@ class TotalComplexAlgebra:
             return img
 
         def walk(node, slot, prefix):
-            """prefix ^ (the sum below node), or None if nothing is below."""
+            """prefix ^ (the sum below node)."""
             if slot == n - 1:
-                last = reduce(be.add, (be.scale(push(slot, I), c) for I, c in node))
+                last = be.sum(((push(slot, I), c) for I, c in node), l)
                 return last if prefix is None else be.wedge(prefix, last, l)
-            total = None
+            return be.sum(parts(node, slot, prefix), l)
+
+        def parts(node, slot, prefix):
             for I, child in node:
                 img = push(slot, I)
                 wedge = img if prefix is None else be.wedge(prefix, img, l)
                 if not be.is_zero(wedge):
-                    part = walk(child, slot + 1, wedge)
-                    if part is not None:
-                        total = part if total is None else be.add(total, part)
-            return total
+                    yield walk(child, slot + 1, wedge), Fraction(1)
 
         total = walk(self._top_table(l, ps), 0, None)
-        if total is None or be.is_zero(total):
-            return None
-        return (l, sum(qs)), be.scale(total, Fraction((-1) ** sign_exp))
+        return TotElement(be, {(l, sum(qs)): be.scale(total, Fraction((-1) ** sign_exp))})
 
 
 def project_to_base(v: TotElement) -> TotElement:
@@ -898,45 +892,43 @@ def tot_product_degree1(alg: TotalComplexAlgebra, elems):
     split = [_split_degree_one(e) for e in elems]
     if l == 2:
         (b1, c1), (b2, c2) = split
-        out = alg.zero()
-        # m2(c1, c2): levelwise wedge at level 0
-        if not be.is_zero(c1) and not be.is_zero(c2):
-            out = out + TotElement(be, {(0, 2): be.wedge(c1, c2, 0)})
-        # m2(b1, c2) = -1/2 b1 ptilde(c2) + b1 d0(c2)
-        out = out + _m2_bc(alg, b1, c2)
-        # m2(c1, b2) = -m2(b2, c1) by graded commutativity in degree 1
-        out = out + _m2_bc(alg, b2, c1).scale(-1)
-        # m2(b1, b2): the 1/6 formula
-        out = out + _m2_bb(alg, b1, b2)
-        return out
+        return alg.sum((
+            # m2(c1, c2): levelwise wedge at level 0
+            (TotElement(be, {(0, 2): be.wedge(c1, c2, 0)}), Fraction(1)),
+            # m2(b1, c2) = -1/2 b1 ptilde(c2) + b1 d0(c2)
+            (_m2_bc(alg, b1, c2), Fraction(1)),
+            # m2(c1, b2) = -m2(b2, c1) by graded commutativity in degree 1
+            (_m2_bc(alg, b2, c1), Fraction(-1)),
+            # m2(b1, b2): the 1/6 formula
+            (_m2_bb(alg, b1, b2), Fraction(1))))
     coeff = bernoulli(l - 1) / factorial(l - 1)
-    out = alg.zero()
     bs = [s[0] for s in split]
-    for i in range(l):
-        ci = split[i][1]
-        if be.is_zero(ci):
-            continue
-        prod = None
-        for j in range(l):
-            if j == i:
+
+    def terms():
+        for i in range(l):
+            ci = split[i][1]
+            if be.is_zero(ci):
                 continue
-            if be.is_zero(bs[j]):
-                prod = None
-                break
-            prod = bs[j] if prod is None else be.wedge(prod, bs[j], 1)
-        if prod is None:
-            continue
-        term = be.wedge(prod, partial_tilde(be, ci, 0), 1)
-        # an odd insertion alternates with its slot (calibrated against
-        # the general formula)
-        sgn = Fraction((-1) ** (l - 1)) * ((-1) ** i) * comb(l - 1, i)
-        term = be.scale(term, sgn * coeff)
-        out = out + TotElement(be, {(1, 1): term})
-    # the pure (1,0)-part, evaluated through the general formula
-    if all(not be.is_zero(b) for b in bs):
-        pure = [TotElement(be, {(1, 0): b}) for b in bs]
-        out = out + alg.m(l, pure)
-    return out
+            prod = None
+            for j in range(l):
+                if j == i:
+                    continue
+                if be.is_zero(bs[j]):
+                    prod = None
+                    break
+                prod = bs[j] if prod is None else be.wedge(prod, bs[j], 1)
+            if prod is None:
+                continue
+            term = be.wedge(prod, partial_tilde(be, ci, 0), 1)
+            # an odd insertion alternates with its slot (calibrated against
+            # the general formula)
+            sgn = Fraction((-1) ** (l - 1)) * ((-1) ** i) * comb(l - 1, i)
+            yield TotElement(be, {(1, 1): term}), sgn * coeff
+        # the pure (1,0)-part, evaluated through the general formula
+        if all(not be.is_zero(b) for b in bs):
+            yield alg.m(l, [TotElement(be, {(1, 0): b}) for b in bs]), Fraction(1)
+
+    return alg.sum(terms())
 
 
 def _m2_bc(alg, b, c):
@@ -944,8 +936,8 @@ def _m2_bc(alg, b, c):
     be = alg.backend
     if be.is_zero(b) or be.is_zero(c):
         return alg.zero()
-    term = be.add(be.scale(be.wedge(b, partial_tilde(be, c, 0), 1), Fraction(-1, 2)),
-                  be.wedge(b, be.coface(c, 0, 0), 1))
+    term = be.sum(((be.wedge(b, partial_tilde(be, c, 0), 1), Fraction(-1, 2)),
+                   (be.wedge(b, be.coface(c, 0, 0), 1), Fraction(1))))
     return TotElement(be, {(1, be.form_degree(c)): term})
 
 
@@ -956,10 +948,10 @@ def _m2_bb(alg, b1, b2):
         return alg.zero()
     d0b1, d1b1, d2b1 = (be.coface(b1, i, 1) for i in range(3))
     d0b2, d1b2, d2b2 = (be.coface(b2, i, 1) for i in range(3))
-    acc = be.scale(be.wedge(d0b1, be.add(d1b2, d2b2), 2), Fraction(-1))
-    acc = be.add(acc, be.wedge(d1b1, be.add(d0b2, be.scale(d2b2, Fraction(-1))), 2))
-    acc = be.add(acc, be.wedge(d2b1, be.add(d0b2, d1b2), 2))
-    return TotElement(be, {(2, 0): be.scale(acc, Fraction(1, 6))})
+    acc = be.sum(((be.wedge(d0b1, be.add(d1b2, d2b2), 2), Fraction(-1, 6)),
+                  (be.wedge(d1b1, be.add(d0b2, d2b2, Fraction(-1)), 2), Fraction(1, 6)),
+                  (be.wedge(d2b1, be.add(d0b2, d1b2), 2), Fraction(1, 6))))
+    return TotElement(be, {(2, 0): acc})
 
 
 def tot_product_degree1_with_scalar(alg: TotalComplexAlgebra, elems, x, slot):
@@ -974,11 +966,9 @@ def tot_product_degree1_with_scalar(alg: TotalComplexAlgebra, elems, x, slot):
     bs = [s[0] for s in split]
     if l == 2:
         b, c = split[0]
-        out = alg.zero()
         # m2(c, x) = c x and m2(x, c) = x c; m2(b, x) as in _m2_bc
-        if not be.is_zero(c):
-            out = out + TotElement(be, {(0, 1): be.wedge(c, x, 0)})
-        return out + _m2_bc(alg, b, x)
+        return alg.sum(((TotElement(be, {(0, 1): be.wedge(c, x, 0)}), Fraction(1)),
+                        (_m2_bc(alg, b, x), Fraction(1))))
     if any(be.is_zero(b) for b in bs):
         return alg.zero()
     prod = None

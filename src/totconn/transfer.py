@@ -46,10 +46,7 @@ class Contraction:
         self.tag = tag
 
     def include_vec(self, vec):
-        out = self.big.zero()
-        for key, c in vec.items():
-            out = self.big.add(out, self.include(key), c)
-        return out
+        return self.big.sum((self.include(key), c) for key, c in vec.items())
 
     def verify_side_conditions(self, witnesses=()):
         """p i = Id always; the h-conditions on the supplied big elements."""
@@ -132,19 +129,19 @@ class TransferredAlgebra(FiniteAlgebra):
         if n > self.arity_cap:
             raise ArityCapError("transfer: arity cap %d exceeded" % self.arity_cap)
         big = self.contraction.big
-        total = big.zero()
         degs = [k[0] for k in word]
-        for s in range(1, n):
-            left = self.hlam(word[:s])
-            right = self.hlam(word[s:])
-            if big.is_zero(left) or big.is_zero(right):
-                continue
-            # delta_2 on the shifted carriers: the only sign is the shift
-            # dictionary of the binary product on the left degree
-            left_deg = sum(degs[:s]) + 1 - s
-            sign = -1 if (left_deg - 1) % 2 else 1
-            total = big.add(total, big.m(2, [left, right]), Fraction(sign))
-        self._lam[word] = total
+
+        def terms():
+            for s in range(1, n):
+                left = self.hlam(word[:s])
+                right = self.hlam(word[s:])
+                if not (big.is_zero(left) or big.is_zero(right)):
+                    # delta_2 on the shifted carriers: the only sign is the
+                    # shift dictionary of the binary product on the left degree
+                    left_deg = sum(degs[:s]) + 1 - s
+                    yield big.m(2, [left, right]), Fraction(-1 if (left_deg - 1) % 2 else 1)
+
+        total = self._lam[word] = big.sum(terms())
         return total
 
     def _ensure(self, k, word):
@@ -182,18 +179,14 @@ def transfer_structure(contraction: Contraction, arity_cap: int,
     big = contraction.big
 
     def component(k):
-        def apply(elems):
-            out = big.zero()
+        def terms(elems):
             for wrd, coeff in multilinear_terms(elems):
                 if k == 1:
-                    val = contraction.include(wrd[0])
+                    yield contraction.include(wrd[0]), coeff
                 else:
-                    val = contraction.homotopy(alg.lam(wrd))
-                    coeff *= shift_sign([key[0] for key in wrd])
-                if not big.is_zero(val):
-                    out = big.add(out, val, coeff)
-            return out
-        return apply
+                    yield (contraction.homotopy(alg.lam(wrd)),
+                           coeff * shift_sign([key[0] for key in wrd]))
+        return lambda elems: big.sum(terms(elems))
 
     components = {k: component(k) for k in range(1, arity_cap + 1)}
     inclusion = InfinityMorphism(alg, big, components=components,

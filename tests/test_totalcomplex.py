@@ -448,6 +448,26 @@ def test_presentation_json_roundtrip():
             assert again.cofaces[p][i] == pres.cofaces[p][i]
 
 
+def test_presentation_with_non_multiplicative_cofaces_is_rejected():
+    """Z/2 swapping dx and dy but fixing dxdy: the cofaces are linear and
+    satisfy the cosimplicial identities, but d^0(dx dy) != d^0 dx d^0 dy."""
+    from totconn.totalcomplex import (presentation_from_json,
+                                      presentation_to_json)
+    alg = torus_cdga()
+    ident_map = {k: {k: Fraction(1)} for k in alg.space.keys()}
+    swap = dict(ident_map)
+    swap[(1, "dx")] = {(1, "dy"): Fraction(1)}
+    swap[(1, "dy")] = {(1, "dx"): Fraction(1)}
+    pres = group_action_presentation(
+        alg, [0, 1], lambda a, b: (a + b) % 2,
+        lambda g: ident_map if g == 0 else swap, level_cap=2)
+    failures = pres.check_identities()
+    assert failures
+    assert all(f[0] == "d^i" and f[3] == "m_2" for f in failures)
+    with pytest.raises(ValueError, match="dga-map"):
+        presentation_from_json(presentation_to_json(pres))
+
+
 # -------------------------------------------------------------------
 # the general product against the per-string-tuple loop
 # -------------------------------------------------------------------
