@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
@@ -33,6 +34,7 @@ from .totalcomplex import (GroupCochain, GroupCochainBackend, LevelCapError,
 from .transfer import ArityCapError, nc_structure
 
 PASS, FAIL, INPUT_ERROR, CAP_ERROR = 0, 1, 2, 3
+BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by it
 
 
 def _int_at_least(lo):
@@ -395,7 +397,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point stdout at devnull so that the
+        # flush at exit cannot fail again, and print nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ArityCapError, LevelCapError, TruncationError) as exc:
         print("cap overflow: %s" % exc, file=sys.stderr)
         return CAP_ERROR

@@ -186,8 +186,10 @@ class FreeLie:
         return {(i,): Fraction(1)}
 
     def to_lyndon(self, x: dict):
-        """Lyndon coordinates of a Lie element; None if not a Lie element."""
-        coords, leftover = self._lyndon_coords(x)
+        """Lyndon coordinates of a Lie element; None if not a Lie element.
+
+        Coefficients are coerced with ``rat``: a float raises TypeError."""
+        coords, leftover = self._lyndon_coords({w: rat(c) for w, c in x.items()})
         if leftover:
             return None
         return {self.lyndon[i]: c for i, c in coords.items()}
@@ -276,7 +278,7 @@ class LieIdealPresentation:
 
     def __init__(self, free: FreeLie, generators):
         self.free = free
-        self.generators = [dict(g) for g in generators]
+        self.generators = [{w: rat(c) for w, c in g.items()} for g in generators]
         order = free.order
         for g in self.generators:
             if not free.is_lie_element(g):

@@ -19,7 +19,8 @@ from .convolution import Generators, delta_star, mc_check, morphism_to_mc
 from .freelie import FiberLieAlgebra, lyndon_bracket
 from .graded import GradedVectorSpace
 from .linalg import Coordinates, Echelon, accumulate, intersect_spans, solve, vec_add
-from .structures import FiniteAlgebra, InfinityMorphism, check_morphism
+from .structures import (FiniteAlgebra, InfinityMorphism, check_morphism,
+                         morphism_defect)
 from .transfer import (TransferResult, contraction_from_hodge,
                        transfer_structure)
 
@@ -320,14 +321,78 @@ class Comparison:
         return out
 
 
+class _ReadRecorder(InfinityMorphism):
+    """An ``InfinityMorphism`` that adds to ``reads`` every table entry
+    (arity, input word) that ``apply`` looks up.
+
+    It records the words ``multilinear_terms`` lists from the arguments,
+    also where ``apply`` returns early on an empty table, so the record
+    depends on the arguments alone and never on the table values.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = set()
+
+    def apply(self, k, elems):
+        elems = list(elems)
+        self.reads.update((k, wrd) for wrd in itertools.product(*elems))
+        return super().apply(k, elems)
+
+
+def _probe_defect(mor, wrd):
+    return morphism_defect(mor, [{k: Fraction(1)} for k in wrd])
+
+
+def _linear_system(W2, W1, k_tables, unknowns, probes, arity_cap):
+    """Columns and right-hand side of the comparison's linear system.
+
+    Entries are keyed (probe index, W1 key).  The column of an unknown
+    (j, wrd, vk) is defect(base + e) - defect(base), where e puts a unit
+    on vk at table entry (j, wrd).  Each probe is evaluated once on the
+    base tables, recording the entries it reads; a column re-evaluates
+    only the probes that read (j, wrd), since every other probe makes the
+    same lookups with the same values and so adds exactly zero.
+    """
+    rec = _ReadRecorder(W2, W1, tables=k_tables, arity_cap=arity_cap)
+    base, readers = [], {}
+    for pi, wrd in enumerate(probes):
+        rec.reads = set()
+        base.append(_probe_defect(rec, wrd))
+        for entry in rec.reads:
+            readers.setdefault(entry, []).append(pi)
+    cols = []
+    for j, wrd, vk in unknowns:
+        table = dict(k_tables.get(j, {}))
+        table[wrd] = vec_add(table.get(wrd, {}), {vk: Fraction(1)})
+        mor = InfinityMorphism(W2, W1, tables={**k_tables, j: table},
+                               arity_cap=arity_cap)
+        col = {}
+        for pi in readers.get((j, wrd), ()):
+            diff = vec_add(_probe_defect(mor, probes[pi]), base[pi], Fraction(-1))
+            col.update(((pi, key), c) for key, c in diff.items())
+        cols.append(col)
+    rhs = {(pi, key): -c for pi, d in enumerate(base) for key, c in d.items()}
+    return cols, rhs
+
+
 def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
                    arity_cap=3) -> Comparison:
-    """Comparison morphism via projection of the second model's images.
+    """Comparison morphism k: W2 -> W1 via projection of the second
+    model's images.
 
-    The linear part is p1 o g2_1; higher components on degree-1 words are
-    fixed to zero (the canonical representative) and the components with
-    one degree-2 entry are solved arity by arity from the morphism
-    relations on degree-1 probe words.
+    The linear part is p1 o g2_1.  The unknowns are the components
+    k_2 .. k_{cap-1}: degree-1 values on all-degree-1 words and degree-2
+    values on words with one degree-2 entry; the relations are the
+    morphism relations on all-degree-1 probe words of arity 3..cap.  The
+    defect is affine in the unknowns, so unit probing gives the linear
+    system exactly: the column of an unknown is the change of every
+    probe's defect when that one table entry gets a unit.  A probe's
+    table lookups depend only on the probe and on the source structure,
+    not on the table values, so a column re-evaluates just the probes
+    that look up its entry (``_linear_system``); the others add zero.
+    The system is solved for one solution; with none, the extension is
+    obstructed.
     """
     W1, W2 = model1.algebra, model2.algebra
     p1 = model1.transfer.contraction.project
@@ -336,20 +401,14 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     k_tables = {1: k1}
     one2 = W2.space.keys(1)
     two2 = W2.space.keys(2)
-    from .structures import morphism_defect
 
     # the arity-2 relation must hold for the linear part alone
     cur = InfinityMorphism(W2, W1, tables=k_tables, arity_cap=arity_cap)
     for wrd in itertools.product(one2, repeat=2):
-        if morphism_defect(cur, [{k: Fraction(1)} for k in wrd]):
+        if _probe_defect(cur, wrd):
             raise ModelError("linear comparison is not multiplicative on "
                              "classes: %r" % (wrd,))
 
-    # unknowns: all components k_2 .. k_{cap-1} (degree-1 values on
-    # all-degree-1 words, degree-2 values on words with one degree-2
-    # entry); relations: all-degree-1 probes at arities 3..cap.  The
-    # defect is affine in the unknowns, so exact unit-probing assembles
-    # the linear system in one pass.
     unknowns = []
     for j in range(2, arity_cap):
         for wrd in itertools.product(one2, repeat=j):
@@ -366,27 +425,9 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     for n in range(3, arity_cap + 1):
         probes.extend(itertools.product(one2, repeat=n))
 
-    def total_defect(tables):
-        mor = InfinityMorphism(W2, W1, tables=tables, arity_cap=arity_cap)
-        out = {}
-        for wi, wrd in enumerate(probes):
-            d = morphism_defect(mor, [{k: Fraction(1)} for k in wrd])
-            for key, c in d.items():
-                out[(wi, key)] = c
-        return out
-
-    def copy_tables(tbs):
-        return {kk: {w: dict(v) for w, v in tb.items()} for kk, tb in tbs.items()}
-
     if unknowns:
-        base = total_defect(copy_tables(k_tables))
-        cols = []
-        for (j, wrd, vk) in unknowns:
-            probe_tables = copy_tables(k_tables)
-            accumulate(probe_tables.setdefault(j, {}).setdefault(wrd, {}),
-                       [(vk, Fraction(1))])
-            cols.append(vec_add(total_defect(probe_tables), base, Fraction(-1)))
-        sol = solve(cols, {k: -v for k, v in base.items() if v})
+        cols, rhs = _linear_system(W2, W1, k_tables, unknowns, probes, arity_cap)
+        sol = solve(cols, rhs)
         if sol is None:
             raise ModelError("comparison extension is obstructed")
         for (j, wrd, vk), x in zip(unknowns, sol):

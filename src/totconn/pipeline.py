@@ -14,8 +14,9 @@ import itertools
 from fractions import Fraction
 
 from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
-                         flatness_check, form_dvar, fv_map, gauge_between,
-                         holonomy, parse_loop, restrict_connection)
+                         conjugation_compatibility, flatness_check, form_dvar,
+                         fv_map, gauge_between, holonomy, parse_loop,
+                         restrict_connection)
 from .convolution import degree_zero_restrict
 from .freelie import EnvelopingQuotient, FiberLieAlgebra, bracket_label
 from .graded import GradedVectorSpace
@@ -293,7 +294,6 @@ def compare_pipeline_models(name, trunc=4, k=4, pivots=("lex", "revlex"),
         h = gauge_between(mapped, r2.connection)
         p = (0,) * r1.connection.m
         h_at_p = h.at_point(p)
-        from .connection import conjugation_compatibility
         mapped_theta = {loop: r2.env.reduce(dual_map(val))
                         for loop, val in r1.theta.items()}
         fails = conjugation_compatibility(mapped_theta, r2.theta,

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,28 @@ def test_conn_transport_cap_overflow(tmp_path):
     p.write_text(json.dumps({"vertices": [["0", "0"], ["1", "0"]]}))
     assert run(["conn", "transport", "--input", str(f), "--path", str(p),
                 "--order", "9"]) == 3
+
+
+def cli_command(argv):
+    """(command, environment) that run ``python -m totconn.cli argv`` on
+    this source tree."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return [sys.executable, "-m", "totconn.cli"] + list(argv), env
+
+
+def test_closed_stdout_is_not_an_input_error():
+    # a reader that leaves early, as in ``totconn ... | head -1``: the run
+    # ends with status 141 (128 + SIGPIPE) and prints nothing
+    cmd, env = cli_command(["transfer", "nc", "--n", "2", "--arity", "4", "--json"])
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
+    assert err == b""
 
 
 def test_input_error_exit_code(tmp_path):

@@ -160,3 +160,24 @@ def test_enveloping_is_grouplike_repeats_on_one_quotient(abelian):
     for _ in range(2):
         assert env.is_grouplike(grouplike)
         assert not env.is_grouplike(not_grouplike)
+
+
+def test_float_coefficients_are_refused():
+    # coefficients are coerced with ``rat``, so a float never reaches the
+    # exact core (it used to be stored, and normalized to 1.0, -1.0)
+    free = FreeLie(["x", "y"], 4)
+    half = {(0, 1): 0.5, (1, 0): -0.5}
+    with pytest.raises(TypeError):
+        free.to_lyndon(half)
+    with pytest.raises(TypeError):
+        LieIdealPresentation(free, [half])
+
+
+def test_int_and_fraction_coefficients_stay_exact():
+    free = FreeLie(["x", "y"], 4)
+    ideal = LieIdealPresentation(free, [{(0, 1): 2, (1, 0): -2}])
+    assert ideal.generators == [{(0, 1): Fraction(2), (1, 0): Fraction(-2)}]
+    assert all(type(c) is Fraction for g in ideal.generators for c in g.values())
+    assert free.to_lyndon({(0, 1): 1, (1, 0): -1}) == {(0, 1): Fraction(1)}
+    assert free.to_lyndon({(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}) \
+        == {(0, 1): Fraction(1, 2)}

@@ -6,11 +6,13 @@ formatting, fails here.  Regenerate a file only for an intended change of
 behaviour, and say so in CHANGES.md.
 """
 
+import subprocess
 from pathlib import Path
 
 import pytest
 
 from totconn.cli import main
+from tests.test_cli import cli_command
 
 GOLDEN = Path(__file__).parent / "golden"
 CIRCLE = str(GOLDEN / "circle.json")
@@ -54,6 +56,15 @@ CASES = {
 def test_cli_output_matches_golden(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_module_entry_point():
+    # the ``python -m totconn.cli`` path, which the in-process cases skip
+    name = "pipeline_heisenberg_compare.json"
+    cmd, env = cli_command(CASES[name])
+    proc = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_bytes()
 
 
 def test_circle_input_is_the_test_fixture():

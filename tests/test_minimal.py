@@ -1,14 +1,18 @@
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from totconn.convolution import Generators, degree_zero_restrict, mc_check
 from totconn.graded import GradedVectorSpace
-from totconn.minimal import (ModelError, check_comparison, compare_models,
-                             formality_check, hodge_decomposition,
-                             massey_report, model_fiber_data, model_mc,
-                             one_minimal_model, positive_part)
-from totconn.structures import FiniteAlgebra
+from totconn.linalg import accumulate, solve, vec_add
+from totconn.minimal import (ModelError, _linear_system, _ReadRecorder,
+                             check_comparison, compare_models, formality_check,
+                             hodge_decomposition, massey_report,
+                             model_fiber_data, model_mc, one_minimal_model,
+                             positive_part)
+from totconn.structures import FiniteAlgebra, InfinityMorphism, morphism_defect
 from tests.test_structures import heisenberg_cdga, torus_cdga
 
 
@@ -167,3 +171,142 @@ def test_synthetic_inconclusive_formality():
     verdict, meta = formality_check(model, trunc=4)
     assert verdict == "inconclusive"
     assert meta["generator_lengths"] == [[2, 3]]
+
+
+# ---------------------------------------------------------------------
+# compare_models against the all-probes loop it replaced
+# ---------------------------------------------------------------------
+
+COMPARE_INPUTS = {"circle": circle_cdga, "torus": torus_cdga,
+                  "heisenberg": heisenberg_cdga}
+
+
+@functools.lru_cache(maxsize=None)
+def _model(name, pivot):
+    return one_minimal_model(COMPARE_INPUTS[name](), arity_cap=4, pivot=pivot)
+
+
+def ref_unknowns_and_probes(W1, W2, arity_cap):
+    one2, two2 = W2.space.keys(1), W2.space.keys(2)
+    unknowns = []
+    for j in range(2, arity_cap):
+        for wrd in itertools.product(one2, repeat=j):
+            for vk in W1.space.keys(1):
+                unknowns.append((j, tuple(wrd), vk))
+        for pos in range(j):
+            for combo in itertools.product(one2, repeat=j - 1):
+                for t in two2:
+                    wrd = combo[:pos] + (t,) + combo[pos:]
+                    for vk in W1.space.keys(2):
+                        unknowns.append((j, tuple(wrd), vk))
+    probes = []
+    for n in range(3, arity_cap + 1):
+        probes.extend(itertools.product(one2, repeat=n))
+    return sorted(set(unknowns)), probes
+
+
+def ref_linear_part(model1, model2):
+    p1 = model1.transfer.contraction.project
+    return {1: {(key,): dict(p1(model2.morphism.apply(1, [{key: Fraction(1)}])))
+                for key in model2.algebra.space.keys()}}
+
+
+def ref_linear_system(model1, model2, arity_cap):
+    """The comparison's linear system as an all-probes loop: every
+    unknown's column re-evaluates the defect of every probe.  Returns
+    (unknowns, probes, columns, right-hand side)."""
+    W1, W2 = model1.algebra, model2.algebra
+    k_tables = ref_linear_part(model1, model2)
+    unknowns, probes = ref_unknowns_and_probes(W1, W2, arity_cap)
+
+    def total_defect(tables):
+        mor = InfinityMorphism(W2, W1, tables=tables, arity_cap=arity_cap)
+        out = {}
+        for wi, wrd in enumerate(probes):
+            d = morphism_defect(mor, [{k: Fraction(1)} for k in wrd])
+            for key, c in d.items():
+                out[(wi, key)] = c
+        return out
+
+    def copy_tables(tbs):
+        return {kk: {w: dict(v) for w, v in tb.items()} for kk, tb in tbs.items()}
+
+    base = total_defect(copy_tables(k_tables))
+    cols = []
+    for (j, wrd, vk) in unknowns:
+        probe_tables = copy_tables(k_tables)
+        accumulate(probe_tables.setdefault(j, {}).setdefault(wrd, {}),
+                   [(vk, Fraction(1))])
+        cols.append(vec_add(total_defect(probe_tables), base, Fraction(-1)))
+    return unknowns, probes, cols, {k: -v for k, v in base.items() if v}
+
+
+def ref_compare_models(model1, model2, system):
+    """``compare_models`` solving the system of ``ref_linear_system``.
+    Returns (k_tables, dual)."""
+    W1, W2 = model1.algebra, model2.algebra
+    k_tables = ref_linear_part(model1, model2)
+    unknowns, _, cols, rhs = system
+    if unknowns:
+        sol = solve(cols, rhs)
+        assert sol is not None
+        for (j, wrd, vk), x in zip(unknowns, sol):
+            if x:
+                k_tables.setdefault(j, {}).setdefault(wrd, {})[vk] = x
+    dual = {}
+    for key1 in W1.space.keys(1):
+        col = {}
+        for key2 in W2.space.keys(1):
+            c = k_tables[1].get((key2,), {}).get(key1)
+            if c:
+                col[key2[1]] = c
+        dual[key1[1]] = col
+    return k_tables, dual
+
+
+COMPARE_CASES = [("circle", "lex", "revlex"), ("torus", "lex", "revlex"),
+                 ("torus", "lex", "shear"), ("heisenberg", "lex", "shear"),
+                 ("heisenberg", "revlex", "shear")]
+
+
+@pytest.mark.parametrize("arity_cap", [3, 4])
+@pytest.mark.parametrize("name,pivot1,pivot2", COMPARE_CASES)
+def test_compare_models_matches_the_all_probes_loop(name, pivot1, pivot2, arity_cap):
+    m1, m2 = _model(name, pivot1), _model(name, pivot2)
+    comp = compare_models(m1, m2, arity_cap=arity_cap)
+    system = ref_linear_system(m1, m2, arity_cap)
+    k_tables, dual = ref_compare_models(m1, m2, system)
+    assert repr(comp.k_tables) == repr(k_tables)
+    assert comp.dual_matrix == dual
+    # the system itself, not only its solution: a column that misses a
+    # probe it should re-evaluate differs here even where the solution
+    # does not change
+    unknowns, probes, cols, rhs = system
+    assert _linear_system(m2.algebra, m1.algebra, ref_linear_part(m1, m2),
+                          unknowns, probes, arity_cap) == (cols, rhs)
+
+
+@pytest.mark.parametrize("name,pivot1,pivot2", COMPARE_CASES[::2])
+def test_probe_read_sets_do_not_depend_on_the_tables(name, pivot1, pivot2):
+    # the premise of re-evaluating only a column's readers: every probe
+    # reads the same table entries on the base tables and on each table
+    # that puts a unit on one unknown
+    m1, m2 = _model(name, pivot1), _model(name, pivot2)
+    W1, W2 = m1.algebra, m2.algebra
+    base_tables = ref_linear_part(m1, m2)
+    unknowns, probes = ref_unknowns_and_probes(W1, W2, 4)
+
+    def read_sets(tables):
+        rec = _ReadRecorder(W2, W1, tables=tables, arity_cap=4)
+        out = []
+        for wrd in probes:
+            rec.reads = set()
+            morphism_defect(rec, [{k: Fraction(1)} for k in wrd])
+            out.append(rec.reads)
+        return out
+
+    base = read_sets(base_tables)
+    assert all(base)
+    for j, wrd, vk in unknowns:
+        tables = {1: base_tables[1], j: {wrd: {vk: Fraction(1)}}}
+        assert read_sets(tables) == base, (j, wrd, vk)
