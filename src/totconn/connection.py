@@ -11,12 +11,12 @@ composition and homomorphism tests).  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .convolution import TensorSeries
 from .forms import PolyForm
 from .freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
-                      lyndon_bracket)
+                      _from_scaled, lyndon_bracket)
 from .linalg import accumulate
 from .scalars import rat, rat_str
 from .structures import FormSpace, KeyedCarrier
@@ -470,57 +470,104 @@ def transport(alpha: ConnectionForm, path: PLPath, env: EnvelopingQuotient):
     """Iterated-integral transport series, exact per segment.
 
     T solves T' = T * A(s) along each segment; segments compose by
-    multiplication in traversal order.
+    multiplication in traversal order.  Segments are computed and folded
+    on integer numerators over one common denominator (see ``freelie``);
+    the result is built as ``Fraction``s once, at the end.
     """
-    total = {EMPTY: Fraction(1)}
+    terms = _coefficient_terms(alpha, env.order)
+    total = (1, {EMPTY: 1})
     for a, b in zip(path.vertices, path.vertices[1:]):
-        seg = _segment_transport(alpha, a, b, env)
-        total = env.mul(total, seg)
-    return total
+        total = env._mul(total, _segment_transport(terms, a, b, env))
+    return _from_scaled(total)
 
 
-def _segment_transport(alpha, a, b, env):
-    m = alpha.m
-    order = env.order
-    # pull back: x = a + s(b - a); each coefficient becomes c(s) ds
-    coeff_polys = {}  # word -> univariate poly in s as {exp: Fraction}
-    svar = PolyForm.var(1, 0, varname="s", ndiff=1)
-    images = []
-    for j in range(m):
-        img = PolyForm.const(1, a[j], varname="s", ndiff=1) + \
-            svar.scale(rat(b[j]) - rat(a[j]))
-        images.append(img)
+def _coefficient_terms(alpha, order):
+    """The 1-form terms of ``alpha`` on integers, as ``(den, terms)``:
+    alpha is the sum over ``(bracket, exps, j, n)`` in ``terms`` of
+    n/den x^exps dx_j (x) bracket, where ``bracket`` is the Lyndon
+    bracket of the coefficient word as {tensor word: int}, cut at
+    ``order``."""
+    den = lcm(*[c.denominator for f in alpha.coeffs.values() for c in f.terms.values()])
+    terms = []
     for w, form in alpha.coeffs.items():
-        pulled = form.substitute(images)
-        # the ds-coefficient as a polynomial in s; one variable, so one
-        # term per exponent
-        poly = {exps[0]: c for (exps, dts), c in pulled.terms.items() if dts == (0,)}
-        if poly:
-            for ww, c2 in lyndon_bracket(tuple(w), order).items():
-                if len(ww) > order:
-                    continue
-                accumulate(coeff_polys.setdefault(ww, {}),
-                           ((e, c * c2) for e, c in poly.items()))
-    # iterated indefinite integrals: I_0 = 1; I_r = int I_{r-1} A
-    total = {EMPTY: Fraction(1)}
-    current = {(): {0: Fraction(1)}}  # word -> poly in s
+        bracket = {ww: int(c) for ww, c in lyndon_bracket(tuple(w), order).items()
+                   if len(ww) <= order}
+        for (exps, dts), c in form.terms.items():
+            if len(dts) == 1:
+                terms.append((bracket, exps, dts[0], c.numerator * (den // c.denominator)))
+    return den, terms
+
+
+def _segment_transport(coeff_terms, a, b, env):
+    """The transport along the segment from a to b, as a scaled series in
+    normal form; ``coeff_terms`` is ``_coefficient_terms(alpha, env.order)``."""
+    order = env.order
+    den_c, terms = coeff_terms
+    # pull back along x = a + s(b - a).  With a = A/q and b - a = D/q over
+    # one denominator q, the term c x^e dx_j becomes
+    # c D_j prod_i (A_i + D_i s)^e_i / q^(1 + |e|) ds, so over
+    # den_a = den_c q^(1 + top), top the largest |e|, each coefficient is
+    # an integer polynomial in s
+    q = lcm(*[c.denominator for c in a + b])
+    A = [c.numerator * (q // c.denominator) for c in a]
+    D = [c.numerator * (q // c.denominator) - x for c, x in zip(b, A)]
+    top = max((sum(exps) for _, exps, _, _ in terms), default=0)
+    den_a = den_c * q ** (1 + top)
+    coeff_polys = {}  # word -> {exponent of s: int}
+    for bracket, exps, j, n in terms:
+        if not D[j]:
+            continue
+        poly = {0: n * D[j] * q ** (top - sum(exps))}
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                times = {}
+                for k, c in poly.items():
+                    times[k] = times.get(k, 0) + c * A[i]
+                    times[k + 1] = times.get(k + 1, 0) + c * D[i]
+                poly = times
+        for ww, c2 in bracket.items():
+            acc = coeff_polys.setdefault(ww, {})
+            for k, c in poly.items():
+                acc[k] = acc.get(k, 0) + c2 * c
+    coeff_polys = [(w, nonzero) for w, p in coeff_polys.items()
+                   if (nonzero := [(e, c) for e, c in p.items() if c])]
+    # iterated indefinite integrals: I_0 = 1; I_r = int I_{r-1} A.  Level
+    # r holds integer polynomials over den; integrating divides the
+    # coefficient of s^e by e, done as one rescale by the lcm of the
+    # level's exponents
+    levels = [(1, {EMPTY: 1})]  # (den, {word: value at s = 1})
+    current = {(): {0: 1}}  # word -> integer poly in s
+    den = 1
     for r in range(1, order + 1):
         nxt = {}
         for w1, poly1 in current.items():
-            for w2, poly2 in coeff_polys.items():
-                if len(w1) + len(w2) > order:
+            room = order - len(w1)
+            for w2, poly2 in coeff_polys:
+                if len(w2) > room:
                     continue
-                prod = accumulate({}, ((e1 + e2, c1 * c2) for e1, c1 in poly1.items()
-                                       for e2, c2 in poly2.items()))
-                accumulate(nxt.setdefault(w1 + w2, {}),
-                           ((e + 1, c / (e + 1)) for e, c in prod.items()))
-        current = {w: p for w, p in nxt.items() if p}
+                acc = nxt.setdefault(w1 + w2, {})
+                for e1, c1 in poly1.items():
+                    for e2, c2 in poly2:
+                        e = e1 + e2 + 1
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        scale = lcm(*{e for p in nxt.values() for e in p})
+        den *= den_a * scale
+        current = {}
+        for w, p in nxt.items():
+            p = {e: c * (scale // e) for e, c in p.items() if c}
+            if p:
+                current[w] = p
         if not current:
             break
         # evaluate at s = 1
-        accumulate(total, ((w, sum(poly.values(), Fraction(0)))
-                           for w, poly in current.items()))
-    return env.reduce(total)
+        levels.append((den, {w: sum(p.values()) for w, p in current.items()}))
+    common = lcm(*[d for d, _ in levels])
+    total = {}
+    for d, values in levels:
+        f = common // d
+        for w, v in values.items():
+            total[w] = total.get(w, 0) + f * v
+    return env._reduce((common, {w: n for w, n in total.items() if n}))
 
 
 def lattice_path(basepoint, deck_word, m):

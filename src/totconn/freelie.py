@@ -5,6 +5,14 @@ truncated at a fixed word length.  The tensor algebra carries the
 concatenation product and the unshuffle coproduct, whose primitives are
 the free Lie algebra; Lyndon words provide the canonical bracket basis.
 All generators sit in degree zero, so no Koszul signs appear here.
+
+Public functions and methods take and return ``Fraction`` dicts.  The
+truncated product, exp and log, and the enveloping quotient's reduction,
+compute internally on a *scaled series* ``(den, {word: int})``: integer
+numerators over one common positive denominator, with no zero numerator
+stored.  Each operation divides out the gcd of the denominator and the
+numerators once at its end, and ``Fraction``s are built only when a
+value leaves the public interface.
 """
 
 from __future__ import annotations
@@ -12,8 +20,9 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import factorial, gcd, lcm
 
-from .linalg import Coordinates, Echelon, accumulate, vec_add, vec_scale
+from .linalg import Coordinates, Echelon, accumulate
 from .scalars import rat, rat_str
 
 
@@ -29,43 +38,154 @@ def check_order(order):
         raise TruncationError("truncation order must be >= 1")
 
 
+# ---------------------------------------------------------------------
+# scaled series: integer numerators over one common denominator
+# ---------------------------------------------------------------------
+
+def _to_scaled(x: dict):
+    """The scaled form of a {word: Fraction or int} dict.  The
+    denominator is the lcm of the coefficients' denominators, so the
+    result is already in lowest terms."""
+    den = lcm(*[c.denominator for c in x.values()])
+    return den, {w: c.numerator * (den // c.denominator)
+                 for w, c in x.items() if c}
+
+
+def _from_scaled(s) -> dict:
+    den, num = s
+    if den == 1:
+        return {w: Fraction(n) for w, n in num.items()}
+    return {w: Fraction(n, den) for w, n in num.items()}
+
+
+def _lowest_terms(den, num):
+    """Divide out the gcd of ``den`` and all numerators."""
+    g = gcd(den, *num.values())
+    if g == 1:
+        return den, num
+    return den // g, {w: n // g for w, n in num.items()}
+
+
+def _scaled_mul(a, b, order):
+    """Concatenation product of scaled series, dropping words longer than
+    ``order``; not brought to lowest terms."""
+    da, na = a
+    db, nb = b
+    by_length = sorted(nb.items(), key=_word_length)
+    out = {}
+    for wa, ca in na.items():
+        room = order - len(wa)
+        for wb, cb in by_length:
+            if len(wb) > room:
+                break
+            w = wa + wb
+            out[w] = out.get(w, 0) + ca * cb
+    return da * db, {w: c for w, c in out.items() if c}
+
+
+def _word_length(item):
+    return len(item[0])
+
+
+# sum_k coefficient_k x^k for exp(x) and for log(1 + x), k = 0..order
+def _exp_coefficients(order):
+    return [Fraction(1, factorial(k)) for k in range(order + 1)]
+
+
+def _log_coefficients(order):
+    return [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
+
+
+def _scaled_power_series(x, coefficients, order):
+    """sum_k coefficients[k] x^k of a scaled series without constant
+    term, truncated at ``order``, in lowest terms.
+
+    x^k has the denominator den^k, so every term sits over the common
+    denominator den^order times the lcm of the coefficients'
+    denominators.
+    """
+    den, _ = x
+    common = den ** order * lcm(*[c.denominator for c in coefficients])
+    c0 = coefficients[0]
+    out = {EMPTY: c0.numerator * (common // c0.denominator)} if c0 else {}
+    power = (1, {EMPTY: 1})
+    for k in range(1, order + 1):
+        power = _scaled_mul(power, x, order)
+        if not power[1]:
+            break
+        c = coefficients[k]
+        f = c.numerator * (common // (power[0] * c.denominator))
+        for w, n in power[1].items():
+            out[w] = out.get(w, 0) + f * n
+    return _lowest_terms(common, {w: n for w, n in out.items() if n})
+
+
+def _int_rows(ech: Echelon):
+    """The rows of a fully reduced echelon as {pivot: (p, tail)}: p is
+    the lcm of the row's denominators, and ``tail`` the integer row p *
+    row without its pivot entry (which is p)."""
+    rows = {}
+    for pivot, row in ech.rows.items():
+        p = lcm(*[c.denominator for c in row.values()])
+        rows[pivot] = (p, {k: c.numerator * (p // c.denominator)
+                           for k, c in row.items() if k != pivot})
+    return rows
+
+
+def _scaled_reduce(rows, den, num):
+    """num/den modulo the span of integer echelon rows; not brought to
+    lowest terms.
+
+    A row holds no pivot but its own, so subtracting it never changes the
+    coefficient at another pivot: the pivots of ``num`` are eliminated
+    once each, in any order.  Eliminating pivot k with coefficient c
+    against a row with pivot coefficient p multiplies the series by
+    p/gcd(c, p), then subtracts c/gcd(c, p) times the row.
+    """
+    pivots = [k for k in num if k in rows]
+    if not pivots:
+        return den, num
+    num = dict(num)
+    for k in pivots:
+        c = num.pop(k)
+        p, tail = rows[k]
+        g = gcd(c, p)
+        if g != p:
+            f = p // g
+            den *= f
+            num = {w: f * n for w, n in num.items()}
+        q = c // g
+        for w, r in tail.items():
+            n = num.get(w, 0) - q * r
+            if n:
+                num[w] = n
+            else:
+                num.pop(w, None)
+    return den, num
+
+
+# ---------------------------------------------------------------------
+# the truncated tensor algebra
+# ---------------------------------------------------------------------
+
 def tensor_mul(a: dict, b: dict, order: int) -> dict:
     """Concatenation product, dropping words longer than ``order``."""
-    return accumulate({}, ((wa + wb, ca * cb) for wa, ca in a.items()
-                           for wb, cb in b.items() if len(wa) + len(wb) <= order))
+    return _from_scaled(_lowest_terms(*_scaled_mul(_to_scaled(a), _to_scaled(b), order)))
 
 
 def tensor_exp(x: dict, order: int) -> dict:
     """exp of a series with no constant term."""
     if EMPTY in x:
         raise ValueError("exp needs a series without constant term")
-    out = {EMPTY: Fraction(1)}
-    power = {EMPTY: Fraction(1)}
-    fact = 1
-    for k in range(1, order + 1):
-        power = tensor_mul(power, x, order)
-        if not power:
-            break
-        fact *= k
-        coeff = Fraction(1, fact)
-        accumulate(out, ((w, coeff * c) for w, c in power.items()))
-    return out
+    return _from_scaled(_scaled_power_series(_to_scaled(x), _exp_coefficients(order), order))
 
 
 def tensor_log(t: dict, order: int) -> dict:
     """log of a series with constant term 1."""
     if t.get(EMPTY) != 1:
         raise ValueError("log needs constant term 1")
-    u = {w: c for w, c in t.items() if w != EMPTY}
-    out = {}
-    power = {EMPTY: Fraction(1)}
-    for k in range(1, order + 1):
-        power = tensor_mul(power, u, order)
-        if not power:
-            break
-        coeff = Fraction((-1) ** (k + 1), k)
-        accumulate(out, ((w, coeff * c) for w, c in power.items()))
-    return out
+    u = _to_scaled({w: c for w, c in t.items() if w != EMPTY})
+    return _from_scaled(_scaled_power_series(u, _log_coefficients(order), order))
 
 
 def bch(x: dict, y: dict, order: int) -> dict:
@@ -157,7 +277,16 @@ def _is_lyndon(w):
 
 
 def commutator(a: dict, b: dict, order: int) -> dict:
-    return vec_add(tensor_mul(a, b, order), tensor_mul(b, a, order), Fraction(-1))
+    sa, sb = _to_scaled(a), _to_scaled(b)
+    den, ab = _scaled_mul(sa, sb, order)
+    _, ba = _scaled_mul(sb, sa, order)
+    for w, n in ba.items():
+        n = ab.get(w, 0) - n
+        if n:
+            ab[w] = n
+        else:
+            del ab[w]
+    return _from_scaled(_lowest_terms(den, ab))
 
 
 def lyndon_bracket(w, order=None) -> dict:
@@ -380,7 +509,10 @@ class EnvelopingQuotient:
     """T(gens)/(two-sided ideal of R0), truncated by word length.
 
     This is the completed enveloping algebra of the fiber Lie algebra at
-    truncated scale; transport values and holonomies live here.
+    truncated scale; transport values and holonomies live here.  The
+    ideal's echelon rows are scaled to integer rows once, at
+    construction; every method computes on scaled series and returns
+    ``Fraction`` dicts.
     """
 
     def __init__(self, free: FreeLie, ideal: LieIdealPresentation, order: int):
@@ -388,66 +520,104 @@ class EnvelopingQuotient:
         self.free = free
         self.order = order
         self.ideal = ideal
-        self._mod = Echelon(_length_first)
+        mod = Echelon(_length_first)
         num = len(free.gen_names)
         gens = [{w: c for w, c in g.items() if len(w) <= order}
                 for g in ideal.generators]
         for g in gens:
-            self._insert_two_sided(g, num)
+            self._insert_two_sided(mod, g, num)
+        self._rows = _int_rows(mod)
 
-    def _insert_two_sided(self, g, num_gens):
-        min_len = min((len(w) for w in g), default=self.order + 1)
+    def _insert_two_sided(self, mod, g, num_gens):
         frontier = [g]
-        self._mod.insert(g)
+        mod.insert(g)
         while frontier:
             nxt = []
             for v in frontier:
                 vmin = min((len(w) for w in v), default=self.order + 1)
                 if vmin >= self.order:
                     continue
+                shorter = [(w, c) for w, c in v.items() if len(w) < self.order]
                 for i in range(num_gens):
-                    left = tensor_mul({(i,): Fraction(1)}, v, self.order)
-                    right = tensor_mul(v, {(i,): Fraction(1)}, self.order)
+                    left = {(i,) + w: c for w, c in shorter}
+                    right = {w + (i,): c for w, c in shorter}
                     for h in (left, right):
-                        if h and self._mod.insert(h):
+                        if h and mod.insert(h):
                             nxt.append(h)
             frontier = nxt
 
+    def _normal_form(self, x: dict):
+        """The normal form of a {word: Fraction} dict, as a scaled series."""
+        order = self.order
+        return self._reduce(_to_scaled({w: c for w, c in x.items() if len(w) <= order}))
+
+    def _reduce(self, s):
+        """The normal form of a scaled series whose words are no longer
+        than the order."""
+        return _lowest_terms(*_scaled_reduce(self._rows, *s))
+
+    def _mul(self, a, b):
+        """The product of two normal forms, as a normal form."""
+        return self._reduce(_scaled_mul(a, b, self.order))
+
+    def _log(self, t):
+        """log of a normal form with constant term 1, not yet reduced."""
+        den, num = t
+        if num.get(EMPTY) != den:
+            raise ValueError("log needs constant term 1")
+        u = (den, {w: n for w, n in num.items() if w != EMPTY})
+        return _scaled_power_series(u, _log_coefficients(self.order), self.order)
+
+    def _exp(self, x):
+        """exp of a normal form without constant term, as a normal form."""
+        if EMPTY in x[1]:
+            raise ValueError("exp needs a series without constant term")
+        return self._reduce(_scaled_power_series(x, _exp_coefficients(self.order),
+                                                 self.order))
+
     def reduce(self, x: dict) -> dict:
-        return self._mod.reduce({w: c for w, c in x.items()
-                                 if len(w) <= self.order})
+        return _from_scaled(self._normal_form(x))
 
     def eq(self, a: dict, b: dict) -> bool:
-        return self.reduce(vec_add(a, b, Fraction(-1))) == {}
+        # normal forms in lowest terms are canonical
+        return self._normal_form(a) == self._normal_form(b)
 
     def mul(self, a: dict, b: dict) -> dict:
-        return self.reduce(tensor_mul(self.reduce(a), self.reduce(b), self.order))
+        return _from_scaled(self._mul(self._normal_form(a), self._normal_form(b)))
 
     def exp(self, x: dict) -> dict:
-        return self.reduce(tensor_exp(self.reduce(x), self.order))
+        return _from_scaled(self._exp(self._normal_form(x)))
 
     def log(self, t: dict) -> dict:
-        return self.reduce(tensor_log(self.reduce(t), self.order))
+        return _from_scaled(self._reduce(self._log(self._normal_form(t))))
 
     def inverse(self, t: dict) -> dict:
         if t.get(EMPTY) != 1:
             raise ValueError("only grouplike-style series are inverted")
-        return self.exp(vec_scale(self.log(t), Fraction(-1)))
+        den, num = self._reduce(self._log(self._normal_form(t)))
+        return _from_scaled(self._exp((den, {w: -n for w, n in num.items()})))
 
     def is_grouplike(self, t: dict) -> bool:
-        """log(t) is a Lie element modulo the ideal span."""
-        return self._lie_plus_ideal.contains(self.log(t))
+        """The normal form of t has constant term 1 and log(t) is a Lie
+        element modulo the ideal span."""
+        s = self._normal_form(t)
+        if s[1].get(EMPTY) != s[0]:
+            return False
+        # the ideal rows are among the rows of _lie_plus_ideal, so log(t)
+        # need not be reduced modulo the ideal first
+        den, num = self._log(s)
+        return not _scaled_reduce(self._lie_plus_ideal, den, num)[1]
 
     @functools.cached_property
     def _lie_plus_ideal(self):
-        """Echelon of the Lyndon brackets up to the order plus the ideal
-        rows, built once per quotient on first use."""
+        """Integer echelon rows of the Lyndon brackets up to the order plus
+        the ideal rows, built once per quotient on first use."""
         ech = Echelon(_length_first)
         for w in self.free.lyndon:
             if len(w) > self.order:
                 continue
             ech.insert({ww: c for ww, c in lyndon_bracket(w, self.order).items()
                         if len(ww) <= self.order})
-        for row in self._mod.basis():
-            ech.insert(row)
-        return ech
+        for pivot, (p, tail) in self._rows.items():
+            ech.insert({pivot: p, **tail})
+        return _int_rows(ech)

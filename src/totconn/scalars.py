@@ -1,6 +1,8 @@
 """Exact rational scalars and (de)serialization helpers.
 
-Every number in this library is a ``fractions.Fraction``; there is no
+Every number the library takes or returns is a ``fractions.Fraction``
+(transport and the enveloping quotient compute internally on integer
+numerators over a common denominator, see ``freelie``); there is no
 floating point anywhere in the computational core.  Fractions are kept in
 canonical reduced form with positive denominator by the stdlib, which makes
 equality of values literal equality of objects.

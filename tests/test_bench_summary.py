@@ -1,0 +1,64 @@
+"""tools/bench_summary.py on synthetic run records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_summary",
+                                               ROOT / "tools" / "bench_summary.py")
+bench_summary = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_summary)
+
+METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mib")
+
+
+def write_runs(tree, workload, walls, trace=0):
+    runs = tree / "perfbench" / "runs"
+    runs.mkdir(parents=True, exist_ok=True)
+    for seed, wall in enumerate(walls, start=1):
+        record = {"seconds": 25, "git_rev": "unknown", "python": "3.11.7",
+                  "nproc": 2, "attempted": 48, "failed": 0, "correct": True,
+                  "summary": {m: {"median": wall if m != "peak_rss_mib" else 23.0}
+                              for m in METRICS},
+                  "layers": {"connection.transport.calls": 24}}
+        name = "%s-seed%d-trace%d.json" % (workload, seed, trace)
+        (runs / name).write_text(json.dumps(record))
+
+
+def test_summary_counts_pairs_and_checks_the_claim(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent_walls = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.01, 0.99]
+    change_walls = [0.3] * 9 + [1.2]
+    write_runs(parent, "holonomy", parent_walls)
+    write_runs(change, "holonomy", change_walls)
+    write_runs(parent, "pipeline", [0.2, 0.21, 0.22])
+    write_runs(change, "pipeline", [0.2, 0.2, 0.2])
+    write_runs(parent, "holonomy", [1.0], trace=1)
+    write_runs(change, "holonomy", [0.3], trace=1)
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--parent", str(parent), "--change", str(change),
+                               "--title", "t", "--claim", "holonomy:wall_s",
+                               "--target", "half", "--parent-rev", "abc",
+                               "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["claim"]["met"] and data["claim"]["change_better_pairs"] == 9
+    assert data["revs"]["parent"] == "abc"
+    hol = data["workloads"]["holonomy"]
+    assert hol["pairs"] == 10 and hol["ops"]["parent"] == {"attempted": 480, "failed": 0}
+    assert hol["metrics"]["wall_s"]["parent"]["median"] == 1.0
+    assert hol["metrics"]["wall_s"]["change"]["median"] == 0.3
+    assert hol["metrics"]["peak_rss_mib"]["change_better_pairs"] == 0  # ties
+    assert data["workloads"]["pipeline"]["metrics"]["wall_s"]["change_better_pairs"] == 2
+    assert data["trace_holonomy"]["change"] == {"connection.transport.calls": 24}
+
+
+def test_claim_not_met_below_nine_tenths(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, "holonomy", [1.0] * 10)
+    write_runs(change, "holonomy", [0.5] * 8 + [1.5] * 2)
+    out = tmp_path / "BENCH.json"
+    bench_summary.main(["--parent", str(parent), "--change", str(change), "--title", "t",
+                        "--claim", "holonomy:wall_s", "--target", "half",
+                        "--out", str(out)])
+    assert not json.loads(out.read_text())["claim"]["met"]

@@ -18,6 +18,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CIRCLE = str(GOLDEN / "circle.json")
 CONN = str(GOLDEN / "nilpotent_connection.json")
 PATH = str(GOLDEN / "path.json")
+POLY_CONN = str(GOLDEN / "poly_connection.json")
+PATH_MIXED = str(GOLDEN / "path_mixed.json")
 TOT_R1 = str(GOLDEN / "tot_degree1_r1_a5_inputs.json")
 TOT_R2 = str(GOLDEN / "tot_degree1_r2_a5_inputs.json")
 TOT_MIXED = str(GOLDEN / "tot_mixed_r1_a3_inputs.json")
@@ -37,6 +39,10 @@ CASES = {
                             "--order", "4", "--json"],
     "conn_holonomy.json": ["conn", "holonomy", "--input", CONN, "--loop",
                            "a b a- b- a a b", "--basepoint", "1/2,-1/3", "--json"],
+    "conn_transport_poly.json": ["conn", "transport", "--input", POLY_CONN,
+                                 "--path", PATH_MIXED, "--order", "4", "--json"],
+    "conn_holonomy_poly.json": ["conn", "holonomy", "--input", POLY_CONN, "--loop",
+                                "a b- a- b a", "--basepoint", "2/7,-1/3", "--json"],
     "transfer_nc_2_4.json": ["transfer", "nc", "--n", "2", "--arity", "4", "--json"],
     "transfer_nc_3_3.json": ["transfer", "nc", "--n", "3", "--arity", "3", "--json"],
     "tot_product_degree1_r1_a5.json": ["tot", "product", "--inputs", TOT_R1,

@@ -1,0 +1,349 @@
+"""The transport layer on integer numerators, checked against Fractions.
+
+``freelie`` computes the enveloping quotient's reduction, product, exp
+and log, and ``connection`` computes segment transport, on integer
+numerators over one common denominator per series.  The ``ref_*``
+functions below are the plain ``Fraction`` implementations those
+replaced, kept as the oracle: every property here asks for
+values equal as rationals.
+
+The quotients cover the three shapes of echelon rows: the Heisenberg
+quotient (integer rows), an ideal whose rows carry non-unit denominators
+(its generator has coefficients 2 and 1/3), and the free quotient (no
+rows).  The connections cover coefficients that pull back to constants
+on straight segments (the flat nilpotent connection) and ones that pull
+back to polynomials of positive degree in s (a non-flat connection).
+"""
+
+import functools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from totconn.connection import (ConnectionForm, PLPath, _coefficient_terms,
+                                _segment_transport, form_dvar, form_var,
+                                transport)
+from totconn.forms import PolyForm
+from totconn.freelie import (EMPTY, EnvelopingQuotient, FreeLie,
+                             LieIdealPresentation, _from_scaled, _length_first,
+                             commutator, is_grouplike, lyndon_bracket,
+                             tensor_exp, tensor_log, tensor_mul)
+from totconn.linalg import Echelon, accumulate, vec_add
+from totconn.scalars import rat
+
+
+# ---------------------------------------------------------------------
+# the Fraction reference implementations
+# ---------------------------------------------------------------------
+
+def ref_tensor_mul(a, b, order):
+    return accumulate({}, ((wa + wb, ca * cb) for wa, ca in a.items()
+                           for wb, cb in b.items() if len(wa) + len(wb) <= order))
+
+
+def ref_tensor_exp(x, order):
+    if EMPTY in x:
+        raise ValueError("exp needs a series without constant term")
+    out = {EMPTY: Fraction(1)}
+    power = {EMPTY: Fraction(1)}
+    fact = 1
+    for k in range(1, order + 1):
+        power = ref_tensor_mul(power, x, order)
+        if not power:
+            break
+        fact *= k
+        coeff = Fraction(1, fact)
+        accumulate(out, ((w, coeff * c) for w, c in power.items()))
+    return out
+
+
+def ref_tensor_log(t, order):
+    if t.get(EMPTY) != 1:
+        raise ValueError("log needs constant term 1")
+    u = {w: c for w, c in t.items() if w != EMPTY}
+    out = {}
+    power = {EMPTY: Fraction(1)}
+    for k in range(1, order + 1):
+        power = ref_tensor_mul(power, u, order)
+        if not power:
+            break
+        coeff = Fraction((-1) ** (k + 1), k)
+        accumulate(out, ((w, coeff * c) for w, c in power.items()))
+    return out
+
+
+class RefQuotient:
+    """The two-sided ideal's echelon, built and used with Fractions."""
+
+    def __init__(self, free, ideal, order):
+        self.order = order
+        self.mod = Echelon(_length_first)
+        num = len(free.gen_names)
+        for g in ideal.generators:
+            self._insert_two_sided({w: c for w, c in g.items() if len(w) <= order}, num)
+
+    def _insert_two_sided(self, g, num_gens):
+        frontier = [g]
+        self.mod.insert(g)
+        while frontier:
+            nxt = []
+            for v in frontier:
+                vmin = min((len(w) for w in v), default=self.order + 1)
+                if vmin >= self.order:
+                    continue
+                for i in range(num_gens):
+                    left = ref_tensor_mul({(i,): Fraction(1)}, v, self.order)
+                    right = ref_tensor_mul(v, {(i,): Fraction(1)}, self.order)
+                    for h in (left, right):
+                        if h and self.mod.insert(h):
+                            nxt.append(h)
+            frontier = nxt
+
+
+def ref_reduce(q, x):
+    return q.mod.reduce({w: c for w, c in x.items() if len(w) <= q.order})
+
+
+def ref_mul(q, a, b):
+    return ref_reduce(q, ref_tensor_mul(ref_reduce(q, a), ref_reduce(q, b), q.order))
+
+
+def ref_exp(q, x):
+    return ref_reduce(q, ref_tensor_exp(ref_reduce(q, x), q.order))
+
+
+def ref_log(q, t):
+    return ref_reduce(q, ref_tensor_log(ref_reduce(q, t), q.order))
+
+
+def ref_segment_transport(alpha, a, b, q):
+    m = alpha.m
+    order = q.order
+    coeff_polys = {}
+    svar = PolyForm.var(1, 0, varname="s", ndiff=1)
+    images = []
+    for j in range(m):
+        img = PolyForm.const(1, a[j], varname="s", ndiff=1) + \
+            svar.scale(rat(b[j]) - rat(a[j]))
+        images.append(img)
+    for w, form in alpha.coeffs.items():
+        pulled = form.substitute(images)
+        poly = {exps[0]: c for (exps, dts), c in pulled.terms.items() if dts == (0,)}
+        if poly:
+            for ww, c2 in lyndon_bracket(tuple(w), order).items():
+                if len(ww) > order:
+                    continue
+                accumulate(coeff_polys.setdefault(ww, {}),
+                           ((e, c * c2) for e, c in poly.items()))
+    total = {EMPTY: Fraction(1)}
+    current = {(): {0: Fraction(1)}}
+    for r in range(1, order + 1):
+        nxt = {}
+        for w1, poly1 in current.items():
+            for w2, poly2 in coeff_polys.items():
+                if len(w1) + len(w2) > order:
+                    continue
+                prod = accumulate({}, ((e1 + e2, c1 * c2) for e1, c1 in poly1.items()
+                                       for e2, c2 in poly2.items()))
+                accumulate(nxt.setdefault(w1 + w2, {}),
+                           ((e + 1, c / (e + 1)) for e, c in prod.items()))
+        current = {w: p for w, p in nxt.items() if p}
+        if not current:
+            break
+        accumulate(total, ((w, sum(poly.values(), Fraction(0)))
+                           for w, poly in current.items()))
+    return ref_reduce(q, total)
+
+
+def ref_transport(alpha, path, q):
+    total = {EMPTY: Fraction(1)}
+    for a, b in zip(path.vertices, path.vertices[1:]):
+        total = ref_mul(q, total, ref_segment_transport(alpha, a, b, q))
+    return total
+
+
+# ---------------------------------------------------------------------
+# quotients and connections
+# ---------------------------------------------------------------------
+
+def heisenberg(order=5):
+    """The workload's quotient: [X,[X,Y]] and [Y,[Y,X]] killed."""
+    free = FreeLie(["X", "Y"], order)
+    x, y = free.gen(0), free.gen(1)
+    gens = [commutator(x, commutator(x, y, order), order),
+            commutator(y, commutator(y, x, order), order)]
+    return free, LieIdealPresentation(free, gens)
+
+
+def fractional(order=5):
+    """One inhomogeneous generator 2 [X,[X,Y]] + 1/3 [Y,[Y,[Y,X]]]: some
+    of its echelon rows, pivot coefficient 1, carry the denominator 6."""
+    free = FreeLie(["X", "Y"], order)
+    x, y = free.gen(0), free.gen(1)
+    xxy = commutator(x, commutator(x, y, order), order)
+    yyyx = commutator(y, commutator(y, commutator(y, x, order), order), order)
+    gen = vec_add(vec_add({}, xxy, Fraction(2)), yyyx, Fraction(1, 3))
+    return free, LieIdealPresentation(free, [gen])
+
+
+def free_quotient(order=4):
+    free = FreeLie(["X", "Y"], order)
+    return free, LieIdealPresentation(free, [])
+
+
+QUOTIENTS = {"heisenberg": heisenberg, "fractional": fractional,
+             "free": free_quotient}
+
+
+@functools.cache
+def quotient(name):
+    """(env, reference) for a named quotient, built once per test run."""
+    free, ideal = QUOTIENTS[name]()
+    return (EnvelopingQuotient(free, ideal, free.order),
+            RefQuotient(free, ideal, free.order))
+
+
+def nilpotent_connection():
+    """dx X + dy Y - 1/2 (x dy - y dx) [X,Y]: constant on straight segments."""
+    x, y = form_var(2, 0), form_var(2, 1)
+    dx, dy = form_dvar(2, 0), form_dvar(2, 1)
+    half = (x.wedge(dy) - y.wedge(dx)).scale(Fraction(-1, 2))
+    return ConnectionForm(2, None, {(0,): dx, (1,): dy, (0, 1): half})
+
+
+def polynomial_connection():
+    """x1^2 dx2 X + x1 x2 dx1 [X,Y] + dx1 Y: not flat, and its
+    coefficients pull back to polynomials of degree 2 in s."""
+    x, y = form_var(2, 0), form_var(2, 1)
+    dx, dy = form_dvar(2, 0), form_dvar(2, 1)
+    return ConnectionForm(2, None, {(0,): x.wedge(x).wedge(dy), (1,): dx,
+                                    (0, 1): x.wedge(y).wedge(dx)})
+
+
+CONNECTIONS = {"nilpotent": nilpotent_connection,
+               "polynomial": polynomial_connection}
+
+
+# ---------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------
+
+DENOMINATORS = (1, 2, 3, 7)
+quotient_names = st.sampled_from(sorted(QUOTIENTS))
+
+
+def rationals(denominators=DENOMINATORS):
+    return st.builds(Fraction, st.integers(-9, 9), st.sampled_from(denominators))
+
+
+@st.composite
+def series(draw, order, constant=None, max_terms=6):
+    """A {word: Fraction} series on two letters up to ``order``, with
+    ``constant`` as the empty word's coefficient (none if None)."""
+    words = st.lists(st.integers(0, 1), min_size=1, max_size=order).map(tuple)
+    out = draw(st.dictionaries(words, rationals(), max_size=max_terms))
+    if constant is not None:
+        out[EMPTY] = Fraction(constant)
+    return {w: c for w, c in out.items() if c}
+
+
+@st.composite
+def paths(draw):
+    """PL paths of 2 to 4 vertices with coordinates over 2, 3 and 7."""
+    point = st.tuples(rationals((2, 3, 7)), rationals((2, 3, 7)))
+    return PLPath(draw(st.lists(point, min_size=2, max_size=4)))
+
+
+# ---------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------
+
+def test_fractional_quotient_has_non_unit_row_denominators():
+    env, _ = quotient("fractional")
+    assert any(p != 1 for p, _ in env._rows.values())
+    env, _ = quotient("heisenberg")
+    assert env._rows and all(p == 1 for p, _ in env._rows.values())
+    env, _ = quotient("free")
+    assert not env._rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_reduce_and_eq_match_fractions(data):
+    name = data.draw(quotient_names)
+    env, ref = quotient(name)
+    x = data.draw(series(env.order + 1))
+    y = data.draw(series(env.order))
+    assert env.reduce(x) == ref_reduce(ref, x)
+    assert all(type(c) is Fraction for c in env.reduce(x).values())
+    assert env.eq(x, y) == (ref_reduce(ref, vec_add(x, y, Fraction(-1))) == {})
+    in_ideal = vec_add(x, ref_reduce(ref, x), Fraction(-1))
+    assert env.eq(y, vec_add(y, in_ideal))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_mul_matches_fractions(data):
+    name = data.draw(quotient_names)
+    env, ref = quotient(name)
+    a = data.draw(series(env.order))
+    b = data.draw(series(env.order))
+    assert env.mul(a, b) == ref_mul(ref, a, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_exp_log_inverse_match_fractions(data):
+    name = data.draw(quotient_names)
+    env, ref = quotient(name)
+    x = data.draw(series(env.order))
+    t = data.draw(series(env.order, constant=1))
+    assert env.exp(x) == ref_exp(ref, x)
+    assert env.log(t) == ref_log(ref, t)
+    inv = ref_exp(ref, {w: -c for w, c in ref_log(ref, t).items()})
+    assert env.inverse(t) == inv
+    assert env.eq(env.mul(t, env.inverse(t)), {EMPTY: Fraction(1)})
+
+
+@settings(deadline=None, max_examples=60)
+@given(series(5), series(5, constant=1))
+def test_tensor_wrappers_match_fractions(x, t):
+    assert tensor_mul(x, t, 5) == ref_tensor_mul(x, t, 5)
+    assert tensor_exp(x, 5) == ref_tensor_exp(x, 5)
+    assert tensor_log(t, 5) == ref_tensor_log(t, 5)
+    assert all(type(c) is Fraction for c in tensor_exp(x, 5).values())
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_transport_matches_fractions(data):
+    name = data.draw(quotient_names)
+    env, ref = quotient(name)
+    alpha = CONNECTIONS[data.draw(st.sampled_from(sorted(CONNECTIONS)))]()
+    path = data.draw(paths())
+    a, b = path.vertices[:2]
+    terms = _coefficient_terms(alpha, env.order)
+    assert _from_scaled(_segment_transport(terms, a, b, env)) \
+        == ref_segment_transport(alpha, a, b, ref)
+    T = transport(alpha, path, env)
+    assert T == ref_transport(alpha, path, ref)
+    assert env.is_grouplike(T)
+
+
+def test_polynomial_connection_pulls_back_to_positive_degree():
+    # the property above exercises the (e+1) rescale beyond e = 0 only if
+    # some coefficient is a non-constant polynomial in s
+    alpha = polynomial_connection()
+    s = PolyForm.var(1, 0, varname="s", ndiff=1)
+    one = PolyForm.const(1, Fraction(1), varname="s", ndiff=1)
+    pulled = alpha.coeffs[(0,)].substitute([one + s.scale(Fraction(1, 2)), s])
+    assert max(exps[0] for exps, _ in pulled.terms) == 2
+
+
+def test_grouplike_needs_reduced_constant_term_one():
+    env, _ = quotient("heisenberg")
+    for t in ({EMPTY: Fraction(2)}, {}, {(0,): Fraction(1)}):
+        assert env.is_grouplike(t) is False
+        assert is_grouplike(t, env.order) is False
+    assert env.is_grouplike({EMPTY: Fraction(1)}) is True
