@@ -20,6 +20,7 @@ from math import factorial
 
 from .linalg import accumulate
 from .scalars import rat, rat_str
+from .signs import perm_sign
 
 
 def _merge_dts(d1, d2):
@@ -210,6 +211,26 @@ class PolyForm:
                 acc = acc.wedge(dimages[j])
             accumulate(out, acc.terms.items())
         return PolyForm._trusted(tgt_nvars, out, tgt_name, tgt_ndiff)
+
+    def relabel(self, images, sign=1):
+        """``sign`` times the form with variable j renamed images[j].
+
+        ``images`` is a permutation of range(nvars) that keeps the
+        differentiable variables among themselves.  Each dt tuple is
+        re-sorted with the sign of the sort.  No arithmetic beyond signs.
+        """
+        src = [0] * self.nvars
+        for j, i in enumerate(images):
+            src[i] = j
+        moved = {}
+        out = {}
+        for (exps, dts), c in self.terms.items():
+            hit = moved.get(dts)
+            if hit is None:
+                image = [images[j] for j in dts]
+                hit = moved[dts] = (tuple(sorted(image)), sign * perm_sign(image))
+            out[(tuple(exps[j] for j in src), hit[0])] = c if hit[1] > 0 else -c
+        return PolyForm._trusted(self.nvars, out, self.varname, self.ndiff)
 
     def partial(self, j):
         def derivatives():

@@ -194,10 +194,14 @@ class FiniteAlgebra(Carrier):
         if maps:
             for k, table in maps.items():
                 for w, out in table.items():
-                    self.set_value(k, w, out)
+                    self._set_value(k, w, out)
 
     # -- construction ---------------------------------------------------
     def set_value(self, k, input_word, output_vec):
+        """Set m_k on one input word (an empty vector removes the entry)."""
+        self._set_value(k, input_word, output_vec)
+
+    def _set_value(self, k, input_word, output_vec):
         input_word = tuple(input_word)
         if len(input_word) != k:
             raise ValueError("arity mismatch")

@@ -884,6 +884,11 @@ def tot_product_degree1(alg: TotalComplexAlgebra, elems):
     the Bernoulli-weighted sum over one (0,1)-slot plus the pure (1,0)
     product; the all-(0,1) part vanishes for arity > 2.  Coefficients
     are calibrated against the general transferred-product formula.
+
+    The pure (1,0) part is not independent: it is ``alg.m`` itself on the
+    (1,0) components.  So for arity >= 3 a comparison of this closed form
+    with ``alg.m`` does not check that part, which is where the top
+    coefficients of the transferred simplex tables enter.
     """
     be = alg.backend
     l = len(elems)

@@ -12,6 +12,20 @@ are the Bernoulli coefficients of the transferred interval products and
 the one-sixth coefficients on the triangle; the structure relations, the
 shuffle-vanishing property and the morphism relations for the inclusion
 are the running oracles.
+
+A contraction may carry a ``symmetry``: permutations that act on the big
+side and, up to sign, on the small basis keys, and that commute with
+the inclusion, the projection, the homotopy and the product.  The tree
+sum is then equivariant, lam(sigma.w) = sigma.lam(w) with the signs that
+sigma puts on the letters of w.  Dupont's E, Int and s are natural in
+simplicial maps (Dupont, Topology 15, 1976), so ``dupont_contraction(n)``
+carries the permutations of the vertices 1..n with vertex 0 fixed; they
+act monomially on the forms and on the basis 1, v_i, L_I.  A word is
+evaluated once per orbit: ``lam`` and ``hlam`` store their value for the
+whole orbit, relabelled, and ``_ensure`` projects once and writes the
+table entry of every word of the orbit.  The orbit is a breadth-first
+walk over the generators (adjacent transpositions), so the group is never
+listed.  Contractions without a symmetry evaluate every word on its own.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ from fractions import Fraction
 from .dupont import NCElement, dupont_E, dupont_Int, dupont_s, index_strings
 from .graded import GradedVectorSpace
 from .linalg import Coordinates, Echelon, accumulate, multilinear_terms
+from .signs import perm_sign
 from .structures import (FiniteAlgebra, FormsAlgebra, InfinityMorphism,
                          shift_sign)
 
@@ -32,7 +47,8 @@ class Contraction:
 
     ``big`` is an algebra carrier; ``include`` maps small basis keys to
     big elements, ``project`` big elements to small vectors, ``homotopy``
-    big elements to big elements (degree -1).
+    big elements to big elements (degree -1).  ``symmetry`` is None or a
+    group that the four maps commute with (see ``VertexPermutations``).
     """
 
     def __init__(self, big, small_space: GradedVectorSpace, include, project,
@@ -44,6 +60,7 @@ class Contraction:
         self.homotopy = homotopy
         self.unit_key = unit_key
         self.tag = tag
+        self.symmetry = None
 
     def include_vec(self, vec):
         return self.big.sum((self.include(key), c) for key, c in vec.items())
@@ -91,7 +108,9 @@ class TransferredAlgebra(FiniteAlgebra):
 
     Structure constants m_n on basis words are evaluated from the tree
     recursion on first use and cached in the ordinary sparse tables, so
-    checkers and serialization see a plain table-backed structure.
+    checkers and serialization see a plain table-backed structure.  The
+    tables belong to the transfer: ``set_value`` raises ``TypeError``, so
+    a shared (memoized) structure cannot be changed by one of its users.
     """
 
     def __init__(self, contraction: Contraction, arity_cap: int, kind="Cinf"):
@@ -100,11 +119,47 @@ class TransferredAlgebra(FiniteAlgebra):
         self.contraction = contraction
         self._lam = {}
         self._done = set()
+        self._last_orbit = (None, ())
         big = contraction.big
         for key in self.space.keys():
             val = contraction.project(big.m(1, [contraction.include(key)]))
             if val:
-                self.set_value(1, (key,), val)
+                self._set_value(1, (key,), val)
+
+    def set_value(self, k, input_word, output_vec):
+        raise TypeError("the tables of a transferred structure are read-only; "
+                        "copy them into a FiniteAlgebra to change them")
+
+    def _orbit(self, word):
+        """The other words of the orbit of ``word``, breadth-first over the
+        generators: (perm, image, sign) with image = sign * perm.word.
+
+        The last orbit is kept: ``lam``, ``hlam`` and ``_ensure`` usually
+        ask for the same word in turn.
+        """
+        sym = self.contraction.symmetry
+        if sym is None:
+            return ()
+        if self._last_orbit[0] == word:
+            return self._last_orbit[1]
+        orbit = [(sym.identity, word, 1)]
+        seen = {word}
+        for perm, wrd, sign in orbit:
+            for g in sym.generators:
+                image, s = sym.word(g, wrd)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append((sym.compose(g, perm), image, sign * s))
+        self._last_orbit = (word, orbit[1:])
+        return orbit[1:]
+
+    def _cache(self, tag, word, val):
+        """Store the form ``val`` at (tag, word) for the whole orbit."""
+        self._lam[(tag, word) if tag else word] = val
+        for perm, image, sign in self._orbit(word):
+            image_val = self.contraction.symmetry.form(perm, val, sign)
+            self._lam[(tag, image) if tag else image] = image_val
+        return val
 
     def hlam(self, word):
         """eta Lam on a word of basis keys: the inclusion for single
@@ -118,8 +173,7 @@ class TransferredAlgebra(FiniteAlgebra):
             val = self.contraction.include(word[0])
         else:
             val = self.contraction.homotopy(self.lam(word))
-        self._lam[("h", word)] = val
-        return val
+        return self._cache("h", word, val)
 
     def lam(self, word):
         cached = self._lam.get(word)
@@ -141,19 +195,22 @@ class TransferredAlgebra(FiniteAlgebra):
                     left_deg = sum(degs[:s]) + 1 - s
                     yield big.m(2, [left, right]), Fraction(-1 if (left_deg - 1) % 2 else 1)
 
-        total = self._lam[word] = big.sum(terms())
-        return total
+        return self._cache(None, word, big.sum(terms()))
 
     def _ensure(self, k, word):
+        """Fill m_k on ``word`` and on the rest of its orbit."""
         if k == 1 or (k, word) in self._done:
             return
         self._done.add((k, word))
         val = self.contraction.project(self.lam(word))
         if val:
-            sign = shift_sign([key[0] for key in word])
-            if sign != 1:
+            if shift_sign([key[0] for key in word]) != 1:
                 val = {kk: -c for kk, c in val.items()}
-            self.set_value(k, word, val)
+            self._set_value(k, word, val)
+        for perm, image, sign in self._orbit(word):
+            self._done.add((k, image))
+            if val:
+                self._set_value(k, image, self.contraction.symmetry.vector(perm, val, sign))
 
     def m(self, k, elems):
         if len(elems) != k:
@@ -337,6 +394,67 @@ def nc_vector_from_element(elem: NCElement):
     return accumulate({}, terms())
 
 
+class VertexPermutations:
+    """The permutations of the vertices 1..n of the n-simplex, vertex 0 fixed.
+
+    A permutation is a tuple ``perm`` over 0..n with perm[0] == 0 that
+    sends vertex v to perm[v].  It acts on forms by t_v -> t_perm[v] and
+    dt_v -> dt_perm[v], which fixes t_0 = 1 - sum t_v and dt_0, and on the
+    small basis by 1 -> 1, v_i -> v_perm[i] and L_I -> sgn L_sort(perm I),
+    where sgn is the sign of sorting perm I.  The generators are the n - 1
+    adjacent transpositions; key images are cached as they are used.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.identity = tuple(range(n + 1))
+        self.generators = tuple(self.identity[:i] + (i + 1, i) + self.identity[i + 2:]
+                                for i in range(1, n))
+        self._keys = {}
+
+    @staticmethod
+    def compose(g, perm):
+        """g after perm."""
+        return tuple(g[v] for v in perm)
+
+    def key(self, perm, key):
+        """perm . key as (image key, sign)."""
+        hit = self._keys.get((perm, key))
+        if hit is None:
+            deg, name = key
+            if name == "1":
+                hit = key, 1
+            elif name[0] == "v":
+                hit = (0, "v%d" % perm[int(name[1:])]), 1
+            else:
+                image = [perm[int(ch)] for ch in name[1:]]
+                hit = (deg, "L" + "".join(map(str, sorted(image)))), perm_sign(image)
+            self._keys[(perm, key)] = hit
+        return hit
+
+    def word(self, perm, word):
+        """perm . word, letter by letter, as (image word, sign)."""
+        sign = 1
+        image = []
+        for key in word:
+            img, s = self.key(perm, key)
+            image.append(img)
+            sign *= s
+        return tuple(image), sign
+
+    def vector(self, perm, vec, sign):
+        """sign * perm . vec on the small basis."""
+        out = {}
+        for key, c in vec.items():
+            img, s = self.key(perm, key)
+            out[img] = c if s == sign else -c
+        return out
+
+    def form(self, perm, form, sign):
+        """sign * perm . form."""
+        return form.relabel([perm[v] - 1 for v in range(1, self.n + 1)], sign)
+
+
 def dupont_contraction(n) -> Contraction:
     big = FormsAlgebra(n)
     space = nc_space(n)
@@ -350,8 +468,11 @@ def dupont_contraction(n) -> Contraction:
     def homotopy(form):
         return dupont_s(form, n)
 
-    return Contraction(big, space, include, project, homotopy,
-                       unit_key=(0, "1"), tag="dupont[%d]" % n)
+    con = Contraction(big, space, include, project, homotopy,
+                      unit_key=(0, "1"), tag="dupont[%d]" % n)
+    if n >= 2:
+        con.symmetry = VertexPermutations(n)
+    return con
 
 
 @functools.lru_cache(maxsize=None)

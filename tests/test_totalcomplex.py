@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from totconn.forms import PolyForm
 from totconn.linalg import Echelon
 from totconn.scalars import bernoulli
+from totconn import totalcomplex
 from totconn.structures import check_shuffle_vanishing, check_stasheff
 from totconn.totalcomplex import (FinitePresentation, GroupCochain,
                                   GroupCochainBackend, LevelCapError,
@@ -19,7 +21,9 @@ from totconn.totalcomplex import (FinitePresentation, GroupCochain,
                                   psi_roundtrip_ok, sigma_pushforward,
                                   tot_differential, tot_product_degree1,
                                   tot_product_degree1_with_scalar)
+from totconn.transfer import transfer_structure
 from tests.test_structures import torus_cdga
+from tests.test_transfer import plain_dupont
 
 
 def circle_backend():
@@ -587,6 +591,46 @@ def cochain_product_case(draw):
         elems.append(TotElement(be, {(p, q): draw(cochain(m, p, q))
                                      for p, q in draw(bidegrees_up_to(top, m))}))
     return m, elems
+
+
+@functools.lru_cache(maxsize=None)
+def plain_nc_structure(l, arity_cap):
+    """``nc_structure`` without the vertex symmetry: every top coefficient
+    comes from its own word's evaluation, not from an orbit fill."""
+    return transfer_structure(plain_dupont(l), arity_cap)
+
+
+def workload_b(be, rng):
+    """A (1,0) cochain shaped like the b part of the tot-degree1 benchmark
+    inputs: c g x, plus c' g^2 on rank 1."""
+    m = be.m
+    exps = [0] * (2 * m)
+    exps[m + rng.randrange(m)] = 1
+    exps[rng.randrange(m)] = 1
+    terms = {(tuple(exps), ()): Fraction(rng.choice((-2, -1, 1, 2)))}
+    if m == 1:
+        terms[((0, 2), ())] = Fraction(rng.choice((-2, -1, 1, 2)))
+    return GroupCochain(m, 1, PolyForm(2 * m, terms, varname="z", ndiff=m))
+
+
+def test_pure_degree1_part_matches_independent_top_coefficients(monkeypatch):
+    # tot_product_degree1 takes its pure (1,0) part from alg.m, so it
+    # cannot check it; here the per-tuple loop reads top coefficients
+    # evaluated word by word, while alg.m reads the orbit-filled tables
+    rng = random.Random(11)
+    for m in (1, 2):
+        be = GroupCochainBackend(m)
+        alg = TotalComplexAlgebra(be, level_cap=2, arity_cap=5)
+        for n in (3, 4, 5):
+            for _ in range(2):
+                vals = [workload_b(be, rng) for _ in range(n)]
+                elems = [TotElement(be, {(1, 0): b}) for b in vals]
+                got = alg.m(n, elems)
+                with monkeypatch.context() as patch:
+                    patch.setattr(totalcomplex, "nc_structure", plain_nc_structure)
+                    want = ref_pure_product(alg, n, [(1, 0)] * n, vals)
+                assert not want.is_zero()
+                assert got == want, (m, n)
 
 
 @given(cochain_product_case())

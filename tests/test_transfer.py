@@ -1,18 +1,21 @@
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totconn.graded import GradedVectorSpace
 from totconn.scalars import bernoulli
 from totconn.structures import (FiniteAlgebra, check_morphism,
                                 check_shuffle_vanishing, check_stasheff,
-                                check_unitality)
+                                check_unitality, shift_sign)
 from totconn.transfer import (ArityCapError, Contraction, HodgeError,
-                              contraction_from_hodge, dupont_contraction,
-                              identity_contraction, nc_structure,
-                              transfer_structure)
+                              TransferredAlgebra, contraction_from_hodge,
+                              dupont_contraction, identity_contraction,
+                              nc_structure, transfer_structure)
 from tests.test_structures import all_words, heisenberg_cdga, torus_cdga
 
 
@@ -220,6 +223,110 @@ def test_nc2_stasheff_exhaustive_arity5():
     alg = res.algebra
     probes = list(alg.basis_words(5))
     assert check_stasheff(alg, probes) == []
+
+
+# -------------------------------------------------------------------
+# the orbit fill against the per-word loop
+# -------------------------------------------------------------------
+
+def plain_dupont(n):
+    """The Dupont contraction with its vertex symmetry taken off: a
+    structure transferred along it evaluates every word on its own."""
+    con = dupont_contraction(n)
+    con.symmetry = None
+    return con
+
+
+@functools.lru_cache(maxsize=None)
+def ref_materialize(n, arity):
+    """The per-word loop: m_k on every word of arity 2..arity from that
+    word's own lam, on a structure without symmetry, as a FiniteAlgebra."""
+    alg = TransferredAlgebra(plain_dupont(n), arity)
+    out = FiniteAlgebra(alg.space, kind="Cinf", arity_cap=arity,
+                        unit_key=alg.unit_key)
+    for wrd, val in alg.maps[1].items():
+        out.set_value(1, wrd, val)
+    for k in range(2, arity + 1):
+        for wrd in itertools.product(alg.space.keys(), repeat=k):
+            val = alg.contraction.project(alg.lam(wrd))
+            if shift_sign([key[0] for key in wrd]) != 1:
+                val = {key: -c for key, c in val.items()}
+            out.set_value(k, wrd, val)
+    return out
+
+
+@pytest.mark.parametrize("n, arity", [(1, 5), (2, 4), (3, 3)])
+def test_materialize_matches_the_per_word_loop(n, arity):
+    alg = transfer_structure(dupont_contraction(n), arity).algebra
+    alg.materialize(arity)
+    assert alg.to_json() == ref_materialize(n, arity).to_json()
+
+
+@st.composite
+def lazy_calls(draw):
+    """A structure size and a list of m calls on sums of 1-2 basis keys."""
+    n, arity = draw(st.sampled_from([(1, 4), (2, 3), (2, 4), (3, 2), (3, 3)]))
+    keys = dupont_contraction(n).small_space.keys()
+    calls = []
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(2, arity))
+        elems = []
+        for _ in range(k):
+            picked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2,
+                                   unique=True))
+            elems.append({key: Fraction(draw(st.sampled_from([-2, -1, 1, 3])))
+                          for key in picked})
+        calls.append((k, elems))
+    return n, arity, calls
+
+
+@given(lazy_calls())
+@settings(deadline=None, max_examples=25)
+def test_lazy_calls_then_materialize_match_the_per_word_loop(case):
+    n, arity, calls = case
+    ref = ref_materialize(n, arity)
+    alg = transfer_structure(dupont_contraction(n), arity).algebra
+    for k, elems in calls:
+        assert alg.m(k, elems) == ref.m(k, elems)
+    alg.materialize(arity)
+    assert alg.to_json() == ref.to_json()
+
+
+def test_relabelled_forms_match_a_fresh_evaluation():
+    # every lam and hlam on words of length <= 3 on the tetrahedron,
+    # most of them filled in by relabelling, against their own evaluation
+    alg = transfer_structure(dupont_contraction(3), 3).algebra
+    alg.materialize(3)
+    plain = TransferredAlgebra(plain_dupont(3), 3)
+    words = [w for k in (1, 2, 3) for w in itertools.product(alg.space.keys(), repeat=k)]
+    # what materialize left in the caches, then the rest through lam/hlam
+    assert {key for key in alg._lam} == ({w for w in words if len(w) > 1}
+                                         | {("h", w) for w in words if len(w) < 3})
+    for w in words:
+        assert alg.lam(w) == plain.lam(w), w
+        assert alg.hlam(w) == plain.hlam(w), w
+    assert len(alg._lam) == len(plain._lam) == 2 * len(words)
+
+
+def test_nc2_inclusion_morphism_arity3():
+    res = nc_structure(2, 4)
+    probes = list(res.algebra.basis_words(1)) + all_words(res.algebra, 3)
+    assert check_morphism(res.inclusion, probes) == []
+
+
+def test_transferred_tables_are_read_only():
+    alg = nc_structure(2, 4).algebra
+    ref = ref_materialize(2, 4)
+    L01, L02, L12 = ((1, "L01"), (1, "L02"), (1, "L12"))
+    words = [(L01, L02), (L12, L01, (0, "v1"))]
+    alg.m(2, [{L01: Fraction(1)}, {L02: Fraction(1)}])
+    for wrd in words:
+        with pytest.raises(TypeError):
+            alg.set_value(len(wrd), wrd, {(2, "L012"): Fraction(5)})
+    for wrd in words:
+        elems = [{key: Fraction(1)} for key in wrd]
+        assert alg.m(len(wrd), elems) == ref.m(len(wrd), elems)
+    assert alg.m(2, [{L01: Fraction(1)}, {L02: Fraction(1)}]) == {(2, "L012"): Fraction(1, 6)}
 
 
 def test_graded_basics():
