@@ -31,19 +31,22 @@ from .structures import FiniteAlgebra
 from .totalcomplex import (GroupCochain, GroupCochainBackend, LevelCapError,
                            TotalComplexAlgebra, TotElement,
                            tot_product_degree1, tot_window_cohomology)
-from .transfer import ArityCapError, nc_structure
+from .transfer import NC_MAX_N, ArityCapError, nc_structure
 
 PASS, FAIL, INPUT_ERROR, CAP_ERROR = 0, 1, 2, 3
 BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by it
 
 
-def _int_at_least(lo):
-    """argparse type for sizes: an int no smaller than ``lo``, so that a
-    negative size is a parse error rather than an empty, passing run."""
+def _int_at_least(lo, hi=None):
+    """argparse type for sizes: an int no smaller than ``lo`` (and, if
+    given, no larger than ``hi``), so that a negative size is a parse
+    error rather than an empty, passing run."""
     def parse(text):
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError("must be at least %d, got %d" % (lo, value))
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError("must be at most %d, got %d" % (hi, value))
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -319,7 +322,7 @@ def build_parser():
     tr = sub.add_parser("transfer", help="transferred simplex structures")
     trs = tr.add_subparsers(dest="cmd", required=True)
     t = trs.add_parser("nc")
-    t.add_argument("--n", type=_int_at_least(0), required=True)
+    t.add_argument("--n", type=_int_at_least(0, NC_MAX_N), required=True)
     t.add_argument("--arity", type=_int_at_least(1), default=4)
     t.add_argument("--json", action="store_true")
     t.set_defaults(fn=cmd_transfer_nc)
@@ -383,8 +386,6 @@ def build_parser():
                     help="preset name (circle, torus, heisenberg) or JSON file")
     pl.add_argument("--trunc", type=int, default=4)
     pl.add_argument("--arity-cap", type=int, default=4)
-    pl.add_argument("--level-cap", type=int, default=3)
-    pl.add_argument("--poly-deg-cap", type=int, default=4)
     pl.add_argument("--pivot", default="lex", choices=("lex", "revlex", "shear"))
     pl.add_argument("--compare", action="store_true",
                     help="build two models and verify the comparison")

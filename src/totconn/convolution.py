@@ -18,8 +18,8 @@ import itertools
 from fractions import Fraction
 from operator import itemgetter
 
-from .freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
-                      LieIdealPresentation, TruncationError, is_primitive)
+from .freelie import (EnvelopingQuotient, FreeLie, LieIdealPresentation,
+                      TruncationError, is_primitive)
 from .graded import GradedVectorSpace
 from .linalg import accumulate
 from .scalars import rat
@@ -419,7 +419,7 @@ def check_reduced(alpha: TensorSeries):
 
 
 # ---------------------------------------------------------------------
-# delta-star, the Lie ideal and the fiber Lie algebra
+# delta-star and the Lie ideal
 # ---------------------------------------------------------------------
 
 def delta_star(mW: FiniteAlgebra, trunc: int):
@@ -450,10 +450,6 @@ def delta_star(mW: FiniteAlgebra, trunc: int):
             generators.append(g)
     ideal = LieIdealPresentation(free, generators)
     return free, ideal, gens_out
-
-
-def fiber_quotient(free: FreeLie, ideal: LieIdealPresentation, k: int) -> FiberLieAlgebra:
-    return FiberLieAlgebra(free, ideal, k)
 
 
 # ---------------------------------------------------------------------

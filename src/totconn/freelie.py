@@ -456,16 +456,15 @@ class FiberLieAlgebra:
         for row in ideal.span.basis():
             self._mod.insert({w: c for w, c in row.items() if len(w) < k})
         # pick complement basis among Lyndon brackets of length < k; normal
-        # forms are coordinates on their reduced forms
+        # forms are coordinates on their reduced forms.  A Lyndon bracket
+        # is homogeneous of its word's length, so it needs no truncation.
         self.basis = []
         reduced = []
         indep = Echelon(_length_first)
         for w in free.lyndon:
             if len(w) >= k:
                 continue
-            elem = {ww: c for ww, c in lyndon_bracket(w, free.order).items()
-                    if len(ww) < k}
-            red = self._mod.reduce(elem)
+            red = self._mod.reduce(free._bracket_elems[w])
             if indep.insert(red):
                 self.basis.append(w)
                 reduced.append(red)
@@ -611,13 +610,13 @@ class EnvelopingQuotient:
     @functools.cached_property
     def _lie_plus_ideal(self):
         """Integer echelon rows of the Lyndon brackets up to the order plus
-        the ideal rows, built once per quotient on first use."""
+        the ideal rows, built once per quotient on first use.  A Lyndon
+        bracket is homogeneous of its word's length, so the free Lie
+        algebra's table needs no truncation."""
         ech = Echelon(_length_first)
         for w in self.free.lyndon:
-            if len(w) > self.order:
-                continue
-            ech.insert({ww: c for ww, c in lyndon_bracket(w, self.order).items()
-                        if len(ww) <= self.order})
+            if len(w) <= self.order:
+                ech.insert(self.free._bracket_elems[w])
         for pivot, (p, tail) in self._rows.items():
             ech.insert({pivot: p, **tail})
         return _int_rows(ech)

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 
 from .convolution import Generators, delta_star, mc_check, morphism_to_mc
-from .freelie import FiberLieAlgebra, lyndon_bracket
+from .freelie import FiberLieAlgebra
 from .graded import GradedVectorSpace
 from .linalg import Coordinates, Echelon, accumulate, intersect_spans, solve, vec_add
 from .structures import (FiniteAlgebra, InfinityMorphism, check_morphism,
@@ -200,14 +200,7 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
                     model.set_value(k, wrd, vv)
 
     # the morphism: inclusion components restricted to the model basis
-    def component(k):
-        def apply(elems):
-            return res.inclusion.apply(k, elems)
-        return apply
-
-    morphism = InfinityMorphism(model, B,
-                                components={k: component(k)
-                                            for k in range(1, arity_cap + 1)},
+    morphism = InfinityMorphism(model, B, components=res.inclusion.components,
                                 arity_cap=arity_cap)
     out = OneMinimalModel(model, morphism, B, res, pivot)
     _verify_model(out)
@@ -263,11 +256,12 @@ def massey_report(model: OneMinimalModel):
 
 
 def model_fiber_data(model: OneMinimalModel, trunc=4, k=4):
-    """delta-star ideal and nilpotent quotient of a model."""
-    W = positive_part(model.algebra)
-    free, ideal, gens_out = delta_star(W, trunc)
-    fib = FiberLieAlgebra(free, ideal, k)
-    return free, ideal, fib
+    """(free, ideal, fib): the free Lie algebra on the degree-1 duals
+    truncated at ``trunc``, the delta-star ideal and the nilpotent
+    quotient u/I^k of a model.  The one place these are built; the
+    formality and comparison checks take its result."""
+    free, ideal, _ = delta_star(positive_part(model.algebra), trunc)
+    return free, ideal, FiberLieAlgebra(free, ideal, k)
 
 
 def model_mc(model: OneMinimalModel, trunc=4):
@@ -447,15 +441,20 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     return Comparison(model1, model2, k_tables, dual)
 
 
-def check_comparison(comp: Comparison, trunc=4, k=4):
+def check_comparison(comp: Comparison, fiber1, fiber2):
     """Filtered-isomorphism checks for the induced dual map.
 
-    Verifies that the dual algebra map sends the first model's ideal
-    generators into the second model's ideal span (per word length), and
-    that the induced maps on nilpotent quotients are bijective.
+    ``fiber1`` and ``fiber2`` are the ``model_fiber_data`` triples
+    (free, ideal, fib) of ``comp.model1`` and ``comp.model2``, built at
+    the same truncation and quotient order: the first triple's
+    ``free.order`` and ``fib.k`` are used for both.  Verifies that the
+    dual algebra map sends the first model's ideal generators into the
+    second model's ideal span (per word length), and that the induced
+    maps on nilpotent quotients are bijective.
     """
-    free1, ideal1, fib1 = model_fiber_data(comp.model1, trunc, k)
-    free2, ideal2, fib2 = model_fiber_data(comp.model2, trunc, k)
+    free1, ideal1, fib1 = fiber1
+    free2, ideal2, fib2 = fiber2
+    trunc, k = free1.order, fib1.k
     failures = []
     for g in ideal1.generators:
         img = comp.dual_series(g, free1, free2, trunc)
@@ -466,23 +465,23 @@ def check_comparison(comp: Comparison, trunc=4, k=4):
     # rank of the induced map on the quotient
     rank_ech = Echelon(lambda key: (len(key), key))
     for w in fib1.basis:
-        img = comp.dual_series(lyndon_bracket(w, free1.order), free1, free2, trunc)
+        img = comp.dual_series(free1.from_lyndon({w: 1}), free1, free2, trunc)
         rank_ech.insert(fib2._mod.reduce({ww: c for ww, c in img.items() if len(ww) < k}))
     if rank_ech.rank != fib1.dim():
         failures.append(("induced quotient map is not injective", rank_ech.rank))
     return failures
 
 
-def formality_check(model: OneMinimalModel, trunc=4):
+def formality_check(model: OneMinimalModel, ideal):
     """Homogeneity verdict for the ideal generators.
 
-    Returns (verdict, metadata): "homogeneous generators" when every
-    dual-codifferential generator is concentrated in a single word
-    length, else "inconclusive".  The metadata also records the weaker
-    sufficient condition that the degree-2 product-image subspaces of
-    the different arities intersect trivially.
+    ``ideal`` is the delta-star ideal of ``model``, as built by
+    ``model_fiber_data``.  Returns (verdict, metadata): "homogeneous
+    generators" when every dual-codifferential generator is concentrated
+    in a single word length, else "inconclusive".  The metadata also
+    records the weaker sufficient condition that the degree-2
+    product-image subspaces of the different arities intersect trivially.
     """
-    free, ideal, gens_out = delta_star(positive_part(model.algebra), trunc)
     lengths = []
     homogeneous = True
     for g in ideal.generators:

@@ -236,8 +236,9 @@ def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineRes
     k = k or trunc
     model = one_minimal_model(B, arity_cap=arity_cap, pivot=pivot)
     free, ideal, fib = model_fiber_data(model, trunc=trunc, k=k)
-    dims = {kk: FiberLieAlgebra(free, ideal, kk).dim() for kk in range(2, k + 1)}
-    verdict, meta = formality_check(model, trunc=trunc)
+    dims = {kk: FiberLieAlgebra(free, ideal, kk).dim() for kk in range(2, k)}
+    dims[k] = fib.dim()
+    verdict, meta = formality_check(model, ideal)
     result = PipelineResult(label, model, free, ideal, fib, verdict, meta,
                             dims_per_k=dims)
     if preset["realize"] is not None:
@@ -277,7 +278,8 @@ def compare_pipeline_models(name, trunc=4, k=4, pivots=("lex", "revlex"),
     r1 = run_pipeline(name, trunc=trunc, arity_cap=arity_cap, pivot=pivots[0], k=k)
     r2 = run_pipeline(name, trunc=trunc, arity_cap=arity_cap, pivot=pivots[1], k=k)
     comp = compare_models(r1.model, r2.model, arity_cap=min(arity_cap, 4))
-    comp_failures = check_comparison(comp, trunc=trunc, k=k)
+    comp_failures = check_comparison(comp, (r1.free, r1.ideal, r1.fib),
+                                     (r2.free, r2.ideal, r2.fib))
     report = {
         "dims_match": r1.fib.dim() == r2.fib.dim(),
         "dims_per_k_match": r1.dims_per_k == r2.dims_per_k,

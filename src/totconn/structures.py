@@ -202,18 +202,24 @@ class FiniteAlgebra(Carrier):
         self._set_value(k, input_word, output_vec)
 
     def _set_value(self, k, input_word, output_vec):
+        input_word, out = self._checked(k, input_word, output_vec)
+        if out:
+            self.maps.setdefault(k, {})[input_word] = out
+        else:
+            self.maps.get(k, {}).pop(input_word, None)
+
+    def _checked(self, k, input_word, output_vec):
+        """(input word as a tuple, output without zero coefficients), with
+        the arity and the degree 2 - k of m_k checked."""
         input_word = tuple(input_word)
         if len(input_word) != k:
             raise ValueError("arity mismatch")
         out = {key: rat(c) for key, c in output_vec.items() if rat(c)}
-        if not out:
-            self.maps.get(k, {}).pop(input_word, None)
-            return
         in_deg = sum(key[0] for key in input_word)
         for key in out:
             if key[0] != in_deg + 2 - k:
                 raise ValueError("m_%d value at %r breaks degree 2-k" % (k, input_word))
-        self.maps.setdefault(k, {})[input_word] = out
+        return input_word, out
 
     @classmethod
     def from_dga(cls, space, diff_blocks, products, kind="Cinf", arity_cap=6,

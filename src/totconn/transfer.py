@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .dupont import NCElement, dupont_E, dupont_Int, dupont_s, index_strings
 from .graded import GradedVectorSpace
@@ -107,15 +108,21 @@ class TransferredAlgebra(FiniteAlgebra):
     """Transferred structure with lazily computed structure constants.
 
     Structure constants m_n on basis words are evaluated from the tree
-    recursion on first use and cached in the ordinary sparse tables, so
-    checkers and serialization see a plain table-backed structure.  The
-    tables belong to the transfer: ``set_value`` raises ``TypeError``, so
-    a shared (memoized) structure cannot be changed by one of its users.
+    recursion on first use and cached in sparse tables of the usual shape,
+    so checkers and serialization see a table-backed structure.  The
+    tables belong to the transfer, so that a shared (memoized) structure
+    cannot be changed by one of its users: ``set_value`` raises
+    ``TypeError``, and ``maps``, each of its tables and each table value
+    are read-only views (``MappingProxyType``) of a private store that
+    only ``_set_value`` writes.
     """
 
     def __init__(self, contraction: Contraction, arity_cap: int, kind="Cinf"):
         super().__init__(contraction.small_space, kind=kind,
                          arity_cap=arity_cap, unit_key=contraction.unit_key)
+        self._tables = {}
+        self._views = {}
+        self.maps = MappingProxyType(self._views)
         self.contraction = contraction
         self._lam = {}
         self._done = set()
@@ -129,6 +136,17 @@ class TransferredAlgebra(FiniteAlgebra):
     def set_value(self, k, input_word, output_vec):
         raise TypeError("the tables of a transferred structure are read-only; "
                         "copy them into a FiniteAlgebra to change them")
+
+    def _set_value(self, k, input_word, output_vec):
+        input_word, out = self._checked(k, input_word, output_vec)
+        table = self._tables.get(k)
+        if table is None:
+            table = self._tables[k] = {}
+            self._views[k] = MappingProxyType(table)
+        if out:
+            table[input_word] = MappingProxyType(out)
+        else:
+            table.pop(input_word, None)
 
     def _orbit(self, word):
         """The other words of the orbit of ``word``, breadth-first over the
@@ -359,7 +377,14 @@ def identity_contraction(alg: FiniteAlgebra) -> Contraction:
 # the transferred structures on the simplex cochains
 # ---------------------------------------------------------------------
 
+# L_I is named by the digits of its vertices, one digit each
+NC_MAX_N = 9
+
+
 def nc_space(n) -> GradedVectorSpace:
+    if n > NC_MAX_N:
+        raise ValueError("nc_space: basis names spell one digit per vertex, "
+                         "so n must be at most %d, got %d" % (NC_MAX_N, n))
     degrees = {0: ["1"] + ["v%d" % i for i in range(1, n + 1)]}
     for size in range(2, n + 2):
         degrees[size - 1] = ["L" + "".join(map(str, I))

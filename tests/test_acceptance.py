@@ -340,7 +340,8 @@ def test_criterion_8_model_independence():
     m1 = one_minimal_model(B, arity_cap=4, pivot="lex")
     m2 = one_minimal_model(B, arity_cap=4, pivot="revlex")
     comp = compare_models(m1, m2, arity_cap=3)
-    ok = ok and check_comparison(comp, trunc=4, k=4) == []
+    ok = ok and check_comparison(comp, model_fiber_data(m1, trunc=4, k=4),
+                                 model_fiber_data(m2, trunc=4, k=4)) == []
     for k in (2, 3, 4):
         d1 = model_fiber_data(m1, trunc=4, k=k)[2].dim()
         d2 = model_fiber_data(m2, trunc=4, k=k)[2].dim()
@@ -351,7 +352,8 @@ def test_criterion_8_model_independence():
     m2 = one_minimal_model(B, arity_cap=4, pivot="shear")
     ok = ok and m1.transfer.contraction.tag != ""
     comp = compare_models(m1, m2, arity_cap=4)
-    ok = ok and check_comparison(comp, trunc=4, k=4) == []
+    ok = ok and check_comparison(comp, model_fiber_data(m1, trunc=4, k=4),
+                                 model_fiber_data(m2, trunc=4, k=4)) == []
     for k in (2, 3, 4):
         d1 = model_fiber_data(m1, trunc=4, k=k)[2].dim()
         d2 = model_fiber_data(m2, trunc=4, k=k)[2].dim()

@@ -265,7 +265,9 @@ def test_sums_leave_the_caches_untouched():
     tot_product_degree1(tot, [a, a, a])
 
     def structure_tables():
-        return {(k, w): v for k, table in nc.algebra.maps.items() for w, v in table.items()}
+        # the table values are read-only views, copied so they can be deep-copied
+        return {(k, w): dict(v) for k, table in nc.algebra.maps.items()
+                for w, v in table.items()}
 
     caches = [lambda: elementary, lambda: h_images, structure_tables,
               lambda: nc.algebra._lam, lambda: tot._top_tables]

@@ -43,6 +43,22 @@ def test_negative_sizes_are_parse_errors(argv, capsys):
     assert "must be at least" in capsys.readouterr().err
 
 
+def test_transfer_nc_n_above_nine_is_a_parse_error(capsys):
+    # L_I is named by one digit per vertex, so n = 10 has ambiguous names
+    with pytest.raises(SystemExit) as exc:
+        run(["transfer", "nc", "--n", "10", "--arity", "2", "--json"])
+    assert exc.value.code == 2
+    assert "must be at most 9, got 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--level-cap", "--poly-deg-cap"])
+def test_pipeline_has_no_tot_caps(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["pipeline", "--input", "circle", flag, "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_transfer_nc_json(capsys):
     assert run(["transfer", "nc", "--n", "1", "--arity", "3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

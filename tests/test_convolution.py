@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from totconn.convolution import (ConvolutionAlgebra, Generators, TensorSeries,
                                  check_filtration_additive, check_reduced,
                                  conv_M, conv_l, conv_partial, degree_zero_restrict,
-                                 delta_star, fiber_quotient, mc_check,
+                                 delta_star, mc_check,
                                  mc_defect, mc_to_morphism, morphism_to_mc,
                                  pullback_along, pushforward_along,
                                  reduce_mod_ideal, series_eq_mod_ideal,
                                  source_delta)
-from totconn.freelie import EnvelopingQuotient, commutator
+from totconn.freelie import EnvelopingQuotient, FiberLieAlgebra, commutator
 from totconn.graded import GradedVectorSpace
 from totconn.minimal import positive_part
 from totconn.pipeline import run_pipeline
@@ -211,7 +211,7 @@ def test_delta_star_torus():
     got = gens_out[(2, "w12")]
     want = commutator(free.gen(0), free.gen(1), 4)
     assert got == want or got == {k: -v for k, v in want.items()}
-    fib = fiber_quotient(free, ideal, 4)
+    fib = FiberLieAlgebra(free, ideal, 4)
     assert fib.dim() == 2
     assert fib.bracket({(0,): Fraction(1)}, {(1,): Fraction(1)}) == {}
 
@@ -220,7 +220,7 @@ def test_delta_star_zero_products():
     space = GradedVectorSpace({1: ["w"], 2: []})
     W = FiniteAlgebra(space, kind="1Cinf", arity_cap=4)
     free, ideal, _ = delta_star(W, trunc=4)
-    fib = fiber_quotient(free, ideal, 4)
+    fib = FiberLieAlgebra(free, ideal, 4)
     assert fib.dim() == 1  # free Lie on one generator
     assert ideal.generators == []
 
@@ -231,7 +231,7 @@ def test_delta_star_heisenberg():
     assert len(ideal.generators) == 2
     for g in ideal.generators:
         assert {len(w) for w in g} == {3}
-    fib = fiber_quotient(free, ideal, 4)
+    fib = FiberLieAlgebra(free, ideal, 4)
     assert fib.graded_dims() == {1: 2, 2: 1}
     assert fib.dim() == 3
 

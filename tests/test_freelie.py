@@ -9,6 +9,15 @@ from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
 from totconn.linalg import vec_add, vec_scale
 
 
+def test_free_lie_table_holds_every_truncation_of_a_bracket():
+    # a Lyndon bracket is homogeneous of its word's length, so truncating
+    # it at any order from that length up changes nothing
+    free = FreeLie(["x", "y", "z"], 5)
+    for w in free.lyndon:
+        for order in range(len(w), free.order + 1):
+            assert free.from_lyndon({w: 1}) == lyndon_bracket(w, order)
+
+
 def test_lyndon_word_counts():
     # Witt numbers for 2 letters: 2, 1, 2, 3, 6
     words = lyndon_words(2, 5)

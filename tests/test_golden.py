@@ -62,10 +62,17 @@ CASES = {
 
 # ``transfer nc --n 3 --arity 4`` prints 1.9 MB; its arity-4 words on the
 # tetrahedron are where a wrong composition of vertex permutations in the
-# orbit fill of the transferred tables would show.
+# orbit fill of the transferred tables would show.  The two pipeline runs
+# pin the fiber data at truncation 9 and a model comparison at truncation
+# 6, above those of the committed files.
 DIGESTS = {
     "transfer_nc_3_4": (["transfer", "nc", "--n", "3", "--arity", "4", "--json"],
                         "a02e7140a0160a8d324b3a1e749f17b5ffd0ac030b64ba063daae3789fac9db2"),
+    "pipeline_torus_t9": (["pipeline", "--input", "torus", "--trunc", "9", "--json"],
+                          "44c95592b65a66147b3a5fd6eb1e19dbffca5b47f467087198df4513774808be"),
+    "pipeline_heisenberg_compare_t6": (
+        ["pipeline", "--input", "heisenberg", "--compare", "--trunc", "6", "--json"],
+        "b95f5d47772a80c061207c83566bfffd61da099db608f7ba2115bc2cb38c0740"),
 }
 
 

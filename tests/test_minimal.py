@@ -46,7 +46,7 @@ def test_torus_model():
     assert fib.dim() == 2
     assert len(ideal.generators) == 1
     assert {len(w) for w in ideal.generators[0]} == {2}
-    verdict, meta = formality_check(model)
+    verdict, meta = formality_check(model, ideal)
     assert verdict == "homogeneous generators"
 
 
@@ -62,7 +62,7 @@ def test_heisenberg_model():
     free, ideal, fib = model_fiber_data(model, trunc=4, k=4)
     assert fib.graded_dims() == {1: 2, 2: 1}
     assert fib.dim() == 3
-    verdict, _ = formality_check(model)
+    verdict, _ = formality_check(model, ideal)
     assert verdict == "homogeneous generators"
 
 
@@ -102,7 +102,8 @@ def test_self_comparison_is_identity():
     comp = compare_models(model, model, arity_cap=3)
     for key in model.algebra.space.keys():
         assert comp.k_tables[1][(key,)] == {key: Fraction(1)}
-    assert check_comparison(comp, trunc=4, k=4) == []
+    fiber = model_fiber_data(model, trunc=4, k=4)
+    assert check_comparison(comp, fiber, fiber) == []
 
 
 def test_comparison_of_permuted_torus_models():
@@ -110,7 +111,8 @@ def test_comparison_of_permuted_torus_models():
     m1 = one_minimal_model(B, arity_cap=3, pivot="lex")
     m2 = one_minimal_model(B, arity_cap=3, pivot="revlex")
     comp = compare_models(m1, m2, arity_cap=3)
-    assert check_comparison(comp, trunc=4, k=4) == []
+    assert check_comparison(comp, model_fiber_data(m1, trunc=4, k=4),
+                            model_fiber_data(m2, trunc=4, k=4)) == []
     # the linear part permutes the degree-1 generators
     mat = comp.dual_matrix
     assert all(len(col) == 1 for col in mat.values())
@@ -133,7 +135,8 @@ def test_comparison_with_rescaled_generator():
     m2 = OneMinimalModel(m1.algebra, scaled, B, m1.transfer, "scaled")
     comp = compare_models(m1, m2, arity_cap=3)
     assert comp.dual_matrix[key[1]] == {key[1]: Fraction(2)}
-    assert check_comparison(comp, trunc=4, k=4) == []
+    assert check_comparison(comp, model_fiber_data(m1, trunc=4, k=4),
+                            model_fiber_data(m2, trunc=4, k=4)) == []
 
 
 def test_comparison_of_heisenberg_pivots():
@@ -141,14 +144,32 @@ def test_comparison_of_heisenberg_pivots():
     m1 = one_minimal_model(B, arity_cap=4, pivot="lex")
     m2 = one_minimal_model(B, arity_cap=4, pivot="shear")
     comp = compare_models(m1, m2, arity_cap=4)
-    assert check_comparison(comp, trunc=4, k=4) == []
-    f1 = model_fiber_data(m1, trunc=4, k=4)[2]
-    f2 = model_fiber_data(m2, trunc=4, k=4)[2]
-    assert f1.dim() == f2.dim() == 3
+    fiber1 = model_fiber_data(m1, trunc=4, k=4)
+    fiber2 = model_fiber_data(m2, trunc=4, k=4)
+    assert check_comparison(comp, fiber1, fiber2) == []
+    assert fiber1[2].dim() == fiber2[2].dim() == 3
     for kk in (2, 3, 4):
         fa = model_fiber_data(m1, trunc=4, k=kk)[2]
         fb = model_fiber_data(m2, trunc=4, k=kk)[2]
         assert fa.dim() == fb.dim()
+
+
+def test_fiber_data_is_built_once_per_model(monkeypatch):
+    import totconn.minimal
+    from totconn.pipeline import compare_pipeline_models, run_pipeline
+    calls = []
+    real = totconn.minimal.delta_star
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(totconn.minimal, "delta_star", counting)
+    run_pipeline("torus", trunc=4)
+    assert len(calls) == 1
+    calls.clear()
+    compare_pipeline_models("heisenberg", trunc=3, k=3, pivots=("lex", "shear"))
+    assert len(calls) == 2
 
 
 def test_synthetic_inconclusive_formality():
@@ -168,7 +189,8 @@ def test_synthetic_inconclusive_formality():
         arity_cap = 3
 
     model = Dummy()
-    verdict, meta = formality_check(model, trunc=4)
+    _, ideal, _ = model_fiber_data(model, trunc=4, k=4)
+    verdict, meta = formality_check(model, ideal)
     assert verdict == "inconclusive"
     assert meta["generator_lengths"] == [[2, 3]]
 

@@ -15,7 +15,7 @@ from totconn.structures import (FiniteAlgebra, check_morphism,
 from totconn.transfer import (ArityCapError, Contraction, HodgeError,
                               TransferredAlgebra, contraction_from_hodge,
                               dupont_contraction, identity_contraction,
-                              nc_structure, transfer_structure)
+                              nc_space, nc_structure, transfer_structure)
 from tests.test_structures import all_words, heisenberg_cdga, torus_cdga
 
 
@@ -323,10 +323,23 @@ def test_transferred_tables_are_read_only():
     for wrd in words:
         with pytest.raises(TypeError):
             alg.set_value(len(wrd), wrd, {(2, "L012"): Fraction(5)})
+    # maps, its tables and their values are read-only views
+    with pytest.raises(TypeError):
+        alg.maps[2][(L01, L02)][(2, "L012")] = Fraction(5)
+    with pytest.raises(TypeError):
+        alg.maps[2][(L01, L02)] = {(2, "L012"): Fraction(5)}
+    with pytest.raises(TypeError):
+        alg.maps[2] = {}
     for wrd in words:
         elems = [{key: Fraction(1)} for key in wrd]
         assert alg.m(len(wrd), elems) == ref.m(len(wrd), elems)
     assert alg.m(2, [{L01: Fraction(1)}, {L02: Fraction(1)}]) == {(2, "L012"): Fraction(1, 6)}
+
+
+def test_nc_space_names_need_one_digit_vertices():
+    assert nc_space(9).keys(9) == [(9, "L0123456789")]
+    with pytest.raises(ValueError, match="at most 9, got 10"):
+        nc_space(10)
 
 
 def test_graded_basics():
