@@ -28,23 +28,22 @@ with the sign (-1)^{sum_{i<j} q_i p_j}.  The closed-form products on
 degree-1 elements are implemented independently and tested against this
 general formula.
 
-The formula is evaluated on its support, in this order:
+The formula is evaluated on its support as a right fold:
 
 * each non-zero top coefficient is read from a table built once per
   algebra and per (l, input levels), arranged as a trie over the slots
   so that a prefix of index strings with no non-zero coefficient below
   it never appears;
-* each pushforward sigma_{I *} a_i is computed at most once per call,
-  when the walk first reaches it;
-* the walk over the trie carries the wedge of the prefix, so a prefix
-  shared by many strings is wedged once, and it stops at a zero prefix;
-* at the last slot it forms sum_I c(prefix, I) sigma_{I *} a_n and takes
-  one wedge with it instead of one per string;
-* each subtree's terms are summed before they join their parent's sum,
-  so at most one partial sum per slot is alive.
+* each pushforward sigma_{I *} a_i is computed at most once per call;
+* each trie node stands for the sum of its subtree: at the last slot
+  sum_I c sigma_{I *} a_n, above it the sum over (I, child) of
+  sigma_{I *} a_i ^ (the child's sum), so every edge above the last
+  slot costs one wedge and no prefix is ever wedged.
 
 By bilinearity of the wedge this is the same sum as the per-string
-formula above; only the order of the additions differs.
+formula above, regrouped as a_1 ^ (a_2 ^ (...)); the regrouping needs
+associative level products, which polynomial forms have and
+``FinitePresentation.check_identities`` checks.
 """
 
 from __future__ import annotations
@@ -267,6 +266,10 @@ class FinitePresentation(Carrier):
     Elements are sparse vectors that do not know their level, so the
     protocol's ``p`` (always the source level) selects the level algebra
     or the coface/codegeneracy table.
+
+    Every level product must be associative: the total-complex product
+    regroups the wedge of n pushforwards as a_1 ^ (a_2 ^ ...), and
+    ``check_identities`` checks it on basis triples.
     """
 
     def __init__(self, levels, cofaces, codegeneracies):
@@ -308,10 +311,12 @@ class FinitePresentation(Carrier):
         return self.apply_map(self.codegeneracies[p - 1][i], a)
 
     def check_identities(self):
-        """Cosimplicial identities and dga-map property on basis probes:
-        every coface and codegeneracy commutes with m_1 and m_2 of its
-        levels."""
+        """Cosimplicial identities, dga-map property and associativity on
+        basis probes: every coface and codegeneracy commutes with m_1 and
+        m_2 of its levels, and every level's m_2 is associative."""
         failures = []
+        for p in range(self.level_cap + 1):
+            failures += self._assoc_failures(p)
         for p in range(self.level_cap):
             for i in range(p + 2):
                 for j in range(i + 1, p + 3):
@@ -340,6 +345,15 @@ class FinitePresentation(Carrier):
                 failures += self._dga_map_failures(
                     ("s^i", p + 1, i), p + 1, p, lambda v: self.codegeneracy(v, i, p + 1))
         return failures
+
+    def _assoc_failures(self, p):
+        """The basis triples (a, b, c) with (ab)c != a(bc) at level p."""
+        lvl = self.levels[p]
+        probes = [(key, {key: Fraction(1)}) for key in lvl.space.keys()]
+        prod = {(ka, kb): lvl.m(2, [a, b]) for ka, a in probes for kb, b in probes}
+        return [("assoc", p, ka, kb, kc)
+                for (ka, a), (kb, _), (kc, c) in itertools.product(probes, repeat=3)
+                if lvl.m(2, [prod[ka, kb], c]) != lvl.m(2, [a, prod[kb, kc]])]
 
     def _dga_map_failures(self, label, src, tgt, f):
         """The basis probes on which f: level src -> level tgt does not
@@ -392,7 +406,8 @@ def presentation_from_json(data) -> FinitePresentation:
     pres = FinitePresentation(levels, cofaces, codegens)
     failures = pres.check_identities()
     if failures:
-        raise ValueError("cosimplicial identities or dga-map property fail: %r"
+        raise ValueError("cosimplicial identities, dga-map property or "
+                         "associativity fail: %r"
                          % (failures[:3],))
     return pres
 
@@ -726,14 +741,11 @@ class TotalComplexAlgebra(KeyedCarrier):
     def _pure_product(self, n, bidegs, vals):
         """The level-l part of m_n on one component per slot.
 
-        Returns a TotElement in bidegree (l, sum q).  Walks
-        the trie of non-zero top coefficients slot by slot, carrying the
-        wedge of the pushforwards chosen so far and dropping a branch
-        whose prefix wedge is zero; each sigma_{I *} a_i is computed at
-        most once, when first reached.  At the last slot the pushforwards
-        are combined with their coefficients before the one wedge with
-        the prefix.  The result is the per-string sum of the module
-        docstring, times (-1)^{sum_{i<j} q_i p_j}.
+        Returns a TotElement in bidegree (l, sum q): the right fold of
+        the module docstring over the trie of non-zero top coefficients,
+        one wedge per edge above the last slot, each sigma_{I *} a_i
+        computed at most once, times (-1)^{sum_{i<j} q_i p_j}.  Needs
+        associative level products.
         """
         be = self.backend
         if n > self.arity_cap:
@@ -757,21 +769,16 @@ class TotalComplexAlgebra(KeyedCarrier):
                 img = pushed[(slot, I)] = sigma_pushforward(be, vals[slot], I, ps[slot], l)
             return img
 
-        def walk(node, slot, prefix):
-            """prefix ^ (the sum below node)."""
+        def fold(node, slot):
+            """The sum below node: sigma_{I *} a_slot ^ fold(child) over its
+            (I, child) pairs, and sum_I c sigma_{I *} a_n at the last slot."""
             if slot == n - 1:
-                last = be.sum(((push(slot, I), c) for I, c in node), l)
-                return last if prefix is None else be.wedge(prefix, last, l)
-            return be.sum(parts(node, slot, prefix), l)
+                return be.sum(((push(slot, I), c) for I, c in node), l)
+            return be.sum(((be.wedge(push(slot, I), fold(child, slot + 1), l),
+                            Fraction(1))
+                           for I, child in node), l)
 
-        def parts(node, slot, prefix):
-            for I, child in node:
-                img = push(slot, I)
-                wedge = img if prefix is None else be.wedge(prefix, img, l)
-                if not be.is_zero(wedge):
-                    yield walk(child, slot + 1, wedge), Fraction(1)
-
-        total = walk(self._top_table(l, ps), 0, None)
+        total = fold(self._top_table(l, ps), 0)
         return TotElement(be, {(l, sum(qs)): be.scale(total, Fraction((-1) ** sign_exp))})
 
 

@@ -1,7 +1,9 @@
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from totconn.forms import PolyForm
 from totconn.linalg import Echelon
 from totconn.scalars import bernoulli
 from totconn import totalcomplex
-from totconn.structures import check_shuffle_vanishing, check_stasheff
+from totconn.structures import (FiniteAlgebra, check_shuffle_vanishing,
+                                check_stasheff)
 from totconn.totalcomplex import (FinitePresentation, GroupCochain,
                                   GroupCochainBackend, LevelCapError,
                                   TotalComplexAlgebra, TotElement,
@@ -24,6 +27,8 @@ from totconn.totalcomplex import (FinitePresentation, GroupCochain,
 from totconn.transfer import transfer_structure
 from tests.test_structures import torus_cdga
 from tests.test_transfer import plain_dupont
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def circle_backend():
@@ -684,3 +689,101 @@ def test_coface_past_the_presentation_cap_raises_as_before():
         ref_m(tot, 2, [b, c])
     with pytest.raises(LevelCapError):
         tot.m(2, [b, c])
+
+
+# -------------------------------------------------------------------
+# the right fold: associativity gate, work bound, fixed cases
+# -------------------------------------------------------------------
+
+def test_associativity_gate_rejects_a_non_associative_level():
+    # the Z/2 and constant presentations pass the gate: see
+    # test_group_action_presentation_z2 and
+    # test_constant_presentation_identities_and_tot
+    from totconn.totalcomplex import (presentation_from_json,
+                                      presentation_to_json)
+    data = presentation_to_json(Z2_PRESENTATION)
+    # 1 * dx = 2 dx at level 1, so (1 * 1) * dx != 1 * (1 * dx)
+    entry = next(e for e in data["levels"][1]["maps"]["2"]
+                 if e["in"] == [[0, "((0,), '1')"], [1, "((0,), 'dx')"]])
+    entry["coeff"] = "2"
+    levels = [FiniteAlgebra.from_json(lvl) for lvl in data["levels"]]
+    failures = FinitePresentation(levels, Z2_PRESENTATION.cofaces,
+                                  Z2_PRESENTATION.codegeneracies).check_identities()
+    assert ("assoc", 1, (0, "((0,), '1')"), (0, "((0,), '1')"),
+            (1, "((0,), 'dx')")) in failures
+    with pytest.raises(ValueError, match="associativity"):
+        presentation_from_json(data)
+
+
+def test_fold_wedges_once_per_internal_edge(monkeypatch):
+    rng = random.Random(5)
+    be = GroupCochainBackend(2)
+    alg = TotalComplexAlgebra(be, level_cap=2, arity_cap=5)
+    vals = [workload_b(be, rng) for _ in range(5)]
+    ps = (1,) * 5
+    edges, pairs = 0, set()
+    level = [alg._top_table(2, ps)]
+    for slot in range(5):
+        pairs.update((slot, I) for node in level for I, _ in node)
+        if slot < 4:
+            edges += sum(len(node) for node in level)
+            level = [child for node in level for _, child in node]
+    calls = {"wedge": 0, "push": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(be, "wedge", counted("wedge", be.wedge))
+    monkeypatch.setattr(totalcomplex, "sigma_pushforward",
+                        counted("push", sigma_pushforward))
+    got = alg.m(5, [TotElement(be, {(1, 0): b}) for b in vals])
+    monkeypatch.undo()
+    assert 0 < calls["wedge"] <= edges
+    assert 0 < calls["push"] <= len(pairs)
+    want = ref_pure_product(alg, 5, [(1, 0)] * 5, vals)
+    assert not want.is_zero()
+    assert got == want
+
+
+def presentation_element(rng, bidegrees):
+    """One component per bidegree, each 1-3 basis keys of its level and
+    form degree with small coefficients."""
+    comps = {}
+    for p, q in bidegrees:
+        keys = [k for k in Z2_PRESENTATION.levels[p].space.keys() if k[0] == q]
+        comps[(p, q)] = {k: Fraction(rng.choice((-2, -1, 1, 3)))
+                         for k in rng.sample(keys, rng.randint(1, min(3, len(keys))))}
+    return TotElement(Z2_PRESENTATION, comps)
+
+
+@pytest.mark.parametrize("shapes", [
+    [[(2, 0), (0, 1)], [(1, 0), (1, 1)], [(1, 0), (0, 0)], [(0, 1), (0, 2)]],
+    [[(1, 0), (0, 1)], [(1, 1)], [(1, 0), (0, 2)], [(1, 0)], [(1, 0), (0, 1)]],
+])
+def test_m_matches_the_per_tuple_loop_on_fixed_presentation_cases(shapes):
+    rng = random.Random(len(shapes))
+    elems = [presentation_element(rng, bidegs) for bidegs in shapes]
+    want = ref_m(Z2_ALGEBRA, len(elems), elems)
+    assert not want.is_zero()
+    assert Z2_ALGEBRA.m(len(elems), elems) == want
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in GOLDEN.glob("tot_*_inputs.json")))
+def test_total_complex_outputs_are_exact(name):
+    from totconn.cli import _tot_element_from_json
+    with open(GOLDEN / name) as fh:
+        data = json.load(fh)
+    be = GroupCochainBackend(int(data["group_rank"]))
+    alg = TotalComplexAlgebra(be, level_cap=2, arity_cap=5)
+    elems = [_tot_element_from_json(be, e) for e in data["elements"]]
+    outputs = [alg.m(len(elems), elems)]
+    if "degree1" in name:
+        outputs.append(tot_product_degree1(alg, elems))
+    for out in outputs:
+        assert not out.is_zero()
+        for val in out.components.values():
+            assert all(type(c) is Fraction for c in val.form.terms.values())
