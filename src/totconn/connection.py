@@ -15,9 +15,8 @@ from math import factorial, lcm
 
 from .convolution import TensorSeries
 from .forms import PolyForm
-from .freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
-                      _from_scaled, lyndon_bracket)
-from .linalg import accumulate
+from .freelie import EMPTY, EnvelopingQuotient, FiberLieAlgebra, lyndon_bracket
+from .linalg import accumulate, from_scaled
 from .scalars import rat, rat_str
 from .structures import FormSpace, KeyedCarrier
 
@@ -471,14 +470,14 @@ def transport(alpha: ConnectionForm, path: PLPath, env: EnvelopingQuotient):
 
     T solves T' = T * A(s) along each segment; segments compose by
     multiplication in traversal order.  Segments are computed and folded
-    on integer numerators over one common denominator (see ``freelie``);
+    on integer numerators over one common denominator (see ``linalg``);
     the result is built as ``Fraction``s once, at the end.
     """
     terms = _coefficient_terms(alpha, env.order)
     total = (1, {EMPTY: 1})
     for a, b in zip(path.vertices, path.vertices[1:]):
         total = env._mul(total, _segment_transport(terms, a, b, env))
-    return _from_scaled(total)
+    return from_scaled(total)
 
 
 def _coefficient_terms(alpha, order):

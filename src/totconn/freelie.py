@@ -8,11 +8,11 @@ All generators sit in degree zero, so no Koszul signs appear here.
 
 Public functions and methods take and return ``Fraction`` dicts.  The
 truncated product, exp and log, and the enveloping quotient's reduction,
-compute internally on a *scaled series* ``(den, {word: int})``: integer
-numerators over one common positive denominator, with no zero numerator
-stored.  Each operation divides out the gcd of the denominator and the
-numerators once at its end, and ``Fraction``s are built only when a
-value leaves the public interface.
+compute internally on scaled series ``(den, {word: int})``, the format
+of ``linalg`` (``to_scaled``), and reduce through ``Echelon``.  Each
+operation divides out the gcd of the denominator and the numerators
+once at its end, and ``Fraction``s are built only when a value leaves
+the public interface.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
-from .linalg import Coordinates, Echelon, accumulate
+from .linalg import (Coordinates, Echelon, accumulate, from_scaled,
+                     lowest_terms, to_scaled)
 from .scalars import rat, rat_str
 
 
@@ -41,30 +42,6 @@ def check_order(order):
 # ---------------------------------------------------------------------
 # scaled series: integer numerators over one common denominator
 # ---------------------------------------------------------------------
-
-def _to_scaled(x: dict):
-    """The scaled form of a {word: Fraction or int} dict.  The
-    denominator is the lcm of the coefficients' denominators, so the
-    result is already in lowest terms."""
-    den = lcm(*[c.denominator for c in x.values()])
-    return den, {w: c.numerator * (den // c.denominator)
-                 for w, c in x.items() if c}
-
-
-def _from_scaled(s) -> dict:
-    den, num = s
-    if den == 1:
-        return {w: Fraction(n) for w, n in num.items()}
-    return {w: Fraction(n, den) for w, n in num.items()}
-
-
-def _lowest_terms(den, num):
-    """Divide out the gcd of ``den`` and all numerators."""
-    g = gcd(den, *num.values())
-    if g == 1:
-        return den, num
-    return den // g, {w: n // g for w, n in num.items()}
-
 
 def _scaled_mul(a, b, order):
     """Concatenation product of scaled series, dropping words longer than
@@ -117,51 +94,7 @@ def _scaled_power_series(x, coefficients, order):
         f = c.numerator * (common // (power[0] * c.denominator))
         for w, n in power[1].items():
             out[w] = out.get(w, 0) + f * n
-    return _lowest_terms(common, {w: n for w, n in out.items() if n})
-
-
-def _int_rows(ech: Echelon):
-    """The rows of a fully reduced echelon as {pivot: (p, tail)}: p is
-    the lcm of the row's denominators, and ``tail`` the integer row p *
-    row without its pivot entry (which is p)."""
-    rows = {}
-    for pivot, row in ech.rows.items():
-        p = lcm(*[c.denominator for c in row.values()])
-        rows[pivot] = (p, {k: c.numerator * (p // c.denominator)
-                           for k, c in row.items() if k != pivot})
-    return rows
-
-
-def _scaled_reduce(rows, den, num):
-    """num/den modulo the span of integer echelon rows; not brought to
-    lowest terms.
-
-    A row holds no pivot but its own, so subtracting it never changes the
-    coefficient at another pivot: the pivots of ``num`` are eliminated
-    once each, in any order.  Eliminating pivot k with coefficient c
-    against a row with pivot coefficient p multiplies the series by
-    p/gcd(c, p), then subtracts c/gcd(c, p) times the row.
-    """
-    pivots = [k for k in num if k in rows]
-    if not pivots:
-        return den, num
-    num = dict(num)
-    for k in pivots:
-        c = num.pop(k)
-        p, tail = rows[k]
-        g = gcd(c, p)
-        if g != p:
-            f = p // g
-            den *= f
-            num = {w: f * n for w, n in num.items()}
-        q = c // g
-        for w, r in tail.items():
-            n = num.get(w, 0) - q * r
-            if n:
-                num[w] = n
-            else:
-                num.pop(w, None)
-    return den, num
+    return lowest_terms(common, {w: n for w, n in out.items() if n})
 
 
 # ---------------------------------------------------------------------
@@ -170,22 +103,22 @@ def _scaled_reduce(rows, den, num):
 
 def tensor_mul(a: dict, b: dict, order: int) -> dict:
     """Concatenation product, dropping words longer than ``order``."""
-    return _from_scaled(_lowest_terms(*_scaled_mul(_to_scaled(a), _to_scaled(b), order)))
+    return from_scaled(lowest_terms(*_scaled_mul(to_scaled(a), to_scaled(b), order)))
 
 
 def tensor_exp(x: dict, order: int) -> dict:
     """exp of a series with no constant term."""
     if EMPTY in x:
         raise ValueError("exp needs a series without constant term")
-    return _from_scaled(_scaled_power_series(_to_scaled(x), _exp_coefficients(order), order))
+    return from_scaled(_scaled_power_series(to_scaled(x), _exp_coefficients(order), order))
 
 
 def tensor_log(t: dict, order: int) -> dict:
     """log of a series with constant term 1."""
     if t.get(EMPTY) != 1:
         raise ValueError("log needs constant term 1")
-    u = _to_scaled({w: c for w, c in t.items() if w != EMPTY})
-    return _from_scaled(_scaled_power_series(u, _log_coefficients(order), order))
+    u = to_scaled({w: c for w, c in t.items() if w != EMPTY})
+    return from_scaled(_scaled_power_series(u, _log_coefficients(order), order))
 
 
 def bch(x: dict, y: dict, order: int) -> dict:
@@ -277,7 +210,7 @@ def _is_lyndon(w):
 
 
 def commutator(a: dict, b: dict, order: int) -> dict:
-    sa, sb = _to_scaled(a), _to_scaled(b)
+    sa, sb = to_scaled(a), to_scaled(b)
     den, ab = _scaled_mul(sa, sb, order)
     _, ba = _scaled_mul(sb, sa, order)
     for w, n in ba.items():
@@ -286,7 +219,7 @@ def commutator(a: dict, b: dict, order: int) -> dict:
             ab[w] = n
         else:
             del ab[w]
-    return _from_scaled(_lowest_terms(den, ab))
+    return from_scaled(lowest_terms(den, ab))
 
 
 def lyndon_bracket(w, order=None) -> dict:
@@ -509,9 +442,8 @@ class EnvelopingQuotient:
 
     This is the completed enveloping algebra of the fiber Lie algebra at
     truncated scale; transport values and holonomies live here.  The
-    ideal's echelon rows are scaled to integer rows once, at
-    construction; every method computes on scaled series and returns
-    ``Fraction`` dicts.
+    two-sided ideal is one ``Echelon``, filled at construction; every
+    method computes on scaled series and returns ``Fraction`` dicts.
     """
 
     def __init__(self, free: FreeLie, ideal: LieIdealPresentation, order: int):
@@ -519,15 +451,12 @@ class EnvelopingQuotient:
         self.free = free
         self.order = order
         self.ideal = ideal
-        mod = Echelon(_length_first)
-        num = len(free.gen_names)
-        gens = [{w: c for w, c in g.items() if len(w) <= order}
-                for g in ideal.generators]
-        for g in gens:
-            self._insert_two_sided(mod, g, num)
-        self._rows = _int_rows(mod)
+        self._mod = Echelon(_length_first)
+        for g in ideal.generators:
+            self._insert_two_sided({w: c for w, c in g.items() if len(w) <= order})
 
-    def _insert_two_sided(self, mod, g, num_gens):
+    def _insert_two_sided(self, g):
+        mod = self._mod
         frontier = [g]
         mod.insert(g)
         while frontier:
@@ -537,7 +466,7 @@ class EnvelopingQuotient:
                 if vmin >= self.order:
                     continue
                 shorter = [(w, c) for w, c in v.items() if len(w) < self.order]
-                for i in range(num_gens):
+                for i in range(len(self.free.gen_names)):
                     left = {(i,) + w: c for w, c in shorter}
                     right = {w + (i,): c for w, c in shorter}
                     for h in (left, right):
@@ -548,12 +477,12 @@ class EnvelopingQuotient:
     def _normal_form(self, x: dict):
         """The normal form of a {word: Fraction} dict, as a scaled series."""
         order = self.order
-        return self._reduce(_to_scaled({w: c for w, c in x.items() if len(w) <= order}))
+        return self._reduce(to_scaled({w: c for w, c in x.items() if len(w) <= order}))
 
     def _reduce(self, s):
         """The normal form of a scaled series whose words are no longer
         than the order."""
-        return _lowest_terms(*_scaled_reduce(self._rows, *s))
+        return lowest_terms(*self._mod.reduce_scaled(*s))
 
     def _mul(self, a, b):
         """The product of two normal forms, as a normal form."""
@@ -575,26 +504,26 @@ class EnvelopingQuotient:
                                                  self.order))
 
     def reduce(self, x: dict) -> dict:
-        return _from_scaled(self._normal_form(x))
+        return from_scaled(self._normal_form(x))
 
     def eq(self, a: dict, b: dict) -> bool:
         # normal forms in lowest terms are canonical
         return self._normal_form(a) == self._normal_form(b)
 
     def mul(self, a: dict, b: dict) -> dict:
-        return _from_scaled(self._mul(self._normal_form(a), self._normal_form(b)))
+        return from_scaled(self._mul(self._normal_form(a), self._normal_form(b)))
 
     def exp(self, x: dict) -> dict:
-        return _from_scaled(self._exp(self._normal_form(x)))
+        return from_scaled(self._exp(self._normal_form(x)))
 
     def log(self, t: dict) -> dict:
-        return _from_scaled(self._reduce(self._log(self._normal_form(t))))
+        return from_scaled(self._reduce(self._log(self._normal_form(t))))
 
     def inverse(self, t: dict) -> dict:
         if t.get(EMPTY) != 1:
             raise ValueError("only grouplike-style series are inverted")
         den, num = self._reduce(self._log(self._normal_form(t)))
-        return _from_scaled(self._exp((den, {w: -n for w, n in num.items()})))
+        return from_scaled(self._exp((den, {w: -n for w, n in num.items()})))
 
     def is_grouplike(self, t: dict) -> bool:
         """The normal form of t has constant term 1 and log(t) is a Lie
@@ -605,18 +534,18 @@ class EnvelopingQuotient:
         # the ideal rows are among the rows of _lie_plus_ideal, so log(t)
         # need not be reduced modulo the ideal first
         den, num = self._log(s)
-        return not _scaled_reduce(self._lie_plus_ideal, den, num)[1]
+        return not self._lie_plus_ideal.reduce_scaled(den, num)[1]
 
     @functools.cached_property
     def _lie_plus_ideal(self):
-        """Integer echelon rows of the Lyndon brackets up to the order plus
-        the ideal rows, built once per quotient on first use.  A Lyndon
-        bracket is homogeneous of its word's length, so the free Lie
-        algebra's table needs no truncation."""
+        """The echelon of the Lyndon brackets up to the order plus the
+        ideal's integer rows, built once per quotient on first use.  A
+        Lyndon bracket is homogeneous of its word's length, so the free
+        Lie algebra's table needs no truncation."""
         ech = Echelon(_length_first)
         for w in self.free.lyndon:
             if len(w) <= self.order:
                 ech.insert(self.free._bracket_elems[w])
-        for pivot, (p, tail) in self._rows.items():
+        for pivot, (p, tail) in self._mod._rows.items():
             ech.insert({pivot: p, **tail})
-        return _int_rows(ech)
+        return ech

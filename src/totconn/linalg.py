@@ -16,6 +16,13 @@ Elimination pivots are chosen deterministically from a fixed key order,
 so all constructions downstream (Hodge decompositions, quotient bases)
 are reproducible.
 
+``Echelon`` is the one elimination kernel, and it is fraction-free: it
+computes on *scaled vectors* ``(den, {key: int})``, integer numerators
+over one common positive denominator with no zero numerator stored.
+``to_scaled`` is the way in and refuses inexact values; ``Fraction``s
+are built only where a value leaves.  ``freelie`` keeps its series in
+this format and reduces them with ``Echelon.reduce_scaled``.
+
 ``Coordinates`` is the one tagged elimination: it appends a private tag
 key to each input vector, and tags sort after every ordinary key, in the
 order the vectors were given.  So the ordinary keys are eliminated first
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def accumulate(acc: dict, items) -> dict:
@@ -71,57 +79,137 @@ def multilinear_terms(vectors):
         yield tuple(key for key, _ in combo), coeff
 
 
+def to_scaled(vec: dict):
+    """The scaled form of a {key: Fraction or int} dict, over the lcm of
+    its denominators, so in lowest terms.  A value without an exact
+    ``numerator`` and ``denominator``, such as a float, is a TypeError."""
+    try:
+        den = lcm(*[c.denominator for c in vec.values()])
+        return den, {k: c.numerator * (den // c.denominator)
+                     for k, c in vec.items() if c}
+    except AttributeError:
+        bad = [c for c in vec.values()
+               if not (hasattr(c, "numerator") and hasattr(c, "denominator"))]
+        raise TypeError("exact elimination takes int or Fraction values, "
+                        "not %r" % (bad[0],)) from None
+
+
+def from_scaled(s) -> dict:
+    den, num = s
+    if den == 1:
+        return {k: Fraction(n) for k, n in num.items()}
+    return {k: Fraction(n, den) for k, n in num.items()}
+
+
+def lowest_terms(den, num):
+    """Divide out the gcd of ``den`` and all numerators."""
+    g = gcd(den, *num.values())
+    if g == 1:
+        return den, num
+    return den // g, {k: n // g for k, n in num.items()}
+
+
+def _reduce_scaled(rows, den, num):
+    """num/den modulo the rows {pivot: (p, tail)} of an ``Echelon``, not
+    brought to lowest terms.
+
+    A row holds no pivot but its own, so subtracting it never changes the
+    entry at another pivot: the pivots of ``num`` are eliminated once
+    each, in any order.  Eliminating pivot k with entry c against a row
+    with pivot coefficient p multiplies the vector by p/gcd(c, p), then
+    subtracts c/gcd(c, p) times the row.
+    """
+    pivots = [k for k in num if k in rows]
+    if not pivots:
+        return den, num
+    num = dict(num)
+    for k in pivots:
+        c = num.pop(k)
+        p, tail = rows[k]
+        g = gcd(c, p)
+        if g != p:
+            f = p // g
+            den *= f
+            num = {w: f * n for w, n in num.items()}
+        q = c // g
+        for w, r in tail.items():
+            n = num.get(w, 0) - q * r
+            if n:
+                num[w] = n
+            else:
+                num.pop(w, None)
+    return den, num
+
+
+def _primitive(pivot, num):
+    """The integer vector ``num`` as an echelon row ``(p, tail)``: divided
+    by the gcd of its entries, signed so that p > 0; pops the pivot."""
+    g = gcd(*num.values())
+    if num[pivot] < 0:
+        g = -g
+    p = num.pop(pivot) // g
+    return p, (num if g == 1 else {w: n // g for w, n in num.items()})
+
+
 class Echelon:
     """Incrementally reduced spanning set with deterministic pivots.
 
     ``key_order`` maps a key to a sortable token; the pivot of a vector is
     its minimal key under that order.  Rows are fully reduced against each
     other (RREF-style), so reduction gives canonical normal forms.
+
+    Each row is stored as ``(p, tail)``: a primitive integer row with
+    coefficient p > 0 at its pivot, ``tail`` its other entries.
     """
 
     def __init__(self, key_order=None):
         self.key_order = key_order if key_order is not None else (lambda k: k)
-        self.rows = {}  # pivot key -> row dict (pivot coefficient 1)
+        self._rows = {}  # pivot key -> (p, tail)
+
+    def reduce_scaled(self, den, num):
+        """The scaled vector num/den modulo the span, not in lowest terms."""
+        return _reduce_scaled(self._rows, den, num)
 
     def reduce(self, vec: dict) -> dict:
-        """Canonical residual of ``vec`` modulo the current span.
-
-        Rows hold no pivot but their own, so subtracting one never brings
-        in another pivot: one pass over the pivots of ``vec``, in key
-        order, leaves the residual.
-        """
-        vec = dict(vec)
-        rows = self.rows
-        for k in sorted([k for k in vec if k in rows], key=self.key_order):
-            c = -vec[k]
-            accumulate(vec, ((key, c * v) for key, v in rows[k].items()))
-        return vec
+        """Canonical residual of ``vec`` modulo the current span."""
+        return from_scaled(lowest_terms(*self.reduce_scaled(*to_scaled(vec))))
 
     def insert(self, vec: dict) -> bool:
         """Add ``vec`` to the span; returns True if the rank grew."""
-        res = self.reduce(vec)
-        if not res:
+        _, num = self.reduce_scaled(*to_scaled(vec))
+        if not num:
             return False
-        pivot = min(res, key=self.key_order)
-        res = vec_scale(res, Fraction(1) / res[pivot])
-        for p, row in list(self.rows.items()):
-            if pivot in row:
-                self.rows[p] = vec_add(row, res, -row[pivot])
-        self.rows[pivot] = res
+        pivot = min(num, key=self.key_order)
+        row = _primitive(pivot, num)
+        rows = self._rows
+        for k, (p, tail) in list(rows.items()):
+            if pivot in tail:
+                rows[k] = _primitive(k, _reduce_scaled({pivot: row}, 1, {k: p, **tail})[1])
+        rows[pivot] = row
         return True
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return not self.reduce_scaled(*to_scaled(vec))[1]
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def pivots(self):
-        return sorted(self.rows, key=self.key_order)
+        return sorted(self._rows, key=self.key_order)
+
+    def _row(self, pivot):
+        p, tail = self._rows[pivot]
+        return {pivot: Fraction(1), **{k: Fraction(n, p) for k, n in tail.items()}}
+
+    @property
+    def rows(self):
+        """{pivot: row} as fresh ``Fraction`` dicts, pivot coefficient 1."""
+        return {p: self._row(p) for p in self._rows}
 
     def basis(self):
-        return [self.rows[p] for p in self.pivots()]
+        """The rows in pivot order, as fresh ``Fraction`` dicts."""
+        return [self._row(p) for p in self.pivots()]
 
 
 class _Tag:
@@ -149,9 +237,7 @@ class Coordinates:
         order = key_order if key_order is not None else (lambda k: k)
         self._ech = Echelon(lambda k: (1, k.i) if type(k) is _Tag else (0, order(k)))
         for i, v in enumerate(vectors):
-            row = dict(v)
-            row[_Tag(i)] = Fraction(1)
-            self._ech.insert(row)
+            self._ech.insert({**v, _Tag(i): 1})
 
     def __call__(self, vec: dict):
         """``({i: c}, leftover)`` with vec = sum c * vectors[i] + leftover;

@@ -52,12 +52,13 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
+from .dupont import NCElement
 from .forms import PolyForm
 from .graded import GradedVectorSpace
 from .linalg import Echelon, accumulate
 from .scalars import bernoulli, rat, rat_str
 from .structures import Carrier, FiniteAlgebra, KeyedCarrier
-from .transfer import nc_structure
+from .transfer import nc_structure, nc_vector_from_element
 
 
 class LevelCapError(RuntimeError):
@@ -646,26 +647,10 @@ def psi_roundtrip_ok(v: TotElement, level: int) -> bool:
 
 def _nc_top_coefficient(l, n, strings, arity_cap):
     """Top coefficient of m_n^{[l]}(lam_{I_1}, .., lam_{I_n})."""
-    res = nc_structure(l, arity_cap)
-    alg = res.algebra
-    elems = []
-    for I in strings:
-        if len(I) == 1:
-            i = I[0]
-            if i == 0:
-                vec = {(0, "1"): Fraction(1)}
-                for j in range(1, l + 1):
-                    vec[(0, "v%d" % j)] = Fraction(-1)
-            else:
-                vec = {(0, "v%d" % i): Fraction(1)}
-        else:
-            vec = {(len(I) - 1, "L" + "".join(map(str, I))): Fraction(1)}
-        elems.append(vec)
-    val = alg.m(n, elems)
-    if l == 0:
-        return val.get((0, "1"), Fraction(0))
-    top = (l, "L" + "".join(map(str, range(l + 1))))
-    return val.get(top, Fraction(0))
+    alg = nc_structure(l, arity_cap).algebra
+    elems = [nc_vector_from_element(NCElement.basis(l, I)) for I in strings]
+    [top] = nc_vector_from_element(NCElement.basis(l, range(l + 1)))
+    return alg.m(n, elems).get(top, Fraction(0))
 
 
 def _freeze(trie):

@@ -1,11 +1,12 @@
-"""The transport layer on integer numerators, checked against Fractions.
+"""The integer kernels, checked against Fractions.
 
-``freelie`` computes the enveloping quotient's reduction, product, exp
-and log, and ``connection`` computes segment transport, on integer
-numerators over one common denominator per series.  The ``ref_*``
-functions below are the plain ``Fraction`` implementations those
-replaced, kept as the oracle: every property here asks for
-values equal as rationals.
+``linalg.Echelon`` eliminates fraction-free on integer rows; ``freelie``
+computes the enveloping quotient's reduction, product, exp and log, and
+``connection`` computes segment transport, on integer numerators over
+one common denominator per series.  The ``ref_*`` functions and
+``ref_Echelon`` below are the plain ``Fraction`` implementations those
+replaced, kept as the oracle: every property here asks for values equal
+as rationals.
 
 The quotients cover the three shapes of echelon rows: the Heisenberg
 quotient (integer rows), an ideal whose rows carry non-unit denominators
@@ -16,6 +17,7 @@ back to polynomials of positive degree in s (a non-flat connection).
 """
 
 import functools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -26,16 +28,57 @@ from totconn.connection import (ConnectionForm, PLPath, _coefficient_terms,
                                 transport)
 from totconn.forms import PolyForm
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FreeLie,
-                             LieIdealPresentation, _from_scaled, _length_first,
-                             commutator, is_grouplike, lyndon_bracket,
-                             tensor_exp, tensor_log, tensor_mul)
-from totconn.linalg import Echelon, accumulate, vec_add
+                             LieIdealPresentation, _length_first, commutator,
+                             is_grouplike, lyndon_bracket, tensor_exp,
+                             tensor_log, tensor_mul)
+from totconn.linalg import Echelon, accumulate, from_scaled, vec_add, vec_scale
 from totconn.scalars import rat
 
 
 # ---------------------------------------------------------------------
 # the Fraction reference implementations
 # ---------------------------------------------------------------------
+
+class ref_Echelon:
+    """The ``Fraction`` echelon: rows stored with pivot coefficient 1."""
+
+    def __init__(self, key_order=None):
+        self.key_order = key_order if key_order is not None else (lambda k: k)
+        self.rows = {}  # pivot key -> row dict (pivot coefficient 1)
+
+    def reduce(self, vec: dict) -> dict:
+        vec = dict(vec)
+        rows = self.rows
+        for k in sorted([k for k in vec if k in rows], key=self.key_order):
+            c = -vec[k]
+            accumulate(vec, ((key, c * v) for key, v in rows[k].items()))
+        return vec
+
+    def insert(self, vec: dict) -> bool:
+        res = self.reduce(vec)
+        if not res:
+            return False
+        pivot = min(res, key=self.key_order)
+        res = vec_scale(res, Fraction(1) / res[pivot])
+        for p, row in list(self.rows.items()):
+            if pivot in row:
+                self.rows[p] = vec_add(row, res, -row[pivot])
+        self.rows[pivot] = res
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def pivots(self):
+        return sorted(self.rows, key=self.key_order)
+
+    def basis(self):
+        return [self.rows[p] for p in self.pivots()]
+
 
 def ref_tensor_mul(a, b, order):
     return accumulate({}, ((wa + wb, ca * cb) for wa, ca in a.items()
@@ -78,7 +121,7 @@ class RefQuotient:
 
     def __init__(self, free, ideal, order):
         self.order = order
-        self.mod = Echelon(_length_first)
+        self.mod = ref_Echelon(_length_first)
         num = len(free.gen_names)
         for g in ideal.generators:
             self._insert_two_sided({w: c for w, c in g.items() if len(w) <= order}, num)
@@ -259,13 +302,58 @@ def paths(draw):
 # properties
 # ---------------------------------------------------------------------
 
+def nonzero(vec):
+    return {k: c for k, c in vec.items() if c}
+
+
+SPARSE = st.dictionaries(st.integers(0, 7), rationals(), max_size=5).map(nonzero)
+KEY_ORDERS = {"natural": None, "reversed": lambda k: -k}
+
+
+def assert_same_echelon(vectors, probe, key_order=None):
+    ech, ref = Echelon(key_order), ref_Echelon(key_order)
+    for v in vectors:
+        assert ech.insert(v) == ref.insert(v)
+    assert ech.rank == ref.rank
+    assert ech.pivots() == ref.pivots()
+    assert ech.basis() == ref.basis()
+    assert ech.rows == ref.rows
+    assert ech.reduce(probe) == ref.reduce(probe)
+    assert ech.contains(probe) == ref.contains(probe)
+    assert all(type(c) is Fraction for row in ech.basis() for c in row.values())
+    assert all(type(c) is Fraction for c in ech.reduce(probe).values())
+    return ech
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(SPARSE, max_size=7), SPARSE, st.sampled_from(sorted(KEY_ORDERS)))
+def test_echelon_matches_the_fraction_echelon(vectors, probe, order):
+    assert_same_echelon(vectors, probe, KEY_ORDERS[order])
+
+
+def test_echelon_keeps_primitive_integer_rows():
+    # 1/2 x0 + 1/3 x1 is stored as 3 x0 + 2 x1; inserting 1/4 x1 + 1/6 x2
+    # (stored as 3 x1 + 2 x2) clears x1 from it, leaving 9 x0 - 4 x2
+    F = Fraction
+    vectors = [{0: F(1, 2), 1: F(1, 3)}, {1: F(1, 4), 2: F(1, 6)}]
+    ech = assert_same_echelon(vectors, {0: F(1), 1: F(2, 7), 2: F(-1, 3)})
+    assert ech._rows == {0: (9, {2: -4}), 1: (3, {2: 2})}
+    assert ech.rows == {0: {0: F(1), 2: F(-4, 9)}, 1: {1: F(1), 2: F(2, 3)}}
+    assert ech.reduce({0: F(1)}) == {2: F(4, 9)}
+    vectors.append({0: F(2, 3), 2: F(5, 7), 3: F(-3, 2)})
+    ech = assert_same_echelon(vectors, {3: F(1, 5), 2: F(1)})
+    assert all(p > 0 and math.gcd(p, *tail.values()) == 1
+               for p, tail in ech._rows.values())
+    assert any(p != 1 for p, _ in ech._rows.values())
+
+
 def test_fractional_quotient_has_non_unit_row_denominators():
     env, _ = quotient("fractional")
-    assert any(p != 1 for p, _ in env._rows.values())
+    assert any(p != 1 for p, _ in env._mod._rows.values())
     env, _ = quotient("heisenberg")
-    assert env._rows and all(p == 1 for p, _ in env._rows.values())
+    assert env._mod._rows and all(p == 1 for p, _ in env._mod._rows.values())
     env, _ = quotient("free")
-    assert not env._rows
+    assert not env._mod._rows
 
 
 @settings(deadline=None, max_examples=60)
@@ -324,7 +412,7 @@ def test_transport_matches_fractions(data):
     path = data.draw(paths())
     a, b = path.vertices[:2]
     terms = _coefficient_terms(alpha, env.order)
-    assert _from_scaled(_segment_transport(terms, a, b, env)) \
+    assert from_scaled(_segment_transport(terms, a, b, env)) \
         == ref_segment_transport(alpha, a, b, ref)
     T = transport(alpha, path, env)
     assert T == ref_transport(alpha, path, ref)

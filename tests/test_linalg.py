@@ -10,6 +10,7 @@ import functools
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +202,34 @@ def test_tuple_keys_never_collide_with_the_tags():
     assert solve([{0: Fraction(1)}], {key: Fraction(1)}) is None
     assert Coordinates([{("s", 0): Fraction(1)}, {("s", 0): Fraction(2)}]).relations() \
         == [{0: Fraction(1), 1: Fraction(-1, 2)}]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Echelon().insert({"a": 0.5}),
+    lambda: Echelon().reduce({"a": 0.5}),
+    lambda: Coordinates([{"a": 0.5}]),
+    lambda: solve([{"a": Fraction(1)}], {"a": 0.5}),
+], ids=["insert", "reduce", "coordinates", "solve"])
+def test_inexact_scalars_are_refused(call):
+    with pytest.raises(TypeError, match="0.5"):
+        call()
+
+
+def test_rows_read_from_an_echelon_cannot_change_it():
+    # rows x0 - 6 x2 and x1 + 3 x2
+    ech = echelon([{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1, 3), 2: Fraction(1)}])
+    probes = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},
+              {0: Fraction(1), 2: Fraction(-6)}]
+
+    def state():
+        return ([ech.reduce(v) for v in probes], [ech.contains(v) for v in probes],
+                ech.rank, ech.rows)
+
+    before = state()
+    assert before[1] == [False, True]
+    ech.basis()[0][2] = Fraction(5)
+    ech.rows[1].clear()
+    assert state() == before
 
 
 @functools.lru_cache(maxsize=None)
