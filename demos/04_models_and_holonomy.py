@@ -19,7 +19,7 @@ print("circle holonomy of a^3:  ", r.to_json()["holonomy"]["a a a"])
 # two, and the commutator loop has trivial holonomy.
 r = run_pipeline("torus")
 print("\ntorus ideal generators:",
-      [series_repr(g, r.free.gen_names) for g in r.ideal.generators])
+      [series_repr(g, r.fib.free.gen_names) for g in r.fib.ideal.generators])
 print("torus fiber dims:", r.dims_per_k)
 print("torus commutator loop:", r.to_json()["holonomy"]["a b a- b-"])
 print("connection flat:", r.certificate.flat)

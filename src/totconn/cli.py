@@ -24,7 +24,7 @@ from .forms import PolyForm
 from .freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
                       LieIdealPresentation, TruncationError, bracket_label,
                       lie_series_from_json)
-from .minimal import ModelError, massey_report, one_minimal_model
+from .minimal import ModelError, massey_json, one_minimal_model
 from .pipeline import PRESETS, compare_pipeline_models, run_pipeline
 from .scalars import rat, rat_str
 from .structures import FiniteAlgebra
@@ -210,12 +210,7 @@ def cmd_minimal_model(args):
     data = _load_json(args.input)
     B = FiniteAlgebra.from_json(data)
     model = one_minimal_model(B, arity_cap=args.arity, pivot=args.pivot)
-    rep = massey_report(model)
-    out = {"model": model.algebra.to_json(),
-           "massey": {str(n): {"|".join(w): {name: rat_str(c)
-                                             for name, c in val.items()}
-                               for w, val in sorted(table.items())}
-                      for n, table in rep.items()}}
+    out = {"model": model.algebra.to_json(), "massey": massey_json(model)}
     _emit(out, args.json)
     return PASS
 
@@ -228,7 +223,6 @@ def _connection_from_json(data):
     gens = [lie_series_from_json(g, free) for g in data.get("ideal", [])]
     ideal = LieIdealPresentation(free, gens)
     fib = FiberLieAlgebra(free, ideal, k)
-    env = EnvelopingQuotient(free, ideal, k)
     coeffs = {}
     lookup = {bracket_label(w, names): w for w in fib.basis}
     for label, form_json in data["coefficients"].items():
@@ -237,15 +231,19 @@ def _connection_from_json(data):
             raise ValueError("unknown quotient basis label %r" % (label,))
         form = PolyForm.from_json(m, form_json, varname="x")
         coeffs[w] = PolyForm(m, form.terms, varname="x", ndiff=m)
-    alpha = ConnectionForm(m, fib, coeffs, flags=tuple(data.get("flags", ())))
-    return alpha, fib, env, free
+    return ConnectionForm(m, fib, coeffs, flags=tuple(data.get("flags", ())))
+
+
+def _word_labels(series, names):
+    return {("1" if not w else ".".join(names[i] for i in w)): rat_str(c)
+            for w, c in sorted(series.items())}
 
 
 def cmd_conn_flat_check(args):
-    alpha, fib, env, free = _connection_from_json(_load_json(args.input))
+    alpha = _connection_from_json(_load_json(args.input))
     cert = flatness_check(alpha)
     for w, f in cert.failures:
-        print("curvature at %s: %r" % (bracket_label(w, free.gen_names), f))
+        print("curvature at %s: %r" % (bracket_label(w, alpha.fib.free.gen_names), f))
     if alpha.flags:
         print("declared flags: %s" % ", ".join(alpha.flags))
     print("flat: %s" % ("yes" if cert.flat else "no"))
@@ -253,27 +251,29 @@ def cmd_conn_flat_check(args):
 
 
 def cmd_conn_transport(args):
-    alpha, fib, env, free = _connection_from_json(_load_json(args.input))
-    if args.order > env.order:
+    alpha = _connection_from_json(_load_json(args.input))
+    fib = alpha.fib
+    if args.order > fib.k:
         raise TruncationError("requested order exceeds the truncation")
+    env = EnvelopingQuotient(fib.free, fib.ideal, args.order)
     path = PLPath.from_json(_load_json(args.path))
     T = transport(alpha, path, env)
-    out = {("1" if not w else ".".join(free.gen_names[i] for i in w)): rat_str(c)
-           for w, c in sorted(T.items())}
-    _emit({"transport": out, "grouplike": env.is_grouplike(T)}, args.json)
+    _emit({"transport": _word_labels(T, fib.free.gen_names),
+           "grouplike": env.is_grouplike(T)}, args.json)
     return PASS
 
 
 def cmd_conn_holonomy(args):
-    alpha, fib, env, free = _connection_from_json(_load_json(args.input))
+    alpha = _connection_from_json(_load_json(args.input))
+    fib = alpha.fib
+    env = EnvelopingQuotient(fib.free, fib.ideal, fib.k)
     loop = parse_loop(args.loop, alpha.m)
     basepoint = tuple(rat(c) for c in (args.basepoint.split(",")
                                        if args.basepoint else ["0"] * alpha.m))
     F = AutomorphyFactor(GaugeElement(alpha.m, fib, {}), env)
     theta = holonomy(alpha, F, loop, basepoint, env)
-    out = {("1" if not w else ".".join(free.gen_names[i] for i in w)): rat_str(c)
-           for w, c in sorted(theta.items())}
-    _emit({"holonomy": out, "grouplike": env.is_grouplike(theta)}, args.json)
+    _emit({"holonomy": _word_labels(theta, fib.free.gen_names),
+           "grouplike": env.is_grouplike(theta)}, args.json)
     return PASS
 
 
@@ -352,13 +352,13 @@ def build_parser():
     mc.set_defaults(fn=cmd_conv_mc_check)
     fl = convs.add_parser("fiber-lie")
     fl.add_argument("--input", required=True)
-    fl.add_argument("--trunc", type=int, default=4)
+    fl.add_argument("--trunc", type=_int_at_least(2), default=4)
     fl.add_argument("--json", action="store_true")
     fl.set_defaults(fn=cmd_conv_fiber_lie)
 
     mm = sub.add_parser("minimal-model", help="build a low-degree minimal model")
     mm.add_argument("--input", required=True)
-    mm.add_argument("--arity", type=int, default=4)
+    mm.add_argument("--arity", type=_int_at_least(1), default=4)
     mm.add_argument("--pivot", default="lex", choices=("lex", "revlex", "shear"))
     mm.add_argument("--json", action="store_true")
     mm.set_defaults(fn=cmd_minimal_model)
@@ -371,7 +371,7 @@ def build_parser():
     ct = conns.add_parser("transport")
     ct.add_argument("--input", required=True)
     ct.add_argument("--path", required=True)
-    ct.add_argument("--order", type=int, default=4)
+    ct.add_argument("--order", type=_int_at_least(1), default=4)
     ct.add_argument("--json", action="store_true")
     ct.set_defaults(fn=cmd_conn_transport)
     ch = conns.add_parser("holonomy")
@@ -384,8 +384,8 @@ def build_parser():
     pl = sub.add_parser("pipeline", help="window -> model -> connection -> holonomy")
     pl.add_argument("--input", required=True,
                     help="preset name (circle, torus, heisenberg) or JSON file")
-    pl.add_argument("--trunc", type=int, default=4)
-    pl.add_argument("--arity-cap", type=int, default=4)
+    pl.add_argument("--trunc", type=_int_at_least(2), default=4)
+    pl.add_argument("--arity-cap", type=_int_at_least(2), default=4)
     pl.add_argument("--pivot", default="lex", choices=("lex", "revlex", "shear"))
     pl.add_argument("--compare", action="store_true",
                     help="build two models and verify the comparison")

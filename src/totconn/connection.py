@@ -192,15 +192,18 @@ class NonFlatError(RuntimeError):
 # ---------------------------------------------------------------------
 
 def restrict_connection(alpha: TensorSeries, source, fib: FiberLieAlgebra,
-                        gen_of_index, realize=None, ambient_dim=None) -> ConnectionForm:
+                        env: EnvelopingQuotient, gen_of_index, realize=None,
+                        ambient_dim=None) -> ConnectionForm:
     """Push a degree-zero-words series to its base 1-form part.
 
-    ``gen_of_index`` maps series generator indices to free-Lie generator
-    indices; ``realize`` extracts the base 1-form of a target value as a
-    polynomial form on R^m (the default handles total-complex elements
-    and plain polynomial forms).  The collected word family is converted
-    to quotient coordinates, which requires it to be Lie-valued (it is,
-    for reduced series).
+    ``env`` is the enveloping quotient of ``fib.free`` by ``fib.ideal``,
+    in which the Maurer-Cartan defect must vanish.  ``gen_of_index`` maps
+    series generator indices to free-Lie generator indices; ``realize``
+    extracts the base 1-form of a target value as a polynomial form on
+    R^m (the default handles total-complex elements and plain polynomial
+    forms).  The collected word family is converted to quotient
+    coordinates, which requires it to be Lie-valued (it is, for reduced
+    series).
     """
     from .convolution import TensorSeries as _TS
     from .convolution import mc_defect, reduce_mod_ideal
@@ -211,8 +214,6 @@ def restrict_connection(alpha: TensorSeries, source, fib: FiberLieAlgebra,
     if unmapped:
         raise NonFlatError("Maurer-Cartan defect outside the degree-zero "
                            "words: %r" % (sorted(unmapped)[:3],))
-    env = EnvelopingQuotient(fib.free, fib.ideal,
-                             min(alpha.trunc, fib.free.order))
     reduced = reduce_mod_ideal(
         _TS(alpha.gens, alpha.target, alpha.trunc, defect.degree, mapped),
         env, gen_of_index)

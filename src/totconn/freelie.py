@@ -330,6 +330,26 @@ def lie_series_from_json(data, free: "FreeLie"):
 # Lie ideals, quotients and the enveloping quotient
 # ---------------------------------------------------------------------
 
+def _close(span, generators, order, products):
+    """Insert ``generators`` into the echelon ``span`` and close the span
+    under ``products``, breadth first.  ``products(v)`` yields the
+    products of v by one letter; they are taken of every generator and of
+    every vector whose insertion grew the rank.  A vector with no word
+    shorter than ``order`` is skipped: all its products are truncated."""
+    frontier = list(generators)
+    for g in frontier:
+        span.insert(g)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            if min(map(len, v), default=order) >= order:
+                continue
+            for h in products(v):
+                if h and span.insert(h):
+                    nxt.append(h)
+        frontier = nxt
+
+
 class LieIdealPresentation:
     """The Lie ideal generated by given Lie series inside a free Lie algebra.
 
@@ -346,21 +366,10 @@ class LieIdealPresentation:
             if not free.is_lie_element(g):
                 raise ValueError("ideal generator is not a Lie element")
         # ad-closure: span{ ad_{x_{i1}} ... ad_{x_im} g } truncated
+        gens = [free.gen(i) for i in range(len(free.gen_names))]
         self.span = Echelon(_length_first)
-        frontier = list(self.generators)
-        for g in frontier:
-            self.span.insert(g)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                min_len = min((len(w) for w in g), default=order + 1)
-                if min_len >= order:
-                    continue
-                for i in range(len(free.gen_names)):
-                    h = commutator(free.gen(i), g, order)
-                    if h and self.span.insert(h):
-                        nxt.append(h)
-            frontier = nxt
+        _close(self.span, self.generators, order,
+               lambda g: (commutator(x, g, order) for x in gens))
 
     def reduce(self, x: dict) -> dict:
         return self.span.reduce(x)
@@ -419,6 +428,17 @@ class FiberLieAlgebra:
     def dim(self):
         return len(self.basis)
 
+    def dims_per_k(self):
+        """{kk: dim u/I^kk} for kk = 2..k: the Lyndon words shorter than
+        kk, less the ideal's echelon rows whose pivot is shorter than kk.
+        The rows are fully reduced and each pivot is its row's shortest
+        word, so cutting the rows below length kk keeps exactly those
+        rows, and they stay independent."""
+        lyndon = [len(w) for w in self.free.lyndon]
+        pivots = [len(w) for w in self.ideal.span.pivots()]
+        return {kk: sum(n < kk for n in lyndon) - sum(n < kk for n in pivots)
+                for kk in range(2, self.k + 1)}
+
     def graded_dims(self):
         dims = {}
         for w in self.basis:
@@ -452,27 +472,16 @@ class EnvelopingQuotient:
         self.order = order
         self.ideal = ideal
         self._mod = Echelon(_length_first)
-        for g in ideal.generators:
-            self._insert_two_sided({w: c for w, c in g.items() if len(w) <= order})
+        letters = range(len(free.gen_names))
 
-    def _insert_two_sided(self, g):
-        mod = self._mod
-        frontier = [g]
-        mod.insert(g)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                vmin = min((len(w) for w in v), default=self.order + 1)
-                if vmin >= self.order:
-                    continue
-                shorter = [(w, c) for w, c in v.items() if len(w) < self.order]
-                for i in range(len(self.free.gen_names)):
-                    left = {(i,) + w: c for w, c in shorter}
-                    right = {w + (i,): c for w, c in shorter}
-                    for h in (left, right):
-                        if h and mod.insert(h):
-                            nxt.append(h)
-            frontier = nxt
+        def left_and_right(v):
+            shorter = [(w, c) for w, c in v.items() if len(w) < order]
+            for i in letters:
+                yield {(i,) + w: c for w, c in shorter}
+                yield {w + (i,): c for w, c in shorter}
+
+        _close(self._mod, [{w: c for w, c in g.items() if len(w) <= order}
+                           for g in ideal.generators], order, left_and_right)
 
     def _normal_form(self, x: dict):
         """The normal form of a {word: Fraction} dict, as a scaled series."""

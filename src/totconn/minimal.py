@@ -19,6 +19,7 @@ from .convolution import Generators, delta_star, mc_check, morphism_to_mc
 from .freelie import FiberLieAlgebra
 from .graded import GradedVectorSpace
 from .linalg import Coordinates, Echelon, accumulate, intersect_spans, solve, vec_add
+from .scalars import rat_str
 from .structures import (FiniteAlgebra, InfinityMorphism, check_morphism,
                          morphism_defect)
 from .transfer import (TransferResult, contraction_from_hodge,
@@ -169,13 +170,7 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
             if val:
                 gen2.insert(val)
     # keep exactly a basis of the generated part, expressed on the chosen keys
-    kept2 = []
-    probe = Echelon(full.space.key_order)
-    for row in gen2.basis():
-        probe.insert(row)
-    for k in two_keys:
-        if probe.contains({k: Fraction(1)}):
-            kept2.append(k)
+    kept2 = [k for k in two_keys if gen2.contains({k: Fraction(1)})]
     if gen2.rank != len(kept2):
         raise ModelError("window too small to span the generated degree-2 part")
 
@@ -255,13 +250,20 @@ def massey_report(model: OneMinimalModel):
     return report
 
 
-def model_fiber_data(model: OneMinimalModel, trunc=4, k=4):
-    """(free, ideal, fib): the free Lie algebra on the degree-1 duals
-    truncated at ``trunc``, the delta-star ideal and the nilpotent
-    quotient u/I^k of a model.  The one place these are built; the
-    formality and comparison checks take its result."""
+def massey_json(model: OneMinimalModel):
+    """``massey_report`` with string keys and coefficients, as printed."""
+    return {str(n): {"|".join(wrd): {name: rat_str(c) for name, c in val.items()}
+                     for wrd, val in sorted(table.items())}
+            for n, table in massey_report(model).items()}
+
+
+def model_fiber_data(model: OneMinimalModel, trunc=4, k=4) -> FiberLieAlgebra:
+    """The nilpotent quotient u/I^k of a model: ``fib.free`` is the free
+    Lie algebra on the degree-1 duals truncated at ``trunc`` and
+    ``fib.ideal`` the delta-star ideal.  The one place these are built;
+    the formality and comparison checks take its result."""
     free, ideal, _ = delta_star(positive_part(model.algebra), trunc)
-    return free, ideal, FiberLieAlgebra(free, ideal, k)
+    return FiberLieAlgebra(free, ideal, k)
 
 
 def model_mc(model: OneMinimalModel, trunc=4):
@@ -441,24 +443,22 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     return Comparison(model1, model2, k_tables, dual)
 
 
-def check_comparison(comp: Comparison, fiber1, fiber2):
+def check_comparison(comp: Comparison, fib1: FiberLieAlgebra, fib2: FiberLieAlgebra):
     """Filtered-isomorphism checks for the induced dual map.
 
-    ``fiber1`` and ``fiber2`` are the ``model_fiber_data`` triples
-    (free, ideal, fib) of ``comp.model1`` and ``comp.model2``, built at
-    the same truncation and quotient order: the first triple's
-    ``free.order`` and ``fib.k`` are used for both.  Verifies that the
-    dual algebra map sends the first model's ideal generators into the
-    second model's ideal span (per word length), and that the induced
-    maps on nilpotent quotients are bijective.
+    ``fib1`` and ``fib2`` are the ``model_fiber_data`` quotients of
+    ``comp.model1`` and ``comp.model2``, built at the same truncation and
+    quotient order; the dual map is cut at ``fib1.free.order``.  Verifies that the dual algebra map sends the first model's
+    ideal generators into the second model's ideal span (per word
+    length), and that the induced maps on nilpotent quotients are
+    bijective.
     """
-    free1, ideal1, fib1 = fiber1
-    free2, ideal2, fib2 = fiber2
-    trunc, k = free1.order, fib1.k
+    free1, free2 = fib1.free, fib2.free
+    trunc = free1.order
     failures = []
-    for g in ideal1.generators:
+    for g in fib1.ideal.generators:
         img = comp.dual_series(g, free1, free2, trunc)
-        if not ideal2.contains(img):
+        if not fib2.ideal.contains(img):
             failures.append(("generator image escapes the ideal", g))
     if fib1.dim() != fib2.dim():
         failures.append(("quotient dimensions differ", fib1.dim(), fib2.dim()))
@@ -466,7 +466,7 @@ def check_comparison(comp: Comparison, fiber1, fiber2):
     rank_ech = Echelon(lambda key: (len(key), key))
     for w in fib1.basis:
         img = comp.dual_series(free1.from_lyndon({w: 1}), free1, free2, trunc)
-        rank_ech.insert(fib2._mod.reduce({ww: c for ww, c in img.items() if len(ww) < k}))
+        rank_ech.insert(fib2.normal_form(img))
     if rank_ech.rank != fib1.dim():
         failures.append(("induced quotient map is not injective", rank_ech.rank))
     return failures

@@ -18,11 +18,11 @@ from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
                          fv_map, gauge_between, holonomy, parse_loop,
                          restrict_connection)
 from .convolution import degree_zero_restrict
-from .freelie import EnvelopingQuotient, FiberLieAlgebra, bracket_label
+from .freelie import EnvelopingQuotient, bracket_label
 from .graded import GradedVectorSpace
 from .linalg import accumulate
 from .minimal import (check_comparison, compare_models, formality_check,
-                      massey_report, model_fiber_data, model_mc,
+                      massey_json, model_fiber_data, model_mc,
                       one_minimal_model, positive_part)
 from .scalars import rat_str
 from .structures import FiniteAlgebra, FormSpace
@@ -164,13 +164,10 @@ def _realizer(preset, m):
 
 
 class PipelineResult:
-    def __init__(self, name, model, free, ideal, fib, verdict, meta,
-                 connection=None, certificate=None, theta=None, env=None,
-                 dims_per_k=None):
+    def __init__(self, name, model, fib, verdict, meta,
+                 connection=None, certificate=None, theta=None, env=None):
         self.name = name
         self.model = model
-        self.free = free
-        self.ideal = ideal
         self.fib = fib
         self.verdict = verdict
         self.meta = meta
@@ -178,19 +175,19 @@ class PipelineResult:
         self.certificate = certificate
         self.theta = theta
         self.env = env
-        self.dims_per_k = dims_per_k or {}
+        self.dims_per_k = fib.dims_per_k()
 
     def to_json(self):
+        names = self.fib.free.gen_names
         out = {
             "name": self.name,
             "model": self.model.algebra.to_json(),
-            "massey": _massey_json(self.model),
+            "massey": massey_json(self.model),
             "fiber": {
                 "graded_dims": {str(k): v for k, v in
                                 sorted(self.fib.graded_dims().items())},
                 "dims_per_k": {str(k): v for k, v in sorted(self.dims_per_k.items())},
-                "basis": [bracket_label(w, self.free.gen_names)
-                          for w in self.fib.basis],
+                "basis": [bracket_label(w, names) for w in self.fib.basis],
             },
             "formality": {"verdict": self.verdict,
                           "generator_lengths": self.meta["generator_lengths"],
@@ -198,31 +195,21 @@ class PipelineResult:
         }
         if self.connection is not None:
             out["connection"] = {
-                "coefficients": {bracket_label(w, self.free.gen_names):
-                                 f.to_json()
+                "coefficients": {bracket_label(w, names): f.to_json()
                                  for w, f in sorted(self.connection.coeffs.items())},
                 "flat": bool(self.certificate and self.certificate.flat),
             }
         if self.theta is not None:
             out["holonomy"] = {
-                loop: {("1" if not w else ".".join(self.free.gen_names[i]
-                                                   for i in w)): rat_str(c)
+                loop: {("1" if not w else ".".join(names[i] for i in w)): rat_str(c)
                        for w, c in sorted(val.items())}
                 for loop, val in sorted(self.theta.items())
             }
         return out
 
 
-def _massey_json(model):
-    rep = massey_report(model)
-    return {str(n): {"|".join(wrd): {name: rat_str(c) for name, c in val.items()}
-                     for wrd, val in sorted(table.items())}
-            for n, table in rep.items()}
-
-
 def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineResult:
     """Full run for a preset name or a FiniteAlgebra window."""
-    gauge_h = None
     if isinstance(name, str):
         if name not in PRESETS:
             raise ValueError("unknown preset %r" % (name,))
@@ -235,12 +222,10 @@ def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineRes
         label = "custom"
     k = k or trunc
     model = one_minimal_model(B, arity_cap=arity_cap, pivot=pivot)
-    free, ideal, fib = model_fiber_data(model, trunc=trunc, k=k)
-    dims = {kk: FiberLieAlgebra(free, ideal, kk).dim() for kk in range(2, k)}
-    dims[k] = fib.dim()
-    verdict, meta = formality_check(model, ideal)
-    result = PipelineResult(label, model, free, ideal, fib, verdict, meta,
-                            dims_per_k=dims)
+    fib = model_fiber_data(model, trunc=trunc, k=k)
+    free = fib.free
+    verdict, meta = formality_check(model, fib.ideal)
+    result = PipelineResult(label, model, fib, verdict, meta)
     if preset["realize"] is not None:
         m = preset["ambient_dim"]
         gens, alpha = model_mc(model, trunc=trunc)
@@ -250,11 +235,11 @@ def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineRes
             if key[0] == 1:
                 gen_of_index[i] = free.gen_names.index(key[1])
         realize = _realizer(preset, m)
+        env = EnvelopingQuotient(free, fib.ideal, k)
         conn = restrict_connection(pi_alpha, positive_part(model.algebra),
-                                   fib, gen_of_index, realize=realize,
+                                   fib, env, gen_of_index, realize=realize,
                                    ambient_dim=m)
         cert = flatness_check(conn)
-        env = EnvelopingQuotient(free, ideal, k)
         F = AutomorphyFactor(GaugeElement(m, fib, {}), env)
         theta = {}
         for loop_text in preset["loops"]:
@@ -278,8 +263,7 @@ def compare_pipeline_models(name, trunc=4, k=4, pivots=("lex", "revlex"),
     r1 = run_pipeline(name, trunc=trunc, arity_cap=arity_cap, pivot=pivots[0], k=k)
     r2 = run_pipeline(name, trunc=trunc, arity_cap=arity_cap, pivot=pivots[1], k=k)
     comp = compare_models(r1.model, r2.model, arity_cap=min(arity_cap, 4))
-    comp_failures = check_comparison(comp, (r1.free, r1.ideal, r1.fib),
-                                     (r2.free, r2.ideal, r2.fib))
+    comp_failures = check_comparison(comp, r1.fib, r2.fib)
     report = {
         "dims_match": r1.fib.dim() == r2.fib.dim(),
         "dims_per_k_match": r1.dims_per_k == r2.dims_per_k,
@@ -290,7 +274,7 @@ def compare_pipeline_models(name, trunc=4, k=4, pivots=("lex", "revlex"),
         # find the connecting gauge on the second fiber
         def dual_map(series):
             return accumulate({}, ((w2, c * c2) for w, c in series.items()
-                                   for w2, c2 in comp.dual_on_word(w, r1.free, r2.free).items()))
+                                   for w2, c2 in comp.dual_on_word(w, r1.fib.free, r2.fib.free).items()))
 
         mapped = _map_connection(r1.connection, dual_map, r2.fib)
         h = gauge_between(mapped, r2.connection)

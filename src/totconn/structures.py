@@ -366,19 +366,28 @@ def stasheff_defect(alg, elems):
                    for coeff, new_elems, new_degs, k in _inner_delta(alg, n, elems, degs))
 
 
-def check_stasheff(alg, probes, max_report=10):
-    """Evaluate the structure relations on each probe word; list failures."""
+def _probe_failures(carrier, defect, probes, max_report):
+    """``(tuple_repr(probe), defect(probe))`` for each probe word whose
+    defect is not zero in ``carrier``, up to ``max_report`` of them."""
     failures = []
     for elems in probes:
-        keys = [next(iter(e)) for e in elems if isinstance(e, dict)]
-        if len(keys) == len(elems) and not alg.in_window(len(elems) - 1, keys):
-            continue
-        defect = stasheff_defect(alg, list(elems))
-        if not alg.is_zero(defect):
-            failures.append((tuple_repr(elems), defect))
+        value = defect(list(elems))
+        if not carrier.is_zero(value):
+            failures.append((tuple_repr(elems), value))
             if len(failures) >= max_report:
                 break
     return failures
+
+
+def check_stasheff(alg, probes, max_report=10):
+    """Evaluate the structure relations on each probe word; list failures.
+    A word of basis elements outside the window is skipped."""
+    def in_window(elems):
+        keys = [next(iter(e)) for e in elems if isinstance(e, dict)]
+        return len(keys) != len(elems) or alg.in_window(len(elems) - 1, keys)
+
+    return _probe_failures(alg, lambda elems: stasheff_defect(alg, elems),
+                           filter(in_window, probes), max_report)
 
 
 def tuple_repr(elems):
@@ -507,14 +516,8 @@ def compositions(n, k):
 
 
 def check_morphism(f: InfinityMorphism, probes, max_report=10):
-    failures = []
-    for elems in probes:
-        defect = morphism_defect(f, list(elems))
-        if not f.target.is_zero(defect):
-            failures.append((tuple_repr(elems), defect))
-            if len(failures) >= max_report:
-                break
-    return failures
+    return _probe_failures(f.target, lambda elems: morphism_defect(f, elems),
+                           probes, max_report)
 
 
 # ---------------------------------------------------------------------
@@ -572,14 +575,8 @@ def linfty_defect(alg, elems):
 
 
 def check_linfty(alg, probes, max_report=10):
-    failures = []
-    for elems in probes:
-        defect = linfty_defect(alg, list(elems))
-        if not alg.is_zero(defect):
-            failures.append((tuple_repr(elems), defect))
-            if len(failures) >= max_report:
-                break
-    return failures
+    return _probe_failures(alg, lambda elems: linfty_defect(alg, elems),
+                           probes, max_report)
 
 
 def check_unitality(alg: FiniteAlgebra, max_report=10):

@@ -258,9 +258,9 @@ def test_criterion_6_worked_geometries():
     # torus
     r = run_pipeline("torus", trunc=4, arity_cap=4)
     ok = ok and r.dims_per_k == {2: 2, 3: 2, 4: 2}
-    gens_ideal = r.ideal.generators
+    gens_ideal = r.fib.ideal.generators
     ok = ok and len(gens_ideal) == 1
-    want = commutator(r.free.gen(0), r.free.gen(1), 4)
+    want = commutator(r.fib.free.gen(0), r.fib.free.gen(1), 4)
     g = gens_ideal[0]
     ok = ok and (g == want or g == {k: -v for k, v in want.items()})
     ok = ok and r.env.eq(r.theta["a b a- b-"], {EMPTY: Fraction(1)})
@@ -343,8 +343,8 @@ def test_criterion_8_model_independence():
     ok = ok and check_comparison(comp, model_fiber_data(m1, trunc=4, k=4),
                                  model_fiber_data(m2, trunc=4, k=4)) == []
     for k in (2, 3, 4):
-        d1 = model_fiber_data(m1, trunc=4, k=k)[2].dim()
-        d2 = model_fiber_data(m2, trunc=4, k=k)[2].dim()
+        d1 = model_fiber_data(m1, trunc=4, k=k).dim()
+        d2 = model_fiber_data(m2, trunc=4, k=k).dim()
         ok = ok and d1 == d2
     # nilpotent window: genuinely different Hodge data
     B = heisenberg_window()
@@ -355,7 +355,7 @@ def test_criterion_8_model_independence():
     ok = ok and check_comparison(comp, model_fiber_data(m1, trunc=4, k=4),
                                  model_fiber_data(m2, trunc=4, k=4)) == []
     for k in (2, 3, 4):
-        d1 = model_fiber_data(m1, trunc=4, k=k)[2].dim()
-        d2 = model_fiber_data(m2, trunc=4, k=k)[2].dim()
+        d1 = model_fiber_data(m1, trunc=4, k=k).dim()
+        d2 = model_fiber_data(m2, trunc=4, k=k).dim()
         ok = ok and d1 == d2
     report("8 (model independence and comparison)", ok)

@@ -34,9 +34,17 @@ def test_dupont_n0_trivially_passes():
     ["dupont", "verify", "--n", "1", "--max-poly-deg", "-3"],
     ["transfer", "nc", "--n", "-1", "--arity", "2"],
     ["transfer", "nc", "--n", "1", "--arity", "0"],
+    ["pipeline", "--input", "circle", "--trunc", "0"],
+    ["pipeline", "--input", "circle", "--trunc", "1"],
+    ["pipeline", "--input", "circle", "--arity-cap", "1"],
+    ["conv", "fiber-lie", "--input", "model.json", "--trunc", "1"],
+    ["conn", "transport", "--input", "conn.json", "--path", "path.json",
+     "--order", "0"],
+    ["minimal-model", "--input", "B.json", "--arity", "0"],
 ])
 def test_negative_sizes_are_parse_errors(argv, capsys):
-    # a negative size used to verify nothing and exit 0
+    # a negative size used to verify nothing and exit 0; a size too small
+    # to build anything used to fail late, as a cap or input error
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
@@ -168,6 +176,22 @@ def test_conn_transport_and_holonomy(tmp_path, capsys):
                 "--basepoint", "0,0", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["holonomy"] == {"1": "1"}
+
+
+def test_conn_transport_order_cuts_the_series(capsys):
+    # the order-2 transport is the order-4 one cut at word length 2
+    golden = Path(__file__).parent / "golden"
+    argv = ["conn", "transport", "--input", str(golden / "nilpotent_connection.json"),
+            "--path", str(golden / "path.json"), "--json", "--order"]
+    assert run(argv + ["4"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert run(argv + ["2"]) == 0
+    cut = json.loads(capsys.readouterr().out)
+    assert cut["grouplike"] is True
+    want = {w: c for w, c in full["transport"].items()
+            if w == "1" or w.count(".") < 2}
+    assert cut["transport"] == want
+    assert (len(cut["transport"]), len(full["transport"])) == (7, 19)
 
 
 def test_conn_transport_cap_overflow(tmp_path):

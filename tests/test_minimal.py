@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from totconn.convolution import Generators, degree_zero_restrict, mc_check
+from totconn.freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
+                             LieIdealPresentation, commutator)
 from totconn.graded import GradedVectorSpace
 from totconn.linalg import accumulate, solve, vec_add
 from totconn.minimal import (ModelError, _linear_system, _ReadRecorder,
@@ -31,9 +33,9 @@ def test_circle_model():
     assert [k[1] for k in model.w1_keys()] and len(model.w1_keys()) == 1
     assert model.w2_keys() == []
     assert massey_report(model) == {}
-    free, ideal, fib = model_fiber_data(model, trunc=4, k=4)
+    fib = model_fiber_data(model, trunc=4, k=4)
     assert fib.dim() == 1
-    assert ideal.generators == []
+    assert fib.ideal.generators == []
 
 
 def test_torus_model():
@@ -42,11 +44,11 @@ def test_torus_model():
     assert len(model.w2_keys()) == 1
     rep = massey_report(model)
     assert set(rep) == {2}
-    free, ideal, fib = model_fiber_data(model, trunc=4, k=4)
+    fib = model_fiber_data(model, trunc=4, k=4)
     assert fib.dim() == 2
-    assert len(ideal.generators) == 1
-    assert {len(w) for w in ideal.generators[0]} == {2}
-    verdict, meta = formality_check(model, ideal)
+    assert len(fib.ideal.generators) == 1
+    assert {len(w) for w in fib.ideal.generators[0]} == {2}
+    verdict, meta = formality_check(model, fib.ideal)
     assert verdict == "homogeneous generators"
 
 
@@ -59,10 +61,10 @@ def test_heisenberg_model():
     assert 3 in rep
     coeffs = {c for table in rep[3].values() for c in table.values()}
     assert coeffs <= {Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)}
-    free, ideal, fib = model_fiber_data(model, trunc=4, k=4)
+    fib = model_fiber_data(model, trunc=4, k=4)
     assert fib.graded_dims() == {1: 2, 2: 1}
     assert fib.dim() == 3
-    verdict, _ = formality_check(model, ideal)
+    verdict, _ = formality_check(model, fib.ideal)
     assert verdict == "homogeneous generators"
 
 
@@ -144,13 +146,13 @@ def test_comparison_of_heisenberg_pivots():
     m1 = one_minimal_model(B, arity_cap=4, pivot="lex")
     m2 = one_minimal_model(B, arity_cap=4, pivot="shear")
     comp = compare_models(m1, m2, arity_cap=4)
-    fiber1 = model_fiber_data(m1, trunc=4, k=4)
-    fiber2 = model_fiber_data(m2, trunc=4, k=4)
-    assert check_comparison(comp, fiber1, fiber2) == []
-    assert fiber1[2].dim() == fiber2[2].dim() == 3
+    fib1 = model_fiber_data(m1, trunc=4, k=4)
+    fib2 = model_fiber_data(m2, trunc=4, k=4)
+    assert check_comparison(comp, fib1, fib2) == []
+    assert fib1.dim() == fib2.dim() == 3
     for kk in (2, 3, 4):
-        fa = model_fiber_data(m1, trunc=4, k=kk)[2]
-        fb = model_fiber_data(m2, trunc=4, k=kk)[2]
+        fa = model_fiber_data(m1, trunc=4, k=kk)
+        fb = model_fiber_data(m2, trunc=4, k=kk)
         assert fa.dim() == fb.dim()
 
 
@@ -171,6 +173,54 @@ def test_fiber_data_is_built_once_per_model(monkeypatch):
     compare_pipeline_models("heisenberg", trunc=3, k=3, pivots=("lex", "shear"))
     assert len(calls) == 2
 
+    built = {FiberLieAlgebra: 0, EnvelopingQuotient: 0}
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    counted(FiberLieAlgebra)
+    counted(EnvelopingQuotient)
+    run_pipeline("torus", trunc=6)
+    assert built == {FiberLieAlgebra: 1, EnvelopingQuotient: 1}
+    built.update({FiberLieAlgebra: 0, EnvelopingQuotient: 0})
+    compare_pipeline_models("torus", trunc=4, k=4)
+    assert built == {FiberLieAlgebra: 2, EnvelopingQuotient: 2}
+
+
+def per_k_dims(fib):
+    """dim u/I^kk for kk = 2..k, one quotient built per kk: the oracle of
+    ``FiberLieAlgebra.dims_per_k``."""
+    return {kk: FiberLieAlgebra(fib.free, fib.ideal, kk).dim()
+            for kk in range(2, fib.k + 1)}
+
+
+@pytest.mark.parametrize("pivot", ["lex", "revlex", "shear"])
+@pytest.mark.parametrize("preset", ["circle", "torus", "heisenberg"])
+def test_dims_per_k_counts_pivots_as_the_per_k_quotients_do(preset, pivot):
+    from totconn.pipeline import PRESETS
+    model = one_minimal_model(PRESETS[preset]["window"](4), arity_cap=4, pivot=pivot)
+    for trunc in range(3, 8):
+        fib = model_fiber_data(model, trunc=trunc, k=trunc)
+        assert fib.dims_per_k() == per_k_dims(fib)
+
+
+def test_dims_per_k_of_a_non_homogeneous_ideal():
+    # [a1,a2] + [a3,[a1,a3]] has a tail, so u/I^3 is not cut from the
+    # basis of a larger quotient: the 4-quotient has 6 basis words
+    # shorter than 3, but u/I^3 has dimension 5
+    free = FreeLie(["a1", "a2", "a3"], 4)
+    a1, a2, a3 = (free.gen(i) for i in range(3))
+    g = vec_add(commutator(a1, a2, 4), commutator(a3, commutator(a1, a3, 4), 4))
+    fib = FiberLieAlgebra(free, LieIdealPresentation(free, [g]), 5)
+    assert fib.dims_per_k() == per_k_dims(fib) == {2: 3, 3: 5, 4: 10, 5: 20}
+    short = [w for w in FiberLieAlgebra(free, fib.ideal, 4).basis if len(w) < 3]
+    assert len(short) == 6
+
 
 def test_synthetic_inconclusive_formality():
     # m2 and m3 both hitting the same degree-2 line force a mixed-length
@@ -189,8 +239,8 @@ def test_synthetic_inconclusive_formality():
         arity_cap = 3
 
     model = Dummy()
-    _, ideal, _ = model_fiber_data(model, trunc=4, k=4)
-    verdict, meta = formality_check(model, ideal)
+    fib = model_fiber_data(model, trunc=4, k=4)
+    verdict, meta = formality_check(model, fib.ideal)
     assert verdict == "inconclusive"
     assert meta["generator_lengths"] == [[2, 3]]
 
