@@ -23,7 +23,7 @@ from .dupont import verify_naturality, verify_side_conditions, verify_stokes
 from .forms import PolyForm
 from .freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
                       LieIdealPresentation, TruncationError, bracket_label,
-                      lie_series_from_json)
+                      lie_series_from_json, word_labels)
 from .minimal import ModelError, massey_json, one_minimal_model
 from .pipeline import PRESETS, compare_pipeline_models, run_pipeline
 from .scalars import rat, rat_str
@@ -119,8 +119,7 @@ def _tot_element_from_json(be, data):
     for item in data["components"]:
         p, q = int(item["p"]), int(item["q"])
         nv = be.m * (p + 1)
-        form = PolyForm.from_json(nv, item["form"], varname="z")
-        form = PolyForm(nv, form.terms, varname="z", ndiff=be.m)
+        form = PolyForm.from_json(nv, item["form"], varname="z", ndiff=be.m)
         comps[(p, q)] = GroupCochain(be.m, p, form)
     return TotElement(be, comps)
 
@@ -229,14 +228,8 @@ def _connection_from_json(data):
         w = lookup.get(label)
         if w is None:
             raise ValueError("unknown quotient basis label %r" % (label,))
-        form = PolyForm.from_json(m, form_json, varname="x")
-        coeffs[w] = PolyForm(m, form.terms, varname="x", ndiff=m)
+        coeffs[w] = PolyForm.from_json(m, form_json, varname="x", ndiff=m)
     return ConnectionForm(m, fib, coeffs, flags=tuple(data.get("flags", ())))
-
-
-def _word_labels(series, names):
-    return {("1" if not w else ".".join(names[i] for i in w)): rat_str(c)
-            for w, c in sorted(series.items())}
 
 
 def cmd_conn_flat_check(args):
@@ -258,7 +251,7 @@ def cmd_conn_transport(args):
     env = EnvelopingQuotient(fib.free, fib.ideal, args.order)
     path = PLPath.from_json(_load_json(args.path))
     T = transport(alpha, path, env)
-    _emit({"transport": _word_labels(T, fib.free.gen_names),
+    _emit({"transport": word_labels(T, fib.free.gen_names),
            "grouplike": env.is_grouplike(T)}, args.json)
     return PASS
 
@@ -272,7 +265,7 @@ def cmd_conn_holonomy(args):
                                        if args.basepoint else ["0"] * alpha.m))
     F = AutomorphyFactor(GaugeElement(alpha.m, fib, {}), env)
     theta = holonomy(alpha, F, loop, basepoint, env)
-    _emit({"holonomy": _word_labels(theta, fib.free.gen_names),
+    _emit({"holonomy": word_labels(theta, fib.free.gen_names),
            "grouplike": env.is_grouplike(theta)}, args.json)
     return PASS
 

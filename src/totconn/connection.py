@@ -487,14 +487,15 @@ def _coefficient_terms(alpha, order):
     n/den x^exps dx_j (x) bracket, where ``bracket`` is the Lyndon
     bracket of the coefficient word as {tensor word: int}, cut at
     ``order``."""
-    den = lcm(*[c.denominator for f in alpha.coeffs.values() for c in f.terms.values()])
+    den = lcm(*[f.den for f in alpha.coeffs.values()])
     terms = []
     for w, form in alpha.coeffs.items():
         bracket = {ww: int(c) for ww, c in lyndon_bracket(tuple(w), order).items()
                    if len(ww) <= order}
-        for (exps, dts), c in form.terms.items():
+        f = den // form.den
+        for (exps, dts), n in form.num.items():
             if len(dts) == 1:
-                terms.append((bracket, exps, dts[0], c.numerator * (den // c.denominator)))
+                terms.append((bracket, exps, dts[0], n * f))
     return den, terms
 
 

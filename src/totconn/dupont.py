@@ -13,8 +13,11 @@ E, Int and each h^i are linear, so they are applied to a form as sparse
 sums of cached images of its monomials t^exps dt_dts: ``elementary_form``
 per index string, ``_int_monomial`` per (exps, dts, n) from the closed
 Dirichlet integral, and ``_h_monomial`` per (exps, dts, n, i).  The
-tables hold tuples and cached forms are only read, never mutated, and
-the sums accumulate in place into a dict of terms.
+monomial tables hold scaled values, ``(den, ((key, int), ..))`` in
+lowest terms, and cached forms are only read, never mutated.  The sums
+run on the forms' integer numerators, in place, in a scaled accumulator
+(``linalg.accumulate_scaled``), so no ``Fraction`` is built on the way;
+``dupont_Int`` builds its coefficients once, at the end.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .forms import (PolyForm, SimplicialOperator, simplex_dt, simplex_monomials,
                     simplex_t)
-from .linalg import accumulate
+from .linalg import accumulate, accumulate_scaled, lowest_terms, scaled_sum
 from .scalars import rat, rat_str
 
 
@@ -123,22 +126,22 @@ def elementary_form(I, n) -> PolyForm:
             if k == j:
                 continue
             term = term.wedge(simplex_dt(n, I[k]))
-        c = -fact if j % 2 else fact
-        accumulate(acc, ((key, c * v) for key, v in term.terms.items()))
-    return PolyForm._trusted(n, acc, "t", n)
+        accumulate_scaled(acc, term.den, term.num.items(), -fact if j % 2 else fact)
+    return PolyForm._trusted(n, *scaled_sum(acc), "t", n)
 
 
 def dupont_E(lam: NCElement) -> PolyForm:
     acc = {}
     for I, c in lam.coeffs.items():
-        terms = elementary_form(I, lam.n).terms
-        accumulate(acc, ((key, c * v) for key, v in terms.items()))
-    return PolyForm._trusted(lam.n, acc, "t", lam.n)
+        w = elementary_form(I, lam.n)
+        accumulate_scaled(acc, w.den, w.num.items(), c)
+    return PolyForm._trusted(lam.n, *scaled_sum(acc), "t", lam.n)
 
 
 @functools.lru_cache(maxsize=None)
 def _int_monomial(exps, dts, n):
-    """Int of the monomial t^exps dt_dts on the n-simplex: (I, value) pairs.
+    """Int of the monomial t^exps dt_dts on the n-simplex, scaled: the
+    value on I is n/den over the ``(den, ((I, n), ..))`` returned.
 
     See ``dupont_Int`` for the formula.  With S = {j + 1 for j in dts},
     the only candidates are I = S + {x}: x is forced when one variable
@@ -148,16 +151,18 @@ def _int_monomial(exps, dts, n):
     S = {j + 1 for j in dts}
     outside = {j + 1 for j, a in enumerate(exps) if a} - S
     if len(outside) > 1:
-        return ()
-    num = 1
+        return 1, ()
+    value = 1
     for a in exps:
-        num *= factorial(a)
-    value = Fraction(num, factorial(sum(exps) + len(dts)))
+        value *= factorial(a)
+    den = factorial(sum(exps) + len(dts))
+    g = gcd(value, den)
+    value, den = value // g, den // g
     out = []
     for x in outside or [x for x in range(n + 1) if x not in S]:
         I = tuple(sorted(S | {x}))
         out.append((I, -value if I.index(x) % 2 else value))
-    return tuple(out)
+    return den, tuple(out)
 
 
 def dupont_Int(form: PolyForm, n: int) -> NCElement:
@@ -181,13 +186,16 @@ def dupont_Int(form: PolyForm, n: int) -> NCElement:
     """
     if form.nvars != n:
         raise ValueError("dupont_Int: form is not on the n-simplex")
-    coeffs = {}
-    for (exps, dts), c in form.terms.items():
-        accumulate(coeffs, ((I, c * v) for I, v in _int_monomial(exps, dts, n)))
+    acc = {}
+    for (exps, dts), c in form.num.items():
+        den, values = _int_monomial(exps, dts, n)
+        accumulate_scaled(acc, den, values, c)
+    den, num = scaled_sum(acc)
+    den *= form.den
     # faces by size, then lexicographically: the key order does not
     # depend on the order of the form's terms
-    faces = sorted(coeffs, key=lambda I: (len(I), I))
-    return NCElement(n, {I: coeffs[I] for I in faces})
+    faces = sorted(num, key=lambda I: (len(I), I))
+    return NCElement(n, {I: Fraction(num[I], den) for I in faces})
 
 
 # ---------------------------------------------------------------------
@@ -196,7 +204,8 @@ def dupont_Int(form: PolyForm, n: int) -> NCElement:
 
 @functools.lru_cache(maxsize=None)
 def _h_monomial(exps, dts, n, i):
-    """h^i of the monomial t^exps dt_dts on the n-simplex: (key, coeff) pairs.
+    """h^i of the monomial t^exps dt_dts on the n-simplex, scaled:
+    ``(den, ((key, n), ..))`` in lowest terms.
 
     phi_i^* works in the eliminated coordinates t_1..t_n, which transform
     as t_k -> u t_k + (1-u) delta_ik and stay inside the eliminated chart;
@@ -252,12 +261,14 @@ def _h_monomial(exps, dts, n, i):
                 if i == j + 1:
                     new_parts.append((pd, True, pe, pu, -pc * sign))
         dt_parts = new_parts
-    acc = {}
-    accumulate(acc, (((tuple(a + b for a, b in zip(pexps, qe)), qd),
-                      Fraction(-pc * qc, pu + qu + 1))
-                     for pexps, pu, pc in poly_parts
-                     for qd, qdu, qe, qu, qc in dt_parts if qdu))
-    return tuple(acc.items())
+    # u^e du integrates to 1/(e + 1): over the lcm of those denominators
+    parts = [((tuple(a + b for a, b in zip(pexps, qe)), qd), -pc * qc, pu + qu + 1)
+             for pexps, pu, pc in poly_parts
+             for qd, qdu, qe, qu, qc in dt_parts if qdu]
+    den = lcm(*[e for _, _, e in parts])
+    den, num = lowest_terms(den, accumulate({}, ((key, c * (den // e))
+                                                 for key, c, e in parts)))
+    return den, tuple(num.items())
 
 
 @functools.lru_cache(maxsize=200000)
@@ -273,9 +284,11 @@ def h_operator(form: PolyForm, i: int) -> PolyForm:
     """
     n = form.nvars
     acc = {}
-    for (exps, dts), c in form.terms.items():
-        accumulate(acc, ((key, c * v) for key, v in _h_monomial(exps, dts, n, i)))
-    return PolyForm._trusted(n, acc, "t", n)
+    for (exps, dts), c in form.num.items():
+        den, values = _h_monomial(exps, dts, n, i)
+        accumulate_scaled(acc, den, values, c)
+    den, num = scaled_sum(acc)
+    return PolyForm._trusted(n, den * form.den, num, "t", n)
 
 
 def dupont_s(form: PolyForm, n: int) -> PolyForm:
@@ -287,7 +300,7 @@ def dupont_s(form: PolyForm, n: int) -> PolyForm:
     if form.nvars != n:
         raise ValueError("dupont_s: form is not on the n-simplex")
     acc = {}
-    for p in sorted({len(key[1]) for key in form.terms}):
+    for p in sorted({len(key[1]) for key in form.num}):
         comp = form.component(p)
         # h-composites along ascending strings share prefixes; walk them
         # depth-first so each h application happens once
@@ -295,7 +308,8 @@ def dupont_s(form: PolyForm, n: int) -> PolyForm:
         while stack:
             I, inner = stack.pop()
             if I:
-                accumulate(acc, elementary_form(I, n).wedge(inner).terms.items())
+                w = elementary_form(I, n).wedge(inner)
+                accumulate_scaled(acc, w.den, w.num.items())
             if len(I) >= p:
                 continue
             lo = I[-1] + 1 if I else 0
@@ -303,7 +317,7 @@ def dupont_s(form: PolyForm, n: int) -> PolyForm:
                 nxt = h_operator(inner, idx)
                 if not nxt.is_zero():
                     stack.append((I + (idx,), nxt))
-    return PolyForm._trusted(n, acc, "t", n)
+    return PolyForm._trusted(n, *scaled_sum(acc), "t", n)
 
 
 def nc_differential(lam: NCElement) -> NCElement:

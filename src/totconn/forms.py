@@ -7,9 +7,24 @@ One representation serves two ambients:
   equality is literal coefficient equality;
 * forms on R^m with coordinates x_1..x_m (used by connection forms).
 
-A form is a dict {(exps, dts): Fraction} where ``exps`` is a tuple of
-exponents (one per variable, 0-based) and ``dts`` a strictly increasing
-tuple of 0-based variable indices.
+A form is a sum of monomials keyed by ``(exps, dts)``: ``exps`` is a
+tuple of exponents (one per variable, 0-based) and ``dts`` a strictly
+increasing tuple of 0-based variable indices.  Its coefficients are
+stored on integers, as a scaled vector of ``linalg``: numerators
+``num`` {(exps, dts): int}, none zero, over one positive common
+denominator ``den``, in lowest terms (no prime divides ``den`` and every
+numerator).  So equal forms have equal stores, and every operation
+(wedge, sums, scaling, d, partial derivatives, substitution, relabelling)
+computes on the numerators and ends with one gcd, building no
+``Fraction`` on the way.  The store is only read, never written, once a
+form is built.
+
+``terms`` is the public coefficient dict {(exps, dts): Fraction}: a
+read-only view (``MappingProxyType``) built from the store on each read,
+for boundaries such as JSON and tests, not for inner loops.
+
+Sums of many forms accumulate their numerators in place into a scaled
+accumulator of ``linalg`` (``accumulate_scaled``, ``scaled_sum``).
 """
 
 from __future__ import annotations
@@ -17,8 +32,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
+from operator import add
+from types import MappingProxyType
 
-from .linalg import accumulate
+from .linalg import (accumulate, accumulate_scaled, from_scaled, lowest_terms,
+                     scaled_sum, to_scaled)
 from .scalars import rat, rat_str
 from .signs import perm_sign
 
@@ -41,6 +59,39 @@ def _merge_dts(d1, d2):
     return tuple(sorted(merged)), sign
 
 
+def _wedge_num(a, b):
+    """The numerators of the wedge of the numerators ``a`` and ``b``, over
+    the product of their denominators (not in lowest terms)."""
+    out = {}
+    get = out.get
+    merged = {}
+    for (e1, d1), c1 in a.items():
+        for (e2, d2), c2 in b.items():
+            if not d2:
+                dts, c = d1, c1 * c2
+            elif not d1:
+                dts, c = d2, c1 * c2
+            else:
+                hit = merged.get((d1, d2))
+                if hit is None:
+                    hit = merged[(d1, d2)] = _merge_dts(d1, d2)
+                dts, sign = hit
+                if dts is None:
+                    continue
+                c = c1 * c2 if sign > 0 else -c1 * c2
+            key = (tuple(map(add, e1, e2)), dts)
+            s = get(key)
+            if s is None:
+                out[key] = c
+            else:
+                s += c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
 class PolyForm:
     """Immutable polynomial differential form on a fixed variable set.
 
@@ -49,7 +100,7 @@ class PolyForm:
     ignores them and no dx exists for them.
     """
 
-    __slots__ = ("nvars", "terms", "varname", "ndiff")
+    __slots__ = ("nvars", "varname", "ndiff", "den", "num")
 
     def __init__(self, nvars, terms=None, varname="t", ndiff=None):
         self.nvars = nvars
@@ -62,20 +113,22 @@ class PolyForm:
                     raise ValueError("differential on a non-smooth variable")
                 yield (tuple(exps), tuple(dts)), rat(c)
 
-        self.terms = accumulate({}, checked()) if terms else {}
+        self.den, self.num = to_scaled(accumulate({}, checked())) if terms else (1, {})
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def _trusted(cls, nvars, terms, varname, ndiff):
-        """Wrap ``terms`` as is, skipping the checks of ``__init__``.
+    def _trusted(cls, nvars, den, num, varname, ndiff):
+        """The form num/den, brought to lowest terms, without the checks
+        of ``__init__``.
 
-        Only for terms already known to be clean: tuple keys, non-zero
-        ``Fraction`` values, no dt on a variable at or beyond ``ndiff``.
-        The new form owns ``terms``; the caller must not keep mutating it.
+        Only for numerators already known to be clean: tuple keys,
+        non-zero ints, no dt on a variable at or beyond ``ndiff``, and
+        ``den`` > 0.  The new form owns ``num``; the caller must not keep
+        mutating it.
         """
         self = object.__new__(cls)
         self.nvars = nvars
-        self.terms = terms
+        self.den, self.num = lowest_terms(den, num)
         self.varname = varname
         self.ndiff = ndiff
         return self
@@ -99,48 +152,60 @@ class PolyForm:
     def var(cls, nvars, j, varname="t", ndiff=None):
         exps = [0] * nvars
         exps[j] = 1
-        return cls(nvars, {(tuple(exps), ()): Fraction(1)}, varname, ndiff)
+        return cls._trusted(nvars, 1, {(tuple(exps), ()): 1}, varname,
+                            nvars if ndiff is None else ndiff)
 
     @classmethod
     def dvar(cls, nvars, j, varname="t", ndiff=None):
         return cls(nvars, {((0,) * nvars, (j,)): Fraction(1)}, varname, ndiff)
 
     # -- basic structure ----------------------------------------------
+    @property
+    def terms(self):
+        """{(exps, dts): Fraction}, a read-only view built on each read."""
+        return MappingProxyType(from_scaled((self.den, self.num)))
+
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def homogeneous_degree(self):
         """Form degree if homogeneous, else None; zero counts as any."""
-        degs = {len(dts) for _, dts in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
+        degs = {len(dts) for _, dts in self.num}
+        if len(degs) != 1:
             return None
         return degs.pop()
 
+    def _like(self, den, num):
+        """The form num/den in this form's ambient."""
+        return PolyForm._trusted(self.nvars, den, num, self.varname, self.ndiff)
+
     def component(self, degree):
-        return PolyForm._trusted(self.nvars,
-                                 {k: v for k, v in self.terms.items() if len(k[1]) == degree},
-                                 self.varname, self.ndiff)
+        return self._like(self.den, {k: v for k, v in self.num.items()
+                                     if len(k[1]) == degree})
 
     def __eq__(self, other):
         return (isinstance(other, PolyForm) and self.nvars == other.nvars
-                and self.ndiff == other.ndiff and self.terms == other.terms)
+                and self.ndiff == other.ndiff and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.nvars, self.ndiff, frozenset(self.terms.items())))
+        return hash((self.nvars, self.ndiff, self.den, frozenset(self.num.items())))
 
-    def _combined(self, other, terms):
-        """A result built from the clean terms of ``self`` and ``other``;
-        re-validated only when ``other`` may carry a dt that is not
+    def _combined(self, other, den, num):
+        """A result built from the clean numerators of ``self`` and
+        ``other``; checked only when ``other`` may carry a dt that is not
         smooth for ``self``."""
-        make = PolyForm._trusted if other.ndiff <= self.ndiff else PolyForm
-        return make(self.nvars, terms, self.varname, self.ndiff)
+        if other.ndiff > self.ndiff and any(j >= self.ndiff for _, dts in num for j in dts):
+            raise ValueError("differential on a non-smooth variable")
+        return self._like(den, num)
 
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("PolyForm: mixed ambients")
-        return self._combined(other, accumulate(dict(self.terms), other.terms.items()))
+        acc = {}
+        accumulate_scaled(acc, self.den, self.num.items())
+        accumulate_scaled(acc, other.den, other.num.items())
+        return self._combined(other, *scaled_sum(acc))
 
     def __neg__(self):
         return self.scale(-1)
@@ -152,27 +217,17 @@ class PolyForm:
         c = rat(c)
         if not c:
             return PolyForm.zero(self.nvars, self.varname, self.ndiff)
-        return PolyForm._trusted(self.nvars, {k: c * v for k, v in self.terms.items()},
-                                 self.varname, self.ndiff)
+        n = c.numerator
+        return self._like(self.den * c.denominator, {k: n * v for k, v in self.num.items()})
 
     def wedge(self, other):
         if self.nvars != other.nvars:
             raise ValueError("PolyForm: mixed ambients")
-
-        def products():
-            for (e1, d1), c1 in self.terms.items():
-                for (e2, d2), c2 in other.terms.items():
-                    dts, sign = _merge_dts(d1, d2)
-                    if dts is not None:
-                        c = c1 * c2
-                        exps = tuple(a + b for a, b in zip(e1, e2))
-                        yield (exps, dts), (c if sign > 0 else -c)
-
-        return self._combined(other, accumulate({}, products()))
+        return self._combined(other, self.den * other.den, _wedge_num(self.num, other.num))
 
     def d(self):
         def derivatives():
-            for (exps, dts), c in self.terms.items():
+            for (exps, dts), c in self.num.items():
                 for j in range(self.ndiff):
                     if exps[j] == 0:
                         continue
@@ -183,14 +238,16 @@ class PolyForm:
                     e[j] -= 1
                     yield (tuple(e), dnew), sign * exps[j] * c
 
-        return PolyForm._trusted(self.nvars, accumulate({}, derivatives()),
-                                 self.varname, self.ndiff)
+        return self._like(self.den, accumulate({}, derivatives()))
 
     def substitute(self, images):
         """Pull back along x_j -> images[j] (PolyForms of degree 0).
 
         dx_j maps to d(images[j]) computed in the target ambient.  All
-        images must share one ambient.
+        images must share one ambient.  Each monomial's image is the left
+        fold c ^ images[0] ^ .. (exps[j] times images[j], j ascending) ^
+        d(images[j]) for j in dts; the polynomial parts are kept per
+        exponent tuple, each one wedge from its longest proper prefix.
         """
         if len(images) != self.nvars:
             raise ValueError("substitute: need one image per variable")
@@ -200,17 +257,29 @@ class PolyForm:
             tgt_ndiff = images[0].ndiff
         else:
             tgt_nvars, tgt_name, tgt_ndiff = 0, self.varname, 0
-        out = {}
         dimages = [im.d() for im in images]
-        for (exps, dts), c in self.terms.items():
-            acc = PolyForm.const(tgt_nvars, c, tgt_name, tgt_ndiff)
-            for j, e in enumerate(exps):
-                for _ in range(e):
-                    acc = acc.wedge(images[j])
+        polys = {(0,) * self.nvars: (1, {((0,) * tgt_nvars, ()): 1})}
+
+        def poly(exps):
+            """(den, num) of images[0]^exps[0] ^ images[1]^exps[1] ^ .."""
+            hit = polys.get(exps)
+            if hit is None:
+                j = max(i for i, e in enumerate(exps) if e)
+                den, num = poly(exps[:j] + (exps[j] - 1,) + exps[j + 1:])
+                im = images[j]
+                hit = polys[exps] = (den * im.den, _wedge_num(num, im.num))
+            return hit
+
+        acc = {}
+        for (exps, dts), c in self.num.items():
+            den, num = poly(exps)
             for j in dts:
-                acc = acc.wedge(dimages[j])
-            accumulate(out, acc.terms.items())
-        return PolyForm._trusted(tgt_nvars, out, tgt_name, tgt_ndiff)
+                im = dimages[j]
+                den *= im.den
+                num = _wedge_num(num, im.num)
+            accumulate_scaled(acc, den, num.items(), c)
+        den, num = scaled_sum(acc)
+        return PolyForm._trusted(tgt_nvars, den * self.den, num, tgt_name, tgt_ndiff)
 
     def relabel(self, images, sign=1):
         """``sign`` times the form with variable j renamed images[j].
@@ -224,39 +293,38 @@ class PolyForm:
             src[i] = j
         moved = {}
         out = {}
-        for (exps, dts), c in self.terms.items():
+        for (exps, dts), c in self.num.items():
             hit = moved.get(dts)
             if hit is None:
                 image = [images[j] for j in dts]
                 hit = moved[dts] = (tuple(sorted(image)), sign * perm_sign(image))
-            out[(tuple(exps[j] for j in src), hit[0])] = c if hit[1] > 0 else -c
-        return PolyForm._trusted(self.nvars, out, self.varname, self.ndiff)
+            out[(tuple([exps[j] for j in src]), hit[0])] = c if hit[1] > 0 else -c
+        return self._like(self.den, out)
 
     def partial(self, j):
         def derivatives():
-            for (exps, dts), c in self.terms.items():
+            for (exps, dts), c in self.num.items():
                 if exps[j]:
                     e = list(exps)
                     e[j] -= 1
                     yield (tuple(e), dts), c * exps[j]
 
-        return PolyForm._trusted(self.nvars, accumulate({}, derivatives()),
-                                 self.varname, self.ndiff)
+        return self._like(self.den, accumulate({}, derivatives()))
 
     def eval_at(self, point):
         """Evaluate the degree-0 part at a rational point."""
         val = Fraction(0)
-        for (exps, dts), c in self.terms.items():
+        for (exps, dts), c in self.num.items():
             if dts:
                 continue
             term = c
             for j, e in enumerate(exps):
                 term *= rat(point[j]) ** e
             val += term
-        return val
+        return val / self.den
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
         for (exps, dts), c in sorted(self.terms.items()):
@@ -275,10 +343,10 @@ class PolyForm:
                 for (exps, dts), c in sorted(self.terms.items())]
 
     @classmethod
-    def from_json(cls, nvars, data, varname="t"):
+    def from_json(cls, nvars, data, varname="t", ndiff=None):
         terms = accumulate({}, (((tuple(item["exps"]), tuple(j - 1 for j in item["dts"])),
                                  rat(item["coeff"])) for item in data))
-        return cls(nvars, terms, varname)
+        return cls(nvars, terms, varname, ndiff)
 
 
 # ---------------------------------------------------------------------
@@ -354,9 +422,12 @@ class SimplicialOperator:
             return PolyForm.const(self.n, form.eval_at(()))
         def coordinate(j):
             """t_j pulled back: the sum of the t_i with images[i] == j."""
-            terms = accumulate({}, (kv for i in range(self.n + 1) if self.images[i] == j
-                                    for kv in simplex_t(self.n, i).terms.items()))
-            return PolyForm._trusted(self.n, terms, "t", self.n)
+            acc = {}
+            for i in range(self.n + 1):
+                if self.images[i] == j:
+                    t = simplex_t(self.n, i)
+                    accumulate_scaled(acc, t.den, t.num.items())
+            return PolyForm._trusted(self.n, *scaled_sum(acc), "t", self.n)
 
         return form.substitute([coordinate(j) for j in range(1, self.m + 1)])
 
@@ -376,14 +447,14 @@ def integrate_over_simplex(form: PolyForm, p: int) -> Fraction:
         return form.eval_at(())
     total = Fraction(0)
     full = tuple(range(p))
-    for (exps, dts), c in form.terms.items():
+    for (exps, dts), c in form.num.items():
         if dts != full:
             continue
         num = 1
         for e in exps:
             num *= factorial(e)
         total += c * Fraction(num, factorial(sum(exps) + p))
-    return total
+    return total / form.den
 
 
 def simplex_monomials(n, max_poly_deg, form_degree=None):

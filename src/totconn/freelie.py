@@ -273,6 +273,13 @@ class FreeLie:
         return dims
 
 
+def word_labels(series: dict, gen_names):
+    """{label: "p/q"} of a {tensor word: coeff} series, in word order; a
+    word is labelled "1" if empty, else its generator names joined by "."."""
+    return {("1" if not w else ".".join(gen_names[i] for i in w)): rat_str(c)
+            for w, c in sorted(series.items())}
+
+
 def series_repr(x: dict, gen_names):
     if not x:
         return "0"

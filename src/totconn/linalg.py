@@ -8,7 +8,8 @@ only an accumulator it created itself, never an argument, an
 ``lru_cache`` result, a ``FiniteAlgebra.maps`` value or an ``Echelon``
 row, since all of those may be shared.  Both rules cover the sums of
 carrier elements too: ``structures.Carrier.sum`` builds its result in
-an accumulator of its own, through ``accumulate`` for scalars and
+an accumulator of its own, through ``accumulate`` for scalars,
+``accumulate_scaled`` for the numerators of forms and
 ``structures.KeyedCarrier`` for elements keyed by word or bidegree,
 which never stores a zero element either.
 
@@ -21,7 +22,15 @@ computes on *scaled vectors* ``(den, {key: int})``, integer numerators
 over one common positive denominator with no zero numerator stored.
 ``to_scaled`` is the way in and refuses inexact values; ``Fraction``s
 are built only where a value leaves.  ``freelie`` keeps its series in
-this format and reduces them with ``Echelon.reduce_scaled``.
+this format and reduces them with ``Echelon.reduce_scaled``, and
+``forms.PolyForm`` stores its coefficients in it.
+
+A *scaled accumulator* is the in-place sum of scaled vectors with
+different denominators (``accumulate_scaled``): a dict of integer
+numerators that also holds their running denominator under the key
+``None`` while it holds any numerator, so an empty accumulator is a zero
+sum, and no key of a summed vector may be ``None``.  ``scaled_sum``
+gives its ``(den, num)`` back.
 
 ``Coordinates`` is the one tagged elimination: it appends a private tag
 key to each input vector, and tags sort after every ordinary key, in the
@@ -56,6 +65,59 @@ def accumulate(acc: dict, items) -> dict:
             else:
                 del acc[key]
     return acc
+
+
+def accumulate_scaled(acc, den, items, c=1):
+    """acc += c * (items / den) in place, on integers.
+
+    ``acc`` is a scaled accumulator (see the module docstring), ``items``
+    the (key, int) pairs of numerators over ``den`` and ``c`` an int or
+    a ``Fraction``.  The running denominator becomes the lcm of its old
+    value and the term's, and the stored numerators are rescaled only
+    when it grows.  Keys come and go as in ``accumulate``: a new
+    key goes to the end, and a key whose sum reaches zero is deleted.
+    """
+    if not c:
+        return
+    cn, cd = c.numerator, c.denominator
+    den *= cd
+    run = acc.get(None)
+    if run is None:
+        acc[None] = den
+        if cn == 1:
+            acc.update(items)
+        else:
+            acc.update((k, cn * v) for k, v in items)
+        if len(acc) == 1:
+            del acc[None]
+        return
+    if run != den:
+        new = lcm(run, den)
+        if new != run:
+            f = new // run
+            for k in acc:  # the running denominator too: run * f == new
+                acc[k] *= f
+        cn *= new // den
+    get = acc.get
+    for k, v in items:
+        v *= cn
+        s = get(k)
+        if s is None:
+            acc[k] = v
+        else:
+            s += v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    if len(acc) == 1:
+        del acc[None]
+
+
+def scaled_sum(acc):
+    """The ``(den, num)`` summed in the scaled accumulator ``acc``, which
+    the caller gives up; not in lowest terms."""
+    return acc.pop(None, 1), acc
 
 
 def vec_add(a: dict, b: dict, coeff=Fraction(1)) -> dict:

@@ -18,13 +18,12 @@ from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
                          fv_map, gauge_between, holonomy, parse_loop,
                          restrict_connection)
 from .convolution import degree_zero_restrict
-from .freelie import EnvelopingQuotient, bracket_label
+from .freelie import EnvelopingQuotient, bracket_label, word_labels
 from .graded import GradedVectorSpace
 from .linalg import accumulate
 from .minimal import (check_comparison, compare_models, formality_check,
                       massey_json, model_fiber_data, model_mc,
                       one_minimal_model, positive_part)
-from .scalars import rat_str
 from .structures import FiniteAlgebra, FormSpace
 
 
@@ -164,17 +163,20 @@ def _realizer(preset, m):
 
 
 class PipelineResult:
-    def __init__(self, name, model, fib, verdict, meta,
-                 connection=None, certificate=None, theta=None, env=None):
+    """One run's model, fiber and formality verdict; ``run_pipeline``
+    sets ``connection``, ``certificate``, ``theta`` (the holonomy table)
+    and ``env`` when the input has a geometric realization."""
+
+    def __init__(self, name, model, fib, verdict, meta):
         self.name = name
         self.model = model
         self.fib = fib
         self.verdict = verdict
         self.meta = meta
-        self.connection = connection
-        self.certificate = certificate
-        self.theta = theta
-        self.env = env
+        self.connection = None
+        self.certificate = None
+        self.theta = None
+        self.env = None
         self.dims_per_k = fib.dims_per_k()
 
     def to_json(self):
@@ -200,16 +202,18 @@ class PipelineResult:
                 "flat": bool(self.certificate and self.certificate.flat),
             }
         if self.theta is not None:
-            out["holonomy"] = {
-                loop: {("1" if not w else ".".join(names[i] for i in w)): rat_str(c)
-                       for w, c in sorted(val.items())}
-                for loop, val in sorted(self.theta.items())
-            }
+            out["holonomy"] = {loop: word_labels(val, names)
+                               for loop, val in sorted(self.theta.items())}
         return out
 
 
 def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineResult:
-    """Full run for a preset name or a FiniteAlgebra window."""
+    """Full run for a preset name or a FiniteAlgebra window.
+
+    ``k`` (default ``trunc``) is the order of the fiber quotient and of
+    the enveloping quotient; it may not exceed ``trunc``, the truncation
+    of the free Lie algebra that both are built over.
+    """
     if isinstance(name, str):
         if name not in PRESETS:
             raise ValueError("unknown preset %r" % (name,))
@@ -221,6 +225,8 @@ def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineRes
         B = name
         label = "custom"
     k = k or trunc
+    if k > trunc:
+        raise ValueError("run_pipeline: k = %d exceeds trunc = %d" % (k, trunc))
     model = one_minimal_model(B, arity_cap=arity_cap, pivot=pivot)
     fib = model_fiber_data(model, trunc=trunc, k=k)
     free = fib.free

@@ -1,9 +1,13 @@
 """Exact rational scalars and (de)serialization helpers.
 
-Every number the library takes or returns is a ``fractions.Fraction``
-(transport and the enveloping quotient compute internally on integer
-numerators over a common denominator, see ``freelie``); there is no
-floating point anywhere in the computational core.  Fractions are kept in
+Every number the library takes or returns is a ``fractions.Fraction``.
+Internally, some layers compute on integer numerators over a common
+denominator (the scaled vectors of ``linalg``) and build ``Fraction``s
+only where a value leaves them: transport and the enveloping quotient
+(see ``freelie``), elimination (``linalg.Echelon``), and polynomial
+forms (``forms.PolyForm``, whose public ``terms`` is a read-only view)
+with the Dupont operators on them.  There is no floating point anywhere
+in the computational core.  Fractions are kept in
 canonical reduced form with positive denominator by the stdlib, which makes
 equality of values literal equality of objects.
 """

@@ -18,7 +18,8 @@ is a ``Carrier``.  The protocol:
 result once with ``_wrap``.  Accumulators are dicts that never store a
 zero, so an empty accumulator is a zero sum, at every nesting level.
 Carriers over dict vectors accumulate through ``linalg.accumulate``;
-carriers over ``PolyForm`` accumulate its terms the same way;
+carriers over ``PolyForm`` accumulate its integer numerators over a
+running denominator (``linalg.accumulate_scaled``);
 ``KeyedCarrier`` accumulates {key: element of an inner carrier} and is
 the one place that drops a key whose running sum reaches zero.  A sum
 equals the left fold of two-term adds from zero, key order included: a
@@ -44,7 +45,8 @@ from fractions import Fraction
 
 from .forms import PolyForm
 from .graded import GradedVectorSpace, vector_degree
-from .linalg import accumulate, multilinear_terms, vec_add, vec_scale
+from .linalg import (accumulate, accumulate_scaled, multilinear_terms, scaled_sum,
+                     vec_add, vec_scale)
 from .scalars import rat
 from .signs import antisym_sign, shuffle_product, word
 
@@ -147,10 +149,10 @@ class FormSpace(Carrier):
     def _into(self, acc, x, c):
         if x.nvars != self.nvars or x.ndiff > self.ndiff:
             raise ValueError("PolyForm: mixed ambients")
-        super()._into(acc, x.terms, c)
+        accumulate_scaled(acc, x.den, x.num.items(), c)
 
     def _wrap(self, acc, p):
-        return PolyForm._trusted(self.nvars, acc, self.varname, self.ndiff)
+        return PolyForm._trusted(self.nvars, *scaled_sum(acc), self.varname, self.ndiff)
 
 
 class FormsAlgebra(FormSpace):

@@ -55,7 +55,7 @@ from math import comb, factorial
 from .dupont import NCElement
 from .forms import PolyForm
 from .graded import GradedVectorSpace
-from .linalg import Echelon, accumulate
+from .linalg import Echelon, accumulate, accumulate_scaled, scaled_sum
 from .scalars import bernoulli, rat, rat_str
 from .structures import Carrier, FiniteAlgebra, KeyedCarrier
 from .transfer import nc_structure, nc_vector_from_element
@@ -93,10 +93,7 @@ class GroupCochain:
     @classmethod
     def from_form(cls, m, form_on_rm: PolyForm):
         """A bidegree-(0, q) cochain from a form on R^m."""
-        terms = {}
-        for (exps, dts), c in form_on_rm.terms.items():
-            terms[(tuple(exps), dts)] = c
-        return cls(m, 0, PolyForm(m, terms, varname="z", ndiff=m))
+        return cls(m, 0, PolyForm(m, form_on_rm.terms, varname="z", ndiff=m))
 
     def g_var(self, slot, j):
         return PolyForm.var(self.m * (self.p + 1), self.m * slot + j,
@@ -245,11 +242,11 @@ class GroupCochainBackend(Carrier):
         return x.p
 
     def _into(self, acc, x, c):
-        super()._into(acc, x.form.terms, c)
+        accumulate_scaled(acc, x.form.den, x.form.num.items(), c)
 
     def _wrap(self, acc, p):
         m = self.m
-        return GroupCochain(m, p, PolyForm._trusted(m * (p + 1), acc, "z", m))
+        return GroupCochain(m, p, PolyForm._trusted(m * (p + 1), *scaled_sum(acc), "z", m))
 
 
 # ---------------------------------------------------------------------

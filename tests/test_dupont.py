@@ -154,3 +154,21 @@ def test_h_operator_lowers_degree():
     for w in simplex_monomials(n, 2, form_degree=1):
         hw = h_operator(w, 0)
         assert hw.is_zero() or hw.homogeneous_degree() == 0
+
+
+def test_cached_forms_cannot_be_changed_through_terms():
+    # elementary_form and h_operator are memoized: their results are shared
+    # by every later caller, so writing into one must fail
+    w = elementary_form((0, 1), 2)
+    hw = h_operator(simplex_t(2, 1).wedge(simplex_dt(2, 2)), 1)
+    assert not hw.is_zero()
+    saved = [dict(w.terms), dict(hw.terms), dict(dupont_E(NCElement.basis(2, (0, 1))).terms)]
+    for form in (w, hw):
+        key = next(iter(form.terms))
+        with pytest.raises(TypeError):
+            form.terms[key] *= 7
+        with pytest.raises(TypeError):
+            form.terms[key] = Fraction(7)
+    assert dict(elementary_form((0, 1), 2).terms) == saved[0]
+    assert dict(h_operator(simplex_t(2, 1).wedge(simplex_dt(2, 2)), 1).terms) == saved[1]
+    assert dict(dupont_E(NCElement.basis(2, (0, 1))).terms) == saved[2]

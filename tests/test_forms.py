@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -190,3 +191,170 @@ def test_operation_results_are_clean(pair, c, degree):
             assert isinstance(key, tuple) and len(key) == 2
             assert isinstance(key[0], tuple) and isinstance(key[1], tuple)
             assert type(v) is Fraction and v != 0
+
+
+# ---------------------------------------------------------------------
+# the integer store against plain Fraction dicts
+# ---------------------------------------------------------------------
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_scale(a, c):
+    return {k: c * v for k, v in a.items()} if c else {}
+
+
+def ref_wedge(a, b):
+    out = {}
+    for (e1, d1), c1 in a.items():
+        for (e2, d2), c2 in b.items():
+            dts = d1 + d2
+            if len(set(dts)) < len(dts):
+                continue
+            # the sign of sorting the dt's: one factor -1 per inversion
+            inversions = sum(1 for i in range(len(dts)) for j in range(i + 1, len(dts))
+                             if dts[i] > dts[j])
+            key = (tuple(x + y for x, y in zip(e1, e2)), tuple(sorted(dts)))
+            out = ref_add(out, {key: (-1) ** inversions * c1 * c2})
+    return out
+
+
+def ref_partial(a, j):
+    out = {}
+    for (exps, dts), c in a.items():
+        if exps[j]:
+            e = list(exps)
+            e[j] -= 1
+            out = ref_add(out, {(tuple(e), dts): exps[j] * c})
+    return out
+
+
+def ref_d(a, nvars, ndiff):
+    """d = sum_j dt_j ^ partial_j over the differentiable variables."""
+    out = {}
+    for j in range(ndiff):
+        dt = {((0,) * nvars, (j,)): Fraction(1)}
+        out = ref_add(out, ref_wedge(dt, ref_partial(a, j)))
+    return out
+
+
+def ref_substitute(a, images, nvars, ndiff):
+    """sum of c * prod images[j]^e_j ^ prod d(images[j]) over the terms."""
+    out = {}
+    for (exps, dts), c in a.items():
+        term = {((0,) * nvars, ()): c}
+        for j, e in enumerate(exps):
+            for _ in range(e):
+                term = ref_wedge(term, images[j])
+        for j in dts:
+            term = ref_wedge(term, ref_d(images[j], nvars, ndiff))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_relabel(a, images, sign):
+    """Variable j renamed images[j], each dt tuple sorted with the sign of
+    its sort, all times ``sign``."""
+    out = {}
+    for (exps, dts), c in a.items():
+        new_exps = [0] * len(exps)
+        for j, e in enumerate(exps):
+            new_exps[images[j]] = e
+        moved = [images[j] for j in dts]
+        inversions = sum(1 for i in range(len(moved)) for k in range(i + 1, len(moved))
+                         if moved[i] > moved[k])
+        key = (tuple(new_exps), tuple(sorted(moved)))
+        out = ref_add(out, {key: (-1) ** inversions * sign * c})
+    return out
+
+
+def assert_clean(r):
+    """r's store is in lowest terms over a positive denominator, and its
+    ``terms`` view holds only non-zero Fractions."""
+    assert type(r.den) is int and r.den > 0
+    assert all(type(n) is int and n for n in r.num.values())
+    assert gcd(r.den, *r.num.values()) == 1
+    assert all(type(v) is Fraction and v for v in r.terms.values())
+    assert set(r.terms) == set(r.num)
+
+
+def dense_form(draw, n, ndiff, form_degree=None):
+    """A form on n variables with one to five monomials, each dt drawn
+    variable by variable, so that wedges which re-sort dt's (with a sign)
+    or repeat one (giving zero) are common."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        dts = () if form_degree == 0 else tuple(j for j in range(ndiff) if draw(st.booleans()))
+        terms[(exps, dts)] = terms.get((exps, dts), 0) + draw(COEFFS)
+    return PolyForm(n, terms, "t", ndiff)
+
+
+@st.composite
+def dense_pairs(draw):
+    n = draw(st.integers(1, 3))
+    ndiff = draw(st.integers(0, n))
+    return dense_form(draw, n, ndiff), dense_form(draw, n, ndiff)
+
+
+@st.composite
+def substitution_cases(draw):
+    """(form, images): a form on n variables and one degree-0 image per
+    variable, all on a target ambient of its own."""
+    n = draw(st.integers(0, 3))
+    a = dense_form(draw, n, draw(st.integers(0, n)))
+    tgt = draw(st.integers(1, 3))
+    tgt_ndiff = draw(st.integers(0, tgt))
+    images = [dense_form(draw, tgt, tgt_ndiff, form_degree=0) for _ in range(n)]
+    return a, images
+
+
+@given(dense_pairs(), COEFFS, st.data())
+@settings(deadline=None, max_examples=100)
+def test_operations_match_the_fraction_reference(pair, c, data):
+    a, b = pair
+    n, ndiff = a.nvars, a.ndiff
+    ta, tb = dict(a.terms), dict(b.terms)
+    cases = [(a.wedge(b), ref_wedge(ta, tb)),
+             (a + b, ref_add(ta, tb)),
+             (a.scale(c), ref_scale(ta, c)),
+             (a.d(), ref_d(ta, n, ndiff))]
+    if n:
+        j = data.draw(st.integers(0, n - 1))
+        cases.append((a.partial(j), ref_partial(ta, j)))
+        images = (data.draw(st.permutations(range(ndiff)))
+                  + data.draw(st.permutations(range(ndiff, n))))
+        sign = data.draw(st.sampled_from([1, -1]))
+        cases.append((a.relabel(images, sign), ref_relabel(ta, images, sign)))
+    for got, want in cases:
+        assert_clean(got)
+        assert dict(got.terms) == want
+
+
+@given(substitution_cases())
+@settings(deadline=None, max_examples=100)
+def test_substitute_matches_the_fraction_reference(case):
+    a, images = case
+    got = a.substitute(images)
+    if images:
+        im = images[0]
+        assert (got.nvars, got.varname, got.ndiff) == (im.nvars, im.varname, im.ndiff)
+        want = ref_substitute(dict(a.terms), [dict(i.terms) for i in images],
+                              im.nvars, im.ndiff)
+    else:
+        want = dict(a.terms)
+    assert_clean(got)
+    assert dict(got.terms) == want
+
+
+def test_terms_is_a_read_only_view_of_the_store():
+    w = simplex_t(2, 0).scale(Fraction(3, 4))
+    assert (w.den, w.num) == (4, {((0, 0), ()): 3, ((1, 0), ()): -3, ((0, 1), ()): -3})
+    with pytest.raises(TypeError):
+        w.terms[((0, 0), ())] = Fraction(1)
+    assert w.terms[((0, 0), ())] == Fraction(3, 4)
+    assert w.terms is not w.terms

@@ -7,13 +7,24 @@ behaviour, and say so in CHANGES.md.  Outputs too large to commit are
 pinned the same way by the SHA-256 of their stdout (``DIGESTS``).
 """
 
+import functools
 import hashlib
+import json
 import subprocess
+import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from totconn.cli import main
+from totconn.cli import _connection_from_json, main
+from totconn.connection import (AutomorphyFactor, GaugeElement, PLPath,
+                                holonomy, parse_loop, transport)
+from totconn.forms import PolyForm
+from totconn.freelie import EnvelopingQuotient
+from totconn.minimal import one_minimal_model
+from totconn.pipeline import compare_pipeline_models, run_pipeline
+from totconn.structures import FiniteAlgebra
 from tests.test_cli import cli_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,3 +116,82 @@ def test_circle_input_is_the_test_fixture():
     import json
     from tests.test_minimal import circle_cdga
     assert json.loads(Path(CIRCLE).read_text()) == circle_cdga().to_json()
+
+
+# -------------------------------------------------------------------
+# no float anywhere in the objects behind the golden outputs
+# -------------------------------------------------------------------
+
+def floats_in(root):
+    """The paths of every float reachable from ``root`` through
+    containers and object attributes.  A ``PolyForm`` is entered through
+    its integer store and its ``terms`` view; functions, classes and
+    modules are not entered."""
+    opaque = (types.FunctionType, types.MethodType, types.BuiltinFunctionType,
+              functools.partial, type, types.ModuleType)
+    found = []
+    seen = set()
+    stack = [(root, "result")]
+    while stack:
+        x, path = stack.pop()
+        if isinstance(x, (float, complex)):
+            found.append(path)
+            continue
+        if x is None or isinstance(x, (bool, int, str, bytes, Fraction, opaque)):
+            continue
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, (dict, types.MappingProxyType)):
+            for k, v in x.items():
+                stack += [(k, path + "{key}"), (v, "%s[%r]" % (path, k))]
+            continue
+        if isinstance(x, (list, tuple, set, frozenset)):
+            stack += [(v, "%s[%d]" % (path, i)) for i, v in enumerate(x)]
+            continue
+        if isinstance(x, PolyForm):
+            stack.append((x.terms, path + ".terms"))
+        names = list(getattr(x, "__dict__", ()))
+        names += [s for cls in type(x).__mro__ for s in getattr(cls, "__slots__", ())
+                  if hasattr(x, s)]
+        stack += [(getattr(x, s), path + "." + s) for s in names]
+    return found
+
+
+def golden_results(group):
+    """The objects that the golden CLI cases of ``group`` print, built as
+    the CLI builds them."""
+    def load(path):
+        return json.loads(Path(path).read_text())
+
+    if group == "pipeline":
+        return [run_pipeline("torus"), run_pipeline("torus", trunc=7, k=7),
+                compare_pipeline_models("torus", pivots=("lex", "revlex")),
+                compare_pipeline_models("heisenberg", pivots=("lex", "shear"))]
+    if group == "minimal-model":
+        return [one_minimal_model(FiniteAlgebra.from_json(load(CIRCLE)),
+                                  arity_cap=4, pivot="shear")]
+    out = []
+    for conn, path, loop, basepoint in ((CONN, PATH, "a b a- b- a a b", "1/2,-1/3"),
+                                        (POLY_CONN, PATH_MIXED, "a b- a- b a", "2/7,-1/3")):
+        alpha = _connection_from_json(load(conn))
+        fib = alpha.fib
+        env = EnvelopingQuotient(fib.free, fib.ideal, 4)
+        out += [alpha, transport(alpha, PLPath.from_json(load(path)), env)]
+        env = EnvelopingQuotient(fib.free, fib.ideal, fib.k)
+        point = tuple(Fraction(c) for c in basepoint.split(","))
+        F = AutomorphyFactor(GaugeElement(alpha.m, fib, {}), env)
+        out += [F, holonomy(alpha, F, parse_loop(loop, alpha.m), point, env)]
+    return out
+
+
+def test_the_float_walk_finds_a_planted_float():
+    form = PolyForm.one(1)
+    assert floats_in([{"a": form}, (form.terms,)]) == []
+    form.num = {((0,), ()): 1.0}
+    assert floats_in([{"a": form}]) == ["result[0]['a'].num[((0,), ())]"]
+
+
+@pytest.mark.parametrize("group", ["pipeline", "minimal-model", "conn"])
+def test_golden_results_hold_no_float(group):
+    assert floats_in(golden_results(group)) == []

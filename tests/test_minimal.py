@@ -192,6 +192,16 @@ def test_fiber_data_is_built_once_per_model(monkeypatch):
     assert built == {FiberLieAlgebra: 2, EnvelopingQuotient: 2}
 
 
+def test_run_pipeline_refuses_k_above_trunc():
+    # the enveloping quotient is built at order k over a free Lie algebra
+    # truncated at trunc; above it, the ideal would miss the longer tails
+    from totconn.pipeline import run_pipeline
+    with pytest.raises(ValueError, match="exceeds trunc"):
+        run_pipeline("torus", trunc=4, k=5)
+    r = run_pipeline("torus", trunc=4, k=4)
+    assert r.env.order == r.fib.free.order == 4
+
+
 def per_k_dims(fib):
     """dim u/I^kk for kk = 2..k, one quotient built per kk: the oracle of
     ``FiberLieAlgebra.dims_per_k``."""
