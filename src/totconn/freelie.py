@@ -106,11 +106,16 @@ def tensor_mul(a: dict, b: dict, order: int) -> dict:
     return from_scaled(lowest_terms(*_scaled_mul(to_scaled(a), to_scaled(b), order)))
 
 
-def tensor_exp(x: dict, order: int) -> dict:
-    """exp of a series with no constant term."""
+def _scaled_exp(x: dict, order: int):
+    """exp of a series with no constant term, as a scaled series."""
     if EMPTY in x:
         raise ValueError("exp needs a series without constant term")
-    return from_scaled(_scaled_power_series(to_scaled(x), _exp_coefficients(order), order))
+    return _scaled_power_series(to_scaled(x), _exp_coefficients(order), order)
+
+
+def tensor_exp(x: dict, order: int) -> dict:
+    """exp of a series with no constant term."""
+    return from_scaled(_scaled_exp(x, order))
 
 
 def tensor_log(t: dict, order: int) -> dict:
@@ -122,10 +127,13 @@ def tensor_log(t: dict, order: int) -> dict:
 
 
 def bch(x: dict, y: dict, order: int) -> dict:
-    """log(exp(x) exp(y)) in the truncated tensor algebra."""
+    """log(exp(x) exp(y)) in the truncated tensor algebra, computed on
+    scaled series from the inputs to the result."""
     check_order(order)
-    prod = tensor_mul(tensor_exp(x, order), tensor_exp(y, order), order)
-    return tensor_log(prod, order)
+    den, num = _scaled_mul(_scaled_exp(x, order), _scaled_exp(y, order), order)
+    # both factors have constant term 1, so the product does too
+    del num[EMPTY]
+    return from_scaled(_scaled_power_series((den, num), _log_coefficients(order), order))
 
 
 def unshuffle_coproduct(t: dict, order: int) -> dict:

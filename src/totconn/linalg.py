@@ -17,6 +17,15 @@ Elimination pivots are chosen deterministically from a fixed key order,
 so all constructions downstream (Hodge decompositions, quotient bases)
 are reproducible.
 
+``multilinear_terms`` enumerates the words of a multilinear product,
+such as one of a finite structure table, and multiplies out their
+coefficients.  Given the table as its ``support``, it skips a word the
+table does not hold before any arithmetic; the coefficient of a word it
+yields is built once from the integer numerators and denominators of
+its factors, and is the shared ``ONE`` when it is 1.  Like ``to_scaled``
+it refuses a value without an exact numerator and denominator, such as
+a float, with a TypeError, so no inexact value enters a table product.
+
 ``Echelon`` is the one elimination kernel, and it is fraction-free: it
 computes on *scaled vectors* ``(den, {key: int})``, integer numerators
 over one common positive denominator with no zero numerator stored.
@@ -45,6 +54,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+
+ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 def accumulate(acc: dict, items) -> dict:
@@ -131,14 +143,40 @@ def vec_scale(a: dict, coeff) -> dict:
     return {k: coeff * v for k, v in a.items()}
 
 
-def multilinear_terms(vectors):
+def multilinear_terms(vectors, support=None):
     """Yield (word, product of coefficients), one pair for each choice of
-    one term from every vector, in ``itertools.product`` order."""
-    for combo in itertools.product(*[list(v.items()) for v in vectors]):
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
-        yield tuple(key for key, _ in combo), coeff
+    one term from every vector, in ``itertools.product`` order.
+
+    When ``support`` is given, only the words in it are yielded, and a
+    word outside it costs no arithmetic.  The product is taken on the
+    integer numerators and denominators of the coefficients and becomes
+    one ``Fraction`` per word, the shared ``ONE`` when it is 1, so a
+    caller may test ``coeff is ONE`` to skip a multiplication.  Every
+    value is checked up front: one without an exact ``numerator`` and
+    ``denominator``, such as a float, is a TypeError.
+    """
+    try:
+        factors = [[(k, c.numerator, c.denominator) for k, c in v.items()]
+                   for v in vectors]
+    except AttributeError:
+        raise _inexact([c for v in vectors for c in v.values()]) from None
+    for combo in itertools.product(*factors):
+        wrd = tuple([k for k, _, _ in combo])
+        if support is not None and wrd not in support:
+            continue
+        n = d = 1
+        for _, a, b in combo:
+            n *= a
+            d *= b
+        yield wrd, (ONE if n == d else Fraction(n, d))
+
+
+def _inexact(values):
+    """The TypeError for the first of ``values`` that is not exact."""
+    bad = [c for c in values
+           if not (hasattr(c, "numerator") and hasattr(c, "denominator"))]
+    return TypeError("exact elimination takes int or Fraction values, "
+                     "not %r" % (bad[0],))
 
 
 def to_scaled(vec: dict):
@@ -150,10 +188,7 @@ def to_scaled(vec: dict):
         return den, {k: c.numerator * (den // c.denominator)
                      for k, c in vec.items() if c}
     except AttributeError:
-        bad = [c for c in vec.values()
-               if not (hasattr(c, "numerator") and hasattr(c, "denominator"))]
-        raise TypeError("exact elimination takes int or Fraction values, "
-                        "not %r" % (bad[0],)) from None
+        raise _inexact(vec.values()) from None
 
 
 def from_scaled(s) -> dict:

@@ -321,9 +321,10 @@ class _ReadRecorder(InfinityMorphism):
     """An ``InfinityMorphism`` that adds to ``reads`` every table entry
     (arity, input word) that ``apply`` looks up.
 
-    It records the words ``multilinear_terms`` lists from the arguments,
-    also where ``apply`` returns early on an empty table, so the record
-    depends on the arguments alone and never on the table values.
+    It records every word of one key from each argument, also the words
+    that the table does not hold (which ``apply`` skips before any
+    arithmetic) and also where ``apply`` returns early on an empty table,
+    so the record depends on the arguments alone and never on the table.
     """
 
     def __init__(self, *args, **kwargs):

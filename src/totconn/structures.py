@@ -45,8 +45,8 @@ from fractions import Fraction
 
 from .forms import PolyForm
 from .graded import GradedVectorSpace, vector_degree
-from .linalg import (accumulate, accumulate_scaled, multilinear_terms, scaled_sum,
-                     vec_add, vec_scale)
+from .linalg import (MINUS_ONE, ONE, accumulate, accumulate_scaled, multilinear_terms,
+                     scaled_sum, vec_add, vec_scale)
 from .scalars import rat
 from .signs import antisym_sign, shuffle_product, word
 
@@ -247,9 +247,11 @@ class FiniteAlgebra(Carrier):
         if not table:
             return {}
         out = {}
-        for wrd, coeff in multilinear_terms(elems):
-            val = table.get(wrd)
-            if val:
+        for wrd, coeff in multilinear_terms(elems, table):
+            val = table[wrd]
+            if coeff is ONE:
+                accumulate(out, val.items())
+            else:
                 accumulate(out, ((key, coeff * c) for key, c in val.items()))
         return out
 
@@ -347,15 +349,13 @@ def _inner_delta(alg, n, elems, degs):
     for q in range(1, n + 1):
         for p in range(0, n - q + 1):
             r = n - p - q
-            sign = 1
-            if sum(d - 1 for d in degs[:p]) % 2:
-                sign = -1
+            sign = MINUS_ONE if sum(d - 1 for d in degs[:p]) % 2 else ONE
             inner = delta_apply(alg, q, elems[p:p + q], degs[p:p + q])
             if alg.is_zero(inner):
                 continue
             new_elems = list(elems[:p]) + [inner] + list(elems[p + q:])
             new_degs = list(degs[:p]) + [sum(degs[p:p + q]) + 2 - q] + list(degs[p + q:])
-            yield Fraction(sign), new_elems, new_degs, p + 1 + r
+            yield sign, new_elems, new_degs, p + 1 + r
 
 
 def stasheff_defect(alg, elems):
@@ -455,8 +455,8 @@ class InfinityMorphism:
         table = self.tables.get(k)
         if not table:
             return self.target.zero()
-        return self.target.sum((table[wrd], coeff) for wrd, coeff in multilinear_terms(elems)
-                               if wrd in table)
+        return self.target.sum((table[wrd], coeff)
+                               for wrd, coeff in multilinear_terms(elems, table))
 
     @classmethod
     def identity(cls, alg):
@@ -479,13 +479,26 @@ def morphism_defect(f: InfinityMorphism, elems):
 
     The shifted components F_k are even, so the splitting side carries no
     Koszul signs at all; all signs come from delta being odd and from the
-    shift dictionary.
+    shift dictionary.  Each block F_i(elems[pos:pos + i]) is evaluated
+    once and shared by every composition that contains it, and every
+    block is evaluated, so the table entries read depend on ``elems``
+    alone.
     """
     n = len(elems)
     src, tgt = f.source, f.target
     degs = [src.degree(e) for e in elems]
     if any(d is None for d in degs):
         raise ValueError("probes must be homogeneous and nonzero")
+    blocks = {}
+
+    def block(pos, i):
+        """(F_i on elems[pos:pos + i], its shifted degree)."""
+        got = blocks.get((pos, i))
+        if got is None:
+            block_degs = degs[pos:pos + i]
+            got = blocks[(pos, i)] = (f_shifted(f, i, elems[pos:pos + i], block_degs),
+                                      sum(block_degs) + 1 - i)
+        return got
 
     def terms():
         for coeff, new_elems, new_degs, k in _inner_delta(src, n, elems, degs):
@@ -496,13 +509,12 @@ def morphism_defect(f: InfinityMorphism, elems):
                 values = []
                 value_degs = []
                 for i in arities:
-                    block = elems[pos:pos + i]
-                    block_degs = degs[pos:pos + i]
+                    v, d = block(pos, i)
                     pos += i
-                    values.append(f_shifted(f, i, block, block_degs))
-                    value_degs.append(sum(block_degs) + 1 - i)
+                    values.append(v)
+                    value_degs.append(d)
                 if not any(tgt.is_zero(v) for v in values):
-                    yield delta_apply(tgt, k, values, value_degs), Fraction(-1)
+                    yield delta_apply(tgt, k, values, value_degs), MINUS_ONE
 
     return tgt.sum(terms())
 

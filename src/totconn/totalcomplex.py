@@ -31,7 +31,8 @@ general formula.
 The formula is evaluated on its support as a right fold:
 
 * each non-zero top coefficient is read from a table built once per
-  algebra and per (l, input levels), arranged as a trie over the slots
+  process and per (l, input levels, arity cap), which is all it depends
+  on, so every algebra shares it; it is arranged as a trie over the slots
   so that a prefix of index strings with no non-zero coefficient below
   it never appears;
 * each pushforward sigma_{I *} a_i is computed at most once per call;
@@ -55,7 +56,7 @@ from math import comb, factorial
 from .dupont import NCElement
 from .forms import PolyForm
 from .graded import GradedVectorSpace
-from .linalg import Echelon, accumulate, accumulate_scaled, scaled_sum
+from .linalg import ONE, Echelon, accumulate, accumulate_scaled, scaled_sum
 from .scalars import bernoulli, rat, rat_str
 from .structures import Carrier, FiniteAlgebra, KeyedCarrier
 from .transfer import nc_structure, nc_vector_from_element
@@ -656,6 +657,36 @@ def _freeze(trie):
                  for I, child in trie.items())
 
 
+# (l, ps, arity_cap) -> the frozen trie of ``_top_table``
+_TOP_TABLES = {}
+
+
+def _top_table(l, ps, arity_cap):
+    """The non-zero top coefficients of m_n^{[l]} for input levels ps.
+
+    A trie over the n = len(ps) slots: level i holds (I_i, child) pairs
+    and the last level (I_n, coefficient) pairs.  A prefix appears only
+    when some coefficient below it is non-zero.  It depends on nothing
+    but its arguments, so it is built once per process from
+    ``_nc_top_coefficient`` and kept as nested tuples, so no caller can
+    change it.
+    """
+    key = (l, ps, arity_cap)
+    table = _TOP_TABLES.get(key)
+    if table is None:
+        trie = {}
+        for strings in itertools.product(
+                *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
+            c = _nc_top_coefficient(l, len(ps), strings, arity_cap)
+            if c:
+                node = trie
+                for I in strings[:-1]:
+                    node = node.setdefault(I, {})
+                node[strings[-1]] = c
+        table = _TOP_TABLES[key] = _freeze(trie)
+    return table
+
+
 class TotalComplexAlgebra(KeyedCarrier):
     """The normalized total complex as an infinity-structure carrier,
     keyed by bidegree over its backend."""
@@ -666,7 +697,6 @@ class TotalComplexAlgebra(KeyedCarrier):
         self.level_cap = level_cap
         self.arity_cap = arity_cap
         self.kind = "Cinf"
-        self._top_tables = {}
 
     def one(self):
         return TotElement(self.backend, {(0, 0): self.backend.one()})
@@ -694,31 +724,8 @@ class TotalComplexAlgebra(KeyedCarrier):
             return tot_differential(elems[0])
         return self.sum(
             (self._pure_product(k, [key for key, _ in combo], [val for _, val in combo]),
-             Fraction(1))
+             ONE)
             for combo in itertools.product(*[list(e.components.items()) for e in elems]))
-
-    def _top_table(self, l, ps):
-        """The non-zero top coefficients of m_n^{[l]} for input levels ps.
-
-        A trie over the n = len(ps) slots: level i holds (I_i, child)
-        pairs and the last level (I_n, coefficient) pairs.  A prefix
-        appears only when some coefficient below it is non-zero.  Built
-        once per algebra from ``_nc_top_coefficient`` and kept as nested
-        tuples, so no caller can change it.
-        """
-        table = self._top_tables.get((l, ps))
-        if table is None:
-            trie = {}
-            for strings in itertools.product(
-                    *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
-                c = _nc_top_coefficient(l, len(ps), strings, self.arity_cap)
-                if c:
-                    node = trie
-                    for I in strings[:-1]:
-                        node = node.setdefault(I, {})
-                    node[strings[-1]] = c
-            table = self._top_tables[(l, ps)] = _freeze(trie)
-        return table
 
     def _pure_product(self, n, bidegs, vals):
         """The level-l part of m_n on one component per slot.
@@ -756,11 +763,10 @@ class TotalComplexAlgebra(KeyedCarrier):
             (I, child) pairs, and sum_I c sigma_{I *} a_n at the last slot."""
             if slot == n - 1:
                 return be.sum(((push(slot, I), c) for I, c in node), l)
-            return be.sum(((be.wedge(push(slot, I), fold(child, slot + 1), l),
-                            Fraction(1))
+            return be.sum(((be.wedge(push(slot, I), fold(child, slot + 1), l), ONE)
                            for I, child in node), l)
 
-        total = fold(self._top_table(l, ps), 0)
+        total = fold(_top_table(l, ps, self.arity_cap), 0)
         return TotElement(be, {(l, sum(qs)): be.scale(total, Fraction((-1) ** sign_exp))})
 
 

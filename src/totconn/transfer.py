@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 from .dupont import NCElement, dupont_E, dupont_Int, dupont_s, index_strings
 from .graded import GradedVectorSpace
-from .linalg import Coordinates, Echelon, accumulate, multilinear_terms
+from .linalg import MINUS_ONE, ONE, Coordinates, Echelon, accumulate, multilinear_terms
 from .signs import perm_sign
 from .structures import (FiniteAlgebra, FormsAlgebra, InfinityMorphism,
                          shift_sign)
@@ -211,7 +211,7 @@ class TransferredAlgebra(FiniteAlgebra):
                     # delta_2 on the shifted carriers: the only sign is the
                     # shift dictionary of the binary product on the left degree
                     left_deg = sum(degs[:s]) + 1 - s
-                    yield big.m(2, [left, right]), Fraction(-1 if (left_deg - 1) % 2 else 1)
+                    yield big.m(2, [left, right]), MINUS_ONE if (left_deg - 1) % 2 else ONE
 
         return self._cache(None, word, big.sum(terms()))
 
@@ -259,8 +259,8 @@ def transfer_structure(contraction: Contraction, arity_cap: int,
                 if k == 1:
                     yield contraction.include(wrd[0]), coeff
                 else:
-                    yield (contraction.homotopy(alg.lam(wrd)),
-                           coeff * shift_sign([key[0] for key in wrd]))
+                    sign = shift_sign([key[0] for key in wrd])
+                    yield contraction.homotopy(alg.lam(wrd)), coeff if sign == 1 else -coeff
         return lambda elems: big.sum(terms(elems))
 
     components = {k: component(k) for k in range(1, arity_cap + 1)}

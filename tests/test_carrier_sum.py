@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totconn import connection
+from totconn import connection, totalcomplex
 from totconn.convolution import ConvolutionAlgebra, Generators, TensorSeries
 from totconn.dupont import dupont_s, elementary_form, h_operator, index_strings
 from totconn.forms import PolyForm, simplex_monomials
@@ -270,7 +270,7 @@ def test_sums_leave_the_caches_untouched():
                 for w, v in table.items()}
 
     caches = [lambda: elementary, lambda: h_images, structure_tables,
-              lambda: nc.algebra._lam, lambda: tot._top_tables]
+              lambda: nc.algebra._lam, lambda: totalcomplex._TOP_TABLES]
     saved = [shape(copy.deepcopy(cache())) for cache in caches]
 
     nc.algebra.materialize(4)

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from totconn.forms import (PolyForm, SimplicialOperator, integrate_over_simplex,
@@ -128,21 +128,27 @@ COEFFS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
 
 
 def random_form(draw, n, ndiff):
-    """A PolyForm on n variables, dt's among the first ndiff, built
-    through the validating constructor from a few random monomials."""
+    """A non-zero PolyForm on n variables, dt's among the first ndiff,
+    built through the validating constructor from one to six monomials.
+    Each dt is drawn variable by variable, so that most monomials carry
+    one or more of them."""
     terms = {}
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(1, 6))):
         exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
-        dts = tuple(sorted(draw(st.sets(st.integers(0, ndiff - 1), max_size=ndiff))
-                           if ndiff else ()))
-        terms[(exps, dts)] = terms.get((exps, dts), 0) + draw(COEFFS)
-    return PolyForm(n, terms, "t", ndiff)
+        dts = tuple(j for j in range(ndiff) if draw(st.booleans()))
+        terms[(exps, dts)] = terms.get((exps, dts), 0) + draw(COEFFS.filter(bool))
+    form = PolyForm(n, terms, "t", ndiff)
+    assume(not form.is_zero())
+    return form
 
 
 @st.composite
 def form_pairs(draw):
-    n = draw(st.integers(0, 3))
-    ndiff = draw(st.integers(0, n))
+    """Two forms on n variables, dt's among the first ndiff = n or n - 1,
+    so that many pairs have two dt's or more and their wedges re-sort
+    dt's with a sign."""
+    n = draw(st.sampled_from([3, 2, 1, 0]))
+    ndiff = draw(st.sampled_from([n, max(n - 1, 0)]))
     return random_form(draw, n, ndiff), random_form(draw, n, ndiff)
 
 

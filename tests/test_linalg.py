@@ -18,8 +18,9 @@ from totconn.freelie import (FiberLieAlgebra, FreeLie, LieIdealPresentation,
                              commutator)
 from totconn.graded import GradedVectorSpace
 from totconn.linalg import (Coordinates, Echelon, accumulate, intersect_spans,
-                            solve, vec_add)
-from totconn.structures import FiniteAlgebra
+                            multilinear_terms, solve, vec_add)
+from totconn.structures import FiniteAlgebra, InfinityMorphism
+from totconn.transfer import nc_structure
 
 COEFF = st.integers(-3, 3).filter(bool).map(Fraction)
 VEC = st.dictionaries(st.integers(0, 5), COEFF, max_size=6)
@@ -146,6 +147,73 @@ def test_finite_algebra_m_is_multilinear_and_leaves_maps_unchanged(case):
     assert alg.m(k, elems) == got and alg.maps == maps
 
 
+def ref_multilinear_terms(vectors):
+    """One Fraction product per word, over every word, in
+    ``itertools.product`` order."""
+    for combo in itertools.product(*[list(v.items()) for v in vectors]):
+        coeff = Fraction(1)
+        for _, c in combo:
+            coeff *= c
+        yield tuple(key for key, _ in combo), coeff
+
+
+@st.composite
+def vectors_and_support(draw):
+    """1-3 vectors over keys 0..3 with Fraction or int values, and a
+    support mapping holding a random subset of their words."""
+    coeff = st.one_of(COEFF, st.integers(-3, 3).filter(bool),
+                      st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 1]))
+    vectors = draw(st.lists(st.dictionaries(st.integers(0, 3), coeff, max_size=3),
+                            min_size=1, max_size=3))
+    words = list(itertools.product(*vectors))
+    support = {w: None for w in words if draw(st.booleans())}
+    if draw(st.booleans()):
+        support[(9,) * len(vectors)] = None  # a word no choice of terms makes
+    return vectors, support
+
+
+@given(vectors_and_support())
+@settings(deadline=None, max_examples=100)
+def test_multilinear_terms_on_a_support_filter_the_full_enumeration(case):
+    vectors, support = case
+    full = list(multilinear_terms(vectors))
+    assert full == list(ref_multilinear_terms(vectors))
+    assert list(multilinear_terms(vectors, support)) == \
+        [(w, c) for w, c in full if w in support]
+    assert all(type(c) is Fraction for _, c in full)
+
+
+def unit_probes(alg, k):
+    """Every word of k unit basis vectors of the algebra's degree-0 keys."""
+    return [[{key: Fraction(1)} for key in wrd]
+            for wrd in itertools.product(alg.space.keys(0), repeat=k)]
+
+
+@given(algebra_and_elements())
+@settings(deadline=None, max_examples=100)
+def test_table_products_give_fractions_on_all_unit_probes_too(case):
+    alg, k, elems = case
+    target = FiniteAlgebra(alg.space)
+    mor = InfinityMorphism(alg, target, tables=alg.maps)
+    for probe in [elems] + unit_probes(alg, k):
+        assert all(type(c) is Fraction for _, c in multilinear_terms(probe, alg.maps.get(k, {})))
+        for out in (alg.m(k, probe), mor.apply(k, probe)):
+            assert all(type(v) is Fraction for v in out.values())
+    assert mor.apply(k, elems) == alg.m(k, elems)
+
+
+def nc_product_on_a_float():
+    """m_2 of the transferred interval structure on (0.5 v1, L01)."""
+    return nc_structure(1, 3).algebra.m(2, [{(0, "v1"): 0.5}, {(1, "L01"): Fraction(1)}])
+
+
+def table_morphism_on_a_float():
+    space = GradedVectorSpace({0: ["a", "b"]})
+    table = {((0, "a"), (0, "b")): {(0, "a"): Fraction(1)}}
+    mor = InfinityMorphism(FiniteAlgebra(space), FiniteAlgebra(space), tables={2: table})
+    return mor.apply(2, [{(0, "a"): Fraction(1)}, {(0, "b"): 0.5}])
+
+
 @given(VECS, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
 @settings(deadline=None, max_examples=100)
 def test_solve_finds_a_solution_when_one_exists(rows, xs):
@@ -209,7 +277,12 @@ def test_tuple_keys_never_collide_with_the_tags():
     lambda: Echelon().reduce({"a": 0.5}),
     lambda: Coordinates([{"a": 0.5}]),
     lambda: solve([{"a": Fraction(1)}], {"a": 0.5}),
-], ids=["insert", "reduce", "coordinates", "solve"])
+    lambda: list(multilinear_terms([{"a": Fraction(1)}, {"b": 0.5}])),
+    lambda: list(multilinear_terms([{"a": 0.5}], support={})),
+    nc_product_on_a_float,
+    table_morphism_on_a_float,
+], ids=["insert", "reduce", "coordinates", "solve", "multilinear_terms",
+        "multilinear_terms_off_support", "finite_algebra_m", "morphism_apply"])
 def test_inexact_scalars_are_refused(call):
     with pytest.raises(TypeError, match="0.5"):
         call()

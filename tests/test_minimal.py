@@ -368,6 +368,19 @@ def test_compare_models_matches_the_all_probes_loop(name, pivot1, pivot2, arity_
                           unknowns, probes, arity_cap) == (cols, rhs)
 
 
+def test_read_recorder_records_words_its_table_does_not_hold():
+    space = GradedVectorSpace({0: ["a", "b"]})
+    a, b = (0, "a"), (0, "b")
+    alg = FiniteAlgebra(space)
+    rec = _ReadRecorder(alg, alg, tables={2: {(a, b): {a: Fraction(1)}}})
+    out = rec.apply(2, [{a: Fraction(1), b: Fraction(2)}, {b: Fraction(1)}])
+    assert out == {a: Fraction(1)}
+    assert rec.reads == {(2, (a, b)), (2, (b, b))}
+    rec.reads = set()
+    assert rec.apply(3, [{b: Fraction(1)}] * 3) == {}
+    assert rec.reads == {(3, (b, b, b))}
+
+
 @pytest.mark.parametrize("name,pivot1,pivot2", COMPARE_CASES[::2])
 def test_probe_read_sets_do_not_depend_on_the_tables(name, pivot1, pivot2):
     # the premise of re-evaluating only a column's readers: every probe

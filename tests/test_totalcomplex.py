@@ -539,8 +539,8 @@ def assert_m_matches_reference(alg, elems):
 
 
 PRODUCT_BIDEGREES = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
-# one algebra per backend for the whole run, so later examples read the
-# top-coefficient tables that earlier ones filled
+# one algebra per backend for the whole run; the top-coefficient tables
+# that earlier examples fill are shared by every algebra of the process
 COCHAIN_ALGEBRAS = {m: TotalComplexAlgebra(GroupCochainBackend(m), level_cap=2,
                                            arity_cap=5) for m in (1, 2)}
 
@@ -722,7 +722,7 @@ def test_fold_wedges_once_per_internal_edge(monkeypatch):
     vals = [workload_b(be, rng) for _ in range(5)]
     ps = (1,) * 5
     edges, pairs = 0, set()
-    level = [alg._top_table(2, ps)]
+    level = [totalcomplex._top_table(2, ps, alg.arity_cap)]
     for slot in range(5):
         pairs.update((slot, I) for node in level for I, _ in node)
         if slot < 4:
@@ -746,6 +746,19 @@ def test_fold_wedges_once_per_internal_edge(monkeypatch):
     want = ref_pure_product(alg, 5, [(1, 0)] * 5, vals)
     assert not want.is_zero()
     assert got == want
+
+
+def test_top_tables_are_filled_once_per_process(monkeypatch):
+    rng = random.Random(3)
+    be = GroupCochainBackend(1)
+    elems = [TotElement(be, {(1, 0): workload_b(be, rng)}) for _ in range(4)]
+    want = TotalComplexAlgebra(be, level_cap=2, arity_cap=4).m(4, elems)
+    calls = []
+    monkeypatch.setattr(totalcomplex, "_nc_top_coefficient",
+                        lambda *args: calls.append(args))
+    again = TotalComplexAlgebra(be, level_cap=2, arity_cap=4)
+    assert again.m(4, elems) == want and not want.is_zero()
+    assert calls == []
 
 
 def presentation_element(rng, bidegrees):
