@@ -323,10 +323,15 @@ def shift_sign(degrees):
     Conjugating m_k to the coalgebra component delta_k = s o m_k o
     (s^{-1})^{x k} produces, on the shifted word s x_1 (x) ... (x) s x_k,
     the sign (-1)^{sum_j (k-j)(d_j - 1)}.  The same sign converts back.
+    With j counted from 0 the exponent is sum_j (k-1-j)(d_j - 1); k-1-j
+    is odd exactly when j = k mod 2, so its parity is the number of such
+    positions j with d_j even.
     """
-    k = len(degrees)
-    e = sum((k - j - 1) * (degrees[j] - 1) for j in range(k))
-    return -1 if e % 2 else 1
+    evens = 0
+    for d in degrees[len(degrees) % 2::2]:
+        if not d & 1:
+            evens += 1
+    return -1 if evens & 1 else 1
 
 
 def delta_apply(alg, k, elems, degs=None):

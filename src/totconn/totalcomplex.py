@@ -32,9 +32,10 @@ The formula is evaluated on its support as a right fold:
 
 * each non-zero top coefficient is read from a table built once per
   process and per (l, input levels, arity cap), which is all it depends
-  on, so every algebra shares it; it is arranged as a trie over the slots
-  so that a prefix of index strings with no non-zero coefficient below
-  it never appears;
+  on, so every algebra shares it; it is filled once per orbit of tuples
+  of index strings under the permutations of the vertices 0..l, and
+  arranged as a trie over the slots so that a prefix of index strings
+  with no non-zero coefficient below it never appears;
 * each pushforward sigma_{I *} a_i is computed at most once per call;
 * each trie node stands for the sum of its subtree: at the last slot
   sum_I c sigma_{I *} a_n, above it the sum over (I, child) of
@@ -661,23 +662,70 @@ def _freeze(trie):
 _TOP_TABLES = {}
 
 
+def _swap(I, i):
+    """The transposition (i i+1) of the vertices on lam_I, I sorted: the
+    sorted image and the sign of sorting it, -1 exactly when I holds both
+    i and i+1."""
+    if i in I and i + 1 in I:
+        return I, -1
+    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in I), 1
+
+
+def _fill_orbit(coeffs, strings, c, l):
+    """Give the orbit of the tuple ``strings`` under S_{l+1} its top
+    coefficients, c at ``strings``.
+
+    m_n^{[l]} is natural in the vertex permutations, and sigma . lam_top =
+    sgn(sigma) lam_top, so the coefficient at sigma . (I_1..I_n) is
+    sgn(sigma) prod_j sign(sigma, I_j) times c.  The walk is breadth-first
+    over the adjacent transpositions and checks every edge: a tuple reached
+    with two different values (an odd stabilizer and c != 0) raises
+    ``ArithmeticError`` naming it, and no value is overwritten.
+    """
+    coeffs[strings] = c
+    queue = [strings]
+    for tup in queue:
+        val = coeffs[tup]
+        for i in range(l):
+            image, signs = zip(*[_swap(I, i) for I in tup])
+            # the transposition itself is odd
+            image_val = val if signs.count(-1) % 2 else -val
+            known = coeffs.get(image)
+            if known is None:
+                coeffs[image] = image_val
+                queue.append(image)
+            elif known != image_val:
+                raise ArithmeticError("top coefficients of m_%d^[%d] are not S_%d-"
+                                      "equivariant: %r is reached as %s and %s"
+                                      % (len(tup), l, l + 1, image, known, image_val))
+
+
 def _top_table(l, ps, arity_cap):
     """The non-zero top coefficients of m_n^{[l]} for input levels ps.
 
     A trie over the n = len(ps) slots: level i holds (I_i, child) pairs
-    and the last level (I_n, coefficient) pairs.  A prefix appears only
-    when some coefficient below it is non-zero.  It depends on nothing
-    but its arguments, so it is built once per process from
-    ``_nc_top_coefficient`` and kept as nested tuples, so no caller can
-    change it.
+    and the last level (I_n, coefficient) pairs, in the order of
+    ``itertools.product`` over the slots.  A prefix appears only when
+    some coefficient below it is non-zero.  ``_nc_top_coefficient`` runs
+    once per orbit of tuples of index strings under the permutations of
+    the vertices 0..l, on the first tuple of the orbit in that order;
+    ``_fill_orbit`` gives the rest of the orbit its signed value.  The
+    table depends on nothing but its arguments, so it is built once per
+    process and kept as nested tuples, so no caller can change it.
     """
     key = (l, ps, arity_cap)
     table = _TOP_TABLES.get(key)
     if table is None:
+        tuples = list(itertools.product(
+            *[itertools.combinations(range(l + 1), p + 1) for p in ps]))
+        coeffs = {}
+        for strings in tuples:
+            if strings not in coeffs:
+                _fill_orbit(coeffs, strings,
+                            _nc_top_coefficient(l, len(ps), strings, arity_cap), l)
         trie = {}
-        for strings in itertools.product(
-                *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
-            c = _nc_top_coefficient(l, len(ps), strings, arity_cap)
+        for strings in tuples:
+            c = coeffs[strings]
             if c:
                 node = trie
                 for I in strings[:-1]:

@@ -21,11 +21,14 @@ sigma puts on the letters of w.  Dupont's E, Int and s are natural in
 simplicial maps (Dupont, Topology 15, 1976), so ``dupont_contraction(n)``
 carries the permutations of the vertices 1..n with vertex 0 fixed; they
 act monomially on the forms and on the basis 1, v_i, L_I.  A word is
-evaluated once per orbit: ``lam`` and ``hlam`` store their value for the
-whole orbit, relabelled, and ``_ensure`` projects once and writes the
-table entry of every word of the orbit.  The orbit is a breadth-first
-walk over the generators (adjacent transpositions), so the group is never
-listed.  Contractions without a symmetry evaluate every word on its own.
+evaluated once per orbit: ``lam`` and ``hlam`` store their value at the
+evaluated word and note, for every other word of the orbit, the
+permutation and sign that carry the value there; a form is relabelled
+only when that word is first read.  ``_ensure`` projects once and writes
+the table entry of every word of the orbit, since the tables need them
+all.  The orbit is a breadth-first walk over the generators (adjacent
+transpositions), so the group is never listed.  Contractions without a
+symmetry evaluate every word on its own.
 """
 
 from __future__ import annotations
@@ -115,6 +118,12 @@ class TransferredAlgebra(FiniteAlgebra):
     ``TypeError``, and ``maps``, each of its tables and each table value
     are read-only views (``MappingProxyType``) of a private store that
     only ``_set_value`` writes.
+
+    The forms lam(w) and hlam(w) = eta Lam(w) live in ``_lam``, keyed by w
+    and ("h", w); under a symmetry, ``_images`` maps each other key of an
+    evaluated orbit to (evaluated key, perm, sign), and ``_relabelled``
+    moves it into ``_lam`` on its first read.  Both maps are write-once: no
+    value in them is ever replaced.
     """
 
     def __init__(self, contraction: Contraction, arity_cap: int, kind="Cinf"):
@@ -125,6 +134,7 @@ class TransferredAlgebra(FiniteAlgebra):
         self.maps = MappingProxyType(self._views)
         self.contraction = contraction
         self._lam = {}
+        self._images = {}
         self._done = set()
         self._last_orbit = (None, ())
         big = contraction.big
@@ -151,9 +161,11 @@ class TransferredAlgebra(FiniteAlgebra):
     def _orbit(self, word):
         """The other words of the orbit of ``word``, breadth-first over the
         generators: (perm, image, sign) with image = sign * perm.word.
+        ``_cache`` records them for relabelling on first read, and
+        ``_ensure`` writes their table entries.
 
-        The last orbit is kept: ``lam``, ``hlam`` and ``_ensure`` usually
-        ask for the same word in turn.
+        The last orbit is kept: the ``_cache`` of lam(w), that of hlam(w)
+        and ``_ensure(k, w)`` usually ask for the same word in turn.
         """
         sym = self.contraction.symmetry
         if sym is None:
@@ -172,11 +184,23 @@ class TransferredAlgebra(FiniteAlgebra):
         return orbit[1:]
 
     def _cache(self, tag, word, val):
-        """Store the form ``val`` at (tag, word) for the whole orbit."""
-        self._lam[(tag, word) if tag else word] = val
+        """Store the form ``val`` at (tag, word) and record each other
+        word of its orbit as (key, perm, sign), so that ``_relabelled``
+        relabels it on its first read."""
+        key = (tag, word) if tag else word
+        self._lam[key] = val
         for perm, image, sign in self._orbit(word):
-            image_val = self.contraction.symmetry.form(perm, val, sign)
-            self._lam[(tag, image) if tag else image] = image_val
+            self._images.setdefault((tag, image) if tag else image, (key, perm, sign))
+        return val
+
+    def _relabelled(self, key):
+        """The form at ``key``, not yet in ``_lam``, relabelled from its
+        orbit's evaluated word and stored; None when its orbit has none."""
+        entry = self._images.get(key)
+        if entry is None:
+            return None
+        source, perm, sign = entry
+        val = self._lam[key] = self.contraction.symmetry.form(perm, self._lam[source], sign)
         return val
 
     def hlam(self, word):
@@ -185,6 +209,8 @@ class TransferredAlgebra(FiniteAlgebra):
         picture these maps are even, so the recursion itself is sign-free.
         """
         cached = self._lam.get(("h", word))
+        if cached is None:
+            cached = self._relabelled(("h", word))
         if cached is not None:
             return cached
         if len(word) == 1:
@@ -195,6 +221,8 @@ class TransferredAlgebra(FiniteAlgebra):
 
     def lam(self, word):
         cached = self._lam.get(word)
+        if cached is None:
+            cached = self._relabelled(word)
         if cached is not None:
             return cached
         n = len(word)
@@ -216,9 +244,13 @@ class TransferredAlgebra(FiniteAlgebra):
         return self._cache(None, word, big.sum(terms()))
 
     def _ensure(self, k, word):
-        """Fill m_k on ``word`` and on the rest of its orbit."""
+        """Fill m_k on ``word`` and on the rest of its orbit, from the
+        orbit's evaluated word when its form is not read yet, so that no
+        form is relabelled only to be projected."""
         if k == 1 or (k, word) in self._done:
             return
+        if word not in self._lam:
+            word = self._images.get(word, (word,))[0]
         self._done.add((k, word))
         val = self.contraction.project(self.lam(word))
         if val:
@@ -427,7 +459,8 @@ class VertexPermutations:
     dt_v -> dt_perm[v], which fixes t_0 = 1 - sum t_v and dt_0, and on the
     small basis by 1 -> 1, v_i -> v_perm[i] and L_I -> sgn L_sort(perm I),
     where sgn is the sign of sorting perm I.  The generators are the n - 1
-    adjacent transpositions; key images are cached as they are used.
+    adjacent transpositions; the images of the basis keys are tabled once
+    per permutation.
     """
 
     def __init__(self, n):
@@ -435,43 +468,48 @@ class VertexPermutations:
         self.identity = tuple(range(n + 1))
         self.generators = tuple(self.identity[:i] + (i + 1, i) + self.identity[i + 2:]
                                 for i in range(1, n))
-        self._keys = {}
+        self._basis = nc_space(n).keys()
+        self._tables = {}
 
     @staticmethod
     def compose(g, perm):
         """g after perm."""
         return tuple(g[v] for v in perm)
 
-    def key(self, perm, key):
-        """perm . key as (image key, sign)."""
-        hit = self._keys.get((perm, key))
-        if hit is None:
-            deg, name = key
-            if name == "1":
-                hit = key, 1
-            elif name[0] == "v":
-                hit = (0, "v%d" % perm[int(name[1:])]), 1
-            else:
-                image = [perm[int(ch)] for ch in name[1:]]
-                hit = (deg, "L" + "".join(map(str, sorted(image)))), perm_sign(image)
-            self._keys[(perm, key)] = hit
-        return hit
+    def _table(self, perm):
+        """{key: (perm . key, sign)} over the small basis, built once per perm."""
+        table = self._tables.get(perm)
+        if table is None:
+            table = self._tables[perm] = {}
+            for key in self._basis:
+                deg, name = key
+                if name == "1":
+                    table[key] = key, 1
+                elif name[0] == "v":
+                    table[key] = (0, "v%d" % perm[int(name[1:])]), 1
+                else:
+                    image = [perm[int(ch)] for ch in name[1:]]
+                    table[key] = ((deg, "L" + "".join(map(str, sorted(image)))),
+                                  perm_sign(image))
+        return table
 
     def word(self, perm, word):
         """perm . word, letter by letter, as (image word, sign)."""
+        table = self._table(perm)
         sign = 1
         image = []
         for key in word:
-            img, s = self.key(perm, key)
+            img, s = table[key]
             image.append(img)
             sign *= s
         return tuple(image), sign
 
     def vector(self, perm, vec, sign):
         """sign * perm . vec on the small basis."""
+        table = self._table(perm)
         out = {}
         for key, c in vec.items():
-            img, s = self.key(perm, key)
+            img, s = table[key]
             out[img] = c if s == sign else -c
         return out
 

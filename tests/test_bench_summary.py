@@ -62,3 +62,31 @@ def test_claim_not_met_below_nine_tenths(tmp_path):
                         "--claim", "holonomy:wall_s", "--target", "half",
                         "--out", str(out)])
     assert not json.loads(out.read_text())["claim"]["met"]
+
+
+def recorded_ops(node):
+    """Every {"attempted", "failed"} record under an "ops" key."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "ops":
+                yield from value.values()
+            else:
+                yield from recorded_ops(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from recorded_ops(value)
+
+
+def test_committed_bench_files_name_a_claim_and_failed_no_op():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        data = json.loads(path.read_text())
+        assert data["claim"]["workload"] in workloads, path.name
+        assert data["claim"]["metric"] in metrics, path.name
+        ops = list(recorded_ops(data))
+        assert ops, path.name
+        assert all(record["failed"] == 0 for record in ops), path.name

@@ -94,6 +94,17 @@ def test_shift_sign_small():
     assert shift_sign([2, 1]) == -1
 
 
+def test_shift_sign_matches_the_closed_form():
+    def closed_form(degrees):
+        k = len(degrees)
+        e = sum((k - j - 1) * (degrees[j] - 1) for j in range(k))
+        return -1 if e % 2 else 1
+
+    for k in range(7):
+        for degrees in itertools.product(range(4), repeat=k):
+            assert shift_sign(list(degrees)) == closed_form(degrees), degrees
+
+
 def test_forms_dga_passes_stasheff():
     alg = FormsAlgebra(1)
     span = simplex_monomials(1, 2)

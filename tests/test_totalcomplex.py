@@ -761,6 +761,51 @@ def test_top_tables_are_filled_once_per_process(monkeypatch):
     assert calls == []
 
 
+def test_top_table_orbit_fill_refuses_an_inconsistent_orbit(monkeypatch):
+    # (0 1) sends ((0,1), (0,1)) to itself with sign -1, so its top
+    # coefficient must be 0; a constant 1 contradicts the symmetry
+    monkeypatch.delitem(totalcomplex._TOP_TABLES, (2, (1, 1), 5), raising=False)
+    monkeypatch.setattr(totalcomplex, "_nc_top_coefficient", lambda *args: 1)
+    with pytest.raises(ArithmeticError, match=r"\(\(0, 1\), \(0, 1\)\)"):
+        totalcomplex._top_table(2, (1, 1), 5)
+    assert (2, (1, 1), 5) not in totalcomplex._TOP_TABLES
+
+
+def degree1_top_table_shapes():
+    """Every (l, ps) whose table tot-degree1 fills at level cap 2: n <= 5
+    and p_i in {0, 1}, and n <= 3 with some p_i = 2."""
+    shapes = []
+    for n, top in [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)]:
+        for ps in itertools.product(range(top + 1), repeat=n):
+            l = sum(ps) + 2 - n
+            if 0 <= l <= 2 and (top == 1 or 2 in ps):
+                shapes.append((l, ps))
+    return shapes
+
+
+def test_top_tables_match_a_per_tuple_fill(monkeypatch):
+    # the orbit fill against one top coefficient per tuple, each from its
+    # own word's evaluation on a structure without symmetry
+    shapes = degree1_top_table_shapes()
+    assert len(shapes) == 38 + 11
+    got = {}
+    for l, ps in shapes:
+        monkeypatch.delitem(totalcomplex._TOP_TABLES, (l, ps, 5), raising=False)
+        got[(l, ps)] = totalcomplex._top_table(l, ps, 5)
+    monkeypatch.setattr(totalcomplex, "nc_structure", plain_nc_structure)
+    for l, ps in shapes:
+        trie = {}
+        for strings in itertools.product(
+                *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
+            c = totalcomplex._nc_top_coefficient(l, len(ps), strings, 5)
+            if c:
+                node = trie
+                for I in strings[:-1]:
+                    node = node.setdefault(I, {})
+                node[strings[-1]] = c
+        assert got[(l, ps)] == totalcomplex._freeze(trie), (l, ps)
+
+
 def presentation_element(rng, bidegrees):
     """One component per bidegree, each 1-3 basis keys of its level and
     form degree with small coefficients."""
