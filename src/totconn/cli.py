@@ -149,6 +149,8 @@ def cmd_tot_product(args):
 
 def cmd_tot_cohomology(args):
     lo, hi = (int(x) for x in args.window.split(".."))
+    if not 0 <= lo <= hi:
+        raise ValueError("--window must be lo..hi with 0 <= lo <= hi, got %s" % args.window)
     be = GroupCochainBackend(args.group_rank)
     betti = tot_window_cohomology(be, max_degree=hi, level_cap=args.level_cap,
                                   poly_cap=args.poly_deg_cap)
@@ -332,9 +334,9 @@ def build_parser():
     tp.set_defaults(fn=cmd_tot_product)
     tc = tots.add_parser("cohomology")
     tc.add_argument("--window", default="0..2")
-    tc.add_argument("--group-rank", type=int, default=1)
-    tc.add_argument("--level-cap", type=int, default=2)
-    tc.add_argument("--poly-deg-cap", type=int, default=3)
+    tc.add_argument("--group-rank", type=_int_at_least(0), default=1)
+    tc.add_argument("--level-cap", type=_int_at_least(0), default=2)
+    tc.add_argument("--poly-deg-cap", type=_int_at_least(0), default=3)
     tc.add_argument("--json", action="store_true")
     tc.set_defaults(fn=cmd_tot_cohomology)
 

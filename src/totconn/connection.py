@@ -472,8 +472,13 @@ def transport(alpha: ConnectionForm, path: PLPath, env: EnvelopingQuotient):
     T solves T' = T * A(s) along each segment; segments compose by
     multiplication in traversal order.  Segments are computed and folded
     on integer numerators over one common denominator (see ``linalg``);
-    the result is built as ``Fraction``s once, at the end.
+    the result is built as ``Fraction``s once, at the end.  Every vertex
+    of the path must have alpha.m coordinates.
     """
+    for v in path.vertices:
+        if len(v) != alpha.m:
+            raise ValueError("path vertex (%s) has %d coordinates, the connection "
+                             "lives on R^%d" % (", ".join(map(str, v)), len(v), alpha.m))
     terms = _coefficient_terms(alpha, env.order)
     total = (1, {EMPTY: 1})
     for a, b in zip(path.vertices, path.vertices[1:]):
@@ -598,7 +603,8 @@ def parse_loop(text, m):
 
 def holonomy(alpha: ConnectionForm, F: AutomorphyFactor, deck_word,
              basepoint, env: EnvelopingQuotient):
-    """Theta_0(loop) = T(lift) * F_{rho(loop)}(basepoint)."""
+    """Theta_0(loop) = T(lift) * F_{rho(loop)}(basepoint); ``transport``
+    refuses a basepoint without alpha.m coordinates."""
     basepoint = tuple(rat(c) for c in basepoint)
     path = lattice_path(basepoint, deck_word, alpha.m)
     T = transport(alpha, path, env)

@@ -44,13 +44,9 @@ class Generators:
     def word_degree(self, w):
         return sum(self.shifted[i] for i in w)
 
-    def words(self, max_len, max_degree=None, indices=None):
-        idxs = range(len(self.keys)) if indices is None else indices
+    def words(self, max_len):
         for n in range(1, max_len + 1):
-            for w in itertools.product(idxs, repeat=n):
-                if max_degree is not None and self.word_degree(w) > max_degree:
-                    continue
-                yield w
+            yield from itertools.product(range(len(self.keys)), repeat=n)
 
     def degree_zero_indices(self):
         return [i for i, d in enumerate(self.shifted) if d == 0]

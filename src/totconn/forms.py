@@ -38,7 +38,7 @@ from types import MappingProxyType
 from .linalg import (accumulate, accumulate_scaled, from_scaled, lowest_terms,
                      scaled_sum, to_scaled)
 from .scalars import rat, rat_str
-from .signs import perm_sign
+from .signs import sorted_image
 
 
 def _merge_dts(d1, d2):
@@ -296,9 +296,8 @@ class PolyForm:
         for (exps, dts), c in self.num.items():
             hit = moved.get(dts)
             if hit is None:
-                image = [images[j] for j in dts]
-                hit = moved[dts] = (tuple(sorted(image)), sign * perm_sign(image))
-            out[(tuple([exps[j] for j in src]), hit[0])] = c if hit[1] > 0 else -c
+                hit = moved[dts] = sorted_image(images, dts)
+            out[(tuple([exps[j] for j in src]), hit[0])] = c if hit[1] == sign else -c
         return self._like(self.den, out)
 
     def partial(self, j):

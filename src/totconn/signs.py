@@ -33,6 +33,30 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def sorted_image(images, index):
+    """The image of the index string ``index`` under ``images`` (i goes
+    to images[i]), sorted, and the sign of sorting it."""
+    image = [images[i] for i in index]
+    return tuple(sorted(image)), perm_sign(image)
+
+
+def column_order(strings, vertices):
+    """The ``vertices`` (a range) sorted by their columns, largest first,
+    and the columns, indexed by vertex: the column of v is a bitmask of
+    the index strings that hold v, the first string the highest bit.
+    Relabelling order[r] as vertices[r] sends two tuples of strings to the
+    same image exactly when a permutation of ``vertices`` carries one to
+    the other; ties keep their order, so a sorted tuple is its own image.
+    """
+    columns = [0] * vertices.stop
+    bit = 1 << len(strings)
+    for index in strings:
+        bit >>= 1
+        for v in index:
+            columns[v] |= bit
+    return sorted(vertices, key=columns.__getitem__, reverse=True), columns
+
+
 def koszul_sign(perm, degrees) -> Fraction:
     """Sign picked up by reordering graded elements along ``perm``.
 

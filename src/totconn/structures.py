@@ -255,19 +255,14 @@ class FiniteAlgebra(Carrier):
                 accumulate(out, ((key, coeff * c) for key, c in val.items()))
         return out
 
-    def basis_vectors(self, degrees=None):
-        keys = self.space.keys()
-        if degrees is not None:
-            keys = [k for k in keys if k[0] in degrees]
-        return [{k: Fraction(1)} for k in keys]
+    def basis_vectors(self):
+        return [{k: Fraction(1)} for k in self.space.keys()]
 
-    def basis_words(self, arity, degrees=None, window=None):
+    def basis_words(self, arity, degrees=None):
         keys = self.space.keys()
         if degrees is not None:
             keys = [k for k in keys if k[0] in degrees]
         for combo in itertools.product(keys, repeat=arity):
-            if window is not None and sum(k[0] for k in combo) > window:
-                continue
             yield tuple({k: Fraction(1)} for k in combo)
 
     def in_window(self, arity, word_keys):

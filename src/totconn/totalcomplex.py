@@ -32,10 +32,13 @@ The formula is evaluated on its support as a right fold:
 
 * each non-zero top coefficient is read from a table built once per
   process and per (l, input levels, arity cap), which is all it depends
-  on, so every algebra shares it; it is filled once per orbit of tuples
-  of index strings under the permutations of the vertices 0..l, and
-  arranged as a trie over the slots so that a prefix of index strings
-  with no non-zero coefficient below it never appears;
+  on, so every algebra shares it; one coefficient is evaluated per orbit
+  of tuples of index strings under the permutations of the vertices
+  0..l, at the orbit's representative (the tuple with its vertices
+  relabelled in the order of their columns, ``signs.column_order``),
+  the other tuples take it with their sign, and the table is arranged
+  as a trie over the slots so that a prefix of index strings with no
+  non-zero coefficient below it never appears;
 * each pushforward sigma_{I *} a_i is computed at most once per call;
 * each trie node stands for the sum of its subtree: at the last slot
   sum_I c sigma_{I *} a_n, above it the sum over (I, child) of
@@ -52,13 +55,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .dupont import NCElement
 from .forms import PolyForm
 from .graded import GradedVectorSpace
 from .linalg import ONE, Echelon, accumulate, accumulate_scaled, scaled_sum
 from .scalars import bernoulli, rat, rat_str
+from .signs import column_order, perm_sign, sorted_image
 from .structures import Carrier, FiniteAlgebra, KeyedCarrier
 from .transfer import nc_structure, nc_vector_from_element
 
@@ -662,42 +666,20 @@ def _freeze(trie):
 _TOP_TABLES = {}
 
 
-def _swap(I, i):
-    """The transposition (i i+1) of the vertices on lam_I, I sorted: the
-    sorted image and the sign of sorting it, -1 exactly when I holds both
-    i and i+1."""
-    if i in I and i + 1 in I:
-        return I, -1
-    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in I), 1
-
-
-def _fill_orbit(coeffs, strings, c, l):
-    """Give the orbit of the tuple ``strings`` under S_{l+1} its top
-    coefficients, c at ``strings``.
-
-    m_n^{[l]} is natural in the vertex permutations, and sigma . lam_top =
-    sgn(sigma) lam_top, so the coefficient at sigma . (I_1..I_n) is
-    sgn(sigma) prod_j sign(sigma, I_j) times c.  The walk is breadth-first
-    over the adjacent transpositions and checks every edge: a tuple reached
-    with two different values (an odd stabilizer and c != 0) raises
-    ``ArithmeticError`` naming it, and no value is overwritten.
+def _top_representative(strings, l):
+    """(rep, perm, sign) for a tuple of index strings on the vertices
+    0..l: rep the representative of its S_{l+1} orbit, which is the
+    orbit's first tuple in ``itertools.product`` order, and strings =
+    perm . rep with c(strings) = sign * c(rep) for the top coefficients c.
+    m_n^{[l]} is natural in the vertex permutations and sigma . lam_top =
+    sgn(sigma) lam_top, so sign is sgn(perm) times the signs of sorting
+    the strings of perm . rep.
     """
-    coeffs[strings] = c
-    queue = [strings]
-    for tup in queue:
-        val = coeffs[tup]
-        for i in range(l):
-            image, signs = zip(*[_swap(I, i) for I in tup])
-            # the transposition itself is odd
-            image_val = val if signs.count(-1) % 2 else -val
-            known = coeffs.get(image)
-            if known is None:
-                coeffs[image] = image_val
-                queue.append(image)
-            elif known != image_val:
-                raise ArithmeticError("top coefficients of m_%d^[%d] are not S_%d-"
-                                      "equivariant: %r is reached as %s and %s"
-                                      % (len(tup), l, l + 1, image, known, image_val))
+    order, _ = column_order(strings, range(l + 1))
+    inverse = sorted(range(l + 1), key=order.__getitem__)
+    images = [sorted_image(inverse, I) for I in strings]
+    return (tuple(I for I, _ in images), tuple(order),
+            perm_sign(order) * prod(s for _, s in images))
 
 
 def _top_table(l, ps, arity_cap):
@@ -707,30 +689,38 @@ def _top_table(l, ps, arity_cap):
     and the last level (I_n, coefficient) pairs, in the order of
     ``itertools.product`` over the slots.  A prefix appears only when
     some coefficient below it is non-zero.  ``_nc_top_coefficient`` runs
-    once per orbit of tuples of index strings under the permutations of
-    the vertices 0..l, on the first tuple of the orbit in that order;
-    ``_fill_orbit`` gives the rest of the orbit its signed value.  The
-    table depends on nothing but its arguments, so it is built once per
-    process and kept as nested tuples, so no caller can change it.
+    once per representative (``_top_representative``), and every other
+    tuple of the orbit takes its signed value; a representative fixed by
+    an odd permutation with a non-zero coefficient raises
+    ``ArithmeticError``.  The table depends on nothing but its arguments,
+    so it is built once per process and kept as nested tuples, so no
+    caller can change it.
     """
     key = (l, ps, arity_cap)
     table = _TOP_TABLES.get(key)
     if table is None:
-        tuples = list(itertools.product(
-            *[itertools.combinations(range(l + 1), p + 1) for p in ps]))
         coeffs = {}
-        for strings in tuples:
-            if strings not in coeffs:
-                _fill_orbit(coeffs, strings,
-                            _nc_top_coefficient(l, len(ps), strings, arity_cap), l)
         trie = {}
-        for strings in tuples:
-            c = coeffs[strings]
+        for strings in itertools.product(
+                *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
+            rep, _, sign = _top_representative(strings, l)
+            c = coeffs.get(rep)
+            if c is None:
+                c = coeffs[rep] = _nc_top_coefficient(l, len(ps), rep, arity_cap)
+                _, columns = column_order(rep, range(l + 1))
+                # the stabilizer of rep is generated by the (v v+1) with equal
+                # columns, each acting by -(-1)^(the strings holding v)
+                for v in range(l):
+                    if c and columns[v] == columns[v + 1] and not columns[v].bit_count() % 2:
+                        raise ArithmeticError(
+                            "top coefficients of m_%d^[%d] are not S_%d-equivariant: "
+                            "%r is fixed by the odd (%d %d) but has coefficient %s"
+                            % (len(ps), l, l + 1, rep, v, v + 1, c))
             if c:
                 node = trie
                 for I in strings[:-1]:
                     node = node.setdefault(I, {})
-                node[strings[-1]] = c
+                node[strings[-1]] = c if sign == 1 else -c
         table = _TOP_TABLES[key] = _freeze(trie)
     return table
 

@@ -21,14 +21,14 @@ sigma puts on the letters of w.  Dupont's E, Int and s are natural in
 simplicial maps (Dupont, Topology 15, 1976), so ``dupont_contraction(n)``
 carries the permutations of the vertices 1..n with vertex 0 fixed; they
 act monomially on the forms and on the basis 1, v_i, L_I.  A word is
-evaluated once per orbit: ``lam`` and ``hlam`` store their value at the
-evaluated word and note, for every other word of the orbit, the
-permutation and sign that carry the value there; a form is relabelled
-only when that word is first read.  ``_ensure`` projects once and writes
-the table entry of every word of the orbit, since the tables need them
-all.  The orbit is a breadth-first walk over the generators (adjacent
-transpositions), so the group is never listed.  Contractions without a
-symmetry evaluate every word on its own.
+evaluated once per orbit, at the orbit's representative: the word with
+its vertices relabelled in the order of their columns
+(``signs.column_order``), which the symmetry computes from the word
+alone, together with the permutation and sign that carry it back.
+``lam`` and ``hlam`` evaluate representatives and relabel a form to any
+other word when that word is first read; ``_ensure`` projects each
+representative once and fills every other word's table entry from it.
+Contractions without a symmetry evaluate every word on its own.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from types import MappingProxyType
 from .dupont import NCElement, dupont_E, dupont_Int, dupont_s, index_strings
 from .graded import GradedVectorSpace
 from .linalg import MINUS_ONE, ONE, Coordinates, Echelon, accumulate, multilinear_terms
-from .signs import perm_sign
+from .signs import column_order, sorted_image
 from .structures import (FiniteAlgebra, FormsAlgebra, InfinityMorphism,
                          shift_sign)
 
@@ -120,10 +120,10 @@ class TransferredAlgebra(FiniteAlgebra):
     only ``_set_value`` writes.
 
     The forms lam(w) and hlam(w) = eta Lam(w) live in ``_lam``, keyed by w
-    and ("h", w); under a symmetry, ``_images`` maps each other key of an
-    evaluated orbit to (evaluated key, perm, sign), and ``_relabelled``
-    moves it into ``_lam`` on its first read.  Both maps are write-once: no
-    value in them is ever replaced.
+    and ("h", w), and ``_done`` holds the (k, w) whose m_k entry is filled.
+    Under a symmetry a form is evaluated only at its orbit's
+    representative and relabelled from there on the first read of another
+    word.  Both are write-once: no value in them is ever replaced.
     """
 
     def __init__(self, contraction: Contraction, arity_cap: int, kind="Cinf"):
@@ -134,9 +134,7 @@ class TransferredAlgebra(FiniteAlgebra):
         self.maps = MappingProxyType(self._views)
         self.contraction = contraction
         self._lam = {}
-        self._images = {}
         self._done = set()
-        self._last_orbit = (None, ())
         big = contraction.big
         for key in self.space.keys():
             val = contraction.project(big.m(1, [contraction.include(key)]))
@@ -158,49 +156,21 @@ class TransferredAlgebra(FiniteAlgebra):
         else:
             table.pop(input_word, None)
 
-    def _orbit(self, word):
-        """The other words of the orbit of ``word``, breadth-first over the
-        generators: (perm, image, sign) with image = sign * perm.word.
-        ``_cache`` records them for relabelling on first read, and
-        ``_ensure`` writes their table entries.
-
-        The last orbit is kept: the ``_cache`` of lam(w), that of hlam(w)
-        and ``_ensure(k, w)`` usually ask for the same word in turn.
-        """
+    def _canonical(self, word):
+        """The symmetry's ``canonical(word)``; (word, None, 1) without one."""
         sym = self.contraction.symmetry
-        if sym is None:
-            return ()
-        if self._last_orbit[0] == word:
-            return self._last_orbit[1]
-        orbit = [(sym.identity, word, 1)]
-        seen = {word}
-        for perm, wrd, sign in orbit:
-            for g in sym.generators:
-                image, s = sym.word(g, wrd)
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append((sym.compose(g, perm), image, sign * s))
-        self._last_orbit = (word, orbit[1:])
-        return orbit[1:]
+        return (word, None, 1) if sym is None else sym.canonical(word)
 
-    def _cache(self, tag, word, val):
-        """Store the form ``val`` at (tag, word) and record each other
-        word of its orbit as (key, perm, sign), so that ``_relabelled``
-        relabels it on its first read."""
+    def _form(self, tag, word):
+        """lam (tag None) or hlam (tag "h") of ``word``: stored, or on the
+        first read that of the representative, relabelled and stored."""
         key = (tag, word) if tag else word
-        self._lam[key] = val
-        for perm, image, sign in self._orbit(word):
-            self._images.setdefault((tag, image) if tag else image, (key, perm, sign))
-        return val
-
-    def _relabelled(self, key):
-        """The form at ``key``, not yet in ``_lam``, relabelled from its
-        orbit's evaluated word and stored; None when its orbit has none."""
-        entry = self._images.get(key)
-        if entry is None:
-            return None
-        source, perm, sign = entry
-        val = self._lam[key] = self.contraction.symmetry.form(perm, self._lam[source], sign)
+        val = self._lam.get(key)
+        if val is None:
+            rep, perm, sign = self._canonical(word)
+            val = self._rep_form(tag, rep)
+            if rep != word:
+                val = self._lam[key] = self.contraction.symmetry.form(perm, val, sign)
         return val
 
     def hlam(self, word):
@@ -208,23 +178,26 @@ class TransferredAlgebra(FiniteAlgebra):
         letters, the homotopy of the tree sum otherwise.  In the shifted
         picture these maps are even, so the recursion itself is sign-free.
         """
-        cached = self._lam.get(("h", word))
-        if cached is None:
-            cached = self._relabelled(("h", word))
-        if cached is not None:
-            return cached
-        if len(word) == 1:
-            val = self.contraction.include(word[0])
-        else:
-            val = self.contraction.homotopy(self.lam(word))
-        return self._cache("h", word, val)
+        return self._form("h", word)
 
     def lam(self, word):
-        cached = self._lam.get(word)
-        if cached is None:
-            cached = self._relabelled(word)
-        if cached is not None:
-            return cached
+        return self._form(None, word)
+
+    def _rep_form(self, tag, rep):
+        """lam or hlam of a representative, evaluated on its first read."""
+        key = (tag, rep) if tag else rep
+        val = self._lam.get(key)
+        if val is None:
+            if not tag:
+                val = self._tree_sum(rep)
+            elif len(rep) == 1:
+                val = self.contraction.include(rep[0])
+            else:
+                val = self.contraction.homotopy(self._rep_form(None, rep))
+            self._lam[key] = val
+        return val
+
+    def _tree_sum(self, word):
         n = len(word)
         if n > self.arity_cap:
             raise ArityCapError("transfer: arity cap %d exceeded" % self.arity_cap)
@@ -241,26 +214,27 @@ class TransferredAlgebra(FiniteAlgebra):
                     left_deg = sum(degs[:s]) + 1 - s
                     yield big.m(2, [left, right]), MINUS_ONE if (left_deg - 1) % 2 else ONE
 
-        return self._cache(None, word, big.sum(terms()))
+        return big.sum(terms())
 
     def _ensure(self, k, word):
-        """Fill m_k on ``word`` and on the rest of its orbit, from the
-        orbit's evaluated word when its form is not read yet, so that no
-        form is relabelled only to be projected."""
+        """Fill m_k on ``word``: at a representative by projecting its
+        form, at any other word by relabelling its representative's entry,
+        so that no form is relabelled only to be projected."""
         if k == 1 or (k, word) in self._done:
             return
-        if word not in self._lam:
-            word = self._images.get(word, (word,))[0]
-        self._done.add((k, word))
-        val = self.contraction.project(self.lam(word))
-        if val:
-            if shift_sign([key[0] for key in word]) != 1:
-                val = {kk: -c for kk, c in val.items()}
-            self._set_value(k, word, val)
-        for perm, image, sign in self._orbit(word):
-            self._done.add((k, image))
+        rep, perm, sign = self._canonical(word)
+        if (k, rep) not in self._done:
+            self._done.add((k, rep))
+            val = self.contraction.project(self._rep_form(None, rep))
             if val:
-                self._set_value(k, image, self.contraction.symmetry.vector(perm, val, sign))
+                if shift_sign([key[0] for key in rep]) != 1:
+                    val = {kk: -c for kk, c in val.items()}
+                self._set_value(k, rep, val)
+        if rep != word:
+            self._done.add((k, word))
+            val = self._tables.get(k, {}).get(rep)
+            if val:
+                self._set_value(k, word, self.contraction.symmetry.vector(perm, val, sign))
 
     def m(self, k, elems):
         if len(elems) != k:
@@ -458,40 +432,48 @@ class VertexPermutations:
     sends vertex v to perm[v].  It acts on forms by t_v -> t_perm[v] and
     dt_v -> dt_perm[v], which fixes t_0 = 1 - sum t_v and dt_0, and on the
     small basis by 1 -> 1, v_i -> v_perm[i] and L_I -> sgn L_sort(perm I),
-    where sgn is the sign of sorting perm I.  The generators are the n - 1
-    adjacent transpositions; the images of the basis keys are tabled once
-    per permutation.
+    where sgn is the sign of sorting perm I.  The representative of a
+    word relabels the vertices 1..n in the order of their columns over
+    the word's letters (``signs.column_order``); the images of the basis
+    keys are tabled once per permutation.
     """
 
     def __init__(self, n):
         self.n = n
-        self.identity = tuple(range(n + 1))
-        self.generators = tuple(self.identity[:i] + (i + 1, i) + self.identity[i + 2:]
-                                for i in range(1, n))
-        self._basis = nc_space(n).keys()
+        # the vertices a basis key holds: () for 1, (i,) for v_i, I for L_I
+        self._holds = {key: tuple(int(ch) for ch in key[1][1:])
+                       for key in nc_space(n).keys()}
         self._tables = {}
-
-    @staticmethod
-    def compose(g, perm):
-        """g after perm."""
-        return tuple(g[v] for v in perm)
+        # a word's column order -> (perm, its inverse)
+        self._by_order = {}
 
     def _table(self, perm):
         """{key: (perm . key, sign)} over the small basis, built once per perm."""
         table = self._tables.get(perm)
         if table is None:
             table = self._tables[perm] = {}
-            for key in self._basis:
-                deg, name = key
-                if name == "1":
-                    table[key] = key, 1
-                elif name[0] == "v":
-                    table[key] = (0, "v%d" % perm[int(name[1:])]), 1
+            for key, index in self._holds.items():
+                image, sign = sorted_image(perm, index)
+                if key[0]:
+                    name = "L" + "".join(map(str, image))
                 else:
-                    image = [perm[int(ch)] for ch in name[1:]]
-                    table[key] = ((deg, "L" + "".join(map(str, sorted(image)))),
-                                  perm_sign(image))
+                    name = "v%d" % image if image else "1"
+                table[key] = (key[0], name), sign
         return table
+
+    def canonical(self, word):
+        """(rep, perm, sign) with word = sign * perm . rep, rep the same for
+        every word of the orbit of ``word``; a representative is its own,
+        with perm the identity and sign 1."""
+        order, _ = column_order([self._holds[key] for key in word], range(1, self.n + 1))
+        order = tuple(order)
+        hit = self._by_order.get(order)
+        if hit is None:
+            perm = (0, *order)
+            hit = self._by_order[order] = (
+                perm, tuple(sorted(range(len(perm)), key=perm.__getitem__)))
+        rep, sign = self.word(hit[1], word)
+        return rep, hit[0], sign
 
     def word(self, perm, word):
         """perm . word, letter by letter, as (image word, sign)."""

@@ -41,6 +41,9 @@ def test_dupont_n0_trivially_passes():
     ["conn", "transport", "--input", "conn.json", "--path", "path.json",
      "--order", "0"],
     ["minimal-model", "--input", "B.json", "--arity", "0"],
+    ["tot", "cohomology", "--group-rank", "-1"],
+    ["tot", "cohomology", "--level-cap", "-1"],
+    ["tot", "cohomology", "--poly-deg-cap", "-1"],
 ])
 def test_negative_sizes_are_parse_errors(argv, capsys):
     # a negative size used to verify nothing and exit 0; a size too small
@@ -79,6 +82,12 @@ def test_tot_cohomology_circle(capsys):
                 "--poly-deg-cap", "2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["betti"] == {"0": 1, "1": 1}
+
+
+def test_tot_cohomology_empty_window_is_an_input_error(capsys):
+    # a window with lo > hi used to print an empty table and exit 0
+    assert run(["tot", "cohomology", "--window", "2..1"]) == 2
+    assert "0 <= lo <= hi" in capsys.readouterr().err
 
 
 def test_tot_product_with_closed_form(tmp_path, capsys):
@@ -176,6 +185,21 @@ def test_conn_transport_and_holonomy(tmp_path, capsys):
                 "--basepoint", "0,0", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["holonomy"] == {"1": "1"}
+
+
+@pytest.mark.parametrize("point", [["0"], ["0", "0", "1"]])
+def test_conn_points_of_the_wrong_dimension_are_input_errors(tmp_path, capsys, point):
+    # m = 2: a 1-coordinate point used to end in an IndexError and a
+    # 3-coordinate one to be cut to two coordinates silently
+    golden = Path(__file__).parent / "golden"
+    conn = str(golden / "nilpotent_connection.json")
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps({"vertices": [["0", "0"], point]}))
+    assert run(["conn", "transport", "--input", conn, "--path", str(p)]) == 2
+    assert "coordinates" in capsys.readouterr().err
+    assert run(["conn", "holonomy", "--input", conn, "--loop", "a b",
+                "--basepoint", ",".join(point)]) == 2
+    assert "coordinates" in capsys.readouterr().err
 
 
 def test_conn_transport_order_cuts_the_series(capsys):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from totconn.forms import PolyForm
 from totconn.linalg import Echelon
 from totconn.scalars import bernoulli
+from totconn.signs import perm_sign, sorted_image
 from totconn import totalcomplex
 from totconn.structures import (FiniteAlgebra, check_shuffle_vanishing,
                                 check_stasheff)
@@ -804,6 +806,23 @@ def test_top_tables_match_a_per_tuple_fill(monkeypatch):
                     node = node.setdefault(I, {})
                 node[strings[-1]] = c
         assert got[(l, ps)] == totalcomplex._freeze(trie), (l, ps)
+
+
+def test_top_representative_is_one_per_orbit():
+    # every tuple of index strings of the tables tot-degree1 fills,
+    # against its orbit under all of S_{l+1}, listed by brute force
+    for l, ps in degree1_top_table_shapes():
+        perms = list(itertools.permutations(range(l + 1)))
+        for strings in itertools.product(
+                *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
+            rep, perm, sign = totalcomplex._top_representative(strings, l)
+            image = [sorted_image(perm, I) for I in rep]
+            assert tuple(I for I, _ in image) == strings
+            assert sign == perm_sign(perm) * math.prod(s for _, s in image)
+            orbit = {tuple(sorted_image(p, I)[0] for I in strings) for p in perms}
+            # the first tuple of its orbit in product order
+            assert rep == min(orbit)
+            assert {totalcomplex._top_representative(t, l)[0] for t in orbit} == {rep}
 
 
 def presentation_element(rng, bidegrees):

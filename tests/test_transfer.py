@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totconn import transfer
 from totconn.graded import GradedVectorSpace
 from totconn.scalars import bernoulli
 from totconn.structures import (FiniteAlgebra, check_morphism,
@@ -292,25 +293,45 @@ def test_lazy_calls_then_materialize_match_the_per_word_loop(case):
     assert alg.to_json() == ref.to_json()
 
 
-def test_relabelled_forms_match_a_fresh_evaluation():
+def test_relabelled_forms_match_a_fresh_evaluation(monkeypatch):
     # every lam and hlam on words of length <= 3 on the tetrahedron,
-    # most of them filled in by relabelling, against their own evaluation
+    # most of them relabelled from their representative, against their
+    # own evaluation
+    homotopies = []
+    dupont_s = transfer.dupont_s
+    monkeypatch.setattr(transfer, "dupont_s",
+                        lambda form, n: homotopies.append(form) or dupont_s(form, n))
     alg = transfer_structure(dupont_contraction(3), 3).algebra
     alg.materialize(3)
+    # one homotopy per orbit of words of length 2, the longest whose
+    # hlam the arity-3 tree sums read
+    assert len(homotopies) == 65
     plain = TransferredAlgebra(plain_dupont(3), 3)
     words = [w for k in (1, 2, 3) for w in itertools.product(alg.space.keys(), repeat=k)]
-    # what materialize left in the caches, evaluated or waiting to be
-    # relabelled, then the rest through lam/hlam
-    assert set(alg._lam) | set(alg._images) == (
-        {w for w in words if len(w) > 1} | {("h", w) for w in words if len(w) < 3})
-    # the images of arity-3 forms are relabelled only when read, and
-    # materialize reads fewer than half of them
-    arity3 = [w for w in words if len(w) == 3]
-    assert 2 * sum(1 for w in arity3 if w in alg._lam and w in alg._images) < len(arity3)
     for w in words:
         assert alg.lam(w) == plain.lam(w), w
         assert alg.hlam(w) == plain.hlam(w), w
     assert len(alg._lam) == len(plain._lam) == 2 * len(words)
+
+
+def test_canonical_is_one_representative_per_orbit():
+    # every word of length <= 3 on nc(3) against its orbit under the six
+    # permutations that fix vertex 0, listed by brute force
+    sym = dupont_contraction(3).symmetry
+    keys = nc_space(3).keys()
+    perms = [(0, *p) for p in itertools.permutations(range(1, 4))]
+    for k in (1, 2, 3):
+        orbits = set()
+        for word in itertools.product(keys, repeat=k):
+            rep, perm, sign = sym.canonical(word)
+            assert sym.word(perm, rep) == (word, sign), word
+            orbit = frozenset(sym.word(p, word)[0] for p in perms)
+            assert rep in orbit
+            assert {sym.canonical(image)[0] for image in orbit} == {rep}
+            assert sym.canonical(rep) == (rep, perms[0], 1)
+            orbits.add(orbit)
+        if k == 2:
+            assert len(orbits) == 65
 
 
 def test_nc2_inclusion_morphism_arity3():
