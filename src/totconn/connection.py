@@ -11,12 +11,12 @@ composition and homomorphism tests).  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, perm
 
 from .convolution import TensorSeries
 from .forms import PolyForm
 from .freelie import EMPTY, EnvelopingQuotient, FiberLieAlgebra, lyndon_bracket
-from .linalg import accumulate, from_scaled
+from .linalg import accumulate, from_scaled, lowest_terms
 from .scalars import rat, rat_str
 from .structures import FormSpace, KeyedCarrier
 
@@ -506,8 +506,23 @@ def _coefficient_terms(alpha, order):
 
 def _segment_transport(coeff_terms, a, b, env):
     """The transport along the segment from a to b, as a scaled series in
-    normal form; ``coeff_terms`` is ``_coefficient_terms(alpha, env.order)``."""
-    order = env.order
+    normal form, in lowest terms; ``coeff_terms`` is
+    ``_coefficient_terms(alpha, env.order)``.
+
+    With the pullback A(s) = sum_j s^j A_j / den_a of alpha to the
+    segment, T(s) = sum_k T_k s^k solves T' = T A(s), T(0) = 1, so
+
+      (k + 1) T_{k+1} = sum_j T_{k-j} A_j / den_a
+
+    in the quotient, and the transport is T(1) = sum_k T_k.  With P from
+    ``env._pivot_images``, N_k = k! (den_a P)^k T_k is an integer normal
+    form, and the recurrence becomes
+
+      N_{k+1} = sum_j k!/(k-j)! (den_a P)^j P NF(N_{k-j} A_j).
+
+    Every A_j has no constant term and the ideal's rows keep word length
+    from dropping, so N_k vanishes once k/(1 + deg A) passes the order.
+    """
     den_c, terms = coeff_terms
     # pull back along x = a + s(b - a).  With a = A/q and b - a = D/q over
     # one denominator q, the term c x^e dx_j becomes
@@ -519,7 +534,7 @@ def _segment_transport(coeff_terms, a, b, env):
     D = [c.numerator * (q // c.denominator) - x for c, x in zip(b, A)]
     top = max((sum(exps) for _, exps, _, _ in terms), default=0)
     den_a = den_c * q ** (1 + top)
-    coeff_polys = {}  # word -> {exponent of s: int}
+    by_power = {}  # exponent j of s -> A_j as {word: int}
     for bracket, exps, j, n in terms:
         if not D[j]:
             continue
@@ -531,52 +546,32 @@ def _segment_transport(coeff_terms, a, b, env):
                     times[k] = times.get(k, 0) + c * A[i]
                     times[k + 1] = times.get(k + 1, 0) + c * D[i]
                 poly = times
-        for ww, c2 in bracket.items():
-            acc = coeff_polys.setdefault(ww, {})
-            for k, c in poly.items():
-                acc[k] = acc.get(k, 0) + c2 * c
-    coeff_polys = [(w, nonzero) for w, p in coeff_polys.items()
-                   if (nonzero := [(e, c) for e, c in p.items() if c])]
-    # iterated indefinite integrals: I_0 = 1; I_r = int I_{r-1} A.  Level
-    # r holds integer polynomials over den; integrating divides the
-    # coefficient of s^e by e, done as one rescale by the lcm of the
-    # level's exponents
-    levels = [(1, {EMPTY: 1})]  # (den, {word: value at s = 1})
-    current = {(): {0: 1}}  # word -> integer poly in s
-    den = 1
-    for r in range(1, order + 1):
-        nxt = {}
-        for w1, poly1 in current.items():
-            room = order - len(w1)
-            for w2, poly2 in coeff_polys:
-                if len(w2) > room:
-                    continue
-                acc = nxt.setdefault(w1 + w2, {})
-                for e1, c1 in poly1.items():
-                    for e2, c2 in poly2:
-                        e = e1 + e2 + 1
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        scale = lcm(*{e for p in nxt.values() for e in p})
-        den *= den_a * scale
-        current = {}
-        for w, p in nxt.items():
-            p = {e: c * (scale // e) for e, c in p.items() if c}
-            if p:
-                current[w] = p
-        if not current:
-            break
-        # evaluate at s = 1
-        levels.append((den, {w: sum(p.values()) for w, p in current.items()}))
-    common = lcm(*[d for d, _ in levels])
+        for k, c in poly.items():
+            accumulate(by_power.setdefault(k, {}),
+                       ((ww, c2 * c) for ww, c2 in bracket.items()))
+    powers = sorted((j, env._by_room(a_j)) for j, a_j in by_power.items() if a_j)
+    width = powers[-1][0] + 1 if powers else 1
+    scale = den_a * env._pivot_images[0]
+    N = [{EMPTY: 1}]
+    while any(N[-width:]):
+        k = len(N) - 1
+        N.append(env._product_sum((N[k - j], a_j, perm(k, j) * scale ** j)
+                                  for j, a_j in powers if j <= k and N[k - j]))
+    while not N[-1]:
+        N.pop()
+    # sum_k T_k over K! (den_a P)^K, K the last non-zero index
+    K = len(N) - 1
     total = {}
-    for d, values in levels:
-        f = common // d
-        for w, v in values.items():
-            total[w] = total.get(w, 0) + f * v
-    return env._reduce((common, {w: n for w, n in total.items() if n}))
+    get = total.get
+    f = 1
+    for k in range(K, -1, -1):
+        for w, n in N[k].items():
+            total[w] = get(w, 0) + f * n
+        f *= k * scale
+    return lowest_terms(factorial(K) * scale ** K, {w: n for w, n in total.items() if n})
 
 
-def lattice_path(basepoint, deck_word, m):
+def lattice_path(basepoint, deck_word):
     """The straight-segment lift of a deck word from the basepoint."""
     verts = [tuple(rat(c) for c in basepoint)]
     pos = list(verts[0])
@@ -606,7 +601,7 @@ def holonomy(alpha: ConnectionForm, F: AutomorphyFactor, deck_word,
     """Theta_0(loop) = T(lift) * F_{rho(loop)}(basepoint); ``transport``
     refuses a basepoint without alpha.m coordinates."""
     basepoint = tuple(rat(c) for c in basepoint)
-    path = lattice_path(basepoint, deck_word, alpha.m)
+    path = lattice_path(basepoint, deck_word)
     T = transport(alpha, path, env)
     rho = tuple(sum(g[j] for g in deck_word) if deck_word else Fraction(0)
                 for j in range(alpha.m))

@@ -9,14 +9,17 @@ All generators sit in degree zero, so no Koszul signs appear here.
 Public functions and methods take and return ``Fraction`` dicts.  The
 truncated product, exp and log, and the enveloping quotient's reduction,
 compute internally on scaled series ``(den, {word: int})``, the format
-of ``linalg`` (``to_scaled``), and reduce through ``Echelon``.  Each
-operation divides out the gcd of the denominator and the numerators
-once at its end, and ``Fraction``s are built only when a value leaves
-the public interface.
+of ``linalg`` (``to_scaled``).  The quotient reduces exp and log through
+its ``Echelon``; its product, and the transport of ``connection``, read
+each concatenated word's normal form from one table of pivot images
+(``EnvelopingQuotient._pivot_images``) instead.  Each operation divides
+out the gcd of the denominator and the numerators once at its end, and
+``Fraction``s are built only when a value leaves the public interface.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from fractions import Fraction
@@ -479,6 +482,8 @@ class EnvelopingQuotient:
     truncated scale; transport values and holonomies live here.  The
     two-sided ideal is one ``Echelon``, filled at construction; every
     method computes on scaled series and returns ``Fraction`` dicts.
+    Products go through ``_product_sum``, which relies on the echelon's
+    rows being fully reduced (see ``_pivot_images``).
     """
 
     def __init__(self, free: FreeLie, ideal: LieIdealPresentation, order: int):
@@ -508,9 +513,67 @@ class EnvelopingQuotient:
         than the order."""
         return lowest_terms(*self._mod.reduce_scaled(*s))
 
+    @functools.cached_property
+    def _pivot_images(self):
+        """``(P, {pivot: image})``, built once per quotient on first use.
+
+        P is the lcm of the echelon's pivot coefficients, and the image
+        of the pivot of a row ``(p, tail)`` is the integer vector
+        -(P/p) tail.  The rows are fully reduced, so a word's normal form
+        is the word itself when it is no pivot, and its image over P
+        when it is: P times the normal form of any word is read off
+        this table without an elimination.
+        """
+        rows = self._mod._rows
+        P = lcm(*[p for p, _ in rows.values()])
+        return P, {w: {u: -(P // p) * n for u, n in tail.items()}
+                   for w, (p, tail) in rows.items()}
+
+    def _product_sum(self, triples):
+        """P NF(sum of c a b over the ``(a, b, c)`` in ``triples``), as a
+        {word: int} dict: P is from ``_pivot_images``, a is a {word: int}
+        numerator, b one arranged by ``_by_room`` and c an int.
+
+        The concatenations no longer than the order are summed first, so
+        each word is brought to its normal form once, by the table.
+        """
+        P, images = self._pivot_images
+        order = self.order
+        raw = {}
+        get = raw.get
+        for a, b, factor in triples:
+            for wa, ca in a.items():
+                ca *= factor
+                for wb, cb in b[order - len(wa)]:
+                    w = wa + wb
+                    raw[w] = get(w, 0) + ca * cb
+        out = {w: P * c for w, c in raw.items() if c and w not in images}
+        get = out.get
+        for w, c in raw.items():
+            image = images.get(w)
+            if image is None or not c:
+                continue
+            for u, n in image.items():
+                n = get(u, 0) + c * n
+                if n:
+                    out[u] = n
+                else:
+                    del out[u]
+        return out
+
+    def _by_room(self, b):
+        """The terms of the {word: int} dict b no longer than r, for each
+        r = 0..order, as the list of lists ``_product_sum`` reads."""
+        words = sorted(b, key=len)
+        terms = [(w, b[w]) for w in words]
+        lengths = list(map(len, words))
+        return [terms[:bisect.bisect_right(lengths, r)] for r in range(self.order + 1)]
+
     def _mul(self, a, b):
         """The product of two normal forms, as a normal form."""
-        return self._reduce(_scaled_mul(a, b, self.order))
+        (da, na), (db, nb) = a, b
+        return lowest_terms(da * db * self._pivot_images[0],
+                            self._product_sum([(na, self._by_room(nb), 1)]))
 
     def _log(self, t):
         """log of a normal form with constant term 1, not yet reduced."""

@@ -852,7 +852,16 @@ def _bounded_exponents(nvars, cap):
 
 def tot_window_cohomology(be: GroupCochainBackend, max_degree=2, level_cap=2,
                           poly_cap=3, form_cap=None):
-    """Betti numbers of (window, D) by exact rank computation."""
+    """Betti numbers of (window, D) by exact rank computation.
+
+    Cycles are counted among the cochains of level <= ``level_cap``, and
+    the boundaries subtracted in degree d, images of cochains of degree
+    d - 1, reach level d.  So the window must hold level ``max_degree``:
+    a smaller ``level_cap`` is a ValueError.
+    """
+    if level_cap < max_degree:
+        raise ValueError("level_cap %d is below max_degree %d: boundaries would "
+                         "land outside the window" % (level_cap, max_degree))
     if form_cap is None:
         form_cap = max_degree
     basis = window_basis(be, level_cap + 1, poly_cap, form_cap + 1)

@@ -51,6 +51,21 @@ def test_summary_counts_pairs_and_checks_the_claim(tmp_path):
     assert hol["metrics"]["peak_rss_mib"]["change_better_pairs"] == 0  # ties
     assert data["workloads"]["pipeline"]["metrics"]["wall_s"]["change_better_pairs"] == 2
     assert data["trace_holonomy"]["change"] == {"connection.transport.calls": 24}
+    assert data["bytecode_cache"] == {"parent": False, "change": False}
+
+
+def test_summary_warns_when_one_tree_holds_bytecode(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, "holonomy", [1.0, 1.1, 0.9])
+    write_runs(change, "holonomy", [0.5, 0.6, 0.4])
+    (change / "src" / "totconn" / "__pycache__").mkdir(parents=True)
+    out = tmp_path / "BENCH.json"
+    bench_summary.main(["--parent", str(parent), "--change", str(change), "--title", "t",
+                        "--claim", "holonomy:wall_s", "--target", "half",
+                        "--out", str(out)])
+    assert json.loads(out.read_text())["bytecode_cache"] == {"parent": False,
+                                                              "change": True}
+    assert "only the change tree holds src/totconn/__pycache__" in capsys.readouterr().err
 
 
 def test_claim_not_met_below_nine_tenths(tmp_path):

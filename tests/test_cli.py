@@ -90,6 +90,13 @@ def test_tot_cohomology_empty_window_is_an_input_error(capsys):
     assert "0 <= lo <= hi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level_cap", ["0", "1"])
+def test_tot_cohomology_level_cap_below_the_window_is_an_input_error(level_cap, capsys):
+    # these caps printed negative Betti numbers (b2 = -3) and exited 0
+    assert run(["tot", "cohomology", "--level-cap", level_cap]) == 2
+    assert "below max_degree 2" in capsys.readouterr().err
+
+
 def test_tot_product_with_closed_form(tmp_path, capsys):
     payload = {
         "group_rank": 1,

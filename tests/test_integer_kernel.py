@@ -20,6 +20,7 @@ import functools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,8 @@ from totconn.freelie import (EMPTY, EnvelopingQuotient, FreeLie,
                              LieIdealPresentation, _length_first, commutator,
                              is_grouplike, lyndon_bracket, tensor_exp,
                              tensor_log, tensor_mul)
-from totconn.linalg import Echelon, accumulate, from_scaled, vec_add, vec_scale
+from totconn.linalg import (Echelon, accumulate, from_scaled, lowest_terms,
+                            vec_add, vec_scale)
 from totconn.scalars import rat
 
 
@@ -417,6 +419,57 @@ def test_transport_matches_fractions(data):
     T = transport(alpha, path, env)
     assert T == ref_transport(alpha, path, ref)
     assert env.is_grouplike(T)
+
+
+def test_pivot_images_scale_by_the_lcm_of_the_pivot_coefficients():
+    env, _ = quotient("fractional")
+    P, images = env._pivot_images
+    assert P == 6 and set(images) == set(env._mod._rows)
+    for w, (p, tail) in env._mod._rows.items():
+        assert images[w] == {u: -(P // p) * n for u, n in tail.items()}
+    env, _ = quotient("heisenberg")
+    P, images = env._pivot_images
+    assert P == 1 and images and all(
+        images[w] == {u: -n for u, n in tail.items()}
+        for w, (_, tail) in env._mod._rows.items())
+    env, _ = quotient("free")
+    assert env._pivot_images == (1, {})
+
+
+def test_mul_onto_a_pivot_with_coefficient_six():
+    # X XY = XXY is the pivot of a row with p = 6 on the fractional
+    # quotient; both factors are normal forms already
+    env, ref = quotient("fractional")
+    F = Fraction
+    a = {(0,): F(1), (0, 0): F(1, 2)}
+    b = {(0, 1): F(1), (1,): F(-1, 3)}
+    assert env.reduce(a) == a and env.reduce(b) == b
+    assert env._mod._rows[(0, 0, 1)][0] == 6
+    product = env.mul(a, b)
+    assert product == ref_mul(ref, a, b)
+    assert (0, 0, 1) not in product and any(c.denominator % 6 == 0
+                                            for c in product.values())
+
+
+# the second segment keeps x fixed (D[0] == 0), the third keeps y fixed
+FIXED_PATH = PLPath([(Fraction(1, 2), Fraction(-1, 3)), (Fraction(2, 7), Fraction(5, 3)),
+                     (Fraction(2, 7), Fraction(-1)), (Fraction(-3, 2), Fraction(-1))])
+
+
+@pytest.mark.parametrize("alpha_name", sorted(CONNECTIONS))
+@pytest.mark.parametrize("name", sorted(QUOTIENTS))
+def test_transport_matches_fractions_on_a_fixed_path(name, alpha_name):
+    env, ref = quotient(name)
+    alpha = CONNECTIONS[alpha_name]()
+    terms = _coefficient_terms(alpha, env.order)
+    vertices = FIXED_PATH.vertices
+    for a, b in zip(vertices, vertices[1:]):
+        segment = _segment_transport(terms, a, b, env)
+        assert lowest_terms(*segment) == segment
+        assert from_scaled(segment) == ref_segment_transport(alpha, a, b, ref)
+    assert _segment_transport(terms, vertices[0], vertices[0], env) == (1, {EMPTY: 1})
+    assert transport(alpha, FIXED_PATH, env) == ref_transport(alpha, FIXED_PATH, ref)
+    assert transport(alpha, PLPath(vertices[:1]), env) == {EMPTY: Fraction(1)}
 
 
 def test_polynomial_connection_pulls_back_to_positive_degree():

@@ -25,7 +25,8 @@ from totconn.totalcomplex import (FinitePresentation, GroupCochain,
                                   project_to_base, psi_components,
                                   psi_roundtrip_ok, sigma_pushforward,
                                   tot_differential, tot_product_degree1,
-                                  tot_product_degree1_with_scalar)
+                                  tot_product_degree1_with_scalar,
+                                  tot_window_cohomology)
 from totconn.transfer import transfer_structure
 from tests.test_structures import torus_cdga
 from tests.test_transfer import plain_dupont
@@ -864,3 +865,13 @@ def test_total_complex_outputs_are_exact(name):
         assert not out.is_zero()
         for val in out.components.values():
             assert all(type(c) is Fraction for c in val.form.terms.values())
+
+
+def test_window_cohomology_refuses_a_level_cap_below_the_top_degree():
+    # with level_cap 1 the degree-1 boundaries reaching level 2 were
+    # subtracted from level-1 cycles: b2 read -3 on the circle
+    be = GroupCochainBackend(1)
+    with pytest.raises(ValueError, match="level_cap 1 is below max_degree 2"):
+        tot_window_cohomology(be, max_degree=2, level_cap=1, poly_cap=2)
+    betti = tot_window_cohomology(be, max_degree=2, level_cap=2, poly_cap=2)
+    assert betti == {0: 1, 1: 1, 2: 0}

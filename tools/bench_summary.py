@@ -14,7 +14,11 @@ the relative change of the medians, and the number of pairs the change
 won (ties count for neither side).  The claim is met when the change won
 at least nine tenths of the pairs of the claimed workload and the medians
 differ by more than the parent's interquartile range; the target text
-records the size of the gain asked for.  Where both trees also hold a
+records the size of the gain asked for.  The summary records whether
+each tree holds ``src/totconn/__pycache__``: a tree with compiled
+bytecode skips compiling the package in every sample, which shows in
+``setup_s``, so a difference between the trees is warned about on
+stderr.  Where both trees also hold a
 ``--trace 1`` record of the claimed workload for one seed, its per-layer
 metrics are included.  ``--extra`` merges a JSON object of notes into the
 top level.
@@ -94,6 +98,18 @@ def claim_summary(workloads, workload, metric, better, target):
             "median_gap_s": round(gap, 4), "parent_iqr_s": round(iqr, 4)}
 
 
+def bytecode_caches(parent_tree, change_tree):
+    """{side: whether the tree holds the package's bytecode cache}; warns
+    on stderr when the two differ."""
+    out = {side: os.path.isdir(os.path.join(tree, "src", "totconn", "__pycache__"))
+           for side, tree in (("parent", parent_tree), ("change", change_tree))}
+    if out["parent"] != out["change"]:
+        print("warning: only the %s tree holds src/totconn/__pycache__, so its "
+              "samples skip compiling the package and setup_s is not comparable"
+              % ("parent" if out["parent"] else "change"), file=sys.stderr)
+    return out
+
+
 def trace_summary(parent_tree, change_tree, workload):
     """Per-layer metrics of one seed traced in both trees, or None."""
     parent = load_records(parent_tree, 1).get(workload, {})
@@ -157,6 +173,7 @@ def main(argv=None):
                            "working tree"},
         "python": some["python"],
         "nproc": some["nproc"],
+        "bytecode_cache": bytecode_caches(args.parent, args.change),
         "workloads": workloads,
     }
     trace = trace_summary(args.parent, args.change, claim_workload)
