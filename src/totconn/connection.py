@@ -377,12 +377,16 @@ class AutomorphyFactor:
 
     def at_point(self, g, point):
         """F_g(p) as a rational enveloping element, reduced."""
+        return from_scaled(self._at_point(g, point))
+
+    def _at_point(self, g, point):
+        """F_g(p) as a scaled normal form."""
         out = {}
         for w, f in self.at(g).items():
             v = f.eval_at(point)
             if v:
                 out[w] = v
-        return self.env.reduce(out)
+        return self.env._normal_form(out)
 
     def cocycle_defect(self, g1, g2):
         """F_{g1+g2}(x) - F_{g1}(g2 x) F_{g2}(x), reduced wordwise."""
@@ -475,6 +479,11 @@ def transport(alpha: ConnectionForm, path: PLPath, env: EnvelopingQuotient):
     the result is built as ``Fraction``s once, at the end.  Every vertex
     of the path must have alpha.m coordinates.
     """
+    return from_scaled(_transport(alpha, path, env))
+
+
+def _transport(alpha, path, env):
+    """``transport`` as a scaled normal form in lowest terms."""
     for v in path.vertices:
         if len(v) != alpha.m:
             raise ValueError("path vertex (%s) has %d coordinates, the connection "
@@ -483,7 +492,7 @@ def transport(alpha: ConnectionForm, path: PLPath, env: EnvelopingQuotient):
     total = (1, {EMPTY: 1})
     for a, b in zip(path.vertices, path.vertices[1:]):
         total = env._mul(total, _segment_transport(terms, a, b, env))
-    return from_scaled(total)
+    return total
 
 
 def _coefficient_terms(alpha, order):
@@ -599,14 +608,13 @@ def parse_loop(text, m):
 def holonomy(alpha: ConnectionForm, F: AutomorphyFactor, deck_word,
              basepoint, env: EnvelopingQuotient):
     """Theta_0(loop) = T(lift) * F_{rho(loop)}(basepoint); ``transport``
-    refuses a basepoint without alpha.m coordinates."""
+    refuses a basepoint without alpha.m coordinates.  Both factors stay
+    scaled normal forms, so the product needs no reduction."""
     basepoint = tuple(rat(c) for c in basepoint)
-    path = lattice_path(basepoint, deck_word)
-    T = transport(alpha, path, env)
+    T = _transport(alpha, lattice_path(basepoint, deck_word), env)
     rho = tuple(sum(g[j] for g in deck_word) if deck_word else Fraction(0)
                 for j in range(alpha.m))
-    Fg = F.at_point(rho, basepoint)
-    return env.mul(T, Fg)
+    return from_scaled(env._mul(T, F._at_point(rho, basepoint)))
 
 
 def conjugation_compatibility(theta1, theta2, dual_matrix_fn, h_at_p, env2):

@@ -5,7 +5,9 @@ Two backends share one element model (bidegree-indexed components):
 * a polynomial group-cochain backend for the translation action of Z^m
   on R^m, where a level-p component is a polynomial map from p group
   arguments to polynomial forms on R^m and equality is polynomial
-  identity;
+  identity; its face maps are exponent maps on the integer store, a
+  coface splitting one variable block by the binomial theorem (or
+  appending a zero block) and a codegeneracy dropping one;
 * a finite presentation (explicit bases, differentials, products, coface
   and codegeneracy matrices per level).
 
@@ -53,6 +55,7 @@ associative level products, which polynomial forms have and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -138,76 +141,54 @@ class GroupCochain:
     def d(self):
         return GroupCochain(self.m, self.p, self.form.d())
 
-    def _subst(self, x_images, g_images):
-        """Affine substitution into new ambient with p_new slots."""
-        return self.form.substitute(list(x_images) + list(g_images))
-
-    def _ambient(self, p_new):
-        n = self.m * (p_new + 1)
-        return [PolyForm.var(n, j, varname="z", ndiff=self.m) for j in range(n)]
-
     def coface(self, i):
-        """d^i: level p -> p+1 for the translation action groupoid."""
-        p, m = self.p, self.m
-        amb = self._ambient(p + 1)
-        x = amb[:m]
+        """d^i: level p -> p+1 for the translation action groupoid.
 
-        def g(slot, j):
-            return amb[m * slot + j]
-
-        if i == 0:
-            x_images = [x[j] + g(1, j) for j in range(m)]
-            g_images = [g(s + 1, j) for s in range(1, p + 1) for j in range(m)]
-        elif i <= p:
-            x_images = x
-            g_images = []
-            for s in range(1, p + 1):
-                if s < i:
-                    g_images.extend(g(s, j) for j in range(m))
-                elif s == i:
-                    g_images.extend(g(s, j) + g(s + 1, j) for j in range(m))
-                else:
-                    g_images.extend(g(s + 1, j) for j in range(m))
-        elif i == p + 1:
-            x_images = x
-            g_images = [g(s, j) for s in range(1, p + 1) for j in range(m)]
+        An exponent map on the variable blocks (x, g_1, .., g_p): d^{p+1}
+        appends a zero block, and for i <= p, d^i pulls back along
+        x -> x + g_1 (i = 0) or g_i -> g_i + g_{i+1}, so it splits block
+        i into blocks i and i+1 by the binomial theorem and shifts the
+        later blocks up.  Group variables carry no differentials, so the
+        dts stay, and distinct (monomial, split) pairs give distinct
+        monomials.
+        """
+        p, m, f = self.p, self.m, self.form
+        if not 0 <= i <= p + 1:
+            raise ValueError("coface index %r out of range 0..%d" % (i, p + 1))
+        if i == p + 1:
+            pad = (0,) * m
+            num = {(exps + pad, dts): c for (exps, dts), c in f.num.items()}
         else:
-            raise ValueError("coface index out of range")
-        return GroupCochain(m, p + 1, self._subst(x_images, g_images))
+            lo, hi = m * i, m * (i + 1)
+            num = {}
+            for (exps, dts), c in f.num.items():
+                head, tail = exps[:lo], exps[hi:]
+                for split, b in _binomial_splits(exps[lo:hi]):
+                    num[(head + split + tail, dts)] = b * c
+        return GroupCochain(m, p + 1, PolyForm._trusted(m * (p + 2), f.den, num, "z", m))
 
     def codegeneracy(self, i):
-        """s^i pullback: level p -> p-1, inserting the identity after slot i."""
-        p, m = self.p, self.m
+        """s^i pullback: level p -> p-1, inserting the identity after slot
+        i: the monomials without block i+1, with that block removed."""
+        p, m, f = self.p, self.m, self.form
         if not 0 <= i <= p - 1:
-            raise ValueError("codegeneracy index out of range")
-        amb = self._ambient(p - 1)
-        x = amb[:m]
-        zero = PolyForm.zero(m * p, varname="z", ndiff=m)
-
-        def g(slot, j):
-            return amb[m * slot + j]
-
-        g_images = []
-        for s in range(1, p + 1):
-            if s <= i:
-                g_images.extend(g(s, j) for j in range(m))
-            elif s == i + 1:
-                g_images.extend(zero for _ in range(m))
-            else:
-                g_images.extend(g(s - 1, j) for j in range(m))
-        return GroupCochain(m, p - 1, self._subst(x, g_images))
+            raise ValueError("codegeneracy index %r out of range 0..%d" % (i, p - 1))
+        lo, hi = m * (i + 1), m * (i + 2)
+        num = {(exps[:lo] + exps[hi:], dts): c for (exps, dts), c in f.num.items()
+               if not any(exps[lo:hi])}
+        return GroupCochain(m, p - 1, PolyForm._trusted(m * p, f.den, num, "z", m))
 
     def is_normalized(self):
         return all(self.codegeneracy(i).is_zero() for i in range(self.p))
 
-    def translate(self, g_point):
-        """Pull back along x -> x + g for an explicit rational tuple g."""
-        amb = self._ambient(self.p)
-        m = self.m
-        x_images = [amb[j] + PolyForm.const(m * (self.p + 1), rat(g_point[j]),
-                                            varname="z", ndiff=m)
-                    for j in range(m)]
-        return GroupCochain(m, self.p, self._subst(x_images, amb[m:]))
+
+@functools.lru_cache(maxsize=1024)
+def _binomial_splits(block):
+    """The expansion of prod_j (u_j + v_j)^block[j]: the pairs
+    (exponents of u then of v, prod_j binom(block[j], k_j))."""
+    return tuple((ks + tuple(e - k for e, k in zip(block, ks)),
+                  prod(comb(e, k) for e, k in zip(block, ks)))
+                 for ks in itertools.product(*[range(e + 1) for e in block]))
 
 
 class GroupCochainBackend(Carrier):
@@ -306,12 +287,16 @@ class FinitePresentation(Carrier):
 
     def coface(self, a, i, p):
         """d^i applied to a level-p element."""
+        if not 0 <= i <= p + 1:
+            raise ValueError("coface index %r out of range 0..%d" % (i, p + 1))
         if p + 1 > self.level_cap:
             raise LevelCapError("coface beyond level cap")
         return self.apply_map(self.cofaces[p][i], a)
 
     def codegeneracy(self, a, i, p):
         """s^i applied to a level-p element."""
+        if not 0 <= i <= p - 1:
+            raise ValueError("codegeneracy index %r out of range 0..%d" % (i, p - 1))
         return self.apply_map(self.codegeneracies[p - 1][i], a)
 
     def check_identities(self):
@@ -596,11 +581,15 @@ def tot_differential(v: TotElement) -> TotElement:
 # ---------------------------------------------------------------------
 
 def sigma_pushforward(backend, val, I, p, target_level):
-    """A(sigma_I) for the inclusion with image I in {0..target_level}."""
-    missing = [j for j in range(target_level + 1) if j not in set(I)]
+    """A(sigma_I) for the inclusion with image I in {0..target_level}: I
+    is a strictly increasing string of p+1 vertices."""
+    if (len(I) != p + 1 or any(a >= b for a, b in zip(I, I[1:]))
+            or not 0 <= I[0] <= I[-1] <= target_level):
+        raise ValueError("index string %r is not an increasing string of %d "
+                         "vertices in 0..%d" % (I, p + 1, target_level))
     cur = val
     cur_level = p
-    for j in sorted(missing):
+    for j in sorted(set(range(target_level + 1)).difference(I)):
         cur = backend.coface(cur, j, cur_level)
         cur_level += 1
     return cur

@@ -13,13 +13,13 @@ _spec.loader.exec_module(bench_summary)
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mib")
 
 
-def write_runs(tree, workload, walls, trace=0):
+def write_runs(tree, workload, walls, trace=0, rss=23.0):
     runs = tree / "perfbench" / "runs"
     runs.mkdir(parents=True, exist_ok=True)
     for seed, wall in enumerate(walls, start=1):
         record = {"seconds": 25, "git_rev": "unknown", "python": "3.11.7",
                   "nproc": 2, "attempted": 48, "failed": 0, "correct": True,
-                  "summary": {m: {"median": wall if m != "peak_rss_mib" else 23.0}
+                  "summary": {m: {"median": wall if m != "peak_rss_mib" else rss}
                               for m in METRICS},
                   "layers": {"connection.transport.calls": 24}}
         name = "%s-seed%d-trace%d.json" % (workload, seed, trace)
@@ -52,6 +52,30 @@ def test_summary_counts_pairs_and_checks_the_claim(tmp_path):
     assert data["workloads"]["pipeline"]["metrics"]["wall_s"]["change_better_pairs"] == 2
     assert data["trace_holonomy"]["change"] == {"connection.transport.calls": 24}
     assert data["bytecode_cache"] == {"parent": False, "change": False}
+    assert data["regressions"] == []
+
+
+def test_summary_lists_metrics_worse_than_their_bound(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, "holonomy", [1.0, 1.1, 0.9])
+    write_runs(change, "holonomy", [0.5, 0.6, 0.4], rss=26.0)
+    write_runs(parent, "pipeline", [0.2, 0.21, 0.22])
+    write_runs(change, "pipeline", [0.3, 0.3, 0.3])
+    write_runs(parent, "nc-simplex", [0.2, 0.2, 0.2])
+    write_runs(change, "nc-simplex", [0.24, 0.24, 0.24], rss=25.0)
+    out = tmp_path / "BENCH.json"
+    bench_summary.main(["--parent", str(parent), "--change", str(change), "--title", "t",
+                        "--claim", "holonomy:wall_s", "--target", "half",
+                        "--out", str(out)])
+    # peak_rss_mib +13% against a bound of 10%; the three times +43%
+    # against 25%; nc-simplex +20% times and +8.7% memory are within
+    found = {(r["workload"], r["metric"])
+             for r in json.loads(out.read_text())["regressions"]}
+    assert found == {("holonomy", "peak_rss_mib"), ("pipeline", "wall_s"),
+                     ("pipeline", "cpu_s"), ("pipeline", "setup_s")}
+    err = capsys.readouterr().err
+    assert "regression: pipeline wall_s +42.9%, bound 25%" in err
+    assert "nc-simplex" not in err
 
 
 def test_summary_warns_when_one_tree_holds_bytecode(tmp_path, capsys):

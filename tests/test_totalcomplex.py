@@ -875,3 +875,112 @@ def test_window_cohomology_refuses_a_level_cap_below_the_top_degree():
         tot_window_cohomology(be, max_degree=2, level_cap=1, poly_cap=2)
     betti = tot_window_cohomology(be, max_degree=2, level_cap=2, poly_cap=2)
     assert betti == {0: 1, 1: 1, 2: 0}
+
+
+# -------------------------------------------------------------------
+# group-cochain face maps: exponent maps against substitution
+# -------------------------------------------------------------------
+
+def ref_coface(a, i):
+    """d^i by substitution: x -> x + g_1 (i = 0) or g_i -> g_i + g_{i+1}
+    (1 <= i <= p), the later group blocks shifted up by one."""
+    p, m = a.p, a.m
+    n = m * (p + 2)
+    var = [PolyForm.var(n, j, varname="z", ndiff=m) for j in range(n)]
+    blocks = [var[m * s:m * (s + 1)] for s in range(p + 2)]
+    images = []
+    for s in range(p + 1):
+        if s < i:
+            images += blocks[s]
+        elif s == i:
+            images += [u + v for u, v in zip(blocks[s], blocks[s + 1])]
+        else:
+            images += blocks[s + 1]
+    return GroupCochain(m, p + 1, a.form.substitute(images))
+
+
+def ref_codegeneracy(a, i):
+    """s^i by substitution: g_{i+1} -> 0, the later group blocks shifted
+    down by one."""
+    p, m = a.p, a.m
+    n = m * p
+    var = [PolyForm.var(n, j, varname="z", ndiff=m) for j in range(n)]
+    zero = PolyForm.zero(n, varname="z", ndiff=m)
+    images = var[:m * (i + 1)] + [zero] * m + var[m * (i + 1):]
+    return GroupCochain(m, p - 1, a.form.substitute(images))
+
+
+@st.composite
+def any_cochain(draw):
+    """A GroupCochain with m in {1, 2}, level 0..3, exponents <= 3 and
+    some dts, not necessarily normalized."""
+    m = draw(st.sampled_from([1, 2]))
+    p = draw(st.integers(0, 3))
+    nv = m * (p + 1)
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exps = tuple(draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv)))
+        dts = tuple(sorted(draw(st.sets(st.integers(0, m - 1)))))
+        terms[(exps, dts)] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+    return GroupCochain(m, p, PolyForm(nv, terms, varname="z", ndiff=m))
+
+
+@given(any_cochain())
+@settings(deadline=None, max_examples=60)
+def test_face_maps_match_substitution(a):
+    for i in range(a.p + 2):
+        assert a.coface(i) == ref_coface(a, i), i
+    for i in range(a.p):
+        assert a.codegeneracy(i) == ref_codegeneracy(a, i), i
+
+
+@given(any_cochain())
+@settings(deadline=None, max_examples=40)
+def test_cosimplicial_identities_on_group_cochains(a):
+    p = a.p
+    for j in range(p + 2):
+        for i in range(j):
+            assert a.coface(i).coface(j) == a.coface(j - 1).coface(i), (i, j)
+    # s^j d^i on level p, with s^j: p+1 -> p
+    for j in range(p + 1):
+        for i in range(p + 2):
+            got = a.coface(i).codegeneracy(j)
+            if i < j:
+                want = a.codegeneracy(j - 1).coface(i)
+            elif i in (j, j + 1):
+                want = a
+            else:
+                want = a.codegeneracy(j).coface(i - 1)
+            assert got == want, (i, j)
+    # s^j s^i = s^i s^{j+1} for i <= j
+    for j in range(p - 1):
+        for i in range(j + 1):
+            got = a.codegeneracy(i).codegeneracy(j)
+            assert got == a.codegeneracy(j + 1).codegeneracy(i), (i, j)
+
+
+def test_group_cochain_face_indices_are_range_checked():
+    b = g_cochain()
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="coface index"):
+            b.coface(i)
+    for i in (-1, 1):
+        with pytest.raises(ValueError, match="codegeneracy index"):
+            b.codegeneracy(i)
+
+
+def test_presentation_face_indices_are_range_checked():
+    pres = constant_presentation(torus_cdga(), level_cap=2)
+    v = {(1, "dx"): Fraction(1)}
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="coface index"):
+            pres.coface(v, i, 0)
+    for i in (-1, 1):
+        with pytest.raises(ValueError, match="codegeneracy index"):
+            pres.codegeneracy(v, i, 1)
+
+
+@pytest.mark.parametrize("I", [(0, 5), (0, 1, 2), (2, 0), (1, 1), (-1, 0)])
+def test_sigma_pushforward_refuses_a_bad_index_string(I):
+    with pytest.raises(ValueError, match="index string"):
+        sigma_pushforward(circle_backend(), g_cochain(), I, 1, 2)

@@ -18,7 +18,10 @@ records the size of the gain asked for.  The summary records whether
 each tree holds ``src/totconn/__pycache__``: a tree with compiled
 bytecode skips compiling the package in every sample, which shows in
 ``setup_s``, so a difference between the trees is warned about on
-stderr.  Where both trees also hold a
+stderr.  Every (workload, end-to-end metric) whose change median is
+worse than the parent median by more than the metric's relative
+``bound`` is listed under ``regressions`` and printed on stderr.  Where
+both trees also hold a
 ``--trace 1`` record of the claimed workload for one seed, its per-layer
 metrics are included.  ``--extra`` merges a JSON object of notes into the
 top level.
@@ -98,6 +101,23 @@ def claim_summary(workloads, workload, metric, better, target):
             "median_gap_s": round(gap, 4), "parent_iqr_s": round(iqr, 4)}
 
 
+def regressions(workloads, metrics):
+    """The (workload, metric) entries whose change median is worse than
+    the parent median by more than the metric's relative bound, each
+    printed on stderr."""
+    out = []
+    for workload, entry in workloads.items():
+        for m in metrics:
+            rel = entry["metrics"][m["name"]]["relative_change"]
+            if (rel if m["better"] == "lower" else -rel) > m["bound"]:
+                out.append({"workload": workload, "metric": m["name"],
+                            "relative_change": rel, "bound": m["bound"]})
+                print("regression: %s %s %+.1f%%, bound %.0f%%"
+                      % (workload, m["name"], 100 * rel, 100 * m["bound"]),
+                      file=sys.stderr)
+    return out
+
+
 def bytecode_caches(parent_tree, change_tree):
     """{side: whether the tree holds the package's bytecode cache}; warns
     on stderr when the two differ."""
@@ -174,6 +194,7 @@ def main(argv=None):
         "python": some["python"],
         "nproc": some["nproc"],
         "bytecode_cache": bytecode_caches(args.parent, args.change),
+        "regressions": regressions(workloads, metrics),
         "workloads": workloads,
     }
     trace = trace_summary(args.parent, args.change, claim_workload)
