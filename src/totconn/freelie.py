@@ -6,15 +6,17 @@ concatenation product and the unshuffle coproduct, whose primitives are
 the free Lie algebra; Lyndon words provide the canonical bracket basis.
 All generators sit in degree zero, so no Koszul signs appear here.
 
-Public functions and methods take and return ``Fraction`` dicts.  The
-truncated product, exp and log, and the enveloping quotient's reduction,
-compute internally on scaled series ``(den, {word: int})``, the format
-of ``linalg`` (``to_scaled``).  The quotient reduces exp and log through
-its ``Echelon``; its product, and the transport of ``connection``, read
-each concatenated word's normal form from one table of pivot images
-(``EnvelopingQuotient._pivot_images``) instead.  Each operation divides
-out the gcd of the denominator and the numerators once at its end, and
-``Fraction``s are built only when a value leaves the public interface.
+Public functions and methods take and return ``Fraction`` dicts.  Inside,
+every product, power series and normal form is computed on scaled series
+``(den, {word: int})``, the format of ``linalg`` (``to_scaled``), by one
+kernel keyed by a normal-form table ``(P, {pivot: image})``: P times the
+normal form of a word is the word itself times P, or its image when the
+word is a pivot (``_table_nf``).  The enveloping quotient's table is
+``EnvelopingQuotient._pivot_images``; the free tensor algebra is the
+quotient by the zero ideal, with the table ``FREE = (1, {})``.  Each
+operation divides out the gcd of the denominator and the numerators once
+at its end, and ``Fraction``s are built only when a value leaves the
+public interface.
 """
 
 from __future__ import annotations
@@ -43,61 +45,115 @@ def check_order(order):
 
 
 # ---------------------------------------------------------------------
-# scaled series: integer numerators over one common denominator
+# scaled series in normal form, read from one table
 # ---------------------------------------------------------------------
 
-def _scaled_mul(a, b, order):
-    """Concatenation product of scaled series, dropping words longer than
-    ``order``; not brought to lowest terms."""
-    da, na = a
-    db, nb = b
-    by_length = sorted(nb.items(), key=_word_length)
-    out = {}
-    for wa, ca in na.items():
-        room = order - len(wa)
-        for wb, cb in by_length:
-            if len(wb) > room:
-                break
-            w = wa + wb
-            out[w] = out.get(w, 0) + ca * cb
-    return da * db, {w: c for w, c in out.items() if c}
+# the normal-form table of the free tensor algebra: no word is a pivot
+FREE = (1, {})
 
 
-def _word_length(item):
-    return len(item[0])
+def _scaled(x: dict, order: int):
+    """The scaled form of a {word: Fraction} dict cut at ``order``."""
+    return to_scaled({w: c for w, c in x.items() if len(w) <= order})
 
 
-# sum_k coefficient_k x^k for exp(x) and for log(1 + x), k = 0..order
-def _exp_coefficients(order):
-    return [Fraction(1, factorial(k)) for k in range(order + 1)]
+def _table_nf(table, raw):
+    """P NF(raw) of a {word: int} dict, as a {word: int} dict, for the
+    table ``(P, {pivot: image})``."""
+    P, images = table
+    out = {w: P * c for w, c in raw.items() if c and w not in images}
+    get = out.get
+    for w, c in raw.items():
+        image = images.get(w)
+        if image is None or not c:
+            continue
+        for u, n in image.items():
+            n = get(u, 0) + c * n
+            if n:
+                out[u] = n
+            else:
+                del out[u]
+    return out
 
 
-def _log_coefficients(order):
-    return [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
+def _product_sum(triples, order, table):
+    """P NF(sum of c a b over the ``(a, b, c)`` in ``triples``), as a
+    {word: int} dict: a is a {word: int} dict with no word longer than
+    ``order``, b one arranged by ``_by_room`` and c an int.
 
-
-def _scaled_power_series(x, coefficients, order):
-    """sum_k coefficients[k] x^k of a scaled series without constant
-    term, truncated at ``order``, in lowest terms.
-
-    x^k has the denominator den^k, so every term sits over the common
-    denominator den^order times the lcm of the coefficients'
-    denominators.
+    The concatenations no longer than the order are summed first, so
+    each word is brought to its normal form once, by the table.
     """
-    den, _ = x
-    common = den ** order * lcm(*[c.denominator for c in coefficients])
+    raw = {}
+    get = raw.get
+    for a, b, factor in triples:
+        for wa, ca in a.items():
+            ca *= factor
+            for wb, cb in b[order - len(wa)]:
+                w = wa + wb
+                raw[w] = get(w, 0) + ca * cb
+    return _table_nf(table, raw)
+
+
+def _by_room(b, order):
+    """The terms of the {word: int} dict b no longer than r, for each
+    r = 0..order, as the list of lists ``_product_sum`` reads."""
+    words = sorted(b, key=len)
+    terms = [(w, b[w]) for w in words]
+    lengths = list(map(len, words))
+    return [terms[:bisect.bisect_right(lengths, r)] for r in range(order + 1)]
+
+
+def _mul(a, b, order, table):
+    """The product of two scaled normal forms, as a normal form."""
+    (da, na), (db, nb) = a, b
+    return lowest_terms(da * db * table[0],
+                        _product_sum([(na, _by_room(nb, order), 1)], order, table))
+
+
+def _power_series(x, coefficients, order, table):
+    """sum_k coefficients[k] x^k of a scaled normal form x without
+    constant term, truncated at ``order``, as a normal form in lowest
+    terms.
+
+    With x = num/den, x^k is N_k / (den P)^k, N_k = P NF(N_{k-1} num)
+    and N_0 = 1, so every term sits over the common denominator
+    (den P)^order times the lcm of the coefficients' denominators.
+    """
+    den, num = x
+    scale = den * table[0]
+    common = scale ** order * lcm(*[c.denominator for c in coefficients])
     c0 = coefficients[0]
     out = {EMPTY: c0.numerator * (common // c0.denominator)} if c0 else {}
-    power = (1, {EMPTY: 1})
+    num = _by_room(num, order)
+    power = {EMPTY: 1}
     for k in range(1, order + 1):
-        power = _scaled_mul(power, x, order)
-        if not power[1]:
+        power = _product_sum([(power, num, 1)], order, table)
+        if not power:
             break
         c = coefficients[k]
-        f = c.numerator * (common // (power[0] * c.denominator))
-        for w, n in power[1].items():
+        f = c.numerator * (common // (scale ** k * c.denominator))
+        for w, n in power.items():
             out[w] = out.get(w, 0) + f * n
     return lowest_terms(common, {w: n for w, n in out.items() if n})
+
+
+def _exp(x, order, table):
+    """exp of a scaled normal form without constant term."""
+    if EMPTY in x[1]:
+        raise ValueError("exp needs a series without constant term")
+    return _power_series(x, [Fraction(1, factorial(k)) for k in range(order + 1)],
+                         order, table)
+
+
+def _log(t, order, table):
+    """log of a scaled normal form with constant term 1."""
+    den, num = t
+    if num.get(EMPTY) != den:
+        raise ValueError("log needs constant term 1")
+    u = (den, {w: n for w, n in num.items() if w != EMPTY})
+    return _power_series(u, [Fraction(0)] + [Fraction((-1) ** (k + 1), k)
+                                             for k in range(1, order + 1)], order, table)
 
 
 # ---------------------------------------------------------------------
@@ -106,37 +162,26 @@ def _scaled_power_series(x, coefficients, order):
 
 def tensor_mul(a: dict, b: dict, order: int) -> dict:
     """Concatenation product, dropping words longer than ``order``."""
-    return from_scaled(lowest_terms(*_scaled_mul(to_scaled(a), to_scaled(b), order)))
-
-
-def _scaled_exp(x: dict, order: int):
-    """exp of a series with no constant term, as a scaled series."""
-    if EMPTY in x:
-        raise ValueError("exp needs a series without constant term")
-    return _scaled_power_series(to_scaled(x), _exp_coefficients(order), order)
+    return from_scaled(_mul(_scaled(a, order), _scaled(b, order), order, FREE))
 
 
 def tensor_exp(x: dict, order: int) -> dict:
     """exp of a series with no constant term."""
-    return from_scaled(_scaled_exp(x, order))
+    return from_scaled(_exp(_scaled(x, order), order, FREE))
 
 
 def tensor_log(t: dict, order: int) -> dict:
     """log of a series with constant term 1."""
-    if t.get(EMPTY) != 1:
-        raise ValueError("log needs constant term 1")
-    u = to_scaled({w: c for w, c in t.items() if w != EMPTY})
-    return from_scaled(_scaled_power_series(u, _log_coefficients(order), order))
+    return from_scaled(_log(_scaled(t, order), order, FREE))
 
 
 def bch(x: dict, y: dict, order: int) -> dict:
     """log(exp(x) exp(y)) in the truncated tensor algebra, computed on
     scaled series from the inputs to the result."""
     check_order(order)
-    den, num = _scaled_mul(_scaled_exp(x, order), _scaled_exp(y, order), order)
-    # both factors have constant term 1, so the product does too
-    del num[EMPTY]
-    return from_scaled(_scaled_power_series((den, num), _log_coefficients(order), order))
+    t = _mul(_exp(_scaled(x, order), order, FREE),
+             _exp(_scaled(y, order), order, FREE), order, FREE)
+    return from_scaled(_log(t, order, FREE))
 
 
 def unshuffle_coproduct(t: dict, order: int) -> dict:
@@ -221,16 +266,10 @@ def _is_lyndon(w):
 
 
 def commutator(a: dict, b: dict, order: int) -> dict:
-    sa, sb = to_scaled(a), to_scaled(b)
-    den, ab = _scaled_mul(sa, sb, order)
-    _, ba = _scaled_mul(sb, sa, order)
-    for w, n in ba.items():
-        n = ab.get(w, 0) - n
-        if n:
-            ab[w] = n
-        else:
-            del ab[w]
-    return from_scaled(lowest_terms(den, ab))
+    (da, na), (db, nb) = _scaled(a, order), _scaled(b, order)
+    num = _product_sum([(na, _by_room(nb, order), 1), (nb, _by_room(na, order), -1)],
+                       order, FREE)
+    return from_scaled(lowest_terms(da * db, num))
 
 
 def lyndon_bracket(w, order=None) -> dict:
@@ -331,7 +370,7 @@ def parse_bracket(expr, gen_names):
             right = parse_bracket(inner[i + 1:], gen_names)
             order = max(max((len(w) for w in left), default=1)
                         + max((len(w) for w in right), default=1), 1)
-            return commutator(left, right, order + 8)
+            return commutator(left, right, order)
     raise ValueError("no top-level comma in %r" % (expr,))
 
 
@@ -480,14 +519,19 @@ class EnvelopingQuotient:
 
     This is the completed enveloping algebra of the fiber Lie algebra at
     truncated scale; transport values and holonomies live here.  The
-    two-sided ideal is one ``Echelon``, filled at construction; every
-    method computes on scaled series and returns ``Fraction`` dicts.
-    Products go through ``_product_sum``, which relies on the echelon's
-    rows being fully reduced (see ``_pivot_images``).
+    two-sided ideal is one ``Echelon``, filled at construction.  Its rows
+    are fully reduced, so after construction every normal form is read
+    from one table, ``_pivot_images``, by the kernel shared with the free
+    tensor algebra; every method computes on scaled series and returns
+    ``Fraction`` dicts.
     """
 
     def __init__(self, free: FreeLie, ideal: LieIdealPresentation, order: int):
         check_order(order)
+        if order > free.order:
+            # the ideal's generators and the Lyndon brackets stop there
+            raise TruncationError("quotient order %d exceeds the free Lie "
+                                  "truncation %d" % (order, free.order))
         self.free = free
         self.order = order
         self.ideal = ideal
@@ -502,93 +546,29 @@ class EnvelopingQuotient:
 
         _close(self._mod, [{w: c for w, c in g.items() if len(w) <= order}
                            for g in ideal.generators], order, left_and_right)
+        # (P, {pivot: image}): P is the lcm of the pivot coefficients, and
+        # the image of the pivot of a row (p, tail) is -(P/p) tail.  A word
+        # that is no pivot is its own normal form, so P times the normal
+        # form of any word is read off this table without an elimination.
+        rows = self._mod._rows
+        P = lcm(*[p for p, _ in rows.values()])
+        self._pivot_images = P, {w: {u: -(P // p) * n for u, n in tail.items()}
+                                 for w, (p, tail) in rows.items()}
 
     def _normal_form(self, x: dict):
         """The normal form of a {word: Fraction} dict, as a scaled series."""
-        order = self.order
-        return self._reduce(to_scaled({w: c for w, c in x.items() if len(w) <= order}))
-
-    def _reduce(self, s):
-        """The normal form of a scaled series whose words are no longer
-        than the order."""
-        return lowest_terms(*self._mod.reduce_scaled(*s))
-
-    @functools.cached_property
-    def _pivot_images(self):
-        """``(P, {pivot: image})``, built once per quotient on first use.
-
-        P is the lcm of the echelon's pivot coefficients, and the image
-        of the pivot of a row ``(p, tail)`` is the integer vector
-        -(P/p) tail.  The rows are fully reduced, so a word's normal form
-        is the word itself when it is no pivot, and its image over P
-        when it is: P times the normal form of any word is read off
-        this table without an elimination.
-        """
-        rows = self._mod._rows
-        P = lcm(*[p for p, _ in rows.values()])
-        return P, {w: {u: -(P // p) * n for u, n in tail.items()}
-                   for w, (p, tail) in rows.items()}
+        den, num = _scaled(x, self.order)
+        table = self._pivot_images
+        return lowest_terms(den * table[0], _table_nf(table, num))
 
     def _product_sum(self, triples):
-        """P NF(sum of c a b over the ``(a, b, c)`` in ``triples``), as a
-        {word: int} dict: P is from ``_pivot_images``, a is a {word: int}
-        numerator, b one arranged by ``_by_room`` and c an int.
-
-        The concatenations no longer than the order are summed first, so
-        each word is brought to its normal form once, by the table.
-        """
-        P, images = self._pivot_images
-        order = self.order
-        raw = {}
-        get = raw.get
-        for a, b, factor in triples:
-            for wa, ca in a.items():
-                ca *= factor
-                for wb, cb in b[order - len(wa)]:
-                    w = wa + wb
-                    raw[w] = get(w, 0) + ca * cb
-        out = {w: P * c for w, c in raw.items() if c and w not in images}
-        get = out.get
-        for w, c in raw.items():
-            image = images.get(w)
-            if image is None or not c:
-                continue
-            for u, n in image.items():
-                n = get(u, 0) + c * n
-                if n:
-                    out[u] = n
-                else:
-                    del out[u]
-        return out
+        return _product_sum(triples, self.order, self._pivot_images)
 
     def _by_room(self, b):
-        """The terms of the {word: int} dict b no longer than r, for each
-        r = 0..order, as the list of lists ``_product_sum`` reads."""
-        words = sorted(b, key=len)
-        terms = [(w, b[w]) for w in words]
-        lengths = list(map(len, words))
-        return [terms[:bisect.bisect_right(lengths, r)] for r in range(self.order + 1)]
+        return _by_room(b, self.order)
 
     def _mul(self, a, b):
-        """The product of two normal forms, as a normal form."""
-        (da, na), (db, nb) = a, b
-        return lowest_terms(da * db * self._pivot_images[0],
-                            self._product_sum([(na, self._by_room(nb), 1)]))
-
-    def _log(self, t):
-        """log of a normal form with constant term 1, not yet reduced."""
-        den, num = t
-        if num.get(EMPTY) != den:
-            raise ValueError("log needs constant term 1")
-        u = (den, {w: n for w, n in num.items() if w != EMPTY})
-        return _scaled_power_series(u, _log_coefficients(self.order), self.order)
-
-    def _exp(self, x):
-        """exp of a normal form without constant term, as a normal form."""
-        if EMPTY in x[1]:
-            raise ValueError("exp needs a series without constant term")
-        return self._reduce(_scaled_power_series(x, _exp_coefficients(self.order),
-                                                 self.order))
+        return _mul(a, b, self.order, self._pivot_images)
 
     def reduce(self, x: dict) -> dict:
         return from_scaled(self._normal_form(x))
@@ -601,38 +581,40 @@ class EnvelopingQuotient:
         return from_scaled(self._mul(self._normal_form(a), self._normal_form(b)))
 
     def exp(self, x: dict) -> dict:
-        return from_scaled(self._exp(self._normal_form(x)))
+        return from_scaled(_exp(self._normal_form(x), self.order, self._pivot_images))
 
     def log(self, t: dict) -> dict:
-        return from_scaled(self._reduce(self._log(self._normal_form(t))))
+        return from_scaled(_log(self._normal_form(t), self.order, self._pivot_images))
 
     def inverse(self, t: dict) -> dict:
         if t.get(EMPTY) != 1:
             raise ValueError("only grouplike-style series are inverted")
-        den, num = self._reduce(self._log(self._normal_form(t)))
-        return from_scaled(self._exp((den, {w: -n for w, n in num.items()})))
+        den, num = _log(self._normal_form(t), self.order, self._pivot_images)
+        return from_scaled(_exp((den, {w: -n for w, n in num.items()}),
+                                self.order, self._pivot_images))
 
     def is_grouplike(self, t: dict) -> bool:
         """The normal form of t has constant term 1 and log(t) is a Lie
-        element modulo the ideal span."""
+        element modulo the ideal.
+
+        NF is linear with the ideal as its kernel, so x lies in Lie + I
+        exactly when NF(x) lies in the span of the normal forms of the
+        Lyndon brackets."""
         s = self._normal_form(t)
         if s[1].get(EMPTY) != s[0]:
             return False
-        # the ideal rows are among the rows of _lie_plus_ideal, so log(t)
-        # need not be reduced modulo the ideal first
-        den, num = self._log(s)
-        return not self._lie_plus_ideal.reduce_scaled(den, num)[1]
+        den, num = _log(s, self.order, self._pivot_images)
+        return not self._lie_normal_forms.reduce_scaled(den, num)[1]
 
     @functools.cached_property
-    def _lie_plus_ideal(self):
-        """The echelon of the Lyndon brackets up to the order plus the
-        ideal's integer rows, built once per quotient on first use.  A
-        Lyndon bracket is homogeneous of its word's length, so the free
-        Lie algebra's table needs no truncation."""
+    def _lie_normal_forms(self):
+        """The echelon of the table normal forms of the Lyndon brackets up
+        to the order, built once per quotient on first use.  A Lyndon
+        bracket is homogeneous of its word's length, so the brackets of
+        ``free`` need no truncation."""
         ech = Echelon(_length_first)
         for w in self.free.lyndon:
             if len(w) <= self.order:
-                ech.insert(self.free._bracket_elems[w])
-        for pivot, (p, tail) in self._mod._rows.items():
-            ech.insert({pivot: p, **tail})
+                ech.insert(_table_nf(self._pivot_images,
+                                     to_scaled(self.free._bracket_elems[w])[1]))
         return ech

@@ -31,8 +31,8 @@ computes on *scaled vectors* ``(den, {key: int})``, integer numerators
 over one common positive denominator with no zero numerator stored.
 ``to_scaled`` is the way in and refuses inexact values; ``Fraction``s
 are built only where a value leaves.  ``freelie`` keeps its series in
-this format and reduces them with ``Echelon.reduce_scaled``, and
-``forms.PolyForm`` stores its coefficients in it.
+this format and reads their normal forms off an ``Echelon``'s fully
+reduced rows, and ``forms.PolyForm`` stores its coefficients in it.
 
 A *scaled accumulator* is the in-place sum of scaled vectors with
 different denominators (``accumulate_scaled``): a dict of integer

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
-                             FreeLie, LieIdealPresentation, bch, commutator,
-                             is_grouplike, is_primitive, lyndon_bracket,
-                             lyndon_words, tensor_exp, tensor_log, tensor_mul)
+                             FreeLie, LieIdealPresentation, TruncationError,
+                             bch, commutator, is_grouplike, is_primitive,
+                             lyndon_bracket, lyndon_words, tensor_exp,
+                             tensor_log, tensor_mul)
 from totconn.linalg import vec_add, vec_scale
 
 
@@ -157,9 +158,20 @@ def test_enveloping_quotient_free_not_abelian():
     assert env.is_grouplike(commut)
 
 
+def test_enveloping_order_above_the_free_truncation_is_refused():
+    # the ideal's generators and the Lyndon brackets stop at the free
+    # order: a longer quotient called exp(X) exp(Y) not grouplike
+    free = FreeLie(["X", "Y"], 3)
+    with pytest.raises(TruncationError):
+        EnvelopingQuotient(free, LieIdealPresentation(free, []), 5)
+    env = EnvelopingQuotient(free, LieIdealPresentation(free, []), 3)
+    assert env.is_grouplike(env.mul(env.exp(free.gen(0)), env.exp(free.gen(1))))
+
+
 @pytest.mark.parametrize("abelian", [False, True])
 def test_enveloping_is_grouplike_repeats_on_one_quotient(abelian):
-    # the echelon behind is_grouplike is built on the first call and reused
+    # the echelon of the Lyndon brackets' table normal forms, which
+    # is_grouplike reduces against, is built on the first call and reused
     free = FreeLie(["x", "y"], 4)
     gens = [commutator(free.gen(0), free.gen(1), 4)] if abelian else []
     env = EnvelopingQuotient(free, LieIdealPresentation(free, gens), 4)

@@ -81,6 +81,8 @@ DIGESTS = {
                         "a02e7140a0160a8d324b3a1e749f17b5ffd0ac030b64ba063daae3789fac9db2"),
     "pipeline_torus_t9": (["pipeline", "--input", "torus", "--trunc", "9", "--json"],
                           "44c95592b65a66147b3a5fd6eb1e19dbffca5b47f467087198df4513774808be"),
+    "pipeline_torus_t10": (["pipeline", "--input", "torus", "--trunc", "10", "--json"],
+                           "6b518b57af2387512e98dd13bf966f46951e179abc265c1192db3f2189cc31c7"),
     "pipeline_heisenberg_compare_t6": (
         ["pipeline", "--input", "heisenberg", "--compare", "--trunc", "6", "--json"],
         "b95f5d47772a80c061207c83566bfffd61da099db608f7ba2115bc2cb38c0740"),

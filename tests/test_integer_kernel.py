@@ -294,6 +294,13 @@ def series(draw, order, constant=None, max_terms=6):
 
 
 @st.composite
+def lie_series(draw, free):
+    """A combination of up to four Lyndon brackets of ``free``."""
+    coords = draw(st.dictionaries(st.sampled_from(free.lyndon), rationals(), max_size=4))
+    return free.from_lyndon(coords)
+
+
+@st.composite
 def paths(draw):
     """PL paths of 2 to 4 vertices with coordinates over 2, 3 and 7."""
     point = st.tuples(rationals((2, 3, 7)), rationals((2, 3, 7)))
@@ -419,6 +426,32 @@ def test_transport_matches_fractions(data):
     T = transport(alpha, path, env)
     assert T == ref_transport(alpha, path, ref)
     assert env.is_grouplike(T)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_free_quotient_matches_the_coproduct_and_the_tensor_series(data):
+    # with no ideal, the unshuffle coproduct decides grouplikeness on its
+    # own, and exp and log are those of the tensor algebra
+    env, _ = quotient("free")
+    t = {EMPTY: Fraction(1)}
+    for x in data.draw(st.lists(lie_series(env.free), min_size=1, max_size=3)):
+        t = env.mul(t, env.exp(x))
+    word = data.draw(st.lists(st.integers(0, 1), max_size=env.order).map(tuple))
+    perturbed = vec_add(t, {word: data.draw(rationals().filter(bool))})
+    for probe in (t, perturbed):
+        assert env.is_grouplike(probe) == is_grouplike(probe, env.order)
+    assert env.is_grouplike(t)
+    x = data.draw(series(env.order))
+    s = data.draw(series(env.order, constant=1))
+    assert env.exp(x) == tensor_exp(x, env.order)
+    assert env.log(s) == tensor_log(s, env.order)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENTS))
+def test_one_plus_a_letter_is_not_grouplike(name):
+    env, _ = quotient(name)
+    assert env.is_grouplike({EMPTY: Fraction(1), (0,): Fraction(1)}) is False
 
 
 def test_pivot_images_scale_by_the_lcm_of_the_pivot_coefficients():
