@@ -147,13 +147,12 @@ class LieFormValued:
 
 
 class ConnectionForm(LieFormValued):
-    """Degree-1 Lie-valued form, optionally carrying a flatness certificate
-    and declarative regularity flags (bookkeeping only)."""
+    """Degree-1 Lie-valued form with declarative regularity flags
+    (bookkeeping only)."""
 
     def __init__(self, m, fib, coeffs=None, flags=()):
         super().__init__(m, fib, coeffs)
         self.flags = tuple(flags)
-        self.flat_certificate = None
 
 
 class FlatnessCertificate:
@@ -176,11 +175,7 @@ def flatness_check(alpha: ConnectionForm) -> FlatnessCertificate:
     path-independent.
     """
     curv = alpha.d().add(alpha.bracket(alpha), Fraction(1, 2))
-    failures = [(w, f) for w, f in sorted(curv.coeffs.items())]
-    cert = FlatnessCertificate(failures)
-    if cert.flat:
-        alpha.flat_certificate = cert
-    return cert
+    return FlatnessCertificate(sorted(curv.coeffs.items()))
 
 
 class NonFlatError(RuntimeError):
@@ -267,12 +262,10 @@ class GaugeElement(LieFormValued):
     """Degree-0 Lie-valued polynomial function."""
 
     def at_point(self, point):
-        out = {}
-        for w, f in self.coeffs.items():
-            v = f.eval_at(point)
-            if v:
-                out[w] = v
-        return out
+        """The value at ``point`` as a tensor series (the bracket words
+        expanded), the form ``EnvelopingQuotient.exp`` reads."""
+        return self.fib.free.from_lyndon({w: f.eval_at(point)
+                                          for w, f in self.coeffs.items()})
 
 
 def gauge(alpha: ConnectionForm, h: GaugeElement) -> ConnectionForm:

@@ -25,7 +25,7 @@ from .linalg import accumulate
 from .scalars import rat
 from .signs import antisym_sign, shuffle_product, word
 from .structures import (FiniteAlgebra, InfinityMorphism, KeyedCarrier,
-                         delta_apply, f_shifted, shift_sign)
+                         compositions, delta_apply, f_shifted, shift_sign)
 
 
 class Generators:
@@ -117,19 +117,6 @@ class TensorSeries:
 # the convolution operations
 # ---------------------------------------------------------------------
 
-def _splittings(w, parts):
-    """Ordered splittings into possibly-empty consecutive subwords."""
-    n = len(w)
-    for cuts in itertools.combinations_with_replacement(range(n + 1), parts - 1):
-        pieces = []
-        prev = 0
-        for c in cuts:
-            pieces.append(w[prev:c])
-            prev = c
-        pieces.append(w[prev:])
-        yield pieces
-
-
 def _word_order(w):
     """Words by length, then index order, with () last."""
     return (not w, len(w), w)
@@ -141,10 +128,10 @@ def _support_tuples(series_list, trunc, nonempty=False):
     grouped by their concatenation.
 
     Returns {word: [(sign, pieces, values)]}.  A tuple is one splitting of
-    its word, so each list comes in the splitting order of ``_splittings``
-    (piece lengths ascending lexicographically); ``sign`` is the Koszul
-    sign of every odd f_b passing the shifted degrees of the earlier
-    pieces.
+    its word, so each list comes in the splitting order of
+    ``structures.compositions`` (piece lengths ascending
+    lexicographically); ``sign`` is the Koszul sign of every odd f_b
+    passing the shifted degrees of the earlier pieces.
     """
     shifted = series_list[0].gens.shifted
     supports = []
@@ -491,9 +478,9 @@ def pullback_along(k_mor: InfinityMorphism, alpha: TensorSeries,
 
     def terms(w):
         for parts in range(1, len(w) + 1):
-            for pieces in _splittings(w, parts):
-                if any(not u for u in pieces):
-                    continue
+            for lengths in compositions(len(w), parts):
+                cuts = list(itertools.accumulate(lengths, initial=0))
+                pieces = [w[a:b] for a, b in zip(cuts, cuts[1:])]
                 # each block maps through k to a vector of V-generators
                 block_vecs = []
                 for u in pieces:

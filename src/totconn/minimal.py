@@ -108,9 +108,6 @@ class OneMinimalModel:
         self.transfer = transfer
         self.pivot = pivot
 
-    def generators(self) -> Generators:
-        return Generators(positive_part_space(self.algebra.space))
-
     def w1_keys(self):
         return self.algebra.space.keys(1)
 
@@ -118,14 +115,10 @@ class OneMinimalModel:
         return self.algebra.space.keys(2)
 
 
-def positive_part_space(space: GradedVectorSpace) -> GradedVectorSpace:
-    return GradedVectorSpace({d: names for d, names in space.degrees.items()
-                              if d > 0})
-
-
 def positive_part(alg: FiniteAlgebra) -> FiniteAlgebra:
     """The structure restricted to positive degrees."""
-    space = positive_part_space(alg.space)
+    space = GradedVectorSpace({d: names for d, names in alg.space.degrees.items()
+                               if d > 0})
     out = FiniteAlgebra(space, kind=alg.kind, arity_cap=alg.arity_cap)
     keys = set(space.keys())
     for k, table in alg.maps.items():
@@ -134,6 +127,23 @@ def positive_part(alg: FiniteAlgebra) -> FiniteAlgebra:
                 vv = {kk: c for kk, c in val.items() if kk in keys}
                 if vv:
                     out.set_value(k, wrd, vv)
+    return out
+
+
+def _degree_one_products(alg: FiniteAlgebra):
+    """{n: {word: m_n(word)}} on the words of degree-1 keys for n = 2 ..
+    arity cap: the non-zero values in word order, and only the arities
+    that have one."""
+    one_keys = alg.space.keys(1)
+    out = {}
+    for n in range(2, alg.arity_cap + 1):
+        table = {}
+        for wrd in itertools.product(one_keys, repeat=n):
+            val = alg.m(n, [{k: Fraction(1)} for k in wrd])
+            if val:
+                table[wrd] = val
+        if table:
+            out[n] = table
     return out
 
 
@@ -164,11 +174,9 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
     one_keys = full.space.keys(1)
     two_keys = full.space.keys(2)
     gen2 = Echelon(full.space.key_order)
-    for n in range(2, arity_cap + 1):
-        for wrd in itertools.product(one_keys, repeat=n):
-            val = full.m(n, [{k: Fraction(1)} for k in wrd])
-            if val:
-                gen2.insert(val)
+    for table in _degree_one_products(full).values():
+        for val in table.values():
+            gen2.insert(val)
     # keep exactly a basis of the generated part, expressed on the chosen keys
     kept2 = [k for k in two_keys if gen2.contains({k: Fraction(1)})]
     if gen2.rank != len(kept2):
@@ -235,19 +243,9 @@ def _verify_model(model: OneMinimalModel):
 
 def massey_report(model: OneMinimalModel):
     """Tables of the minimal products on degree-1 inputs, per arity."""
-    alg = model.algebra
-    one_keys = alg.space.keys(1)
-    report = {}
-    for n in range(2, alg.arity_cap + 1):
-        table = {}
-        for wrd in itertools.product(one_keys, repeat=n):
-            val = alg.m(n, [{k: Fraction(1)} for k in wrd])
-            if val:
-                table[tuple(name for _, name in wrd)] = \
-                    {key[1]: c for key, c in val.items()}
-        if table:
-            report[n] = table
-    return report
+    return {n: {tuple(name for _, name in wrd): {key[1]: c for key, c in val.items()}
+                for wrd, val in table.items()}
+            for n, table in _degree_one_products(model.algebra).items()}
 
 
 def massey_json(model: OneMinimalModel):
@@ -493,16 +491,12 @@ def formality_check(model: OneMinimalModel, ideal):
     # the sufficient condition: the degree-2 product-image subspaces of
     # the different arities intersect trivially
     alg = model.algebra
-    one_keys = alg.space.keys(1)
     spans = {}
-    for n in range(2, alg.arity_cap + 1):
+    for n, table in _degree_one_products(alg).items():
         ech = Echelon(alg.space.key_order)
-        for wrd in itertools.product(one_keys, repeat=n):
-            val = alg.m(n, [{k: Fraction(1)} for k in wrd])
-            if val:
-                ech.insert(val)
-        if ech.rank:
-            spans[n] = ech.basis()
+        for val in table.values():
+            ech.insert(val)
+        spans[n] = ech.basis()
     inter_rank = None
     if len(spans) >= 2:
         items = list(spans.values())

@@ -279,8 +279,7 @@ def compare_pipeline_models(name, trunc=4, k=4, pivots=("lex", "revlex"),
         # transport the first connection through the dual comparison and
         # find the connecting gauge on the second fiber
         def dual_map(series):
-            return accumulate({}, ((w2, c * c2) for w, c in series.items()
-                                   for w2, c2 in comp.dual_on_word(w, r1.fib.free, r2.fib.free).items()))
+            return comp.dual_series(series, r1.fib.free, r2.fib.free, trunc)
 
         mapped = _map_connection(r1.connection, dual_map, r2.fib)
         h = gauge_between(mapped, r2.connection)

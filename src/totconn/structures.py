@@ -462,10 +462,6 @@ class InfinityMorphism:
     def identity(cls, alg):
         return cls(alg, alg, components={1: lambda es: es[0]})
 
-    @classmethod
-    def strict(cls, source, target, fn):
-        return cls(source, target, components={1: lambda es: fn(es[0])})
-
 
 def f_shifted(f: InfinityMorphism, k, elems, degs):
     """Shifted morphism component F_k on carrier elements (even degree)."""

@@ -518,9 +518,6 @@ class TotElement:
             return degs.pop()
         return None
 
-    def bidegrees(self):
-        return sorted(self.components)
-
     def component(self, p, q):
         return self.components.get((p, q), self.backend.zero(p))
 

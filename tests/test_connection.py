@@ -343,6 +343,26 @@ def test_conjugation_with_synthetic_gauge():
     assert fails == []
 
 
+def test_conjugation_with_a_bracket_gauge():
+    # h = [X, Y] is read at a point as the tensor series XY - YX
+    _, _, fib, env = heisenberg_rank2(k=4)
+    x, y = form_var(2, 0), form_var(2, 1)
+    dx, dy = form_dvar(2, 0), form_dvar(2, 1)
+    half = (x.wedge(dy) - y.wedge(dx)).scale(Fraction(-1, 2))
+    alpha = ConnectionForm(2, fib, {(0,): dx, (1,): dy, (0, 1): half})
+    h = GaugeElement(2, fib, {(0, 1): PolyForm.one(2, varname="x", ndiff=2)})
+    F1 = AutomorphyFactor(GaugeElement(2, fib, {}), env)
+    F2 = AutomorphyFactor(h, env)
+    p = (Fraction(1, 3), Fraction(1, 5))
+    h_at_p = h.at_point(p)
+    assert h_at_p == {(0, 1): 1, (1, 0): -1}
+    loops = {text: parse_loop(text, 2) for text in ("a", "b", "a b")}
+    theta1 = {t: holonomy(alpha, F1, lp, p, env) for t, lp in loops.items()}
+    theta2 = {t: holonomy(gauge(alpha, h), F2, lp, p, env) for t, lp in loops.items()}
+    assert conjugation_compatibility(theta1, theta2, lambda t: dict(t),
+                                     h_at_p, env) == []
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         PLPath([])

@@ -513,6 +513,29 @@ def ref_pushforward_along(h_mor, alpha, new_target):
     return TensorSeries(gens, new_target, alpha.trunc, alpha.degree, data)
 
 
+def ref_pullback_along(k_mor, alpha, gens_src):
+    """Every word, every splitting into non-empty pieces."""
+    gens_v, target = alpha.gens, alpha.target
+    data = {}
+    for w in gens_src.words(alpha.trunc):
+        total = target.zero()
+        for parts in range(1, len(w) + 1):
+            for pieces in ref_splittings(tuple(w), parts):
+                if any(not u for u in pieces):
+                    continue
+                vecs = [f_shifted(k_mor, len(u), [{gens_src.keys[i]: Fraction(1)} for i in u],
+                                  [gens_src.keys[i][0] for i in u]) for u in pieces]
+                for combo in itertools.product(*[list(v.items()) for v in vecs]):
+                    v = alpha.data.get(tuple(gens_v.index_of(key) for key, _ in combo))
+                    if v is not None:
+                        coeff = Fraction(1)
+                        for _, c in combo:
+                            coeff *= c
+                        total = target.add(total, v, coeff)
+        data[tuple(w)] = total
+    return TensorSeries(gens_src, target, alpha.trunc, alpha.degree, data)
+
+
 def assert_same_series(got, want):
     """Equal values, the same key order and the same order inside values."""
     assert (got.degree, got.trunc) == (want.degree, want.trunc)
@@ -678,6 +701,17 @@ def test_pushforward_matches_the_all_words_loop_on_the_fixtures(trunc):
     for h in (InfinityMorphism(B, B, tables=strict, arity_cap=4), morphism_h(B)):
         assert_same_series(pushforward_along(h, alpha, B),
                            ref_pushforward_along(h, alpha, B))
+
+
+@pytest.mark.parametrize("trunc", [3, 4])
+def test_pullback_matches_the_all_words_loop(trunc):
+    W, B, incl = torus_inclusion()
+    gens = Generators(W.space)
+    alpha = morphism_to_mc(incl, gens, trunc=trunc)
+    k = morphism_h(W)
+    assert k.tables[2] and k.tables[3]
+    assert_same_series(pullback_along(k, alpha, gens),
+                       ref_pullback_along(k, alpha, gens))
 
 
 def test_torus_pipeline_at_trunc_8():

@@ -368,22 +368,6 @@ def test_nc_space_names_need_one_digit_vertices():
         nc_space(10)
 
 
-def test_graded_basics():
-    from totconn.graded import GradedMap, GradedVectorSpace, basis_vector
-    V = GradedVectorSpace({0: ["a"], 1: ["b", "c"]})
-    W = V.shift(1)
-    assert W.dim(0) == 2 and W.dim(-1) == 1
-    f = GradedMap(V, V, 1, {(0, "a"): {(1, "b"): Fraction(2)}})
-    g = GradedMap(V, V, 0, {(1, "b"): {(1, "c"): Fraction(1)}})
-    comp = g.compose(f)
-    assert comp.degree == 1
-    assert comp(basis_vector((0, "a"))) == {(1, "c"): Fraction(2)}
-    zero = GradedMap.zero(V, V, 1)
-    assert g.compose(zero).is_zero()
-    again = GradedMap.from_json(V, V, 1, f.to_json())
-    assert again.blocks == f.blocks
-
-
 def test_gvs_json_roundtrip():
     from totconn.graded import GradedVectorSpace
     V = GradedVectorSpace({0: ["1"], 1: ["w1", "w2"]})
