@@ -1,22 +1,29 @@
 """Flat connections, gauge action, factors of automorphy and holonomy.
 
 Connection forms are exact polynomial 1-forms on R^m with values in a
-nilpotent quotient of a free Lie algebra; parallel transport along
-piecewise-linear rational paths is the iterated-integral series computed
-segmentwise in the truncated enveloping quotient, with the composition
-convention T(path1 . path2) = T(path1) T(path2) (pinned by the
-composition and homomorphism tests).  All arithmetic is exact.
+nilpotent quotient of a free Lie algebra.  Parallel transport along a
+piecewise-linear rational path is the iterated-integral series T in the
+truncated enveloping quotient, with the composition convention
+T(path1 . path2) = T(path1) T(path2) (pinned by the composition and
+homomorphism tests).  T is grouplike, so T = exp(Omega) with Omega in
+the quotient's Lie algebra (Chen; Magnus), and ``transport`` carries
+Omega along the whole path as a flow in Lie coordinates: per segment, a
+power-series recurrence in the segment's parameter that ends after
+finitely many steps because the Lie algebra is nilpotent, and one exp
+at the end.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import factorial, lcm
 
 from .convolution import TensorSeries
 from .forms import PolyForm
-from .freelie import EMPTY, EnvelopingQuotient, FiberLieAlgebra, lyndon_bracket
-from .linalg import accumulate, from_scaled, lowest_terms
+from .freelie import EnvelopingQuotient, FiberLieAlgebra
+from .linalg import (accumulate, accumulate_scaled, from_scaled, lowest_terms,
+                     scaled_sum)
 from .scalars import rat, rat_str
 from .structures import FormSpace, KeyedCarrier
 
@@ -464,13 +471,24 @@ class PLPath:
 
 
 def transport(alpha: ConnectionForm, path: PLPath, env: EnvelopingQuotient):
-    """Iterated-integral transport series, exact per segment.
+    """Iterated-integral transport series T, exact, with T solving
+    T' = T * A(s) along each segment in traversal order, so that
+    T(path1 . path2) = T(path1) T(path2).
 
-    T solves T' = T * A(s) along each segment; segments compose by
-    multiplication in traversal order.  Segments are computed and folded
-    on integer numerators over one common denominator (see ``linalg``);
-    the result is built as ``Fraction``s once, at the end.  Every vertex
-    of the path must have alpha.m coordinates.
+    T is exp(Omega) with Omega in the quotient's Lie algebra
+    (``EnvelopingQuotient._lie``).  Omega is carried along the whole path
+    by the flow ``_segment_flow``, each segment starting from the Omega
+    the one before it ended with, and the path ends with one exp.  A
+    segment's recurrence ends after top (J + 1) steps, J the degree in s
+    of alpha pulled back to it: the Lie algebra has no non-zero element
+    of weight above ``top``, the fiber's nilpotency class.  So the cost
+    grows with the class, not with the dimension of the enveloping
+    quotient.  On a fiber of class 2 a segment takes a few brackets of
+    Lie vectors; on a free quotient, whose class is its order, the flow
+    brackets up to ``top`` deep, and is slower than multiplying a series
+    per segment would be.  Every value is a scaled vector in lowest
+    terms; the result is built as ``Fraction``s once, at the end.  Every
+    vertex of the path must have alpha.m coordinates.
     """
     return from_scaled(_transport(alpha, path, env))
 
@@ -481,66 +499,53 @@ def _transport(alpha, path, env):
         if len(v) != alpha.m:
             raise ValueError("path vertex (%s) has %d coordinates, the connection "
                              "lives on R^%d" % (", ".join(map(str, v)), len(v), alpha.m))
-    terms = _coefficient_terms(alpha, env.order)
-    total = (1, {EMPTY: 1})
+    lie = env._lie
+    terms = _coefficient_terms(alpha, lie)
+    omega = (1, {})
     for a, b in zip(path.vertices, path.vertices[1:]):
-        total = env._mul(total, _segment_transport(terms, a, b, env))
-    return total
+        omega = _segment_flow(lie, _pullback(terms, a, b), omega)
+    return lie.exp(omega)
 
 
-def _coefficient_terms(alpha, order):
+def _coefficient_terms(alpha, lie):
     """The 1-form terms of ``alpha`` on integers, as ``(den, terms)``:
-    alpha is the sum over ``(bracket, exps, j, n)`` in ``terms`` of
-    n/den x^exps dx_j (x) bracket, where ``bracket`` is the Lyndon
-    bracket of the coefficient word as {tensor word: int}, cut at
-    ``order``."""
+    alpha is the sum over ``(coords, exps, j, n)`` in ``terms`` of
+    x^exps dx_j (x) the Lie element with the coordinates n coords over
+    den, where ``coords`` are those of the Lyndon bracket of the
+    coefficient word over ``lie.den``."""
     den = lcm(*[f.den for f in alpha.coeffs.values()])
     terms = []
     for w, form in alpha.coeffs.items():
-        bracket = {ww: int(c) for ww, c in lyndon_bracket(tuple(w), order).items()
-                   if len(ww) <= order}
+        coords = lie.of_lyndon(tuple(w))
+        if not coords:
+            continue
         f = den // form.den
         for (exps, dts), n in form.num.items():
             if len(dts) == 1:
-                terms.append((bracket, exps, dts[0], n * f))
-    return den, terms
+                terms.append((coords, exps, dts[0], n * f))
+    return den * lie.den, terms
 
 
-def _segment_transport(coeff_terms, a, b, env):
-    """The transport along the segment from a to b, as a scaled series in
-    normal form, in lowest terms; ``coeff_terms`` is
-    ``_coefficient_terms(alpha, env.order)``.
-
-    With the pullback A(s) = sum_j s^j A_j / den_a of alpha to the
-    segment, T(s) = sum_k T_k s^k solves T' = T A(s), T(0) = 1, so
-
-      (k + 1) T_{k+1} = sum_j T_{k-j} A_j / den_a
-
-    in the quotient, and the transport is T(1) = sum_k T_k.  With P from
-    ``env._pivot_images``, N_k = k! (den_a P)^k T_k is an integer normal
-    form, and the recurrence becomes
-
-      N_{k+1} = sum_j k!/(k-j)! (den_a P)^j P NF(N_{k-j} A_j).
-
-    Every A_j has no constant term and the ideal's rows keep word length
-    from dropping, so N_k vanishes once k/(1 + deg A) passes the order.
-    """
+def _pullback(coeff_terms, a, b):
+    """The pull-back A(s) = sum_j A_j s^j of alpha to the segment from a
+    to b, as the list of the A_j in Lie coordinates, each a scaled vector
+    in lowest terms, up to the last non-zero one; ``coeff_terms`` is
+    ``_coefficient_terms(alpha, lie)``."""
     den_c, terms = coeff_terms
     # pull back along x = a + s(b - a).  With a = A/q and b - a = D/q over
     # one denominator q, the term c x^e dx_j becomes
     # c D_j prod_i (A_i + D_i s)^e_i / q^(1 + |e|) ds, so over
-    # den_a = den_c q^(1 + top), top the largest |e|, each coefficient is
-    # an integer polynomial in s
+    # den_c q^(1 + deg), deg the largest |e|, each coefficient is an
+    # integer polynomial in s
     q = lcm(*[c.denominator for c in a + b])
     A = [c.numerator * (q // c.denominator) for c in a]
     D = [c.numerator * (q // c.denominator) - x for c, x in zip(b, A)]
-    top = max((sum(exps) for _, exps, _, _ in terms), default=0)
-    den_a = den_c * q ** (1 + top)
-    by_power = {}  # exponent j of s -> A_j as {word: int}
-    for bracket, exps, j, n in terms:
+    deg = max((sum(exps) for _, exps, _, _ in terms), default=0)
+    by_power = {}  # exponent j of s -> A_j as {basis index: int}
+    for coords, exps, j, n in terms:
         if not D[j]:
             continue
-        poly = {0: n * D[j] * q ** (top - sum(exps))}
+        poly = {0: n * D[j] * q ** (deg - sum(exps))}
         for i, e in enumerate(exps):
             for _ in range(e):
                 times = {}
@@ -549,28 +554,62 @@ def _segment_transport(coeff_terms, a, b, env):
                     times[k + 1] = times.get(k + 1, 0) + c * D[i]
                 poly = times
         for k, c in poly.items():
-            accumulate(by_power.setdefault(k, {}),
-                       ((ww, c2 * c) for ww, c2 in bracket.items()))
-    powers = sorted((j, env._by_room(a_j)) for j, a_j in by_power.items() if a_j)
-    width = powers[-1][0] + 1 if powers else 1
-    scale = den_a * env._pivot_images[0]
-    N = [{EMPTY: 1}]
-    while any(N[-width:]):
-        k = len(N) - 1
-        N.append(env._product_sum((N[k - j], a_j, perm(k, j) * scale ** j)
-                                  for j, a_j in powers if j <= k and N[k - j]))
-    while not N[-1]:
-        N.pop()
-    # sum_k T_k over K! (den_a P)^K, K the last non-zero index
-    K = len(N) - 1
-    total = {}
-    get = total.get
-    f = 1
-    for k in range(K, -1, -1):
-        for w, n in N[k].items():
-            total[w] = get(w, 0) + f * n
-        f *= k * scale
-    return lowest_terms(factorial(K) * scale ** K, {w: n for w, n in total.items() if n})
+            accumulate(by_power.setdefault(k, {}), ((i, c * x) for i, x in coords.items()))
+    last = max((k for k, a_k in by_power.items() if a_k), default=-1)
+    den = den_c * q ** (1 + deg)
+    return [lowest_terms(den, by_power.get(k, {})) for k in range(last + 1)]
+
+
+@functools.cache
+def _dexp_inverse(n):
+    """beta_0 .. beta_{n-1} of x / (1 - e^{-x}) = sum_n beta_n x^n, that
+    is beta_n = B+_n / n!: 1, 1/2, 1/12, 0, -1/720, ..."""
+    # the inverse, term by term, of (1 - e^{-x}) / x = sum (-x)^k / (k + 1)!
+    beta = [Fraction(1)]
+    for m in range(1, n):
+        beta.append(-sum(Fraction((-1) ** k, factorial(k + 1)) * beta[m - k]
+                         for k in range(1, m + 1)))
+    return tuple(beta[:n])
+
+
+def _segment_flow(lie, A, omega):
+    """Omega(1) for the segment with pull-back A(s) = sum_j A_j s^j
+    (``_pullback``), from Omega(0) = ``omega``.
+
+    exp(Omega) solves T' = T A(s), so Omega' = sum_n beta_n ad_Omega^n A
+    (``_dexp_inverse``), and with Omega(s) = sum_k Omega_k s^k
+
+      (k + 1) Omega_{k+1} = sum_n beta_n [s^k] ad_{Omega(s)}^n A(s),
+
+    where [s^k] ad^n = sum_i [Omega_i, [s^(k-i)] ad^(n-1)].  An element
+    of weight above ``lie.top`` is zero and A has weight at least 1, so
+    n < top; and Omega_k has weight at least ceil(k / (J + 1)), J the
+    degree of A, so the recurrence stops after top (J + 1) steps.
+    """
+    if not A:
+        return omega
+    beta = _dexp_inverse(lie.top)
+    degree = len(A) - 1
+    zero = (1, {})
+    omegas = [omega]
+    ads = [[] for _ in beta]  # ads[n][k] = [s^k] ad_{Omega(s)}^n A(s)
+    for k in range(lie.top * (degree + 1)):
+        ads[0].append(A[k] if k <= degree else zero)
+        for n in range(1, len(beta)):
+            acc = {}
+            for i, inner in enumerate(reversed(ads[n - 1])):
+                den, num = lie.bracket(omegas[i], inner)
+                accumulate_scaled(acc, den, num.items())
+            ads[n].append(lowest_terms(*scaled_sum(acc)))
+        acc = {}
+        for b, ad in zip(beta, ads):
+            accumulate_scaled(acc, ad[k][0], ad[k][1].items(), b)
+        den, num = scaled_sum(acc)
+        omegas.append(lowest_terms((k + 1) * den, num))
+    acc = {}
+    for den, num in omegas:
+        accumulate_scaled(acc, den, num.items())
+    return lowest_terms(*scaled_sum(acc))
 
 
 def lattice_path(basepoint, deck_word):
@@ -601,8 +640,10 @@ def parse_loop(text, m):
 def holonomy(alpha: ConnectionForm, F: AutomorphyFactor, deck_word,
              basepoint, env: EnvelopingQuotient):
     """Theta_0(loop) = T(lift) * F_{rho(loop)}(basepoint); ``transport``
-    refuses a basepoint without alpha.m coordinates.  Both factors stay
-    scaled normal forms, so the product needs no reduction."""
+    refuses a basepoint without alpha.m coordinates.  T(lift) is the one
+    exp of the flow along the whole lift (see ``transport``), and the only
+    product in the quotient is the one by F; both factors stay scaled
+    normal forms, so the product needs no reduction."""
     basepoint = tuple(rat(c) for c in basepoint)
     T = _transport(alpha, lattice_path(basepoint, deck_word), env)
     rho = tuple(sum(g[j] for g in deck_word) if deck_word else Fraction(0)

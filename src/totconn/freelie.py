@@ -17,6 +17,12 @@ quotient by the zero ideal, with the table ``FREE = (1, {})``.  Each
 operation divides out the gcd of the denominator and the numerators once
 at its end, and ``Fraction``s are built only when a value leaves the
 public interface.
+
+``QuotientLie`` is the enveloping quotient's Lie algebra in coordinates:
+a basis of the normal forms of the Lyndon brackets, ordered by weight,
+with structure constants computed once per pair on first use.  Transport
+runs in it (``connection.transport``), and only its final exp is taken
+in the quotient.
 """
 
 from __future__ import annotations
@@ -290,7 +296,16 @@ class FreeLie:
         self.gen_names = list(gen_names)
         self.order = order
         self.lyndon = [w for w in lyndon_words(len(self.gen_names), order)]
-        self._bracket_elems = {w: lyndon_bracket(w, order) for w in self.lyndon}
+        # in length order, so the brackets of a word's standard factors
+        # are there before it: one commutator per bracket
+        self._bracket_elems = {}
+        for w in self.lyndon:
+            if len(w) == 1:
+                self._bracket_elems[w] = {w: Fraction(1)}
+            else:
+                u, v = standard_factorization(w)
+                self._bracket_elems[w] = commutator(self._bracket_elems[u],
+                                                    self._bracket_elems[v], order)
         self._lyndon_coords = Coordinates(
             [self._bracket_elems[w] for w in self.lyndon], _length_first)
 
@@ -523,7 +538,8 @@ class EnvelopingQuotient:
     are fully reduced, so after construction every normal form is read
     from one table, ``_pivot_images``, by the kernel shared with the free
     tensor algebra; every method computes on scaled series and returns
-    ``Fraction`` dicts.
+    ``Fraction`` dicts.  The Lie algebra of the quotient, ``_lie``, is
+    built on first use.
     """
 
     def __init__(self, free: FreeLie, ideal: LieIdealPresentation, order: int):
@@ -560,12 +576,6 @@ class EnvelopingQuotient:
         den, num = _scaled(x, self.order)
         table = self._pivot_images
         return lowest_terms(den * table[0], _table_nf(table, num))
-
-    def _product_sum(self, triples):
-        return _product_sum(triples, self.order, self._pivot_images)
-
-    def _by_room(self, b):
-        return _by_room(b, self.order)
 
     def _mul(self, a, b):
         return _mul(a, b, self.order, self._pivot_images)
@@ -607,6 +617,12 @@ class EnvelopingQuotient:
         return not self._lie_normal_forms.reduce_scaled(den, num)[1]
 
     @functools.cached_property
+    def _lie(self):
+        """The quotient's Lie algebra, built once per quotient on first
+        use."""
+        return QuotientLie(self)
+
+    @functools.cached_property
     def _lie_normal_forms(self):
         """The echelon of the table normal forms of the Lyndon brackets up
         to the order, built once per quotient on first use.  A Lyndon
@@ -618,3 +634,103 @@ class EnvelopingQuotient:
                 ech.insert(_table_nf(self._pivot_images,
                                      to_scaled(self.free._bracket_elems[w])[1]))
         return ech
+
+
+class QuotientLie:
+    """The Lie algebra of an enveloping quotient: the span of the normal
+    forms of the Lyndon brackets up to the order, closed under the
+    commutator.
+
+    Its basis is the rows of the quotient's ``_lie_normal_forms``, in
+    pivot order, as integer vectors.  A row's pivot is its shortest word
+    and no other row holds it, so an element of the span is read off its
+    pivot entries, and its weight (the length of the shortest word of its
+    normal form) is the least pivot length among the rows it uses.
+    Weights add under the commutator, since no ideal row is shorter than
+    its pivot, and no non-zero element weighs more than ``top``, the
+    largest pivot length.
+
+    An element is a scaled vector ``(d, {i: int})`` of coordinates: it is
+    the sum of n_i/d times row i.  With P the scale of the quotient's
+    table and Q the lcm of the rows' pivot coefficients, the coordinates
+    of a Lyndon bracket and the structure constants [row_i, row_j] are
+    integer dicts over ``den`` = P Q.  A structure constant is computed
+    on first use, and never for a pair whose weights sum above ``top``.
+    """
+
+    def __init__(self, env: EnvelopingQuotient):
+        self._order = env.order
+        self._table = env._pivot_images
+        self._free = env.free
+        echelon = env._lie_normal_forms
+        rows = echelon._rows
+        pivots = echelon.pivots()
+        self.weights = [len(w) for w in pivots]
+        self.top = max(self.weights, default=0)
+        # _within[r]: the number of basis elements of weight at most r
+        self._within = [bisect.bisect_right(self.weights, r) for r in range(self.top + 1)]
+        Q = lcm(*[rows[w][0] for w in pivots])
+        self.den = self._table[0] * Q
+        self._rows = [{w: rows[w][0], **rows[w][1]} for w in pivots]
+        self._reads = [(w, Q // rows[w][0]) for w in pivots]
+        self._constants = {}
+        self._lyndon = {}
+
+    def _coordinates(self, num):
+        """The coordinates over ``den`` of num/P, for a table normal form
+        num = P NF(x) of an integer x in the span."""
+        return {i: n * f for i, (w, f) in enumerate(self._reads) if (n := num.get(w))}
+
+    def of_lyndon(self, w):
+        """The coordinates over ``den`` of the Lyndon bracket of w."""
+        coords = self._lyndon.get(w)
+        if coords is None:
+            # a Lyndon bracket is homogeneous of its word's length
+            coords = {} if len(w) > self._order else self._coordinates(
+                _table_nf(self._table, to_scaled(self._free._bracket_elems[w])[1]))
+            self._lyndon[w] = coords
+        return coords
+
+    def _structure(self, i, j):
+        """[row_i, row_j] as coordinates over ``den``."""
+        c = self._constants.get((i, j))
+        if c is None:
+            a, b = self._rows[i], self._rows[j]
+            order = self._order
+            c = self._coordinates(_product_sum(
+                [(a, _by_room(b, order), 1), (b, _by_room(a, order), -1)],
+                order, self._table))
+            self._constants[i, j] = c
+            self._constants[j, i] = {k: -n for k, n in c.items()}
+        return c
+
+    def bracket(self, x, y):
+        """[x, y] of two scaled coordinate vectors, not in lowest terms."""
+        (dx, nx), (dy, ny) = x, y
+        out = {}
+        if nx and ny:
+            # the basis is in weight order, so the j with
+            # weight_i + weight_j <= top are those below _within[top - weight_i]
+            ys = sorted(ny.items())
+            get = out.get
+            for i, a in nx.items():
+                limit = self._within[self.top - self.weights[i]]
+                for j, b in ys:
+                    if j >= limit:
+                        break
+                    if j == i:
+                        continue
+                    ab = a * b
+                    for k, n in self._structure(i, j).items():
+                        out[k] = get(k, 0) + ab * n
+        return dx * dy * self.den, {k: n for k, n in out.items() if n}
+
+    def exp(self, x):
+        """exp of the element x, as a scaled normal form in lowest terms."""
+        den, coords = x
+        num = {}
+        for i, c in coords.items():
+            for w, n in self._rows[i].items():
+                num[w] = num.get(w, 0) + c * n
+        return _exp(lowest_terms(den, {w: n for w, n in num.items() if n}),
+                    self._order, self._table)

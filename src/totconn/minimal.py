@@ -108,12 +108,6 @@ class OneMinimalModel:
         self.transfer = transfer
         self.pivot = pivot
 
-    def w1_keys(self):
-        return self.algebra.space.keys(1)
-
-    def w2_keys(self):
-        return self.algebra.space.keys(2)
-
 
 def positive_part(alg: FiniteAlgebra) -> FiniteAlgebra:
     """The structure restricted to positive degrees."""

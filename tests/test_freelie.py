@@ -19,6 +19,26 @@ def test_free_lie_table_holds_every_truncation_of_a_bracket():
             assert free.from_lyndon({w: 1}) == lyndon_bracket(w, order)
 
 
+@pytest.mark.parametrize("letters", [2, 3])
+def test_bracket_table_matches_the_recursive_bracket(letters):
+    free = FreeLie(["x", "y", "z"][:letters], 7)
+    for w in free.lyndon:
+        assert free._bracket_elems[w] == lyndon_bracket(w, free.order)
+
+
+def test_bracket_table_takes_one_commutator_per_bracket(monkeypatch):
+    from totconn import freelie
+    calls = []
+
+    def counted(a, b, order):
+        calls.append(order)
+        return commutator(a, b, order)
+
+    monkeypatch.setattr(freelie, "commutator", counted)
+    free = FreeLie(["x", "y"], 5)
+    assert len(calls) == sum(len(w) > 1 for w in free.lyndon) == 12
+
+
 def test_lyndon_word_counts():
     # Witt numbers for 2 letters: 2, 1, 2, 3, 6
     words = lyndon_words(2, 5)

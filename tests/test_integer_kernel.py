@@ -1,18 +1,23 @@
 """The integer kernels, checked against Fractions.
 
 ``linalg.Echelon`` eliminates fraction-free on integer rows; ``freelie``
-computes the enveloping quotient's reduction, product, exp and log, and
-``connection`` computes segment transport, on integer numerators over
-one common denominator per series.  The ``ref_*`` functions and
-``ref_Echelon`` below are the plain ``Fraction`` implementations those
-replaced, kept as the oracle: every property here asks for values equal
-as rationals.
+computes the enveloping quotient's reduction, product, exp and log on
+integer numerators over one common denominator per series; and
+``connection`` computes transport as exp(Omega), with Omega carried
+along the path by a flow in the quotient's Lie coordinates.  The
+``ref_*`` functions and ``ref_Echelon`` below are the plain ``Fraction``
+implementations, kept as the oracle: ``ref_segment_transport`` sums the
+iterated integrals of one segment as a series, and ``ref_transport``
+multiplies the segments.  Every property here asks for values equal as
+rationals.
 
 The quotients cover the three shapes of echelon rows: the Heisenberg
 quotient (integer rows), an ideal whose rows carry non-unit denominators
 (its generator has coefficients 2 and 1/3), and the free quotient (no
-rows).  The connections cover coefficients that pull back to constants
-on straight segments (the flat nilpotent connection) and ones that pull
+rows).  Their Lie algebras have top weight 2, 5 and 4; the abelian
+quotient adds top weight 1, and the free quotient of order 6 weight 6.
+The connections cover coefficients that pull back to constants on
+straight segments (the flat nilpotent connection) and ones that pull
 back to polynomials of positive degree in s (a non-flat connection).
 """
 
@@ -24,9 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totconn.connection import (ConnectionForm, PLPath, _coefficient_terms,
-                                _segment_transport, form_dvar, form_var,
-                                transport)
+from totconn.connection import (ConnectionForm, PLPath, _transport, form_dvar,
+                                form_var, transport)
 from totconn.forms import PolyForm
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FreeLie,
                              LieIdealPresentation, _length_first, commutator,
@@ -237,8 +241,15 @@ def free_quotient(order=4):
     return free, LieIdealPresentation(free, [])
 
 
+def abelian(order=5):
+    """[X,Y] killed: the Lie algebra has weight 1 only, so the last of the
+    flow's top (J + 1) = J + 1 steps is the one that brings in A_J."""
+    free = FreeLie(["X", "Y"], order)
+    return free, LieIdealPresentation(free, [commutator(free.gen(0), free.gen(1), order)])
+
+
 QUOTIENTS = {"heisenberg": heisenberg, "fractional": fractional,
-             "free": free_quotient}
+             "free": free_quotient, "abelian": abelian}
 
 
 @functools.cache
@@ -420,9 +431,7 @@ def test_transport_matches_fractions(data):
     alpha = CONNECTIONS[data.draw(st.sampled_from(sorted(CONNECTIONS)))]()
     path = data.draw(paths())
     a, b = path.vertices[:2]
-    terms = _coefficient_terms(alpha, env.order)
-    assert from_scaled(_segment_transport(terms, a, b, env)) \
-        == ref_segment_transport(alpha, a, b, ref)
+    assert transport(alpha, PLPath([a, b]), env) == ref_segment_transport(alpha, a, b, ref)
     T = transport(alpha, path, env)
     assert T == ref_transport(alpha, path, ref)
     assert env.is_grouplike(T)
@@ -494,15 +503,56 @@ FIXED_PATH = PLPath([(Fraction(1, 2), Fraction(-1, 3)), (Fraction(2, 7), Fractio
 def test_transport_matches_fractions_on_a_fixed_path(name, alpha_name):
     env, ref = quotient(name)
     alpha = CONNECTIONS[alpha_name]()
-    terms = _coefficient_terms(alpha, env.order)
     vertices = FIXED_PATH.vertices
     for a, b in zip(vertices, vertices[1:]):
-        segment = _segment_transport(terms, a, b, env)
+        segment = _transport(alpha, PLPath([a, b]), env)
         assert lowest_terms(*segment) == segment
         assert from_scaled(segment) == ref_segment_transport(alpha, a, b, ref)
-    assert _segment_transport(terms, vertices[0], vertices[0], env) == (1, {EMPTY: 1})
+    assert _transport(alpha, PLPath(vertices[:1] * 2), env) == (1, {EMPTY: 1})
     assert transport(alpha, FIXED_PATH, env) == ref_transport(alpha, FIXED_PATH, ref)
     assert transport(alpha, PLPath(vertices[:1]), env) == {EMPTY: Fraction(1)}
+
+
+@pytest.mark.parametrize("alpha_name", sorted(CONNECTIONS))
+@pytest.mark.parametrize("name", sorted(QUOTIENTS))
+@settings(deadline=None, max_examples=10)
+@given(first=paths(), second=paths())
+def test_transport_of_a_concatenation_is_the_product(name, alpha_name, first, second):
+    # pins the Omega that each segment's flow hands on to the next
+    env, _ = quotient(name)
+    alpha = CONNECTIONS[alpha_name]()
+    second = PLPath([first.end] + second.vertices[1:])
+    assert transport(alpha, first.concat(second), env) == env.mul(
+        transport(alpha, first, env), transport(alpha, second, env))
+
+
+def test_transport_matches_fractions_on_the_free_quotient_of_order_six():
+    # class 6: the flow brackets five deep, and beta_2 = 1/12 and
+    # beta_4 = -1/720 both enter
+    free, ideal = free_quotient(order=6)
+    env, ref = EnvelopingQuotient(free, ideal, 6), RefQuotient(free, ideal, 6)
+    alpha = polynomial_connection()
+    assert env._lie.top == 6
+    assert transport(alpha, FIXED_PATH, env) == ref_transport(alpha, FIXED_PATH, ref)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENTS))
+def test_lie_structure_constants_are_quotient_commutators_of_fitting_weights(name):
+    free, ideal = QUOTIENTS[name]()
+    env = EnvelopingQuotient(free, ideal, free.order)
+    lie = env._lie
+    for alpha in CONNECTIONS.values():
+        transport(alpha(), FIXED_PATH, env)
+    # computed on first use only, and only for pairs of weight <= top
+    assert bool(lie._constants) == (lie.top > 1)
+    assert all(lie.weights[i] + lie.weights[j] <= lie.top for i, j in lie._constants)
+    rows = [{w: Fraction(n) for w, n in row.items()} for row in lie._rows]
+    for (i, j), coords in lie._constants.items():
+        bracket = vec_add(env.mul(rows[i], rows[j]), env.mul(rows[j], rows[i]), Fraction(-1))
+        from_coords = {}
+        for k, n in coords.items():
+            accumulate(from_coords, ((w, Fraction(n, lie.den) * c) for w, c in rows[k].items()))
+        assert env.eq(bracket, from_coords)
 
 
 def test_polynomial_connection_pulls_back_to_positive_degree():

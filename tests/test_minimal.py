@@ -30,8 +30,9 @@ def circle_cdga():
 
 def test_circle_model():
     model = one_minimal_model(circle_cdga(), arity_cap=4)
-    assert [k[1] for k in model.w1_keys()] and len(model.w1_keys()) == 1
-    assert model.w2_keys() == []
+    keys = model.algebra.space.keys
+    assert [k[1] for k in keys(1)] and len(keys(1)) == 1
+    assert keys(2) == []
     assert massey_report(model) == {}
     fib = model_fiber_data(model, trunc=4, k=4)
     assert fib.dim() == 1
@@ -40,8 +41,8 @@ def test_circle_model():
 
 def test_torus_model():
     model = one_minimal_model(torus_cdga(), arity_cap=4)
-    assert len(model.w1_keys()) == 2
-    assert len(model.w2_keys()) == 1
+    assert len(model.algebra.space.keys(1)) == 2
+    assert len(model.algebra.space.keys(2)) == 1
     rep = massey_report(model)
     assert set(rep) == {2}
     fib = model_fiber_data(model, trunc=4, k=4)
@@ -54,8 +55,8 @@ def test_torus_model():
 
 def test_heisenberg_model():
     model = one_minimal_model(heisenberg_cdga(arity_cap=4), arity_cap=4)
-    assert len(model.w1_keys()) == 2
-    assert len(model.w2_keys()) == 2
+    assert len(model.algebra.space.keys(1)) == 2
+    assert len(model.algebra.space.keys(2)) == 2
     rep = massey_report(model)
     assert 2 not in rep  # the binary products vanish on degree one
     assert 3 in rep
