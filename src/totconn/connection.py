@@ -479,9 +479,11 @@ def transport(alpha: ConnectionForm, path: PLPath, env: EnvelopingQuotient):
     (``EnvelopingQuotient._lie``).  Omega is carried along the whole path
     by the flow ``_segment_flow``, each segment starting from the Omega
     the one before it ended with, and the path ends with one exp.  A
-    segment's recurrence ends after top (J + 1) steps, J the degree in s
-    of alpha pulled back to it: the Lie algebra has no non-zero element
-    of weight above ``top``, the fiber's nilpotency class.  So the cost
+    segment's recurrence ends after max(top (J + 1) - 1, J + 1) steps, J
+    the degree in s of alpha pulled back to it: the Lie algebra has no
+    non-zero element of weight above ``top``, the fiber's nilpotency
+    class, and on a non-abelian fiber the last of top (J + 1) steps
+    would always give zero (``_segment_flow``).  So the cost
     grows with the class, not with the dimension of the enveloping
     quotient.  On a fiber of class 2 a segment takes a few brackets of
     Lie vectors; on a free quotient, whose class is its order, the flow
@@ -584,16 +586,22 @@ def _segment_flow(lie, A, omega):
     where [s^k] ad^n = sum_i [Omega_i, [s^(k-i)] ad^(n-1)].  An element
     of weight above ``lie.top`` is zero and A has weight at least 1, so
     n < top; and Omega_k has weight at least ceil(k / (J + 1)), J the
-    degree of A, so the recurrence stops after top (J + 1) steps.
+    degree of A, so Omega_k is zero for k > top (J + 1).  For top >= 2
+    the last one, Omega_{top (J + 1)}, is zero too: it lies in weight
+    top, where only brackets of the weight-one part of A_J with itself
+    reach s-degree top (J + 1) - 1, and those vanish.  So the recurrence
+    stops after max(top (J + 1) - 1, J + 1) steps; on an abelian fiber
+    (top 1) Omega_{J + 1} = A_J / (J + 1) is the last non-zero one.
     """
     if not A:
         return omega
-    beta = _dexp_inverse(lie.top)
+    top = lie.top
+    beta = _dexp_inverse(top)
     degree = len(A) - 1
     zero = (1, {})
     omegas = [omega]
     ads = [[] for _ in beta]  # ads[n][k] = [s^k] ad_{Omega(s)}^n A(s)
-    for k in range(lie.top * (degree + 1)):
+    for k in range(max(top * (degree + 1) - 1, degree + 1)):
         ads[0].append(A[k] if k <= degree else zero)
         for n in range(1, len(beta)):
             acc = {}

@@ -199,29 +199,6 @@ def conv_M(n, series_list, trunc=None):
     return TensorSeries(gens, target, trunc, out_degree, out)
 
 
-def source_delta(gens: Generators, source: FiniteAlgebra, w, trunc):
-    """The coderivation of the source structure applied to a word.
-
-    Returns {word: coeff}; entries are expanded through the shifted
-    dictionary of the source structure maps.
-    """
-    out = {}
-    w = tuple(w)
-    n = len(w)
-    degs = [gens.keys[i][0] for i in w]
-    for q in range(1, n + 1):
-        for p in range(0, n - q + 1):
-            sub = w[p:p + q]
-            if not source.in_window(q, [gens.keys[i] for i in sub]):
-                continue
-            sign = -1 if sum(d - 1 for d in degs[:p]) % 2 else 1
-            elems = [{gens.keys[i]: Fraction(1)} for i in sub]
-            val = delta_apply(source, q, elems, degs[p:p + q])
-            accumulate(out, ((w[:p] + (gens.index_of(key),) + w[p + q:], sign * c)
-                             for key, c in val.items()))
-    return out
-
-
 def _delta_transpose(gens: Generators, source, max_len):
     """{generator index g: [(subword s, coeff c, rank)]}: the shifted
     structure component delta(s) holds c * g, as its rank-th term.
@@ -247,9 +224,11 @@ def conv_partial(f: TensorSeries, source: FiniteAlgebra) -> TensorSeries:
     f o delta is pushed from f's support through the transpose of the
     source coderivation, built once per call: a supported word w2 with a
     generator g at position p reaches every w = w2[:p] + s + w2[p+1:]
-    with g in delta(s).  Each word sums its terms in the order of
-    ``source_delta(w)``.  The words where -m_1 f is non-zero come first,
-    in f's order, then the other words by length and index order.
+    with g in delta(s).  Each word sums its terms in the order the source
+    coderivation lists them on it: by the length of the subword s, then
+    by its position, then by the term's rank in delta(s).  The words
+    where -m_1 f is non-zero come first, in f's order, then the other
+    words by length and index order.
     """
     gens, target = f.gens, f.target
     min_len = min((len(w) for w in f.data if w), default=f.trunc + 1)

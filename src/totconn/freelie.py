@@ -18,6 +18,9 @@ operation divides out the gcd of the denominator and the numerators once
 at its end, and ``Fraction``s are built only when a value leaves the
 public interface.
 
+Lie elements, the ideal of a presentation and the fiber u/I^k are kept
+in Lyndon coordinates, read off without an elimination.
+
 ``QuotientLie`` is the enveloping quotient's Lie algebra in coordinates:
 a basis of the normal forms of the Lyndon brackets, ordered by weight,
 with structure constants computed once per pair on first use.  Transport
@@ -30,11 +33,11 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial, lcm
 
-from .linalg import (Coordinates, Echelon, accumulate, from_scaled,
-                     lowest_terms, to_scaled)
+from .linalg import Echelon, accumulate, from_scaled, lowest_terms, to_scaled
 from .scalars import rat, rat_str
 
 
@@ -289,53 +292,74 @@ def lyndon_bracket(w, order=None) -> dict:
 
 
 class FreeLie:
-    """The free Lie algebra on named degree-zero generators, truncated."""
+    """The free Lie algebra on named degree-zero generators, truncated.
+
+    ``_bracket_elems[w]``, the expanded bracket of a Lyndon word w, is an
+    integer dict: w plus greater words of its length (Reutenauer, *Free Lie
+    Algebras*, Thm 5.1).  So in ``lyndon`` order the coefficient of w in
+    what is left of x, once the brackets before w are taken off, is the
+    Lyndon coordinate of w.
+    """
 
     def __init__(self, gen_names, order):
         check_order(order)
         self.gen_names = list(gen_names)
         self.order = order
-        self.lyndon = [w for w in lyndon_words(len(self.gen_names), order)]
-        # in length order, so the brackets of a word's standard factors
-        # are there before it: one commutator per bracket
-        self._bracket_elems = {}
-        for w in self.lyndon:
-            if len(w) == 1:
-                self._bracket_elems[w] = {w: Fraction(1)}
-            else:
-                u, v = standard_factorization(w)
-                self._bracket_elems[w] = commutator(self._bracket_elems[u],
-                                                    self._bracket_elems[v], order)
-        self._lyndon_coords = Coordinates(
-            [self._bracket_elems[w] for w in self.lyndon], _length_first)
+        self.lyndon = lyndon_words(len(self.gen_names), order)
+        # the letters, then by length, so the brackets of a word's standard
+        # factors are there before it: one commutator per bracket
+        letters = len(self.gen_names)
+        brackets = self._bracket_elems = {w: {w: 1} for w in self.lyndon[:letters]}
+        for w in self.lyndon[letters:]:
+            u, v = standard_factorization(w)
+            brackets[w] = {x: c.numerator for x, c in
+                           commutator(brackets[u], brackets[v], order).items()}
+        self._ad_memo = {}  # (i, w) -> _ad(i, w)
 
     def gen(self, i) -> dict:
         return {(i,): Fraction(1)}
+
+    def _coordinates(self, x: dict):
+        """The Lyndon coordinates of x as a scaled vector ``(den, {w: int})``;
+        None if x is no Lie element up to the order."""
+        den, num = to_scaled(x)
+        coords = {}
+        get = num.get
+        for w in self.lyndon:
+            if not num:
+                break
+            c = get(w)
+            if c:
+                coords[w] = c
+                for u, n in self._bracket_elems[w].items():
+                    n = get(u, 0) - c * n
+                    if n:
+                        num[u] = n
+                    else:
+                        del num[u]
+        return None if num else (den, coords)
 
     def to_lyndon(self, x: dict):
         """Lyndon coordinates of a Lie element; None if not a Lie element.
 
         Coefficients are coerced with ``rat``: a float raises TypeError."""
-        coords, leftover = self._lyndon_coords({w: rat(c) for w, c in x.items()})
-        if leftover:
-            return None
-        return {self.lyndon[i]: c for i, c in coords.items()}
+        s = self._coordinates({w: rat(c) for w, c in x.items()})
+        return None if s is None else from_scaled(s)
 
-    def from_lyndon(self, coords) -> dict:
-        out = {}
-        for w, c in coords.items():
-            c = rat(c)
-            accumulate(out, ((ww, c * v) for ww, v in self._bracket_elems[tuple(w)].items()))
+    def _ad(self, i, w):
+        """[x_i, P_w] in Lyndon coordinates, an integer dict, computed once."""
+        out = self._ad_memo.get((i, w))
+        if out is None:
+            out = self._ad_memo[i, w] = self._coordinates(
+                commutator({(i,): 1}, self._bracket_elems[w], self.order))[1]
         return out
 
-    def is_lie_element(self, x: dict) -> bool:
-        return self.to_lyndon(x) is not None
+    def from_lyndon(self, coords) -> dict:
+        return accumulate({}, ((u, rat(c) * n) for w, c in coords.items()
+                               for u, n in self._bracket_elems[tuple(w)].items()))
 
     def graded_dims(self):
-        dims = {}
-        for w in self.lyndon:
-            dims[len(w)] = dims.get(len(w), 0) + 1
-        return dims
+        return dict(Counter(map(len, self.lyndon)))
 
 
 def word_labels(series: dict, gen_names):
@@ -425,36 +449,36 @@ def _close(span, generators, order, products):
 class LieIdealPresentation:
     """The Lie ideal generated by given Lie series inside a free Lie algebra.
 
-    Generators may be non-homogeneous in word length (they carry tails);
-    the per-length spans are computed by iterated ad-closure and kept in a
-    triangular echelon so quotient normal forms are canonical.
+    Generators may carry tails.  ``span`` is the ideal cut at the order:
+    an ``Echelon`` over Lyndon words, closed under ad_{x_i}.  A bracket has
+    no word below its own, so the pivots are the expanded ideal's.
     """
 
     def __init__(self, free: FreeLie, generators):
         self.free = free
         self.generators = [{w: rat(c) for w, c in g.items()} for g in generators]
-        order = free.order
-        for g in self.generators:
-            if not free.is_lie_element(g):
-                raise ValueError("ideal generator is not a Lie element")
-        # ad-closure: span{ ad_{x_{i1}} ... ad_{x_im} g } truncated
-        gens = [free.gen(i) for i in range(len(free.gen_names))]
+        rows = [free._coordinates(g) for g in self.generators]
+        if None in rows:
+            raise ValueError("ideal generator is not a Lie element")
+        letters, ad = range(len(free.gen_names)), free._ad
+        # closed on integer numerators: a span does not depend on scale
         self.span = Echelon(_length_first)
-        _close(self.span, self.generators, order,
-               lambda g: (commutator(x, g, order) for x in gens))
-
-    def reduce(self, x: dict) -> dict:
-        return self.span.reduce(x)
+        _close(self.span, [num for _, num in rows], free.order, lambda v: (
+            accumulate({}, ((u, c * n) for w, c in v.items() for u, n in ad(i, w).items()))
+            for i in letters))
 
     def contains(self, x: dict) -> bool:
-        return not self.reduce(x)
+        s = self.free._coordinates(x)
+        return s is not None and not self.span.reduce_scaled(*s)[1]
 
 
 class FiberLieAlgebra:
     """Nilpotent quotient u/I^k of a free Lie algebra modulo an ideal.
 
-    The complement basis is chosen among Lyndon brackets by deterministic
-    elimination by word length; brackets are reduced to that basis.
+    One ``Echelon`` holds the ideal's rows cut below length k, pivoted on
+    each row's *last* Lyndon word.  The basis is the Lyndon words below k
+    that are no pivot: the brackets independent of the ideal and of the
+    brackets before them.  A normal form is reduced Lyndon coordinates.
     """
 
     def __init__(self, free: FreeLie, ideal: LieIdealPresentation, k: int):
@@ -465,36 +489,23 @@ class FiberLieAlgebra:
         self.free = free
         self.ideal = ideal
         self.k = k
-        # span of (ideal + words of length >= k), echelonized
-        self._mod = Echelon(_length_first)
-        for row in ideal.span.basis():
-            self._mod.insert({w: c for w, c in row.items() if len(w) < k})
-        # pick complement basis among Lyndon brackets of length < k; normal
-        # forms are coordinates on their reduced forms.  A Lyndon bracket
-        # is homogeneous of its word's length, so it needs no truncation.
-        self.basis = []
-        reduced = []
-        indep = Echelon(_length_first)
-        for w in free.lyndon:
-            if len(w) >= k:
-                continue
-            red = self._mod.reduce(free._bracket_elems[w])
-            if indep.insert(red):
-                self.basis.append(w)
-                reduced.append(red)
-        self._coords = Coordinates(reduced, _length_first)
+        position = {w: n for n, w in enumerate(free.lyndon)}
+        self._echelon = Echelon(lambda w: -position[w])
+        # a row whose pivot, its shortest word, is k or longer cuts to nothing
+        for w, (p, tail) in ideal.span._rows.items():
+            if len(w) < k:
+                self._echelon.insert({w: p, **{u: n for u, n in tail.items() if len(u) < k}})
+        self.basis = [w for w in free.lyndon if len(w) < k and w not in self._echelon._rows]
 
     def normal_form(self, x: dict) -> dict:
         """Image of a Lie series in u/I^k, as quotient-basis coordinates."""
-        x = {w: c for w, c in x.items() if len(w) < self.k}
-        coords, leftover = self._coords(self._mod.reduce(x))
-        if leftover:
+        s = self.free._coordinates({w: c for w, c in x.items() if len(w) < self.k})
+        if s is None:
             raise ArithmeticError("element does not reduce to the quotient basis")
-        return {self.basis[i]: c for i, c in coords.items()}
+        return from_scaled(lowest_terms(*self._echelon.reduce_scaled(*s)))
 
     def bracket(self, coords_a, coords_b):
-        a = self.free.from_lyndon(coords_a)
-        b = self.free.from_lyndon(coords_b)
+        a, b = map(self.free.from_lyndon, (coords_a, coords_b))
         return self.normal_form(commutator(a, b, self.free.order))
 
     def dim(self):
@@ -512,10 +523,7 @@ class FiberLieAlgebra:
                 for kk in range(2, self.k + 1)}
 
     def graded_dims(self):
-        dims = {}
-        for w in self.basis:
-            dims[len(w)] = dims.get(len(w), 0) + 1
-        return dims
+        return dict(Counter(map(len, self.basis)))
 
     def check_jacobi(self):
         failures = []
@@ -631,8 +639,7 @@ class EnvelopingQuotient:
         ech = Echelon(_length_first)
         for w in self.free.lyndon:
             if len(w) <= self.order:
-                ech.insert(_table_nf(self._pivot_images,
-                                     to_scaled(self.free._bracket_elems[w])[1]))
+                ech.insert(_table_nf(self._pivot_images, self.free._bracket_elems[w]))
         return ech
 
 
@@ -687,7 +694,7 @@ class QuotientLie:
         if coords is None:
             # a Lyndon bracket is homogeneous of its word's length
             coords = {} if len(w) > self._order else self._coordinates(
-                _table_nf(self._table, to_scaled(self._free._bracket_elems[w])[1]))
+                _table_nf(self._table, self._free._bracket_elems[w]))
             self._lyndon[w] = coords
         return coords
 

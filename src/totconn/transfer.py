@@ -259,17 +259,12 @@ def transfer_structure(contraction: Contraction, arity_cap: int,
     alg = TransferredAlgebra(contraction, arity_cap, kind=kind)
     big = contraction.big
 
-    def component(k):
-        def terms(elems):
-            for wrd, coeff in multilinear_terms(elems):
-                if k == 1:
-                    yield contraction.include(wrd[0]), coeff
-                else:
-                    sign = shift_sign([key[0] for key in wrd])
-                    yield contraction.homotopy(alg.lam(wrd)), coeff if sign == 1 else -coeff
-        return lambda elems: big.sum(terms(elems))
+    def component(elems):
+        # f_k on a word is its cached hlam, the inclusion for one letter
+        return big.sum((alg.hlam(wrd), coeff if shift_sign([key[0] for key in wrd]) == 1
+                        else -coeff) for wrd, coeff in multilinear_terms(elems))
 
-    components = {k: component(k) for k in range(1, arity_cap + 1)}
+    components = dict.fromkeys(range(1, arity_cap + 1), component)
     inclusion = InfinityMorphism(alg, big, components=components,
                                  arity_cap=arity_cap)
     return TransferResult(alg, inclusion, contraction, arity_cap)
@@ -292,7 +287,8 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
     The decomposition must be direct and span the window; W must consist
     of closed vectors and M may not contain nonzero exact elements.  The
     homotopy inverts d from dM back to M with the sign forced by
-    d h + h d = i p - Id.
+    d h + h d = i p - Id.  Each basis key's (W, M, dM) coordinates are
+    found once, here; ``project`` and ``homotopy`` only sum them.
     """
     order = alg.space.key_order
     d = lambda v: alg.m(1, [v])
@@ -305,12 +301,15 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
         raise HodgeError("d is not injective on M",
                          witness=next(m for m in m_vectors if not d(m)))
 
+    basis = list(w_vectors) + list(m_vectors) + dm_vectors
     ech = Echelon(order)
-    for v in list(w_vectors) + list(m_vectors) + dm_vectors:
+    for v in basis:
         if not ech.insert(v):
             raise HodgeError("decomposition is not direct", witness=v)
     ambient = alg.space.keys()
-    missing = [k for k in ambient if not ech.contains({k: Fraction(1)})]
+    coordinates = Coordinates(basis, order)
+    rows = {k: coordinates({k: Fraction(1)}) for k in ambient}
+    missing = [k for k, (_, leftover) in rows.items() if leftover]
     if missing:
         raise HodgeError("decomposition does not span: missing %r" % (missing,),
                          witness=missing)
@@ -325,14 +324,8 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
         if exact.contains(m):
             raise HodgeError("M contains a nonzero exact element", witness=m)
 
-    # express any vector in the (W, M, dM) basis
-    coordinates = Coordinates(list(w_vectors) + list(m_vectors) + dm_vectors, order)
-
     def coords(vec):
-        out, leftover = coordinates(vec)
-        if leftover:
-            raise HodgeError("vector outside the decomposition", witness=vec)
-        return out
+        return accumulate({}, ((j, c * x) for k, c in vec.items() for j, x in rows[k][0].items()))
 
     if names is None:
         names = ["w%d" % (j + 1) for j in range(len(w_vectors))]

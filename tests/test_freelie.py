@@ -1,13 +1,17 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                              FreeLie, LieIdealPresentation, TruncationError,
-                             bch, commutator, is_grouplike, is_primitive,
-                             lyndon_bracket, lyndon_words, tensor_exp,
-                             tensor_log, tensor_mul)
-from totconn.linalg import vec_add, vec_scale
+                             _length_first, bch, commutator, is_grouplike,
+                             is_primitive, lyndon_bracket, lyndon_words,
+                             tensor_exp, tensor_log, tensor_mul)
+from totconn.linalg import Coordinates, Echelon, accumulate, vec_add, vec_scale
+from totconn.scalars import rat
 
 
 def test_free_lie_table_holds_every_truncation_of_a_bracket():
@@ -84,7 +88,7 @@ def test_bch_inverse():
 def test_bch_is_lie_element():
     free = FreeLie(["x", "y"], 4)
     z = bch(free.gen(0), free.gen(1), 4)
-    assert free.is_lie_element(z)
+    assert free.to_lyndon(z) is not None
 
 
 def test_primitivity():
@@ -222,3 +226,176 @@ def test_int_and_fraction_coefficients_stay_exact():
     assert free.to_lyndon({(0, 1): 1, (1, 0): -1}) == {(0, 1): Fraction(1)}
     assert free.to_lyndon({(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}) \
         == {(0, 1): Fraction(1, 2)}
+
+
+# ---------------------------------------------------------------------
+# the eliminations that Lyndon coordinates are read off without, kept
+# here as references: a tagged elimination over every bracket, the ideal
+# closed in tensor words, and the fiber chosen by three echelons
+# ---------------------------------------------------------------------
+
+def ref_to_lyndon(free, x):
+    """Lyndon coordinates by one tagged elimination over every bracket."""
+    brackets = [free.from_lyndon({w: 1}) for w in free.lyndon]
+    coords, leftover = Coordinates(brackets, _length_first)(
+        {w: rat(c) for w, c in x.items()})
+    return None if leftover else {free.lyndon[i]: c for i, c in coords.items()}
+
+
+def ref_ideal_span(free, generators):
+    """The ideal's span in tensor words: the generators, then commutators
+    with every letter until the rank stops growing."""
+    span = Echelon(_length_first)
+    for g in generators:
+        span.insert(g)
+    grew = True
+    while grew:
+        grew = False
+        for row in span.basis():
+            for i in range(len(free.gen_names)):
+                grew |= span.insert(commutator(free.gen(i), row, free.order))
+    return span
+
+
+def ref_fiber(free, span, k):
+    """(basis, normal form) of u/I^k: the ideal cut below k, the brackets
+    kept greedily when independent of it and of the brackets before them,
+    and coordinates on their reduced forms."""
+    mod = Echelon(_length_first)
+    for row in span.basis():
+        mod.insert({w: c for w, c in row.items() if len(w) < k})
+    basis, reduced = [], []
+    indep = Echelon(_length_first)
+    for w in free.lyndon:
+        if len(w) < k:
+            red = mod.reduce(free.from_lyndon({w: 1}))
+            if indep.insert(red):
+                basis.append(w)
+                reduced.append(red)
+    coordinates = Coordinates(reduced, _length_first)
+
+    def normal_form(x):
+        coords, leftover = coordinates(mod.reduce({w: c for w, c in x.items() if len(w) < k}))
+        assert not leftover
+        return {basis[i]: c for i, c in coords.items()}
+    return basis, normal_form
+
+
+@functools.lru_cache(maxsize=None)
+def free_lie(letters, order):
+    return FreeLie("xyz"[:letters], order)
+
+
+SMALL = st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def lie_elements(draw, free):
+    """A random Lie element: a combination of Lyndon brackets, several
+    lengths at once, so that it has tails."""
+    words = draw(st.lists(st.sampled_from(free.lyndon), max_size=8, unique=True))
+    return free.from_lyndon({w: draw(SMALL) for w in words})
+
+
+@st.composite
+def lyndon_inputs(draw):
+    letters = draw(st.integers(2, 3))
+    free = free_lie(letters, draw(st.integers(2, 10 - 2 * letters)))
+    x = draw(lie_elements(free))
+    kind = draw(st.sampled_from(["lie", "lie", "word", "long", "empty"]))
+    letters = st.integers(0, len(free.gen_names) - 1)
+    if kind == "word":
+        # a tensor word that is not a Lie element unless it is a letter
+        w = tuple(draw(st.lists(letters, min_size=1, max_size=free.order)))
+        accumulate(x, [(w, draw(SMALL))])
+    elif kind == "long":
+        w = tuple(draw(st.lists(letters, min_size=free.order + 1,
+                                max_size=free.order + 1)))
+        accumulate(x, [(w, Fraction(1))])
+    elif kind == "empty":
+        accumulate(x, [(EMPTY, draw(SMALL))])
+    return free, x
+
+
+@given(lyndon_inputs())
+@settings(deadline=None, max_examples=150)
+def test_to_lyndon_matches_the_tagged_elimination(case):
+    free, x = case
+    got = free.to_lyndon(x)
+    assert got == ref_to_lyndon(free, x)
+    if got is not None:
+        assert free.from_lyndon(got) == x
+
+
+@pytest.mark.parametrize("letters, order", [(2, 6), (3, 4)])
+def test_every_bracket_reads_as_its_own_word(letters, order):
+    # brackets of distinct Lyndon words share tensor words when the words
+    # have the same letters, such as [x,[y,z]] and [[x,z],y]
+    free = free_lie(letters, order)
+    for w in free.lyndon:
+        assert free.to_lyndon(free.from_lyndon({w: 1})) == {w: Fraction(1)}
+
+
+@pytest.mark.parametrize("letters", [2, 3])
+def test_to_lyndon_refuses_floats_as_the_elimination_did(letters):
+    free = free_lie(letters, 3)
+    half = {(0, 1): 0.5, (1, 0): -0.5}
+    with pytest.raises(TypeError):
+        free.to_lyndon(half)
+    with pytest.raises(TypeError):
+        ref_to_lyndon(free, half)
+
+
+@st.composite
+def ideals(draw):
+    """A free Lie algebra and up to three Lie generators.  Each starts at
+    length 1 or 2 with one or two brackets, so that which of them a basis
+    keeps is a choice, and most carry a tail of longer brackets."""
+    free = free_lie(draw(st.integers(2, 3)), draw(st.integers(3, 4)))
+    generators = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 2))
+        head = draw(st.lists(st.sampled_from([w for w in free.lyndon if len(w) == n]),
+                             min_size=1, max_size=2, unique=True))
+        tail = draw(st.lists(st.sampled_from([w for w in free.lyndon if len(w) > n]),
+                             max_size=3, unique=True))
+        coords = {w: draw(SMALL) for w in tail}
+        coords.update((w, Fraction(draw(st.integers(1, 2)))) for w in head)
+        generators.append(free.from_lyndon(coords))
+    return free, generators
+
+
+@given(ideals(), st.data())
+@settings(deadline=None, max_examples=60)
+def test_ideal_contains_matches_the_tensor_word_closure(case, data):
+    free, generators = case
+    ideal = LieIdealPresentation(free, generators)
+    ref = ref_ideal_span(free, generators)
+    assert ideal.span.pivots() == ref.pivots()
+    rows = ref.basis()
+    for _ in range(4):
+        x = {}
+        for row in data.draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []:
+            accumulate(x, ((w, data.draw(SMALL) * c) for w, c in row.items()))
+        if data.draw(st.booleans()):
+            accumulate(x, data.draw(lie_elements(free)).items())
+        if data.draw(st.booleans()):
+            accumulate(x, [((0, 1, 1), Fraction(1))])  # no Lie element
+        assert ideal.contains(x) == ref.contains(x)
+
+
+@given(ideals(), st.data())
+@settings(deadline=None, max_examples=60)
+def test_fiber_matches_the_three_echelon_construction(case, data):
+    free, generators = case
+    ideal = LieIdealPresentation(free, generators)
+    ref = ref_ideal_span(free, generators)
+    for k in range(2, free.order + 2):
+        fib = FiberLieAlgebra(free, ideal, k)
+        basis, normal_form = ref_fiber(free, ref, k)
+        assert fib.basis == basis
+        assert fib.dims_per_k() == {kk: len(ref_fiber(free, ref, kk)[0])
+                                    for kk in range(2, k + 1)}
+        for _ in range(3):
+            x = data.draw(lie_elements(free))
+            assert fib.normal_form(x) == normal_form(x)

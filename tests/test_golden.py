@@ -37,6 +37,9 @@ TOT_R1 = str(GOLDEN / "tot_degree1_r1_a5_inputs.json")
 TOT_R2 = str(GOLDEN / "tot_degree1_r2_a5_inputs.json")
 TOT_MIXED = str(GOLDEN / "tot_mixed_r1_a3_inputs.json")
 TOT_CAPS = ["--level-cap", "2", "--arity-cap", "5", "--json"]
+# a 1-C-infinity model whose delta-star generator [a,b] + [a,[a,b]] has a
+# tail, so the fiber's basis is chosen on a non-homogeneous ideal
+TAIL = str(GOLDEN / "tail_model.json")
 
 CASES = {
     "pipeline_torus.json": ["pipeline", "--input", "torus", "--json"],
@@ -68,6 +71,8 @@ CASES = {
                                "--group-rank", "1", "--json"],
     "tot_cohomology_r2.json": ["tot", "cohomology", "--window", "0..2",
                                "--group-rank", "2", "--json"],
+    "fiber_lie_tail_t5.json": ["conv", "fiber-lie", "--input", TAIL, "--trunc", "5",
+                               "--json"],
 }
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from totconn import transfer
 from totconn.graded import GradedVectorSpace
+from totconn.linalg import Coordinates, accumulate
+from totconn.minimal import hodge_decomposition
 from totconn.scalars import bernoulli
 from totconn.structures import (FiniteAlgebra, check_morphism,
                                 check_shuffle_vanishing, check_stasheff,
@@ -93,6 +95,77 @@ def test_hodge_validation_errors():
         contraction_from_hodge(
             alg, [{(0, "c0"): Fraction(1)}, {(0, "c0"): Fraction(2)}],
             [{(0, "c%d" % k): Fraction(1)} for k in range(1, 5)])
+
+
+def ref_hodge_maps(alg, w_vectors, m_vectors, names):
+    """project and homotopy by one ``Coordinates`` elimination per vector."""
+    dm_vectors = [alg.m(1, [m]) for m in m_vectors]
+    coordinates = Coordinates(list(w_vectors) + list(m_vectors) + dm_vectors,
+                              alg.space.key_order)
+    w_keys = [(next(iter(v))[0], name) for name, v in zip(names, w_vectors)]
+    base = len(w_vectors) + len(m_vectors)
+
+    def coords(vec):
+        cs, leftover = coordinates(vec)
+        assert not leftover
+        return cs
+
+    def project(vec):
+        cs = coords(vec)
+        return {w_keys[j]: cs[j] for j in range(len(w_vectors)) if j in cs}
+
+    def homotopy(vec):
+        cs = coords(vec)
+        return accumulate({}, ((k, -cs[base + j] * v) for j, mv in enumerate(m_vectors)
+                               if base + j in cs for k, v in mv.items()))
+    return project, homotopy
+
+
+@functools.lru_cache(maxsize=None)
+def hodge_windows():
+    out = []
+    for alg in (heisenberg_cdga(), omega1_window()):
+        for pivot in ("lex", "shear"):
+            w, m = hodge_decomposition(alg, pivot=pivot)
+            names = ["h%d" % j for j in range(len(w))]
+            out.append((alg, w, m, names))
+    return tuple(out)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=40)
+def test_hodge_maps_match_a_per_vector_elimination(data):
+    alg, w, m, names = data.draw(st.sampled_from(hodge_windows()))
+    con = contraction_from_hodge(alg, w, m, names=names)
+    project, homotopy = ref_hodge_maps(alg, w, m, names)
+    keys = alg.space.keys()
+    vec = data.draw(st.dictionaries(st.sampled_from(keys),
+                                    st.integers(-4, 4).filter(bool).map(Fraction),
+                                    max_size=len(keys)))
+    # the same values, keyed in the same order
+    assert list(con.project(vec).items()) == list(project(vec).items())
+    assert list(con.homotopy(vec).items()) == list(homotopy(vec).items())
+
+
+def test_hodge_coordinates_are_read_once_per_key(monkeypatch):
+    calls = []
+
+    class Counted(transfer.Coordinates):
+        def __call__(self, vec):
+            calls.append(vec)
+            return super().__call__(vec)
+
+    monkeypatch.setattr(transfer, "Coordinates", Counted)
+    alg, w, m, names = hodge_windows()[0]
+    con = contraction_from_hodge(alg, w, m, names=names)
+    assert calls == [{k: Fraction(1)} for k in alg.space.keys()]
+    calls.clear()
+    for k in alg.space.keys():
+        con.project({k: Fraction(2)})
+        con.homotopy({k: Fraction(-1)})
+    res = transfer_structure(con, 3)
+    res.algebra.materialize(3)
+    assert calls == []
 
 
 def test_dupont_contraction_side_conditions():
