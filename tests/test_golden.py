@@ -42,6 +42,7 @@ TOT_CAPS = ["--level-cap", "2", "--arity-cap", "5", "--json"]
 TAIL = str(GOLDEN / "tail_model.json")
 
 CASES = {
+    "pipeline_circle.json": ["pipeline", "--input", "circle", "--json"],
     "pipeline_torus.json": ["pipeline", "--input", "torus", "--json"],
     "pipeline_torus_t7.json": ["pipeline", "--input", "torus", "--trunc", "7",
                                "--json"],
