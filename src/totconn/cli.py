@@ -326,8 +326,8 @@ def build_parser():
     tots = tot.add_subparsers(dest="cmd", required=True)
     tp = tots.add_parser("product")
     tp.add_argument("--inputs", required=True)
-    tp.add_argument("--level-cap", type=int, default=3)
-    tp.add_argument("--arity-cap", type=int, default=6)
+    tp.add_argument("--level-cap", type=_int_at_least(0), default=3)
+    tp.add_argument("--arity-cap", type=_int_at_least(0), default=6)
     tp.add_argument("--degree1", action="store_true",
                     help="also evaluate the closed form and compare")
     tp.add_argument("--json", action="store_true")

@@ -19,7 +19,7 @@ import functools
 from fractions import Fraction
 from math import factorial, lcm
 
-from .convolution import TensorSeries
+from .convolution import TensorSeries, mc_defect, reduce_mod_ideal
 from .forms import PolyForm
 from .freelie import EnvelopingQuotient, FiberLieAlgebra
 from .linalg import (accumulate, accumulate_scaled, from_scaled, lowest_terms,
@@ -194,21 +194,19 @@ class NonFlatError(RuntimeError):
 # ---------------------------------------------------------------------
 
 def restrict_connection(alpha: TensorSeries, source, fib: FiberLieAlgebra,
-                        env: EnvelopingQuotient, gen_of_index, realize=None,
-                        ambient_dim=None) -> ConnectionForm:
-    """Push a degree-zero-words series to its base 1-form part.
+                        env: EnvelopingQuotient, gen_of_index) -> ConnectionForm:
+    """The connection of a degree-zero-words series with values in Tot_N.
 
-    ``env`` is the enveloping quotient of ``fib.free`` by ``fib.ideal``,
-    in which the Maurer-Cartan defect must vanish.  ``gen_of_index`` maps
-    series generator indices to free-Lie generator indices; ``realize``
-    extracts the base 1-form of a target value as a polynomial form on
-    R^m (the default handles total-complex elements and plain polynomial
-    forms).  The collected word family is converted to quotient
+    ``alpha`` takes values in a ``TotalComplexAlgebra`` over the group
+    cochains of Z^m acting on R^m; its connection is the level-0 one-form
+    part, the (0, 1) component of each value, as a polynomial form on
+    R^m.  ``env`` is the enveloping quotient of ``fib.free`` by
+    ``fib.ideal``, in which the Maurer-Cartan defect must vanish.
+    ``gen_of_index`` maps series generator indices to free-Lie generator
+    indices.  The collected word family is converted to quotient
     coordinates, which requires it to be Lie-valued (it is, for reduced
     series).
     """
-    from .convolution import TensorSeries as _TS
-    from .convolution import mc_defect, reduce_mod_ideal
     defect = mc_defect(alpha, source)
     mapped = {w: v for w, v in defect.data.items()
               if all(i in gen_of_index for i in w)}
@@ -217,21 +215,15 @@ def restrict_connection(alpha: TensorSeries, source, fib: FiberLieAlgebra,
         raise NonFlatError("Maurer-Cartan defect outside the degree-zero "
                            "words: %r" % (sorted(unmapped)[:3],))
     reduced = reduce_mod_ideal(
-        _TS(alpha.gens, alpha.target, alpha.trunc, defect.degree, mapped),
+        TensorSeries(alpha.gens, alpha.target, alpha.trunc, defect.degree, mapped),
         env, gen_of_index)
     bad = {w: v for w, v in reduced.items() if not alpha.target.is_zero(v)}
     if bad:
         raise NonFlatError("input series is not Maurer-Cartan modulo the "
                            "ideal: %r" % (sorted(bad)[:3],))
-    if realize is None:
-        realize = _base_one_form
-    forms = {}
-    for w, val in alpha.data.items():
-        form = realize(val)
-        if form is not None:
-            forms[w] = form
-    m = ambient_dim if ambient_dim is not None else \
-        next((f.nvars for f in forms.values()), 1)
+    m = alpha.target.backend.m
+    forms = {w: PolyForm(m, val.components[(0, 1)].form.terms, varname="x", ndiff=m)
+             for w, val in alpha.data.items() if (0, 1) in val.components}
 
     def to_fiber(vec):
         # rename generators into the fiber; words with an unmapped
@@ -241,24 +233,6 @@ def restrict_connection(alpha: TensorSeries, source, fib: FiberLieAlgebra,
                               if all(i in gen_of_index for i in w)))
         return fib.normal_form(lie)
     return ConnectionForm(m, fib, fv_map(forms, to_fiber, m))
-
-
-def _base_one_form(val):
-    """Extract the (0,1) part of a total-complex value as a plain form."""
-    from .totalcomplex import TotElement
-    if isinstance(val, TotElement):
-        comp = val.component(0, 1)
-        if val.backend.is_zero(comp):
-            return None
-        return PolyForm(comp.form.nvars, comp.form.terms, varname="x",
-                        ndiff=comp.form.ndiff)
-    if isinstance(val, dict):
-        return None
-    if isinstance(val, PolyForm):
-        if val.homogeneous_degree() == 1:
-            return PolyForm(val.nvars, val.terms, varname="x", ndiff=val.ndiff)
-        return None
-    return None
 
 
 # ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ from operator import itemgetter
 from .freelie import (EnvelopingQuotient, FreeLie, LieIdealPresentation,
                       TruncationError, is_primitive)
 from .graded import GradedVectorSpace
-from .linalg import accumulate
+from .linalg import ONE, accumulate
 from .scalars import rat
 from .signs import antisym_sign, shuffle_product, word
 from .structures import (FiniteAlgebra, InfinityMorphism, KeyedCarrier,
@@ -211,7 +211,7 @@ def _delta_transpose(gens: Generators, source, max_len):
         keys = [gens.keys[i] for i in s]
         if not source.in_window(len(s), keys):
             continue
-        val = delta_apply(source, len(s), [{k: Fraction(1)} for k in keys],
+        val = delta_apply(source, len(s), [{k: ONE} for k in keys],
                           [k[0] for k in keys])
         for rank, (key, c) in enumerate(val.items()):
             out.setdefault(gens.index_of(key), []).append((s, c, rank))
@@ -344,7 +344,7 @@ def morphism_to_mc(f: InfinityMorphism, gens: Generators, trunc: int) -> TensorS
     data = {}
     for w in gens.words(trunc):
         keys = [gens.keys[i] for i in w]
-        elems = [{k: Fraction(1)} for k in keys]
+        elems = [{k: ONE} for k in keys]
         val = f_shifted(f, len(w), elems, [k[0] for k in keys])
         if not target.is_zero(val):
             data[tuple(w)] = val

@@ -4,8 +4,11 @@ The worked geometries are the translation actions of Z on R and Z^2 on
 R^2 (invariant-form windows) and the three-dimensional nilpotent algebra
 window with its non-vanishing triple products.  Each run produces the
 minimal model, the fiber quotient dimensions, the formality verdict and,
-when a geometric realization is declared, the flat connection with its
-certificate and a holonomy table for the declared loops.
+when the preset declares an ambient dimension m, the flat connection with
+its certificate and a holonomy table for the declared loops.  The
+connection comes from the model series pushed through the strict
+inclusion of the window into level 0 of Tot_N for Z^m acting on R^m
+(``tot_inclusion``): it is the level-0 one-form part of that series.
 """
 
 from __future__ import annotations
@@ -14,17 +17,20 @@ import itertools
 from fractions import Fraction
 
 from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
-                         conjugation_compatibility, flatness_check, form_dvar,
-                         fv_map, gauge_between, holonomy, parse_loop,
+                         conjugation_compatibility, flatness_check, fv_map,
+                         gauge_between, holonomy, parse_loop,
                          restrict_connection)
-from .convolution import degree_zero_restrict
+from .convolution import TensorSeries, degree_zero_restrict
+from .forms import PolyForm
 from .freelie import EnvelopingQuotient, bracket_label, word_labels
 from .graded import GradedVectorSpace
 from .linalg import accumulate
 from .minimal import (check_comparison, compare_models, formality_check,
                       massey_json, model_fiber_data, model_mc,
                       one_minimal_model, positive_part)
-from .structures import FiniteAlgebra, FormSpace
+from .structures import FiniteAlgebra, InfinityMorphism
+from .totalcomplex import (GroupCochain, GroupCochainBackend,
+                           TotalComplexAlgebra, TotElement)
 
 
 # ---------------------------------------------------------------------
@@ -127,39 +133,34 @@ PRESETS = {
     "circle": {
         "window": circle_window,
         "ambient_dim": 1,
-        "realize": {"dx": lambda m: form_dvar(m, 0)},
         "loops": ["a", "a a", "a a a"],
     },
     "torus": {
         "window": torus_window,
         "ambient_dim": 2,
-        "realize": {"dx": lambda m: form_dvar(m, 0),
-                    "dy": lambda m: form_dvar(m, 1)},
         "loops": ["a", "b", "a b", "a b a- b-"],
     },
     "heisenberg": {
         "window": heisenberg_window,
         "ambient_dim": None,
-        "realize": None,
         "loops": [],
     },
 }
 
 
-def _realizer(preset, m):
-    table = {name: fn(m) for name, fn in preset["realize"].items()}
-    forms = FormSpace(m, varname="x", ndiff=m)
-
-    def realize(val):
-        if not isinstance(val, dict):
-            return None
-        out = forms.sum((table[name], c) for (d, name), c in val.items() if name in table)
-        if out.is_zero():
-            return None
-        if out.homogeneous_degree() != 1:
-            return None
-        return out
-    return realize
+def tot_inclusion(B: FiniteAlgebra, m, arity_cap) -> InfinityMorphism:
+    """The strict inclusion of an exterior window into level 0 of Tot_N
+    for Z^m acting on R^m: generator j goes to dx_j, a product key to the
+    wedge of its generators.  The window's differential must be zero."""
+    tot = TotalComplexAlgebra(GroupCochainBackend(m), arity_cap=arity_cap)
+    gens = B.space.degrees[1]
+    table = {}
+    for d, name in B.space.keys():
+        form = PolyForm.one(m, varname="z", ndiff=m)
+        for g in _split_word(name, gens) if d else ():
+            form = form.wedge(PolyForm.dvar(m, gens.index(g), varname="z", ndiff=m))
+        table[((d, name),)] = TotElement(tot.backend, {(0, d): GroupCochain(m, 0, form)})
+    return InfinityMorphism(B, tot, tables={1: table}, arity_cap=arity_cap)
 
 
 class PipelineResult:
@@ -210,9 +211,10 @@ class PipelineResult:
 def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineResult:
     """Full run for a preset name or a FiniteAlgebra window.
 
-    ``k`` (default ``trunc``) is the order of the fiber quotient and of
-    the enveloping quotient; it may not exceed ``trunc``, the truncation
-    of the free Lie algebra that both are built over.
+    A custom window, or a preset without an ``ambient_dim``, gets no
+    connection.  ``k`` (default ``trunc``) is the order of the fiber
+    quotient and of the enveloping quotient; it may not exceed ``trunc``,
+    the truncation of the free Lie algebra that both are built over.
     """
     if isinstance(name, str):
         if name not in PRESETS:
@@ -221,7 +223,7 @@ def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineRes
         B = preset["window"](arity_cap)
         label = name
     else:
-        preset = {"ambient_dim": None, "realize": None, "loops": []}
+        preset = {"ambient_dim": None, "loops": []}
         B = name
         label = "custom"
     k = k or trunc
@@ -232,19 +234,21 @@ def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineRes
     free = fib.free
     verdict, meta = formality_check(model, fib.ideal)
     result = PipelineResult(label, model, fib, verdict, meta)
-    if preset["realize"] is not None:
-        m = preset["ambient_dim"]
+    m = preset["ambient_dim"]
+    if m is not None:
         gens, alpha = model_mc(model, trunc=trunc)
         pi_alpha = degree_zero_restrict(alpha)
+        include = tot_inclusion(B, m, trunc)
+        tot_alpha = TensorSeries(gens, include.target, trunc, 1,
+                                 {w: include.apply(1, [v])
+                                  for w, v in pi_alpha.data.items()})
         gen_of_index = {}
         for i, key in enumerate(gens.keys):
             if key[0] == 1:
                 gen_of_index[i] = free.gen_names.index(key[1])
-        realize = _realizer(preset, m)
         env = EnvelopingQuotient(free, fib.ideal, k)
-        conn = restrict_connection(pi_alpha, positive_part(model.algebra),
-                                   fib, env, gen_of_index, realize=realize,
-                                   ambient_dim=m)
+        conn = restrict_connection(tot_alpha, positive_part(model.algebra),
+                                   fib, env, gen_of_index)
         cert = flatness_check(conn)
         F = AutomorphyFactor(GaugeElement(m, fib, {}), env)
         theta = {}

@@ -17,11 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-Scalar = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def rat(x) -> Fraction:
     """Coerce ints, "p/q" strings and Fractions to an exact rational."""

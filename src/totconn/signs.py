@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import accumulate
-from .scalars import ONE
+from .linalg import ONE, accumulate
 
 
 def is_permutation(perm) -> bool:

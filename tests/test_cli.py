@@ -44,6 +44,8 @@ def test_dupont_n0_trivially_passes():
     ["tot", "cohomology", "--group-rank", "-1"],
     ["tot", "cohomology", "--level-cap", "-1"],
     ["tot", "cohomology", "--poly-deg-cap", "-1"],
+    ["tot", "product", "--inputs", "x.json", "--level-cap", "-1"],
+    ["tot", "product", "--inputs", "x.json", "--arity-cap", "-1"],
 ])
 def test_negative_sizes_are_parse_errors(argv, capsys):
     # a negative size used to verify nothing and exit 0; a size too small

@@ -391,7 +391,7 @@ def test_restriction_kills_positive_levels():
         1, 1, PolyForm.var(2, 1, varname="z", ndiff=1))})
     alpha = TensorSeries(gens, tot, 3, 1, {(0,): cocycle})
     _, _, fib, env = abelian_rank1(k=3)
-    conn = restrict_connection(alpha, W, fib, env, {0: 0}, ambient_dim=1)
+    conn = restrict_connection(alpha, W, fib, env, {0: 0})
     assert conn.is_zero()
 
 

@@ -317,31 +317,14 @@ def test_projection_intertwines_differentials():
         assert lhs == want
 
 
-def test_base_inclusion_is_strict_morphism():
+@pytest.mark.parametrize("name", ["circle", "torus"])
+def test_base_inclusion_is_strict_morphism(name):
     # the level-zero forms include strictly: the inclusion passes the
     # morphism relations against the total-complex products
-    from totconn.structures import InfinityMorphism, check_morphism
-    from tests.test_structures import torus_cdga
-    B = torus_cdga()
-    be = GroupCochainBackend(2)
-    alg = TotalComplexAlgebra(be, level_cap=2, arity_cap=4)
-    realize = {
-        (0, "1"): PolyForm.one(2, varname="z", ndiff=2),
-        (1, "dx"): PolyForm.dvar(2, 0, varname="z", ndiff=2),
-        (1, "dy"): PolyForm.dvar(2, 1, varname="z", ndiff=2),
-        (2, "dxdy"): PolyForm.dvar(2, 0, varname="z", ndiff=2).wedge(
-            PolyForm.dvar(2, 1, varname="z", ndiff=2)),
-    }
-
-    def include(es):
-        vec = es[0]
-        out = TotElement.zero(be)
-        for key, c in vec.items():
-            form = realize[key].scale(c)
-            out = out + TotElement(be, {(0, key[0]): GroupCochain.from_form(2, form)})
-        return out
-
-    incl = InfinityMorphism(B, alg, components={1: include})
+    from totconn.pipeline import PRESETS, tot_inclusion
+    from totconn.structures import check_morphism
+    B = PRESETS[name]["window"]()
+    incl = tot_inclusion(B, PRESETS[name]["ambient_dim"], arity_cap=4)
     probes = []
     keys = [{k: Fraction(1)} for k in B.space.keys()]
     for n in (1, 2, 3):
@@ -349,34 +332,21 @@ def test_base_inclusion_is_strict_morphism():
     assert check_morphism(incl, [list(p) for p in probes]) == []
 
 
-def test_torus_model_series_into_total_complex():
-    # the minimal-model series with total-complex values is Maurer-Cartan
-    from totconn.convolution import Generators, mc_check, morphism_to_mc
-    from totconn.structures import InfinityMorphism
-    from tests.test_convolution import torus_model
-    W = torus_model()
-    be = GroupCochainBackend(2)
-    alg = TotalComplexAlgebra(be, level_cap=2, arity_cap=4)
-    dx = TotElement(be, {(0, 1): GroupCochain.from_form(
-        2, PolyForm.dvar(2, 0, varname="z", ndiff=2))})
-    dy = TotElement(be, {(0, 1): GroupCochain.from_form(
-        2, PolyForm.dvar(2, 1, varname="z", ndiff=2))})
-    vol = TotElement(be, {(0, 2): GroupCochain.from_form(
-        2, PolyForm.dvar(2, 0, varname="z", ndiff=2).wedge(
-            PolyForm.dvar(2, 1, varname="z", ndiff=2)))})
-    table = {((1, "w1"),): dx, ((1, "w2"),): dy, ((2, "w12"),): vol}
-
-    def comp(es):
-        vec = es[0]
-        out = TotElement.zero(be)
-        for key, c in vec.items():
-            out = out + table[(key,)].scale(c)
-        return out
-
-    g = InfinityMorphism(W, alg, components={1: comp}, arity_cap=4)
-    gens = Generators(W.space)
-    alpha = morphism_to_mc(g, gens, trunc=4)
-    assert mc_check(alpha, W) == []
+@pytest.mark.parametrize("name, trunc", [(name, trunc) for name in ("circle", "torus")
+                                         for trunc in (3, 4, 5, 6)])
+def test_pipeline_model_series_into_total_complex(name, trunc):
+    # the pipeline model's whole series, included into the total complex,
+    # is Maurer-Cartan there
+    from totconn.convolution import TensorSeries, mc_check
+    from totconn.minimal import model_mc, one_minimal_model, positive_part
+    from totconn.pipeline import PRESETS, tot_inclusion
+    B = PRESETS[name]["window"]()
+    model = one_minimal_model(B)
+    gens, alpha = model_mc(model, trunc=trunc)
+    incl = tot_inclusion(B, PRESETS[name]["ambient_dim"], arity_cap=trunc)
+    tot_alpha = TensorSeries(gens, incl.target, trunc, 1,
+                             {w: incl.apply(1, [v]) for w, v in alpha.data.items()})
+    assert mc_check(tot_alpha, positive_part(model.algebra)) == []
 
 
 def test_constant_presentation_identities_and_tot():
