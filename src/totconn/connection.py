@@ -19,7 +19,8 @@ import functools
 from fractions import Fraction
 from math import factorial, lcm
 
-from .convolution import TensorSeries, mc_defect, reduce_mod_ideal
+from .convolution import (TensorSeries, degree_zero_restrict, mc_defect,
+                          reduce_mod_ideal)
 from .forms import PolyForm
 from .freelie import EnvelopingQuotient, FiberLieAlgebra
 from .linalg import (accumulate, accumulate_scaled, from_scaled, lowest_terms,
@@ -194,29 +195,27 @@ class NonFlatError(RuntimeError):
 # ---------------------------------------------------------------------
 
 def restrict_connection(alpha: TensorSeries, source, fib: FiberLieAlgebra,
-                        env: EnvelopingQuotient, gen_of_index) -> ConnectionForm:
+                        env: EnvelopingQuotient) -> ConnectionForm:
     """The connection of a degree-zero-words series with values in Tot_N.
 
     ``alpha`` takes values in a ``TotalComplexAlgebra`` over the group
     cochains of Z^m acting on R^m; its connection is the level-0 one-form
     part, the (0, 1) component of each value, as a polynomial form on
     R^m.  ``env`` is the enveloping quotient of ``fib.free`` by
-    ``fib.ideal``, in which the Maurer-Cartan defect must vanish.
-    ``gen_of_index`` maps series generator indices to free-Lie generator
-    indices.  The collected word family is converted to quotient
-    coordinates, which requires it to be Lie-valued (it is, for reduced
-    series).
+    ``fib.ideal``, in which the Maurer-Cartan defect must vanish.  Words
+    carry over unchanged: degree-zero series generator i is free-Lie
+    generator i (see ``reduce_mod_ideal``), and only degree-zero words
+    have a (0, 1) part.  The collected word family is converted to
+    quotient coordinates, which requires it to be Lie-valued (it is, for
+    reduced series).
     """
     defect = mc_defect(alpha, source)
-    mapped = {w: v for w, v in defect.data.items()
-              if all(i in gen_of_index for i in w)}
-    unmapped = {w: v for w, v in defect.data.items() if w not in mapped}
-    if unmapped:
+    zero_words = degree_zero_restrict(defect)
+    if len(zero_words.data) != len(defect.data):
         raise NonFlatError("Maurer-Cartan defect outside the degree-zero "
-                           "words: %r" % (sorted(unmapped)[:3],))
-    reduced = reduce_mod_ideal(
-        TensorSeries(alpha.gens, alpha.target, alpha.trunc, defect.degree, mapped),
-        env, gen_of_index)
+                           "words: %r" % (sorted(defect.data.keys()
+                                                 - zero_words.data.keys())[:3],))
+    reduced = reduce_mod_ideal(zero_words, env)
     bad = {w: v for w, v in reduced.items() if not alpha.target.is_zero(v)}
     if bad:
         raise NonFlatError("input series is not Maurer-Cartan modulo the "
@@ -224,15 +223,7 @@ def restrict_connection(alpha: TensorSeries, source, fib: FiberLieAlgebra,
     m = alpha.target.backend.m
     forms = {w: PolyForm(m, val.components[(0, 1)].form.terms, varname="x", ndiff=m)
              for w, val in alpha.data.items() if (0, 1) in val.components}
-
-    def to_fiber(vec):
-        # rename generators into the fiber; words with an unmapped
-        # generator are dropped
-        lie = accumulate({}, ((tuple(gen_of_index[i] for i in w), c)
-                              for w, c in vec.items()
-                              if all(i in gen_of_index for i in w)))
-        return fib.normal_form(lie)
-    return ConnectionForm(m, fib, fv_map(forms, to_fiber, m))
+    return ConnectionForm(m, fib, fv_map(forms, fib.normal_form, m))
 
 
 # ---------------------------------------------------------------------
@@ -633,14 +624,16 @@ def holonomy(alpha: ConnectionForm, F: AutomorphyFactor, deck_word,
     return from_scaled(env._mul(T, F._at_point(rho, basepoint)))
 
 
-def conjugation_compatibility(theta1, theta2, dual_matrix_fn, h_at_p, env2):
-    """theta2(loop) = e^{-h(p)} K*(theta1(loop)) e^{h(p)} per loop."""
+def conjugation_compatibility(theta1, theta2, h_at_p, env2):
+    """theta2(loop) = e^{-h(p)} theta1(loop) e^{h(p)} per loop.
+
+    ``theta1`` is already in ``env2``'s letters: a comparison's dual map
+    K* is applied by the caller (``compare_pipeline_models``)."""
     failures = []
     eh = env2.exp(h_at_p)
     eh_inv = env2.exp({w: -c for w, c in h_at_p.items()})
     for loop in theta1:
-        mapped = dual_matrix_fn(theta1[loop])
-        want = env2.mul(env2.mul(eh_inv, mapped), eh)
+        want = env2.mul(env2.mul(eh_inv, theta1[loop]), eh)
         if not env2.eq(theta2[loop], want):
             failures.append(loop)
     return failures

@@ -259,14 +259,14 @@ def model_fiber_data(model: OneMinimalModel, trunc=4, k=4) -> FiberLieAlgebra:
 
 
 def model_mc(model: OneMinimalModel, trunc=4):
-    """The series of the model morphism, checked Maurer-Cartan."""
+    """The series of the model morphism, checked Maurer-Cartan; its
+    generators are ``alpha.gens``."""
     W = positive_part(model.algebra)
-    gens = Generators(W.space)
-    alpha = morphism_to_mc(model.morphism, gens, trunc)
+    alpha = morphism_to_mc(model.morphism, Generators(W.space), trunc)
     report = mc_check(alpha, W)
     if report:
         raise ModelError("model series is not Maurer-Cartan: %r" % (report[:2],))
-    return gens, alpha
+    return alpha
 
 
 # ---------------------------------------------------------------------
@@ -275,37 +275,37 @@ def model_mc(model: OneMinimalModel, trunc=4):
 
 class Comparison:
     """k: W2 -> W1 with linear part the projected inclusion, plus the
-    induced algebra map on dual tensor generators."""
+    induced algebra map on dual tensor generators.  Free generator i of a
+    model's fiber is its i-th degree-1 key (``delta_star``), so
+    ``_columns[i]`` is the image of W1 generator i, {W2 index: coeff}."""
 
     def __init__(self, model1, model2, k_tables, dual_matrix):
         self.model1 = model1
         self.model2 = model2
         self.k_tables = k_tables
         self.dual_matrix = dual_matrix  # {W1 degree-1 name: {W2 name: coeff}}
+        names2 = [name for _, name in model2.algebra.space.keys(1)]
+        self._columns = [{names2.index(name2): c
+                          for name2, c in dual_matrix.get(name1, {}).items()}
+                         for _, name1 in model1.algebra.space.keys(1)]
 
     def morphism(self):
         return InfinityMorphism(self.model2.algebra, self.model1.algebra,
                                 tables=self.k_tables,
                                 arity_cap=self.model2.algebra.arity_cap)
 
-    def dual_on_word(self, w, free1, free2):
-        """Image of a dual word (indices in model1 generators)."""
+    def dual_on_word(self, w):
+        """Image of a dual word of model1's fiber in model2's fiber."""
         out = {(): Fraction(1)}
-        names1 = free1.gen_names
-        names2 = free2.gen_names
         for i in w:
-            col = self.dual_matrix.get(names1[i], {})
-            out = accumulate({}, ((ww + (names2.index(name2),), c * c2)
-                                  for ww, c in out.items() for name2, c2 in col.items()))
+            out = accumulate({}, ((ww + (j,), c * c2) for ww, c in out.items()
+                                  for j, c2 in self._columns[i].items()))
         return out
 
-    def dual_series(self, series, free1, free2, trunc):
+    def dual_series(self, series):
         out = {}
         for w, c in series.items():
-            if len(w) > trunc:
-                continue
-            accumulate(out, ((w2, c * c2)
-                             for w2, c2 in self.dual_on_word(w, free1, free2).items()))
+            accumulate(out, ((w2, c * c2) for w2, c2 in self.dual_on_word(w).items()))
         return out
 
 
@@ -441,16 +441,15 @@ def check_comparison(comp: Comparison, fib1: FiberLieAlgebra, fib2: FiberLieAlge
 
     ``fib1`` and ``fib2`` are the ``model_fiber_data`` quotients of
     ``comp.model1`` and ``comp.model2``, built at the same truncation and
-    quotient order; the dual map is cut at ``fib1.free.order``.  Verifies that the dual algebra map sends the first model's
-    ideal generators into the second model's ideal span (per word
+    quotient order; the dual map keeps word length, so it stays within
+    ``fib2.free``.  Verifies that the dual algebra map sends the first
+    model's ideal generators into the second model's ideal span (per word
     length), and that the induced maps on nilpotent quotients are
     bijective.
     """
-    free1, free2 = fib1.free, fib2.free
-    trunc = free1.order
     failures = []
     for g in fib1.ideal.generators:
-        img = comp.dual_series(g, free1, free2, trunc)
+        img = comp.dual_series(g)
         if not fib2.ideal.contains(img):
             failures.append(("generator image escapes the ideal", g))
     if fib1.dim() != fib2.dim():
@@ -458,7 +457,7 @@ def check_comparison(comp: Comparison, fib1: FiberLieAlgebra, fib2: FiberLieAlge
     # rank of the induced map on the quotient
     rank_ech = Echelon(lambda key: (len(key), key))
     for w in fib1.basis:
-        img = comp.dual_series(free1.from_lyndon({w: 1}), free1, free2, trunc)
+        img = comp.dual_series(fib1.free.from_lyndon({w: 1}))
         rank_ech.insert(fib2.normal_form(img))
     if rank_ech.rank != fib1.dim():
         failures.append(("induced quotient map is not injective", rank_ech.rank))

@@ -21,7 +21,7 @@ from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
                          gauge_between, holonomy, parse_loop,
                          restrict_connection)
 from .convolution import TensorSeries, degree_zero_restrict
-from .forms import PolyForm
+from .forms import PolyForm, _merge_dts
 from .freelie import EnvelopingQuotient, bracket_label, word_labels
 from .graded import GradedVectorSpace
 from .linalg import accumulate
@@ -64,20 +64,10 @@ def exterior_cdga(gen_names, rel_diff=None, arity_cap=4) -> FiniteAlgebra:
     def key_of(combo):
         return (len(combo), name_of(combo))
 
-    def mult(ca, cb):
-        if set(ca) & set(cb):
-            return None, 0
-        sign = 1
-        for a in ca:
-            for b in cb:
-                if a > b:
-                    sign = -sign
-        return tuple(sorted(ca + cb)), sign
-
     prod = {}
     for ca in words:
         for cb in words:
-            merged, sign = mult(ca, cb)
+            merged, sign = _merge_dts(ca, cb)
             if sign:
                 prod[(key_of(ca), key_of(cb))] = {key_of(merged): Fraction(sign)}
     diff = {}
@@ -90,7 +80,7 @@ def exterior_cdga(gen_names, rel_diff=None, arity_cap=4) -> FiniteAlgebra:
         def leibniz(combo):
             for pos, i in enumerate(combo):
                 if i in base:
-                    merged, sign = mult(base[i], combo[:pos] + combo[pos + 1:])
+                    merged, sign = _merge_dts(base[i], combo[:pos] + combo[pos + 1:])
                     if sign:
                         yield key_of(merged), Fraction(-sign if pos % 2 else sign)
 
@@ -231,24 +221,18 @@ def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineRes
         raise ValueError("run_pipeline: k = %d exceeds trunc = %d" % (k, trunc))
     model = one_minimal_model(B, arity_cap=arity_cap, pivot=pivot)
     fib = model_fiber_data(model, trunc=trunc, k=k)
-    free = fib.free
     verdict, meta = formality_check(model, fib.ideal)
     result = PipelineResult(label, model, fib, verdict, meta)
     m = preset["ambient_dim"]
     if m is not None:
-        gens, alpha = model_mc(model, trunc=trunc)
-        pi_alpha = degree_zero_restrict(alpha)
+        pi_alpha = degree_zero_restrict(model_mc(model, trunc=trunc))
         include = tot_inclusion(B, m, trunc)
-        tot_alpha = TensorSeries(gens, include.target, trunc, 1,
+        tot_alpha = TensorSeries(pi_alpha.gens, include.target, trunc, 1,
                                  {w: include.apply(1, [v])
                                   for w, v in pi_alpha.data.items()})
-        gen_of_index = {}
-        for i, key in enumerate(gens.keys):
-            if key[0] == 1:
-                gen_of_index[i] = free.gen_names.index(key[1])
-        env = EnvelopingQuotient(free, fib.ideal, k)
+        env = EnvelopingQuotient(fib.free, fib.ideal, k)
         conn = restrict_connection(tot_alpha, positive_part(model.algebra),
-                                   fib, env, gen_of_index)
+                                   fib, env)
         cert = flatness_check(conn)
         F = AutomorphyFactor(GaugeElement(m, fib, {}), env)
         theta = {}
@@ -282,17 +266,13 @@ def compare_pipeline_models(name, trunc=4, k=4, pivots=("lex", "revlex"),
     if r1.connection is not None and r2.connection is not None:
         # transport the first connection through the dual comparison and
         # find the connecting gauge on the second fiber
-        def dual_map(series):
-            return comp.dual_series(series, r1.fib.free, r2.fib.free, trunc)
-
-        mapped = _map_connection(r1.connection, dual_map, r2.fib)
+        mapped = _map_connection(r1.connection, comp.dual_series, r2.fib)
         h = gauge_between(mapped, r2.connection)
         p = (0,) * r1.connection.m
         h_at_p = h.at_point(p)
-        mapped_theta = {loop: r2.env.reduce(dual_map(val))
+        mapped_theta = {loop: r2.env.reduce(comp.dual_series(val))
                         for loop, val in r1.theta.items()}
-        fails = conjugation_compatibility(mapped_theta, r2.theta,
-                                          lambda t: dict(t), h_at_p, r2.env)
+        fails = conjugation_compatibility(mapped_theta, r2.theta, h_at_p, r2.env)
         report["holonomy_conjugation_failures"] = fails
         report["gauge_nonzero"] = not h.is_zero()
     return r1, r2, comp, report

@@ -101,46 +101,26 @@ def shuffles(p: int, q: int):
     return out
 
 
-class TensorWord(tuple):
-    """A word in a tensor (co)algebra: a tuple of (label, degree) entries."""
-
-    __slots__ = ()
-
-    @property
-    def degree(self) -> int:
-        return sum(d for _, d in self)
-
-    def degrees(self):
-        return tuple(d for _, d in self)
-
-    def __add__(self, other):  # concatenation
-        return TensorWord(tuple.__add__(self, other))
-
-    def __repr__(self):
-        if not self:
-            return "TensorWord()"
-        return "|".join(str(label) for label, _ in self)
+# A word in a tensor (co)algebra is a tuple of (label, degree) entries.
+EMPTY_WORD = ()
 
 
-EMPTY_WORD = TensorWord()
+def word(*entries) -> tuple:
+    return entries
 
 
-def word(*entries) -> TensorWord:
-    return TensorWord(tuple(entries))
-
-
-def shuffle_product(a: TensorWord, b: TensorWord) -> dict:
-    """Graded shuffle product as a formal sum {TensorWord: coefficient}.
+def shuffle_product(a: tuple, b: tuple) -> dict:
+    """Graded shuffle product of two words as a formal sum {word: coefficient}.
 
     The empty word is the unit.  Signs come from inversions between the
     two blocks only, weighted by entry degrees.
     """
     if not a:
-        return {TensorWord(b): ONE}
+        return {b: ONE}
     if not b:
-        return {TensorWord(a): ONE}
-    entries = tuple(a) + tuple(b)
+        return {a: ONE}
+    entries = a + b
     degrees = tuple(d for _, d in entries)
-    return accumulate({}, ((TensorWord(tuple(entries[i] for i in perm)),
+    return accumulate({}, ((tuple(entries[i] for i in perm),
                             koszul_sign(perm, degrees))
                            for perm in shuffles(len(a), len(b))))

@@ -48,7 +48,7 @@ from .graded import GradedVectorSpace, vector_degree
 from .linalg import (MINUS_ONE, ONE, accumulate, accumulate_scaled, multilinear_terms,
                      scaled_sum, vec_add, vec_scale)
 from .scalars import rat
-from .signs import antisym_sign, shuffle_product, word
+from .signs import antisym_sign, shuffle_product
 
 
 class Carrier:
@@ -368,20 +368,23 @@ def stasheff_defect(alg, elems):
                    for coeff, new_elems, new_degs, k in _inner_delta(alg, n, elems, degs))
 
 
-def _probe_failures(carrier, defect, probes, max_report):
+MAX_REPORT = 10    # failures a check lists before it stops
+
+
+def _probe_failures(carrier, defect, probes):
     """``(tuple_repr(probe), defect(probe))`` for each probe word whose
-    defect is not zero in ``carrier``, up to ``max_report`` of them."""
+    defect is not zero in ``carrier``, up to ``MAX_REPORT`` of them."""
     failures = []
     for elems in probes:
         value = defect(list(elems))
         if not carrier.is_zero(value):
             failures.append((tuple_repr(elems), value))
-            if len(failures) >= max_report:
+            if len(failures) >= MAX_REPORT:
                 break
     return failures
 
 
-def check_stasheff(alg, probes, max_report=10):
+def check_stasheff(alg, probes):
     """Evaluate the structure relations on each probe word; list failures.
     A word of basis elements outside the window is skipped."""
     def in_window(elems):
@@ -389,7 +392,7 @@ def check_stasheff(alg, probes, max_report=10):
         return len(keys) != len(elems) or alg.in_window(len(elems) - 1, keys)
 
     return _probe_failures(alg, lambda elems: stasheff_defect(alg, elems),
-                           filter(in_window, probes), max_report)
+                           filter(in_window, probes))
 
 
 def tuple_repr(elems):
@@ -403,7 +406,7 @@ def tuple_repr(elems):
     return "(" + ", ".join(bits) + ")"
 
 
-def check_shuffle_vanishing(alg, arity_cap, degrees=None, max_report=10):
+def check_shuffle_vanishing(alg, arity_cap, degrees=None):
     """All m_k vanish on images of non-trivial shuffle products."""
     if getattr(alg, "kind", None) not in ("Cinf", "1Cinf"):
         raise ValueError("shuffle vanishing only applies to Cinf kinds")
@@ -417,15 +420,15 @@ def check_shuffle_vanishing(alg, arity_cap, degrees=None, max_report=10):
                 continue
             # the shuffles live in the shifted word, so entry degrees and
             # the evaluation both use the shifted dictionary
-            wrd = word(*[(key, key[0] - 1) for key in entries])
+            wrd = tuple((key, key[0] - 1) for key in entries)
             for p in range(1, k):
-                shuffled = shuffle_product(word(*tuple(wrd)[:p]), word(*tuple(wrd)[p:]))
+                shuffled = shuffle_product(wrd[:p], wrd[p:])
                 total = alg.sum((delta_apply(alg, k, [{lab: Fraction(1)} for lab, _ in sw],
                                              [lab[0] for lab, _ in sw]), coeff)
                                 for sw, coeff in shuffled.items())
                 if not alg.is_zero(total):
                     failures.append((entries, p, total))
-                    if len(failures) >= max_report:
+                    if len(failures) >= MAX_REPORT:
                         return failures
     return failures
 
@@ -525,9 +528,9 @@ def compositions(n, k):
             yield (first,) + rest
 
 
-def check_morphism(f: InfinityMorphism, probes, max_report=10):
+def check_morphism(f: InfinityMorphism, probes):
     return _probe_failures(f.target, lambda elems: morphism_defect(f, elems),
-                           probes, max_report)
+                           probes)
 
 
 # ---------------------------------------------------------------------
@@ -584,12 +587,11 @@ def linfty_defect(alg, elems):
     return alg.sum(terms())
 
 
-def check_linfty(alg, probes, max_report=10):
-    return _probe_failures(alg, lambda elems: linfty_defect(alg, elems),
-                           probes, max_report)
+def check_linfty(alg, probes):
+    return _probe_failures(alg, lambda elems: linfty_defect(alg, elems), probes)
 
 
-def check_unitality(alg: FiniteAlgebra, max_report=10):
+def check_unitality(alg: FiniteAlgebra):
     """m2(1,a)=a=m2(a,1); m_k with a unit argument vanishes for k>=3."""
     failures = []
     one = alg.one()
@@ -607,7 +609,7 @@ def check_unitality(alg: FiniteAlgebra, max_report=10):
                 elems[slot] = one
                 if not alg.is_zero(alg.m(k, elems)):
                     failures.append(("m_%d with unit nonzero" % k, wrd, slot))
-                    if len(failures) >= max_report:
+                    if len(failures) >= MAX_REPORT:
                         return failures
     return failures
 

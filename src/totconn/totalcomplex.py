@@ -800,8 +800,9 @@ def project_to_base(v: TotElement) -> TotElement:
                                   if k[0] == 0})
 
 
-def window_basis(be: GroupCochainBackend, level_cap, poly_cap, form_cap):
-    """Normalized monomial cochains with bounded total polynomial degree.
+def window_basis(be: GroupCochainBackend, level_cap, poly_cap, q_cap):
+    """Normalized monomial cochains of level <= ``level_cap`` and form
+    degree <= ``q_cap``, with bounded total polynomial degree.
 
     A monomial is normalized exactly when every group slot appears with
     positive degree; the window is closed under the total differential up
@@ -811,7 +812,7 @@ def window_basis(be: GroupCochainBackend, level_cap, poly_cap, form_cap):
     basis = []
     for p in range(level_cap + 1):
         nv = m * (p + 1)
-        for q in range(form_cap + 1):
+        for q in range(q_cap + 1):
             for dts in itertools.combinations(range(m), q):
                 for exps in _bounded_exponents(nv, poly_cap):
                     ok = True
@@ -837,7 +838,7 @@ def _bounded_exponents(nvars, cap):
 
 
 def tot_window_cohomology(be: GroupCochainBackend, max_degree=2, level_cap=2,
-                          poly_cap=3, form_cap=None):
+                          poly_cap=3):
     """Betti numbers of (window, D) by exact rank computation.
 
     Cycles are counted among the cochains of level <= ``level_cap``, and
@@ -848,9 +849,7 @@ def tot_window_cohomology(be: GroupCochainBackend, max_degree=2, level_cap=2,
     if level_cap < max_degree:
         raise ValueError("level_cap %d is below max_degree %d: boundaries would "
                          "land outside the window" % (level_cap, max_degree))
-    if form_cap is None:
-        form_cap = max_degree
-    basis = window_basis(be, level_cap + 1, poly_cap, form_cap + 1)
+    basis = window_basis(be, level_cap + 1, poly_cap, max_degree + 1)
     index = {}
     for (pq, el) in basis:
         for key in el.form.terms:

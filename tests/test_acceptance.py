@@ -328,7 +328,7 @@ def test_criterion_7_gauge_and_automorphy():
     th1 = {k: holonomy(alpha1, F1, lp, p, env1) for k, lp in loops.items()}
     th2 = {k: holonomy(alpha2, F2, lp, p, env1) for k, lp in loops.items()}
     h_at_p = h.at_point(p)
-    fails = conjugation_compatibility(th1, th2, lambda t: dict(t), h_at_p, env1)
+    fails = conjugation_compatibility(th1, th2, h_at_p, env1)
     ok = ok and fails == []
     report("7 (gauge action, cocycles, conjugated holonomy)", ok)
 

@@ -323,7 +323,7 @@ def test_conjugation_compatibility_identity_models():
     F = AutomorphyFactor(GaugeElement(1, fib, {}), env)
     loopa = parse_loop("a", 1)
     theta = {"a": holonomy(alpha, F, loopa, (0,), env)}
-    assert conjugation_compatibility(theta, theta, lambda t: dict(t), {}, env) == []
+    assert conjugation_compatibility(theta, theta, {}, env) == []
 
 
 def test_conjugation_with_synthetic_gauge():
@@ -338,8 +338,7 @@ def test_conjugation_with_synthetic_gauge():
     theta1 = {k: holonomy(alpha, F1, lp, p, env) for k, lp in loops.items()}
     theta2 = {k: holonomy(alpha2, F2, lp, p, env) for k, lp in loops.items()}
     h_at_p = {w: f.eval_at(p) for w, f in h.coeffs.items()}
-    fails = conjugation_compatibility(theta1, theta2, lambda t: dict(t),
-                                      h_at_p, env)
+    fails = conjugation_compatibility(theta1, theta2, h_at_p, env)
     assert fails == []
 
 
@@ -359,8 +358,7 @@ def test_conjugation_with_a_bracket_gauge():
     loops = {text: parse_loop(text, 2) for text in ("a", "b", "a b")}
     theta1 = {t: holonomy(alpha, F1, lp, p, env) for t, lp in loops.items()}
     theta2 = {t: holonomy(gauge(alpha, h), F2, lp, p, env) for t, lp in loops.items()}
-    assert conjugation_compatibility(theta1, theta2, lambda t: dict(t),
-                                     h_at_p, env) == []
+    assert conjugation_compatibility(theta1, theta2, h_at_p, env) == []
 
 
 def test_path_validation():
@@ -391,8 +389,42 @@ def test_restriction_kills_positive_levels():
         1, 1, PolyForm.var(2, 1, varname="z", ndiff=1))})
     alpha = TensorSeries(gens, tot, 3, 1, {(0,): cocycle})
     _, _, fib, env = abelian_rank1(k=3)
-    conn = restrict_connection(alpha, W, fib, env, {0: 0})
+    conn = restrict_connection(alpha, W, fib, env)
     assert conn.is_zero()
+
+
+def test_restriction_reads_the_degree_zero_generators_as_the_fiber_letters():
+    # the model series needs no generator map: in Tot it restricts to the
+    # pipeline's connection; a fiber on another number of letters is a
+    # ValueError, and a defect on a word with a degree-2 letter is refused
+    from totconn.connection import restrict_connection
+    from totconn.convolution import TensorSeries
+    from totconn.minimal import model_mc, positive_part
+    from totconn.pipeline import run_pipeline, tot_inclusion
+    from totconn.totalcomplex import GroupCochain, TotElement
+    r = run_pipeline("torus", trunc=4)
+    alpha = model_mc(r.model, trunc=4)
+    include = tot_inclusion(r.model.target, 2, 4)
+    data = {w: include.apply(1, [v]) for w, v in alpha.data.items()}
+    W = positive_part(r.model.algebra)
+
+    def restrict(data, fib, env):
+        return restrict_connection(TensorSeries(alpha.gens, include.target, 4, 1, data),
+                                   W, fib, env)
+
+    conn = restrict(data, r.fib, r.env)
+    assert conn.to_json() == r.connection.to_json()
+    _, _, fib1, env1 = abelian_rank1(k=4)
+    with pytest.raises(ValueError, match="2 degree-zero generators, the "
+                                         "quotient 1 letters"):
+        restrict(data, fib1, env1)
+    (top,) = [i for i, key in enumerate(alpha.gens.keys) if key[0] == 2]
+    z = lambda j: PolyForm.var(2, j, varname="z", ndiff=2)
+    dz = lambda j: PolyForm.dvar(2, j, varname="z", ndiff=2)
+    x_dx_dy = TotElement(include.target.backend,
+                         {(0, 2): GroupCochain(2, 0, z(0).wedge(dz(0)).wedge(dz(1)))})
+    with pytest.raises(NonFlatError, match="outside the degree-zero words"):
+        restrict({**data, (top,): x_dx_dy}, r.fib, r.env)
 
 
 def test_flatness_preserved_by_translation():

@@ -13,10 +13,11 @@ from totconn.convolution import (ConvolutionAlgebra, Generators, TensorSeries,
                                  mc_defect, mc_to_morphism, morphism_to_mc,
                                  pullback_along, pushforward_along,
                                  reduce_mod_ideal, series_eq_mod_ideal)
-from totconn.freelie import EnvelopingQuotient, FiberLieAlgebra, commutator
+from totconn.freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
+                             LieIdealPresentation, commutator)
 from totconn.graded import GradedVectorSpace
-from totconn.minimal import positive_part
-from totconn.pipeline import run_pipeline
+from totconn.minimal import one_minimal_model, positive_part
+from totconn.pipeline import PRESETS, run_pipeline
 from totconn.structures import (FiniteAlgebra, InfinityMorphism, check_linfty,
                                 check_morphism, delta_apply, f_shifted,
                                 interval_tensor)
@@ -252,15 +253,32 @@ def test_degree_zero_reduction_of_mc():
     free, ideal, _ = delta_star(W, trunc=4)
     env = EnvelopingQuotient(free, ideal, 4)
     defect = mc_defect(pi_alpha, W)
-    index_map = {}
-    for i, key in enumerate(gens.keys):
-        if key[0] == 1:
-            index_map[i] = free.gen_names.index(key[1])
     zero = TensorSeries(gens, B, 4, 2)
     # restrict the defect to degree-zero words before reducing
     defect0 = degree_zero_restrict(defect)
-    assert series_eq_mod_ideal(defect0, zero, env, index_map)
+    assert series_eq_mod_ideal(defect0, zero, env)
     assert not defect0.is_zero()  # nonzero before the quotient
+
+
+def test_reduce_mod_ideal_reads_only_the_quotient_letters():
+    # degree-zero series generator i is free generator i; a word with a
+    # degree-2 letter, or a quotient on another number of letters, is a
+    # ValueError with a message, not a bare KeyError
+    W, B, incl = torus_inclusion()
+    alpha = morphism_to_mc(incl, Generators(W.space), trunc=3)
+    free, ideal, _ = delta_star(W, trunc=3)
+    env = EnvelopingQuotient(free, ideal, 3)
+    with pytest.raises(ValueError, match=r"word \[w12\] has a letter outside"):
+        reduce_mod_ideal(alpha, env)
+    pi_alpha = degree_zero_restrict(alpha)
+    assert reduce_mod_ideal(pi_alpha, env)
+    one = FreeLie(["X"], 3)
+    one_letter = EnvelopingQuotient(one, LieIdealPresentation(one, []), 3)
+    for call in (lambda: reduce_mod_ideal(pi_alpha, one_letter),
+                 lambda: series_eq_mod_ideal(pi_alpha, pi_alpha, one_letter)):
+        with pytest.raises(ValueError, match="2 degree-zero generators, the "
+                                             "quotient 1 letters"):
+            call()
 
 
 def test_pi_kills_higher_degree_words():
@@ -377,7 +395,6 @@ def test_im_delta_star_absorption():
     rng = random.Random(23)
     # gamma supported on words with exactly one degree-one entry
     i12 = gens.index_of((2, "w12"))
-    zero_idx = gens.degree_zero_indices()
     gdata = {}
     for w in gens.words(trunc):
         if sum(1 for i in w if i == i12) == 1 and len(w) <= 2:
@@ -405,10 +422,9 @@ def test_im_delta_star_absorption():
     # membership: out must vanish after reduction modulo the ideal
     free, ideal, _ = delta_star(W, trunc=trunc)
     env = EnvelopingQuotient(free, ideal, trunc)
-    index_map = {i: free.gen_names.index(gens.keys[i][1]) for i in zero_idx}
     out0 = degree_zero_restrict(out)
     zero = TensorSeries(gens, B, trunc, out.degree)
-    assert series_eq_mod_ideal(out0, zero, env, index_map)
+    assert series_eq_mod_ideal(out0, zero, env)
 
 
 # ---------------------------------------------------------------------
@@ -722,3 +738,35 @@ def test_torus_pipeline_at_trunc_8():
     assert r.theta
     assert all(r.env.is_grouplike(value) for value in r.theta.values())
     assert r.dims_per_k == {kk: 2 for kk in range(2, 9)}
+
+
+def ref_morphism_to_mc(f, gens, trunc):
+    """The series of ``f`` walked over every word up to ``trunc``."""
+    data = {}
+    for w in gens.words(trunc):
+        keys = [gens.keys[i] for i in w]
+        val = f_shifted(f, len(w), [{k: Fraction(1)} for k in keys],
+                        [k[0] for k in keys])
+        if not f.target.is_zero(val):
+            data[w] = val
+    return data
+
+
+def test_morphism_to_mc_stops_at_the_last_arity():
+    # the torus model's morphism has components at arities 1..4 and apply
+    # is zero above them: on 3 generators the walk reads the 120 words up
+    # to length 4, not the 1,092 up to length 6, and finds the same series
+    model = one_minimal_model(PRESETS["torus"]["window"](), arity_cap=4)
+    f = model.morphism
+    assert max(itertools.chain(f.components, f.tables)) == 4
+    gens = Generators(positive_part(model.algebra).space)
+    calls = []
+    apply = f.apply
+    f.apply = lambda k, elems: calls.append(k) or apply(k, elems)
+    alpha = morphism_to_mc(f, gens, 6)
+    walked = len(calls)
+    want = ref_morphism_to_mc(f, gens, 6)
+    assert (walked, len(calls) - walked) == (120, 1092)
+    assert alpha.trunc == 6
+    assert list(alpha.data) == list(want)
+    assert alpha.data == want

@@ -82,7 +82,7 @@ def test_heisenberg_massey_constants_are_units():
 
 def test_model_mc_dictionary():
     model = one_minimal_model(torus_cdga(), arity_cap=4)
-    gens, alpha = model_mc(model, trunc=4)
+    alpha = model_mc(model, trunc=4)
     assert alpha.data  # nontrivial series
 
 
@@ -218,6 +218,25 @@ def test_dims_per_k_counts_pivots_as_the_per_k_quotients_do(preset, pivot):
     for trunc in range(3, 8):
         fib = model_fiber_data(model, trunc=trunc, k=trunc)
         assert fib.dims_per_k() == per_k_dims(fib)
+
+
+@pytest.mark.parametrize("pivot", ["lex", "revlex", "shear"])
+@pytest.mark.parametrize("preset", ["circle", "torus", "heisenberg"])
+def test_degree_zero_series_generators_are_the_free_generators(preset, pivot):
+    # the one numbering from model to fiber: Generators lists the degree-1
+    # keys first, in key order, and delta_star names the free generators
+    # after them, so the map from series generators to free generators by
+    # name is the identity
+    from totconn.pipeline import PRESETS
+    model = one_minimal_model(PRESETS[preset]["window"](4), arity_cap=4, pivot=pivot)
+    gens = Generators(positive_part(model.algebra).space)
+    free = model_fiber_data(model, trunc=3, k=3).free
+    zero = gens.degree_zero_indices()
+    assert [gens.keys[i] for i in zero] == model.algebra.space.keys(1)
+    by_name = {i: free.gen_names.index(key[1])
+               for i, key in enumerate(gens.keys) if key[0] == 1}
+    assert by_name == {i: i for i in range(len(free.gen_names))}
+    assert zero == list(by_name)
 
 
 def test_dims_per_k_of_a_non_homogeneous_ideal():
@@ -367,6 +386,42 @@ def test_compare_models_matches_the_all_probes_loop(name, pivot1, pivot2, arity_
     unknowns, probes, cols, rhs = system
     assert _linear_system(m2.algebra, m1.algebra, ref_linear_part(m1, m2),
                           unknowns, probes, arity_cap) == (cols, rhs)
+
+
+def ref_dual_series(comp, series, free1, free2, trunc):
+    """The dual map on generator names, with the length cut at ``trunc``:
+    the oracle of ``Comparison.dual_series``."""
+    def on_word(w):
+        out = {(): Fraction(1)}
+        for i in w:
+            col = comp.dual_matrix.get(free1.gen_names[i], {})
+            out = accumulate({}, ((ww + (free2.gen_names.index(name2),), c * c2)
+                                  for ww, c in out.items() for name2, c2 in col.items()))
+        return out
+
+    out = {}
+    for w, c in series.items():
+        if len(w) <= trunc:
+            accumulate(out, ((w2, c * c2) for w2, c2 in on_word(w).items()))
+    return out
+
+
+@pytest.mark.parametrize("name,pivot1,pivot2", COMPARE_CASES)
+def test_dual_series_matches_the_name_based_map(name, pivot1, pivot2):
+    m1, m2 = _model(name, pivot1), _model(name, pivot2)
+    comp = compare_models(m1, m2, arity_cap=4)
+    fib1, fib2 = (model_fiber_data(m, trunc=4, k=4) for m in (m1, m2))
+    free1, free2 = fib1.free, fib2.free
+    letters = range(len(free1.gen_names))
+    every_word = {w: Fraction(3 * len(w) - 1, 2 + sum(w))
+                  for n in range(1, free1.order + 1)
+                  for w in itertools.product(letters, repeat=n)}
+    series = ([every_word] + list(fib1.ideal.generators)
+              + [free1.from_lyndon({w: 1}) for w in free1.lyndon])
+    for x in series:
+        got = comp.dual_series(x)
+        want = ref_dual_series(comp, x, free1, free2, free1.order)
+        assert list(got.items()) == list(want.items())
 
 
 def test_read_recorder_records_words_its_table_does_not_hold():

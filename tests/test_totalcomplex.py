@@ -342,9 +342,9 @@ def test_pipeline_model_series_into_total_complex(name, trunc):
     from totconn.pipeline import PRESETS, tot_inclusion
     B = PRESETS[name]["window"]()
     model = one_minimal_model(B)
-    gens, alpha = model_mc(model, trunc=trunc)
+    alpha = model_mc(model, trunc=trunc)
     incl = tot_inclusion(B, PRESETS[name]["ambient_dim"], arity_cap=trunc)
-    tot_alpha = TensorSeries(gens, incl.target, trunc, 1,
+    tot_alpha = TensorSeries(alpha.gens, incl.target, trunc, 1,
                              {w: incl.apply(1, [v]) for w, v in alpha.data.items()})
     assert mc_check(tot_alpha, positive_part(model.algebra)) == []
 
