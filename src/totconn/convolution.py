@@ -181,9 +181,10 @@ def conv_M(n, series_list, trunc=None):
     the correspondence is asserted jointly in the tests.
 
     Only tuples of support words are visited, so the cost follows the
-    supports, not the number of words up to ``trunc``.  Each word sums its
-    tuples in splitting order, and the output keys come by length, then
-    index order, with () last.
+    supports, not the number of words up to ``trunc``, and none at all when
+    the target is a table-backed structure with no table of arity n.  Each
+    word sums its tuples in splitting order, and the output keys come by
+    length, then index order, with () last.
     """
     f0 = series_list[0]
     gens, target = f0.gens, f0.target
@@ -191,6 +192,9 @@ def conv_M(n, series_list, trunc=None):
         raise TruncationError("conv_M: truncation mismatch")
     trunc = trunc if trunc is not None else f0.trunc
     out_degree = sum(f.degree for f in series_list) + 2 - n
+    arities = _table_arities(target)
+    if arities is not None and n not in arities:
+        return TensorSeries(gens, target, trunc, out_degree)
     groups = _support_tuples(series_list, trunc)
     twisted = {1: Fraction(-1), -1: Fraction(1)}     # the sign times the twist
     out = {w: target.sum((target.m(n, list(vals)), twisted[sign])
@@ -199,13 +203,29 @@ def conv_M(n, series_list, trunc=None):
     return TensorSeries(gens, target, trunc, out_degree, out)
 
 
+def _table_arities(alg):
+    """The arities of the non-empty tables of a table-backed structure,
+    whose ``m`` is zero at every other arity.  None for any other carrier,
+    such as a ``TotalComplexAlgebra`` or an ``IntervalAlgebra``, and for a
+    ``TransferredAlgebra``, whose read-only ``maps`` fill on first use."""
+    maps = getattr(alg, "maps", None)
+    if type(maps) is not dict:
+        return None
+    return {k for k, table in maps.items() if table}
+
+
 def _delta_transpose(gens: Generators, source, max_len):
     """{generator index g: [(subword s, coeff c, rank)]}: the shifted
     structure component delta(s) holds c * g, as its rank-th term.
 
     One ``delta_apply`` per subword of length <= max_len that passes the
-    source's window; subwords come by length, then index order.
+    source's window; subwords come by length, then index order.  The walk
+    stops at a table-backed source's last table arity, above which
+    ``delta_apply`` is zero.
     """
+    arities = _table_arities(source)
+    if arities is not None:
+        max_len = min(max_len, max(arities, default=0))
     out = {}
     for s in gens.words(max_len):
         keys = [gens.keys[i] for i in s]

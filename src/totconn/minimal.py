@@ -18,9 +18,10 @@ from fractions import Fraction
 from .convolution import Generators, delta_star, mc_check, morphism_to_mc
 from .freelie import FiberLieAlgebra
 from .graded import GradedVectorSpace
-from .linalg import Coordinates, Echelon, accumulate, intersect_spans, solve, vec_add
+from .linalg import ONE, Coordinates, Echelon, accumulate, intersect_spans, solve, vec_add
 from .scalars import rat_str
 from .structures import (FiniteAlgebra, InfinityMorphism, check_morphism,
+                         defect_term_reads, defect_term_value, defect_terms,
                          morphism_defect)
 from .transfer import (TransferResult, contraction_from_hodge,
                        transfer_structure)
@@ -309,59 +310,40 @@ class Comparison:
         return out
 
 
-class _ReadRecorder(InfinityMorphism):
-    """An ``InfinityMorphism`` that adds to ``reads`` every table entry
-    (arity, input word) that ``apply`` looks up.
-
-    It records every word of one key from each argument, also the words
-    that the table does not hold (which ``apply`` skips before any
-    arithmetic) and also where ``apply`` returns early on an empty table,
-    so the record depends on the arguments alone and never on the table.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.reads = set()
-
-    def apply(self, k, elems):
-        elems = list(elems)
-        self.reads.update((k, wrd) for wrd in itertools.product(*elems))
-        return super().apply(k, elems)
-
-
-def _probe_defect(mor, wrd):
-    return morphism_defect(mor, [{k: Fraction(1)} for k in wrd])
-
-
 def _linear_system(W2, W1, k_tables, unknowns, probes, arity_cap):
     """Columns and right-hand side of the comparison's linear system.
 
     Entries are keyed (probe index, W1 key).  The column of an unknown
     (j, wrd, vk) is defect(base + e) - defect(base), where e puts a unit
-    on vk at table entry (j, wrd).  Each probe is evaluated once on the
-    base tables, recording the entries it reads; a column re-evaluates
-    only the probes that read (j, wrd), since every other probe makes the
-    same lookups with the same values and so adds exactly zero.
+    on vk at table entry (j, wrd).  Each probe's ``defect_terms`` are
+    evaluated once on the base tables and indexed by the table entries
+    they read.  A column is the sum of coeff * (term under base + e -
+    base term) over the terms that read (j, wrd): every other term makes
+    the same lookups with the same values and so adds exactly zero.
     """
-    rec = _ReadRecorder(W2, W1, tables=k_tables, arity_cap=arity_cap)
-    base, readers = [], {}
+    mor = InfinityMorphism(W2, W1, tables=k_tables, arity_cap=arity_cap)
+    rhs, readers = {}, {}
     for pi, wrd in enumerate(probes):
-        rec.reads = set()
-        base.append(_probe_defect(rec, wrd))
-        for entry in rec.reads:
-            readers.setdefault(entry, []).append(pi)
+        blocks, defect = {}, []
+        for term in defect_terms(W2, [{k: ONE} for k in wrd]):
+            value = defect_term_value(mor, term, blocks) or {}
+            defect.append((value, term[0]))
+            for entry in defect_term_reads(term):
+                readers.setdefault(entry, []).append((pi, term, value))
+        rhs.update(((pi, key), -c) for key, c in W1.sum(defect).items())
     cols = []
     for j, wrd, vk in unknowns:
         table = dict(k_tables.get(j, {}))
         table[wrd] = vec_add(table.get(wrd, {}), {vk: Fraction(1)})
         mor = InfinityMorphism(W2, W1, tables={**k_tables, j: table},
                                arity_cap=arity_cap)
-        col = {}
-        for pi in readers.get((j, wrd), ()):
-            diff = vec_add(_probe_defect(mor, probes[pi]), base[pi], Fraction(-1))
-            col.update(((pi, key), c) for key, c in diff.items())
+        col, blocks = {}, {}
+        for pi, term, base in readers.get((j, wrd), ()):
+            coeff = term[0]
+            new = defect_term_value(mor, term, blocks.setdefault(pi, {})) or {}
+            accumulate(col, (((pi, key), coeff * c) for key, c in new.items()))
+            accumulate(col, (((pi, key), -coeff * c) for key, c in base.items()))
         cols.append(col)
-    rhs = {(pi, key): -c for pi, d in enumerate(base) for key, c in d.items()}
     return cols, rhs
 
 
@@ -374,14 +356,10 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     k_2 .. k_{cap-1}: degree-1 values on all-degree-1 words and degree-2
     values on words with one degree-2 entry; the relations are the
     morphism relations on all-degree-1 probe words of arity 3..cap.  The
-    defect is affine in the unknowns, so unit probing gives the linear
-    system exactly: the column of an unknown is the change of every
-    probe's defect when that one table entry gets a unit.  A probe's
-    table lookups depend only on the probe and on the source structure,
-    not on the table values, so a column re-evaluates just the probes
-    that look up its entry (``_linear_system``); the others add zero.
-    The system is solved for one solution; with none, the extension is
-    obstructed.
+    column of an unknown is the change of every probe's defect when that
+    one table entry gets a unit, built from the defect terms that read
+    the entry (``_linear_system``).  The system is solved for one
+    solution; with none, the extension is obstructed.
     """
     W1, W2 = model1.algebra, model2.algebra
     p1 = model1.transfer.contraction.project
@@ -394,7 +372,7 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     # the arity-2 relation must hold for the linear part alone
     cur = InfinityMorphism(W2, W1, tables=k_tables, arity_cap=arity_cap)
     for wrd in itertools.product(one2, repeat=2):
-        if _probe_defect(cur, wrd):
+        if morphism_defect(cur, [{k: ONE} for k in wrd]):
             raise ModelError("linear comparison is not multiplicative on "
                              "classes: %r" % (wrd,))
 

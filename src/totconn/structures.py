@@ -473,49 +473,66 @@ def f_shifted(f: InfinityMorphism, k, elems, degs):
     return out if sign == 1 else f.target.scale(out, -1)
 
 
-def morphism_defect(f: InfinityMorphism, elems):
-    """F delta = delta F evaluated on one probe word (shifted picture).
-
-    The shifted components F_k are even, so the splitting side carries no
-    Koszul signs at all; all signs come from delta being odd and from the
-    shift dictionary.  Each block F_i(elems[pos:pos + i]) is evaluated
-    once and shared by every composition that contains it, and every
-    block is evaluated, so the table entries read depend on ``elems``
-    alone.
+def defect_terms(src, elems):
+    """The terms of F delta = delta F on one probe word, in the order
+    ``morphism_defect`` sums them, as (coeff, pieces, arity).  A piece is
+    the (key, arguments, degrees) of one F_i.  An inner term, F after
+    Id^p (x) delta_q (x) Id^r, has one piece, key None and arity None; a
+    composition term, delta_arity after one F_i per block, has its
+    blocks, the probe slices keyed (pos, i).  The terms, and the table
+    entries they read (``defect_term_reads``), follow from the probe and
+    the source alone.
     """
     n = len(elems)
-    src, tgt = f.source, f.target
     degs = [src.degree(e) for e in elems]
     if any(d is None for d in degs):
         raise ValueError("probes must be homogeneous and nonzero")
+    for coeff, new_elems, new_degs, k in _inner_delta(src, n, elems, degs):
+        yield coeff, ((None, new_elems, new_degs),), None
+    for k in range(1, n + 1):
+        for arities in compositions(n, k):
+            pieces, pos = [], 0
+            for i in arities:
+                pieces.append(((pos, i), elems[pos:pos + i], degs[pos:pos + i]))
+                pos += i
+            yield MINUS_ONE, pieces, k
+
+
+def defect_term_value(f: InfinityMorphism, term, blocks):
+    """A ``defect_terms`` term under f, without its coefficient; None for
+    a composition with a zero block, which the defect skips.  ``blocks``
+    holds the block values of one probe word under f, each evaluated once."""
+    _, pieces, arity = term
+    if arity is None:
+        (_, args, degs), = pieces
+        return f_shifted(f, len(args), args, degs)
+    values = []
+    for key, args, degs in pieces:
+        if key not in blocks:
+            blocks[key] = f_shifted(f, len(args), args, degs)
+        values.append(blocks[key])
+    if any(f.target.is_zero(v) for v in values):
+        return None
+    return delta_apply(f.target, arity, values,
+                       [sum(degs) + 1 - len(args) for _, args, degs in pieces])
+
+
+def defect_term_reads(term):
+    """The table entries (arity, input word) a term looks up: every word
+    of one key from each argument of each piece, held by a table or not."""
+    return {(len(args), wrd) for _, args, _ in term[1]
+            for wrd in itertools.product(*args)}
+
+
+def morphism_defect(f: InfinityMorphism, elems):
+    """F delta = delta F evaluated on one probe word (shifted picture), as
+    the sum of its ``defect_terms`` under f.  The shifted components F_k
+    are even, so the splitting side carries no Koszul signs at all; all
+    signs come from delta being odd and from the shift dictionary."""
     blocks = {}
-
-    def block(pos, i):
-        """(F_i on elems[pos:pos + i], its shifted degree)."""
-        got = blocks.get((pos, i))
-        if got is None:
-            block_degs = degs[pos:pos + i]
-            got = blocks[(pos, i)] = (f_shifted(f, i, elems[pos:pos + i], block_degs),
-                                      sum(block_degs) + 1 - i)
-        return got
-
-    def terms():
-        for coeff, new_elems, new_degs, k in _inner_delta(src, n, elems, degs):
-            yield f_shifted(f, k, new_elems, new_degs), coeff
-        for k in range(1, n + 1):
-            for arities in compositions(n, k):
-                pos = 0
-                values = []
-                value_degs = []
-                for i in arities:
-                    v, d = block(pos, i)
-                    pos += i
-                    values.append(v)
-                    value_degs.append(d)
-                if not any(tgt.is_zero(v) for v in values):
-                    yield delta_apply(tgt, k, values, value_degs), MINUS_ONE
-
-    return tgt.sum(terms())
+    values = ((defect_term_value(f, term, blocks), term[0])
+              for term in defect_terms(f.source, elems))
+    return f.target.sum((v, c) for v, c in values if v is not None)
 
 
 def compositions(n, k):

@@ -10,29 +10,24 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
-import pytest
-
 from totconn.connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
-                                automorphy_from_gauge, conjugation_compatibility,
-                                equivariance_defect, flatness_check, form_dvar,
-                                form_var, gauge, gauge_compose_check, holonomy,
-                                parse_loop, transport, PLPath)
-from totconn.convolution import (ConvolutionAlgebra, Generators, TensorSeries,
-                                 mc_check, mc_to_morphism, morphism_to_mc)
-from totconn.dupont import (dupont_E, dupont_Int, elementary_form,
-                            verify_naturality, verify_side_conditions,
-                            verify_stokes)
+                                automorphy_from_gauge,
+                                conjugation_compatibility, equivariance_defect,
+                                flatness_check, form_dvar, form_var, gauge,
+                                gauge_compose_check, holonomy, parse_loop)
+from totconn.convolution import (ConvolutionAlgebra, Generators, mc_check,
+                                 mc_to_morphism, morphism_to_mc)
+from totconn.dupont import (elementary_form, verify_naturality,
+                            verify_side_conditions, verify_stokes)
 from totconn.forms import integrate_over_simplex
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                              FreeLie, LieIdealPresentation, commutator)
-from totconn.graded import GradedVectorSpace
-from totconn.minimal import (check_comparison, compare_models, formality_check,
+from totconn.minimal import (check_comparison, compare_models,
                              model_fiber_data, one_minimal_model)
 from totconn.pipeline import (compare_pipeline_models, heisenberg_window,
                               run_pipeline, torus_window)
 from totconn.scalars import bernoulli
-from totconn.structures import (FiniteAlgebra, InfinityMorphism, check_linfty,
-                                check_morphism, check_stasheff, delta_apply)
+from totconn.structures import check_linfty, check_stasheff, delta_apply
 from totconn.totalcomplex import (GroupCochain, GroupCochainBackend,
                                   TotalComplexAlgebra, TotElement,
                                   tot_product_degree1,

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -9,8 +8,8 @@ from totconn.connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
                                 conjugation_compatibility, equivariance_defect,
                                 flatness_check, form_dvar, form_var, form_zero,
                                 gauge, gauge_between, gauge_compose_check,
-                                holonomy, lattice_path, parse_loop,
-                                poincare_primitive, transport)
+                                holonomy, parse_loop, poincare_primitive,
+                                transport)
 from totconn.forms import PolyForm
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                              FreeLie, LieIdealPresentation, bch, commutator)

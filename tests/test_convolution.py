@@ -21,7 +21,6 @@ from totconn.pipeline import PRESETS, run_pipeline
 from totconn.structures import (FiniteAlgebra, InfinityMorphism, check_linfty,
                                 check_morphism, delta_apply, f_shifted,
                                 interval_tensor)
-from totconn.transfer import nc_structure
 from tests.test_structures import all_words, torus_cdga
 
 
@@ -361,7 +360,7 @@ def test_source_delta_on_torus_words():
 
 def test_homotopy_transport_of_mc():
     # two strictly homotopic morphisms give endpoint-connected MC elements
-    from totconn.structures import FormsAlgebra, IntervalAlgebra
+    from totconn.structures import FormsAlgebra
     space = GradedVectorSpace({1: ["w"]})
     W = FiniteAlgebra(space, kind="1Cinf", arity_cap=3)
     B = FormsAlgebra(1)  # polynomial forms on the interval as a dga
@@ -770,3 +769,92 @@ def test_morphism_to_mc_stops_at_the_last_arity():
     assert alpha.trunc == 6
     assert list(alpha.data) == list(want)
     assert alpha.data == want
+
+
+def counting_support_tuples(monkeypatch):
+    """The arities whose ``conv_M`` walks its support tuples, in call order."""
+    import totconn.convolution
+    walked = []
+    walk = totconn.convolution._support_tuples
+
+    def counting(series_list, *args, **kwargs):
+        walked.append(len(series_list))
+        return walk(series_list, *args, **kwargs)
+
+    monkeypatch.setattr(totconn.convolution, "_support_tuples", counting)
+    return walked
+
+
+def test_conv_M_skips_an_arity_with_no_table(monkeypatch):
+    # the torus window holds only an arity-2 table, so M_n is zero for
+    # n >= 3: conv_M returns the full walk's series without walking
+    W, B, mor = torus_inclusion()
+    assert set(B.maps) == {2}
+    alpha = morphism_to_mc(mor, Generators(W.space), 5)
+    walked = counting_support_tuples(monkeypatch)
+    for n in range(2, 6):
+        for cut in (None, 3):
+            assert_same_series(conv_M(n, [alpha] * n, cut), ref_conv_M(n, [alpha] * n, cut))
+    assert walked == [2, 2]
+    assert conv_M(2, [alpha] * 2).data
+
+
+def test_conv_M_walks_every_arity_of_a_target_without_tables(monkeypatch):
+    # a total complex has no tables to read a zero arity off, and a
+    # transferred structure fills its tables on first use: neither is pruned
+    from totconn.convolution import _table_arities
+    from totconn.pipeline import tot_inclusion
+    W, B, mor = torus_inclusion()
+    incl = tot_inclusion(B, 2, arity_cap=4)
+    alpha = morphism_to_mc(mor, Generators(W.space), 4)
+    tot_alpha = TensorSeries(alpha.gens, incl.target, 4, 1,
+                             {w: incl.apply(1, [v]) for w, v in alpha.data.items()})
+    walked = counting_support_tuples(monkeypatch)
+    for n in range(2, 5):
+        assert_same_series(conv_M(n, [tot_alpha] * n), ref_conv_M(n, [tot_alpha] * n))
+    assert walked == [2, 3, 4]
+    model = one_minimal_model(torus_cdga(), arity_cap=4)
+    assert _table_arities(model.transfer.algebra) is None
+    assert _table_arities(incl.target) is None
+    assert _table_arities(B) == {2}
+
+
+def ref_delta_transpose(gens, source, max_len):
+    """``_delta_transpose`` walking every word up to ``max_len``."""
+    out = {}
+    for s in gens.words(max_len):
+        keys = [gens.keys[i] for i in s]
+        if not source.in_window(len(s), keys):
+            continue
+        val = delta_apply(source, len(s), [{k: Fraction(1)} for k in keys],
+                          [k[0] for k in keys])
+        for rank, (key, c) in enumerate(val.items()):
+            out.setdefault(gens.index_of(key), []).append((s, c, rank))
+    return out
+
+
+def preset_model(name):
+    return positive_part(one_minimal_model(PRESETS[name]["window"](), arity_cap=4).algebra)
+
+
+TRANSPOSE_SOURCES = {**SOURCES, "torus-preset": lambda: preset_model("torus"),
+                     "heisenberg-preset": lambda: preset_model("heisenberg")}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPOSE_SOURCES))
+def test_delta_transpose_stops_at_the_last_table_arity(name, monkeypatch):
+    import totconn.convolution
+    from totconn.convolution import _delta_transpose
+    W = TRANSPOSE_SOURCES[name]()
+    gens = Generators(W.space)
+    last = max(k for k, table in W.maps.items() if table)
+    calls = []
+    apply = totconn.convolution.delta_apply
+    monkeypatch.setattr(totconn.convolution, "delta_apply",
+                        lambda alg, k, *args: calls.append(k) or apply(alg, k, *args))
+    for max_len in range(1, 7):
+        calls.clear()
+        got = _delta_transpose(gens, W, max_len)
+        assert max(calls) == min(max_len, last)
+        want = ref_delta_transpose(gens, W, max_len)
+        assert list(got.items()) == list(want.items())

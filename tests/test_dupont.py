@@ -7,7 +7,7 @@ from totconn.dupont import (NCElement, dupont_E, dupont_Int, dupont_s,
                             nc_differential, nc_simplicial_action,
                             verify_naturality, verify_side_conditions,
                             verify_stokes)
-from totconn.forms import (PolyForm, SimplicialOperator, integrate_over_simplex,
+from totconn.forms import (SimplicialOperator, integrate_over_simplex,
                            simplex_dt, simplex_monomials, simplex_t)
 
 

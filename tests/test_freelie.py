@@ -9,7 +9,7 @@ from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                              FreeLie, LieIdealPresentation, TruncationError,
                              _length_first, bch, commutator, is_grouplike,
                              is_primitive, lyndon_bracket, lyndon_words,
-                             tensor_exp, tensor_log, tensor_mul)
+                             tensor_exp, tensor_log)
 from totconn.linalg import Coordinates, Echelon, accumulate, vec_add, vec_scale
 from totconn.scalars import rat
 

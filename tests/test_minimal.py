@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from totconn.convolution import Generators, degree_zero_restrict, mc_check
+from totconn.convolution import Generators
 from totconn.freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
                              LieIdealPresentation, commutator)
 from totconn.graded import GradedVectorSpace
 from totconn.linalg import accumulate, solve, vec_add
-from totconn.minimal import (ModelError, _linear_system, _ReadRecorder,
+from totconn.minimal import (ModelError, _linear_system,
                              check_comparison, compare_models, formality_check,
                              hodge_decomposition, massey_report,
                              model_fiber_data, model_mc, one_minimal_model,
                              positive_part)
-from totconn.structures import FiniteAlgebra, InfinityMorphism, morphism_defect
+from totconn.structures import (FiniteAlgebra, InfinityMorphism, defect_term_reads,
+                                defect_term_value, defect_terms, morphism_defect)
 from tests.test_structures import heisenberg_cdga, torus_cdga
 
 
@@ -424,40 +425,120 @@ def test_dual_series_matches_the_name_based_map(name, pivot1, pivot2):
         assert list(got.items()) == list(want.items())
 
 
-def test_read_recorder_records_words_its_table_does_not_hold():
-    space = GradedVectorSpace({0: ["a", "b"]})
-    a, b = (0, "a"), (0, "b")
-    alg = FiniteAlgebra(space)
-    rec = _ReadRecorder(alg, alg, tables={2: {(a, b): {a: Fraction(1)}}})
-    out = rec.apply(2, [{a: Fraction(1), b: Fraction(2)}, {b: Fraction(1)}])
-    assert out == {a: Fraction(1)}
-    assert rec.reads == {(2, (a, b)), (2, (b, b))}
-    rec.reads = set()
-    assert rec.apply(3, [{b: Fraction(1)}] * 3) == {}
-    assert rec.reads == {(3, (b, b, b))}
+def test_term_reads_hold_words_the_tables_do_not_hold():
+    space = GradedVectorSpace({1: ["a", "b"], 2: ["c"]})
+    a, b, c = (1, "a"), (1, "b"), (2, "c")
+    alg = FiniteAlgebra(space, maps={2: {(a, b): {c: Fraction(1)}}})
+    ident = InfinityMorphism(alg, alg, tables={1: {(k,): {k: Fraction(1)}
+                                                   for k in (a, b, c)}})
+    probe = [{a: Fraction(1), b: Fraction(2)}, {b: Fraction(1)}]
+    terms = list(defect_terms(alg, probe))
+    # F_1(delta_2), then the compositions delta_1(F_2) and delta_2(F_1, F_1);
+    # the morphism has no arity-2 table, and (b, b) is in no table at all
+    assert [defect_term_reads(t) for t in terms] == [
+        {(1, (c,))}, {(2, (a, b)), (2, (b, b))},
+        {(1, (a,)), (1, (b,))}]
+    blocks = {}
+    values = [defect_term_value(ident, t, blocks) for t in terms]
+    assert values == [{c: Fraction(1)}, None, {c: Fraction(1)}]
+    assert [coeff for coeff, _, _ in terms] == [1, -1, -1]
+    assert morphism_defect(ident, probe) == {}
+
+
+class _LoggedTable(dict):
+    """A morphism table that adds to ``log`` every (arity, word) looked up."""
+
+    def __init__(self, k, table, log):
+        super().__init__(table)
+        self.k, self.log = k, log
+
+    def __contains__(self, wrd):
+        self.log.add((self.k, wrd))
+        return super().__contains__(wrd)
 
 
 @pytest.mark.parametrize("name,pivot1,pivot2", COMPARE_CASES[::2])
-def test_probe_read_sets_do_not_depend_on_the_tables(name, pivot1, pivot2):
-    # the premise of re-evaluating only a column's readers: every probe
-    # reads the same table entries on the base tables and on each table
-    # that puts a unit on one unknown
+def test_term_read_sets_do_not_depend_on_the_tables(name, pivot1, pivot2):
+    # the premise of re-evaluating only the terms that read a column's
+    # entry: a term's read set comes from the probe and the source alone,
+    # it holds every entry the term looks up on the base tables and on
+    # each table that puts a unit on one unknown, and a term that does
+    # not read the unknown's entry keeps its base value
     m1, m2 = _model(name, pivot1), _model(name, pivot2)
     W1, W2 = m1.algebra, m2.algebra
     base_tables = ref_linear_part(m1, m2)
     unknowns, probes = ref_unknowns_and_probes(W1, W2, 4)
+    terms = [list(defect_terms(W2, [{k: Fraction(1)} for k in wrd])) for wrd in probes]
+    reads = [[defect_term_reads(t) for t in ts] for ts in terms]
 
-    def read_sets(tables):
-        rec = _ReadRecorder(W2, W1, tables=tables, arity_cap=4)
+    def evaluate(tables):
+        """Per term, its value and the entries it looks up."""
+        mor = InfinityMorphism(W2, W1, tables=tables, arity_cap=4)
         out = []
-        for wrd in probes:
-            rec.reads = set()
-            morphism_defect(rec, [{k: Fraction(1)} for k in wrd])
-            out.append(rec.reads)
+        for ts in terms:
+            for term in ts:
+                log = set()
+                mor.tables = {k: _LoggedTable(k, t, log) for k, t in tables.items()}
+                out.append((defect_term_value(mor, term, {}), log))
         return out
 
-    base = read_sets(base_tables)
-    assert all(base)
+    base = evaluate(base_tables)
+    flat_reads = [r for rs in reads for r in rs]
+    assert all(flat_reads)
+    assert any(entry[0] not in base_tables for r in flat_reads for entry in r)
     for j, wrd, vk in unknowns:
-        tables = {1: base_tables[1], j: {wrd: {vk: Fraction(1)}}}
-        assert read_sets(tables) == base, (j, wrd, vk)
+        got = evaluate({1: base_tables[1], j: {wrd: {vk: Fraction(1)}}})
+        for r, (value, log), (base_value, base_log) in zip(flat_reads, got, base):
+            assert log <= r and base_log <= r, (j, wrd, vk)
+            if (j, wrd) not in r:
+                assert value == base_value, (j, wrd, vk)
+    assert [[defect_term_reads(t) for t in ts] for ts in terms] == reads
+
+
+@pytest.mark.parametrize("name,pivot1,pivot2", COMPARE_CASES[3:])
+def test_linear_system_on_tables_that_hold_the_unknowns(name, pivot1, pivot2):
+    # base tables with values at the unknowns' own entries (the solved
+    # comparison, its higher components doubled): a column still equals
+    # defect(base + e) - defect(base) over every probe
+    m1, m2 = _model(name, pivot1), _model(name, pivot2)
+    W1, W2 = m1.algebra, m2.algebra
+    k_tables = {j: {wrd: {key: c if j == 1 else 2 * c for key, c in val.items()}
+                    for wrd, val in table.items()}
+                for j, table in compare_models(m1, m2, arity_cap=4).k_tables.items()}
+    assert any(j > 1 for j in k_tables)
+    unknowns, probes = ref_unknowns_and_probes(W1, W2, 4)
+
+    def total_defect(tables):
+        mor = InfinityMorphism(W2, W1, tables=tables, arity_cap=4)
+        return {(pi, key): c for pi, wrd in enumerate(probes)
+                for key, c in morphism_defect(mor, [{k: Fraction(1)} for k in wrd]).items()}
+
+    base = total_defect(k_tables)
+    want = []
+    for j, wrd, vk in unknowns:
+        table = dict(k_tables.get(j, {}))
+        table[wrd] = vec_add(table.get(wrd, {}), {vk: Fraction(1)})
+        want.append(vec_add(total_defect({**k_tables, j: table}), base, Fraction(-1)))
+    cols, rhs = _linear_system(W2, W1, k_tables, unknowns, probes, 4)
+    assert cols == want
+    assert rhs == {k: -c for k, c in base.items()} and rhs
+
+
+def test_linear_system_calls_no_morphism_defect(monkeypatch):
+    import totconn.minimal
+    import totconn.structures
+    calls = []
+    real = totconn.structures.morphism_defect
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(totconn.structures, "morphism_defect", counting)
+    monkeypatch.setattr(totconn.minimal, "morphism_defect", counting)
+    m1, m2 = _model("heisenberg", "lex"), _model("heisenberg", "shear")
+    unknowns, probes = ref_unknowns_and_probes(m1.algebra, m2.algebra, 4)
+    cols, _ = _linear_system(m2.algebra, m1.algebra, ref_linear_part(m1, m2),
+                             unknowns, probes, 4)
+    assert len(cols) == len(unknowns) and any(cols)
+    assert calls == []

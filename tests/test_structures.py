@@ -2,18 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from totconn.forms import simplex_monomials
 from totconn.graded import GradedVectorSpace
 from totconn.linalg import vec_add
 from totconn.structures import (FiniteAlgebra, FormsAlgebra, Homotopy,
-                                InfinityMorphism, IntervalAlgebra,
-                                antisymmetrize, check_linfty, check_morphism,
-                                check_shuffle_vanishing, check_stasheff,
-                                check_unitality, delta_apply, interval_tensor,
-                                linfty_defect, morphism_defect, shift_sign,
-                                stasheff_defect)
+                                InfinityMorphism, antisymmetrize, check_linfty,
+                                check_morphism, check_shuffle_vanishing,
+                                check_stasheff, check_unitality, delta_apply,
+                                interval_tensor, shift_sign)
 from totconn.transfer import nc_structure
 
 

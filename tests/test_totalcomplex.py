@@ -11,12 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totconn.forms import PolyForm
-from totconn.linalg import Echelon
-from totconn.scalars import bernoulli
 from totconn.signs import perm_sign, sorted_image
 from totconn import totalcomplex
-from totconn.structures import (FiniteAlgebra, check_shuffle_vanishing,
-                                check_stasheff)
+from totconn.structures import FiniteAlgebra, check_stasheff
 from totconn.totalcomplex import (FinitePresentation, GroupCochain,
                                   GroupCochainBackend, LevelCapError,
                                   TotalComplexAlgebra, TotElement,

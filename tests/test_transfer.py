@@ -15,10 +15,10 @@ from totconn.scalars import bernoulli
 from totconn.structures import (FiniteAlgebra, check_morphism,
                                 check_shuffle_vanishing, check_stasheff,
                                 check_unitality, shift_sign)
-from totconn.transfer import (ArityCapError, Contraction, HodgeError,
-                              TransferredAlgebra, contraction_from_hodge,
-                              dupont_contraction, identity_contraction,
-                              nc_space, nc_structure, transfer_structure)
+from totconn.transfer import (ArityCapError, HodgeError, TransferredAlgebra,
+                              contraction_from_hodge, dupont_contraction,
+                              identity_contraction, nc_space, nc_structure,
+                              transfer_structure)
 from tests.test_structures import all_words, heisenberg_cdga, torus_cdga
 
 
