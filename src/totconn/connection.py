@@ -25,7 +25,7 @@ from .forms import PolyForm
 from .freelie import EnvelopingQuotient, FiberLieAlgebra
 from .linalg import (accumulate, accumulate_scaled, from_scaled, lowest_terms,
                      scaled_sum)
-from .scalars import rat, rat_str
+from .scalars import bernoulli, rat, rat_str
 from .structures import FormSpace, KeyedCarrier
 
 
@@ -420,9 +420,6 @@ class PLPath:
             raise ValueError("paths do not compose: endpoints differ")
         return PLPath(self.vertices + other.vertices[1:])
 
-    def reverse(self):
-        return PLPath(list(reversed(self.vertices)))
-
     def translate(self, g):
         return PLPath([tuple(a + rat(b) for a, b in zip(v, g))
                        for v in self.vertices])
@@ -531,12 +528,7 @@ def _pullback(coeff_terms, a, b):
 def _dexp_inverse(n):
     """beta_0 .. beta_{n-1} of x / (1 - e^{-x}) = sum_n beta_n x^n, that
     is beta_n = B+_n / n!: 1, 1/2, 1/12, 0, -1/720, ..."""
-    # the inverse, term by term, of (1 - e^{-x}) / x = sum (-x)^k / (k + 1)!
-    beta = [Fraction(1)]
-    for m in range(1, n):
-        beta.append(-sum(Fraction((-1) ** k, factorial(k + 1)) * beta[m - k]
-                         for k in range(1, m + 1)))
-    return tuple(beta[:n])
+    return tuple(bernoulli(k) / factorial(k) for k in range(n))
 
 
 def _segment_flow(lie, A, omega):

@@ -77,12 +77,6 @@ class TensorSeries:
                 if not target.is_zero(val):
                     self.data[w] = val
 
-    def value(self, w):
-        w = tuple(w)
-        if len(w) > self.trunc:
-            raise TruncationError("word beyond truncation order")
-        return self.data.get(w, self.target.zero())
-
     def is_zero(self):
         return not self.data
 

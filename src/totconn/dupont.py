@@ -11,11 +11,12 @@ Stokes compatibility and simplicial naturality.  All arithmetic is exact.
 
 E, Int and each h^i are linear, so they are applied to a form as sparse
 sums of cached images of its monomials t^exps dt_dts: ``elementary_form``
-per index string, ``_int_monomial`` per (exps, dts, n) from the closed
-Dirichlet integral, and ``_h_monomial`` per (exps, dts, n, i).  The
-monomial tables hold scaled values, ``(den, ((key, int), ..))`` in
-lowest terms, and cached forms are only read, never mutated.  The sums
-run on the forms' integer numerators, in place, in a scaled accumulator
+per index string, ``_int_monomial`` per (exps, dts, n) as one closed
+Dirichlet integral, and ``_h_monomial`` per (exps, dts, n, i) as a sum
+of closed Beta integrals, one per term of the pullback.  The monomial
+tables hold scaled values, ``(den, ((key, int), ..))`` in lowest terms,
+and cached forms are only read, never mutated.  The sums run on the
+forms' integer numerators, in place, in a scaled accumulator
 (``linalg.accumulate_scaled``), so no ``Fraction`` is built on the way;
 ``dupont_Int`` builds its coefficients once, at the end.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 from .forms import (PolyForm, SimplicialOperator, simplex_dt, simplex_monomials,
                     simplex_t)
@@ -207,67 +208,37 @@ def _h_monomial(exps, dts, n, i):
     """h^i of the monomial t^exps dt_dts on the n-simplex, scaled:
     ``(den, ((key, n), ..))`` in lowest terms.
 
-    phi_i^* works in the eliminated coordinates t_1..t_n, which transform
-    as t_k -> u t_k + (1-u) delta_ik and stay inside the eliminated chart;
-    dt_k -> u dt_k + (t_k - delta_ik) du.  Only the du-component survives
-    the fiber integral, where u^e du integrates to -1/(e+1) (see
-    ``h_operator`` for the sign).
+    phi_i^* sends t_k -> u t_k + (1-u) delta_ik in the eliminated chart,
+    so dt_k -> u dt_k + (t_k - delta_ik) du.  With a = exps, S = (s_0 <
+    .. < s_{p-1}) the dt indices, c the coordinate of vertex i (a_c = 0
+    when i = 0) and A = |a| - a_c, expanding (u t_c + 1 - u)^{a_c}
+    binomially and moving du leftmost past r dt's gives
+
+        h^i(t^a dt_S) = - sum_{b <= a_c} sum_{r < p} (-1)^r C(a_c, b)
+                        B(A + b + p, a_c - b + 1) t^{a, a_c -> b}
+                        (t_{s_r} - delta_{s_r c}) dt_{S - s_r},
+
+    one Beta integral of u^{A+b+p-1} (1-u)^{a_c-b} per term (see
+    ``h_operator`` for the sign).  All terms share the denominator
+    (A + a_c + p)!, and h^i is zero on functions.
     """
-    # polynomial factor: (exps, uexp, coeff)
-    poly_parts = [((0,) * n, 0, 1)]
-    for j in range(n):
-        e = exps[j]
-        if e == 0:
-            continue
-        new_parts = []
-        if i == j + 1:
-            # (u t + 1 - u)^e -- expand binomially in (u t) and (1-u)
-            for a in range(e + 1):
-                coeff = comb(e, a)
-                # (u t)^a (1-u)^{e-a}; expand (1-u)^{e-a}
-                for b in range(e - a + 1):
-                    cb = comb(e - a, b) * ((-1) ** b)
-                    for pexps, pu, pc in poly_parts:
-                        ne = list(pexps)
-                        ne[j] += a
-                        new_parts.append((tuple(ne), pu + a + b, pc * coeff * cb))
-        else:
-            for pexps, pu, pc in poly_parts:
-                ne = list(pexps)
-                ne[j] += e
-                new_parts.append((tuple(ne), pu + e, pc))
-        poly_parts = new_parts
-    # dt factor: product over j in dts of (u dt_j + (t_j - delta) du)
-    dt_parts = [((), False, (0,) * n, 0, 1)]
-    # entries: (dts_so_far, has_du, extra_exps, extra_uexp, coeff)
-    for j in dts:
-        new_parts = []
-        for (pd, pdu, pe, pu, pc) in dt_parts:
-            # option A: u dt_{j+1}; the new dt only passes the larger
-            # dt indices already collected (du stays leftmost)
-            if j not in pd:
-                sign = 1
-                for b in pd:
-                    if b > j:
-                        sign = -sign
-                new_parts.append((tuple(sorted(pd + (j,))), pdu, pe, pu + 1,
-                                  pc * sign))
-            # option B: (t_j - delta_{i,j+1}) du
-            if not pdu:
-                sign = -1 if len(pd) % 2 else 1  # du passes over every existing dt
-                ne = list(pe)
-                ne[j] += 1
-                new_parts.append((pd, True, tuple(ne), pu, pc * sign))
-                if i == j + 1:
-                    new_parts.append((pd, True, pe, pu, -pc * sign))
-        dt_parts = new_parts
-    # u^e du integrates to 1/(e + 1): over the lcm of those denominators
-    parts = [((tuple(a + b for a, b in zip(pexps, qe)), qd), -pc * qc, pu + qu + 1)
-             for pexps, pu, pc in poly_parts
-             for qd, qdu, qe, qu, qc in dt_parts if qdu]
-    den = lcm(*[e for _, _, e in parts])
-    den, num = lowest_terms(den, accumulate({}, ((key, c * (den // e))
-                                                 for key, c, e in parts)))
+    p = len(dts)
+    if not p:
+        return 1, ()
+    c = i - 1
+    ac = exps[c] if i else 0
+    A = sum(exps) - ac
+    terms = []
+    for b in range(ac + 1):
+        base = exps[:c] + (b,) + exps[i:] if i else exps
+        beta = comb(ac, b) * factorial(A + b + p - 1) * factorial(ac - b)
+        for r, s in enumerate(dts):
+            v = beta if r % 2 else -beta
+            rest = dts[:r] + dts[r + 1:]
+            terms.append(((base[:s] + (base[s] + 1,) + base[s + 1:], rest), v))
+            if s == c:
+                terms.append(((base, rest), -v))
+    den, num = lowest_terms(factorial(A + ac + p), accumulate({}, terms))
     return den, tuple(num.items())
 
 
@@ -276,7 +247,9 @@ def h_operator(form: PolyForm, i: int) -> PolyForm:
     """h^i = (integration along u in [0,1]) o phi_i^*.
 
     Keeps the du-component of the pulled-back form and integrates its
-    polynomial u-dependence exactly.  The fiber orientation is pinned by
+    polynomial u-dependence exactly, one Beta integral per term of a
+    monomial (``_h_monomial``), as Int is one Dirichlet integral per
+    monomial.  The fiber orientation is pinned by
     the side conditions: with du collected leftmost, the integral carries
     a global minus sign (the other orientation breaks ds + sd = E Int - Id
     on the monomial spanning set).  h^i is linear, so it is applied

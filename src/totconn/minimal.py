@@ -290,11 +290,6 @@ class Comparison:
                           for name2, c in dual_matrix.get(name1, {}).items()}
                          for _, name1 in model1.algebra.space.keys(1)]
 
-    def morphism(self):
-        return InfinityMorphism(self.model2.algebra, self.model1.algebra,
-                                tables=self.k_tables,
-                                arity_cap=self.model2.algebra.arity_cap)
-
     def dual_on_word(self, w):
         """Image of a dual word of model1's fiber in model2's fiber."""
         out = {(): Fraction(1)}

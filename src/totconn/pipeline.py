@@ -216,7 +216,7 @@ def run_pipeline(name, trunc=4, arity_cap=4, pivot="lex", k=None) -> PipelineRes
         preset = {"ambient_dim": None, "loops": []}
         B = name
         label = "custom"
-    k = k or trunc
+    k = trunc if k is None else k
     if k > trunc:
         raise ValueError("run_pipeline: k = %d exceeds trunc = %d" % (k, trunc))
     model = one_minimal_model(B, arity_cap=arity_cap, pivot=pivot)

@@ -186,6 +186,20 @@ def test_transport_grouplike():
     assert env.is_grouplike(T)
 
 
+def test_dexp_inverse_coefficients():
+    # x / (1 - e^{-x}) = sum beta_n x^n: pinned values, and its product
+    # with (1 - e^{-x}) / x = sum (-x)^k / (k + 1)! is 1 up to x^15
+    from math import factorial
+
+    from totconn.connection import _dexp_inverse
+    assert _dexp_inverse(9) == (1, Fraction(1, 2), Fraction(1, 12), 0,
+                                Fraction(-1, 720), 0, Fraction(1, 30240), 0,
+                                Fraction(-1, 1209600))
+    beta = _dexp_inverse(16)
+    assert [sum(Fraction((-1) ** k, factorial(k + 1)) * beta[m - k]
+                for k in range(m + 1)) for m in range(16)] == [1] + [0] * 15
+
+
 def test_path_independence_for_flat():
     # flat connections transport equally along rectangle subdivisions
     _, _, fib, env = heisenberg_rank2(k=3)

@@ -1,14 +1,18 @@
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from totconn.dupont import (NCElement, dupont_E, dupont_Int, dupont_s,
-                            elementary_form, h_operator, index_strings, nc_basis,
-                            nc_differential, nc_simplicial_action,
+from totconn.dupont import (NCElement, _h_monomial, dupont_E, dupont_Int,
+                            dupont_s, elementary_form, h_operator, index_strings,
+                            nc_basis, nc_differential, nc_simplicial_action,
                             verify_naturality, verify_side_conditions,
                             verify_stokes)
 from totconn.forms import (SimplicialOperator, integrate_over_simplex,
                            simplex_dt, simplex_monomials, simplex_t)
+from totconn.linalg import accumulate, lowest_terms
 
 
 def test_elementary_forms_dimension_one():
@@ -172,3 +176,93 @@ def test_cached_forms_cannot_be_changed_through_terms():
     assert dict(elementary_form((0, 1), 2).terms) == saved[0]
     assert dict(h_operator(simplex_t(2, 1).wedge(simplex_dt(2, 2)), 1).terms) == saved[1]
     assert dict(dupont_E(NCElement.basis(2, (0, 1))).terms) == saved[2]
+
+
+def ref_h_monomial(exps, dts, n, i):
+    """h^i of t^exps dt_dts by expanding the pullback term by term: the
+    oracle of the closed form ``_h_monomial``.
+
+    phi_i^* works in the eliminated coordinates t_1..t_n, which transform
+    as t_k -> u t_k + (1-u) delta_ik and stay inside the eliminated chart;
+    dt_k -> u dt_k + (t_k - delta_ik) du.  Only the du-component survives
+    the fiber integral, where u^e du integrates to -1/(e+1) (see
+    ``h_operator`` for the sign).
+    """
+    # polynomial factor: (exps, uexp, coeff)
+    poly_parts = [((0,) * n, 0, 1)]
+    for j in range(n):
+        e = exps[j]
+        if e == 0:
+            continue
+        new_parts = []
+        if i == j + 1:
+            # (u t + 1 - u)^e -- expand binomially in (u t) and (1-u)
+            for a in range(e + 1):
+                coeff = comb(e, a)
+                # (u t)^a (1-u)^{e-a}; expand (1-u)^{e-a}
+                for b in range(e - a + 1):
+                    cb = comb(e - a, b) * ((-1) ** b)
+                    for pexps, pu, pc in poly_parts:
+                        ne = list(pexps)
+                        ne[j] += a
+                        new_parts.append((tuple(ne), pu + a + b, pc * coeff * cb))
+        else:
+            for pexps, pu, pc in poly_parts:
+                ne = list(pexps)
+                ne[j] += e
+                new_parts.append((tuple(ne), pu + e, pc))
+        poly_parts = new_parts
+    # dt factor: product over j in dts of (u dt_j + (t_j - delta) du)
+    dt_parts = [((), False, (0,) * n, 0, 1)]
+    # entries: (dts_so_far, has_du, extra_exps, extra_uexp, coeff)
+    for j in dts:
+        new_parts = []
+        for (pd, pdu, pe, pu, pc) in dt_parts:
+            # option A: u dt_{j+1}; the new dt only passes the larger
+            # dt indices already collected (du stays leftmost)
+            if j not in pd:
+                sign = 1
+                for b in pd:
+                    if b > j:
+                        sign = -sign
+                new_parts.append((tuple(sorted(pd + (j,))), pdu, pe, pu + 1,
+                                  pc * sign))
+            # option B: (t_j - delta_{i,j+1}) du
+            if not pdu:
+                sign = -1 if len(pd) % 2 else 1  # du passes over every existing dt
+                ne = list(pe)
+                ne[j] += 1
+                new_parts.append((pd, True, tuple(ne), pu, pc * sign))
+                if i == j + 1:
+                    new_parts.append((pd, True, pe, pu, -pc * sign))
+        dt_parts = new_parts
+    # u^e du integrates to 1/(e + 1): over the lcm of those denominators
+    parts = [((tuple(a + b for a, b in zip(pexps, qe)), qd), -pc * qc, pu + qu + 1)
+             for pexps, pu, pc in poly_parts
+             for qd, qdu, qe, qu, qc in dt_parts if qdu]
+    den = lcm(*[e for _, _, e in parts])
+    den, num = lowest_terms(den, accumulate({}, ((key, c * (den // e))
+                                                 for key, c, e in parts)))
+    return den, tuple(num.items())
+
+
+def _same_h(exps, dts, n, i):
+    got, want = _h_monomial(exps, dts, n, i), ref_h_monomial(exps, dts, n, i)
+    return (got[0], dict(got[1])) == (want[0], dict(want[1]))
+
+
+def test_h_closed_form_matches_the_expanded_pullback():
+    # every monomial of polynomial degree <= 5 on the n-simplex, n <= 4,
+    # at every vertex: 12149 cases
+    cases = [(exps, dts, n, i) for n in range(5)
+             for w in simplex_monomials(n, 5) for (exps, dts) in w.num
+             for i in range(n + 1)]
+    assert len(cases) == 12149
+    assert [c for c in cases if not _same_h(*c)] == []
+
+
+@given(exps=st.tuples(*[st.integers(0, 4)] * 5),
+       dts=st.sets(st.integers(0, 4)), i=st.integers(0, 5))
+@settings(deadline=None, max_examples=60)
+def test_h_closed_form_matches_the_expanded_pullback_on_the_5_simplex(exps, dts, i):
+    assert _same_h(exps, tuple(sorted(dts)), 5, i)

@@ -204,6 +204,20 @@ def test_run_pipeline_refuses_k_above_trunc():
     assert r.env.order == r.fib.free.order == 4
 
 
+@pytest.mark.parametrize("k", [0, 1, -3])
+def test_run_pipeline_refuses_k_below_two(k):
+    # k = 0 is an order like any other, not a request for the default
+    from totconn.pipeline import run_pipeline
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        run_pipeline("torus", trunc=4, k=k)
+
+
+def test_run_pipeline_defaults_k_to_trunc():
+    from totconn.pipeline import run_pipeline
+    r = run_pipeline("torus", trunc=4, k=None)
+    assert r.fib.k == r.env.order == 4
+
+
 def per_k_dims(fib):
     """dim u/I^kk for kk = 2..k, one quotient built per kk: the oracle of
     ``FiberLieAlgebra.dims_per_k``."""
