@@ -78,8 +78,7 @@ def _pretty(data, indent=0):
 def cmd_dupont_verify(args):
     status = PASS
     for n in range(args.n + 1):
-        failures = verify_side_conditions(n, max_poly_deg=args.max_poly_deg,
-                                          corrupt=args.corrupt)
+        failures = verify_side_conditions(n, max_poly_deg=args.max_poly_deg)
         line = "side conditions  n=%d: %s" % (n, "pass" if not failures else
                                               "FAIL (%d)" % len(failures))
         print(line)
@@ -310,8 +309,6 @@ def build_parser():
     v = dups.add_parser("verify")
     v.add_argument("--n", type=_int_at_least(0), default=3)
     v.add_argument("--max-poly-deg", type=_int_at_least(0), default=4)
-    v.add_argument("--corrupt", action="store_true",
-                   help="inject a deliberate error (test hook)")
     v.set_defaults(fn=cmd_dupont_verify)
 
     tr = sub.add_parser("transfer", help="transferred simplex structures")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .freelie import (EnvelopingQuotient, FreeLie, LieIdealPresentation,
-                      TruncationError, is_primitive)
+                      TruncationError)
 from .graded import GradedVectorSpace
 from .linalg import ONE, accumulate
 from .scalars import rat
@@ -380,8 +380,7 @@ def mc_to_morphism(alpha: TensorSeries, source: FiniteAlgebra) -> InfinityMorphi
         keys = tuple(gens.keys[i] for i in w)
         sign = shift_sign([k[0] for k in keys])
         tables.setdefault(len(w), {})[keys] = alpha.target.scale(val, sign)
-    return InfinityMorphism(source, alpha.target, tables=tables,
-                            arity_cap=alpha.trunc)
+    return InfinityMorphism(source, alpha.target, tables=tables)
 
 
 def check_reduced(alpha: TensorSeries):
@@ -408,7 +407,8 @@ def delta_star(mW: FiniteAlgebra, trunc: int):
 
     For each degree-2 basis element the emitted series collects the
     structure constants of m_n on degree-1 inputs; the result lives in
-    the free Lie algebra on the degree-1 duals (primitivity is verified).
+    the free Lie algebra on the degree-1 duals: ``LieIdealPresentation``
+    raises ValueError for a series that is no Lie element.
     Returns (FreeLie, LieIdealPresentation, generator dict).
     """
     if mW.maps.get(1):
@@ -422,13 +422,7 @@ def delta_star(mW: FiniteAlgebra, trunc: int):
              if len(wrd) <= trunc and all(k in one_keys for k in wrd)]
     gens_out = {key: accumulate({}, ((w, val[key]) for w, val in words if key in val))
                 for key in two_keys}
-    generators = []
-    for key in two_keys:
-        g = gens_out[key]
-        if g:
-            if not is_primitive(g, trunc):
-                raise ValueError("delta-star image is not primitive: %r" % (key,))
-            generators.append(g)
+    generators = [g for g in gens_out.values() if g]
     ideal = LieIdealPresentation(free, generators)
     return free, ideal, gens_out
 

@@ -67,25 +67,11 @@ class NCElement:
         return cls(n, {tuple(I): Fraction(1)})
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
     def unit(cls, n):
         return cls(n, {(i,): Fraction(1) for i in range(n + 1)})
 
     def is_zero(self):
         return not self.coeffs
-
-    def homogeneous_degree(self):
-        degs = {len(I) - 1 for I in self.coeffs}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def component(self, degree):
-        return NCElement(self.n, {I: c for I, c in self.coeffs.items()
-                                  if len(I) - 1 == degree})
 
     def __add__(self, other):
         if self.n != other.n:
@@ -325,19 +311,14 @@ def nc_basis(n):
     return out
 
 
-def verify_side_conditions(n, max_poly_deg=4, corrupt=False):
-    """Check the contraction identities on a spanning set; returns a report.
-
-    ``corrupt`` injects a deliberate error (test hook for the CLI).
-    """
+def verify_side_conditions(n, max_poly_deg=4):
+    """Check the contraction identities on a spanning set; returns a report:
+    one (identity, n, witness) per failure, empty when all hold."""
     failures = []
     span = simplex_monomials(n, max_poly_deg)
 
     for lam in nc_basis(n):
-        got = dupont_Int(dupont_E(lam), n)
-        if corrupt:
-            got = NCElement.basis(n, (0,)) + got
-        if got != lam:
+        if dupont_Int(dupont_E(lam), n) != lam:
             failures.append(("Int(E(lambda)) != lambda", n, repr(lam)))
         sE = dupont_s(dupont_E(lam), n)
         if not sE.is_zero():

@@ -449,8 +449,10 @@ def _close(span, generators, order, products):
 class LieIdealPresentation:
     """The Lie ideal generated by given Lie series inside a free Lie algebra.
 
-    Generators may carry tails.  ``span`` is the ideal cut at the order:
-    an ``Echelon`` over Lyndon words, closed under ad_{x_i}.  A bracket has
+    Generators may carry tails.  A generator that is no Lie element up to
+    the order (it has no Lyndon coordinates) is a ValueError naming its
+    index and series.  ``span`` is the ideal cut at the order: an
+    ``Echelon`` over Lyndon words, closed under ad_{x_i}.  A bracket has
     no word below its own, so the pivots are the expanded ideal's.
     """
 
@@ -459,7 +461,9 @@ class LieIdealPresentation:
         self.generators = [{w: rat(c) for w, c in g.items()} for g in generators]
         rows = [free._coordinates(g) for g in self.generators]
         if None in rows:
-            raise ValueError("ideal generator is not a Lie element")
+            i = rows.index(None)
+            raise ValueError("ideal generator %d is not a Lie element: %s"
+                             % (i, series_repr(self.generators[i], free.gen_names)))
         letters, ad = range(len(free.gen_names)), free._ad
         # closed on integer numerators: a span does not depend on scale
         self.span = Echelon(_length_first)

@@ -355,13 +355,13 @@ class Coordinates:
                 if all(type(k) is _Tag for k in row)]
 
 
-def solve(rows, rhs, key_order=None):
+def solve(rows, rhs):
     """Solve sum_i x_i * rows[i] = rhs exactly; None if inconsistent.
 
     ``rows`` is a list of vectors; returns a list of Fractions (one
     coefficient per row) or None.
     """
-    coords, leftover = Coordinates(rows, key_order)(rhs)
+    coords, leftover = Coordinates(rows)(rhs)
     if leftover:
         return None
     return [coords.get(i, Fraction(0)) for i in range(len(rows))]

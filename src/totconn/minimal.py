@@ -102,12 +102,11 @@ class OneMinimalModel:
     """Low-degree minimal structure with its morphism into the target."""
 
     def __init__(self, algebra: FiniteAlgebra, morphism: InfinityMorphism,
-                 target: FiniteAlgebra, transfer: TransferResult, pivot: str):
+                 target: FiniteAlgebra, transfer: TransferResult):
         self.algebra = algebra
         self.morphism = morphism
         self.target = target
         self.transfer = transfer
-        self.pivot = pivot
 
 
 def positive_part(alg: FiniteAlgebra) -> FiniteAlgebra:
@@ -177,9 +176,7 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
     if gen2.rank != len(kept2):
         raise ModelError("window too small to span the generated degree-2 part")
 
-    unit_name = None
-    if full.unit_key is not None:
-        unit_name = full.unit_key
+    unit_name = full.unit_key
     degrees = {1: [name for _, name in one_keys], 2: [name for _, name in kept2]}
     if unit_name is not None:
         degrees[0] = [unit_name[1]]
@@ -198,9 +195,8 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
                     model.set_value(k, wrd, vv)
 
     # the morphism: inclusion components restricted to the model basis
-    morphism = InfinityMorphism(model, B, components=res.inclusion.components,
-                                arity_cap=arity_cap)
-    out = OneMinimalModel(model, morphism, B, res, pivot)
+    morphism = InfinityMorphism(model, B, components=res.inclusion.components)
+    out = OneMinimalModel(model, morphism, B, res)
     _verify_model(out)
     return out
 
@@ -281,8 +277,6 @@ class Comparison:
     ``_columns[i]`` is the image of W1 generator i, {W2 index: coeff}."""
 
     def __init__(self, model1, model2, k_tables, dual_matrix):
-        self.model1 = model1
-        self.model2 = model2
         self.k_tables = k_tables
         self.dual_matrix = dual_matrix  # {W1 degree-1 name: {W2 name: coeff}}
         names2 = [name for _, name in model2.algebra.space.keys(1)]
@@ -305,7 +299,7 @@ class Comparison:
         return out
 
 
-def _linear_system(W2, W1, k_tables, unknowns, probes, arity_cap):
+def _linear_system(W2, W1, k_tables, unknowns, probes):
     """Columns and right-hand side of the comparison's linear system.
 
     Entries are keyed (probe index, W1 key).  The column of an unknown
@@ -316,7 +310,7 @@ def _linear_system(W2, W1, k_tables, unknowns, probes, arity_cap):
     base term) over the terms that read (j, wrd): every other term makes
     the same lookups with the same values and so adds exactly zero.
     """
-    mor = InfinityMorphism(W2, W1, tables=k_tables, arity_cap=arity_cap)
+    mor = InfinityMorphism(W2, W1, tables=k_tables)
     rhs, readers = {}, {}
     for pi, wrd in enumerate(probes):
         blocks, defect = {}, []
@@ -330,8 +324,7 @@ def _linear_system(W2, W1, k_tables, unknowns, probes, arity_cap):
     for j, wrd, vk in unknowns:
         table = dict(k_tables.get(j, {}))
         table[wrd] = vec_add(table.get(wrd, {}), {vk: Fraction(1)})
-        mor = InfinityMorphism(W2, W1, tables={**k_tables, j: table},
-                               arity_cap=arity_cap)
+        mor = InfinityMorphism(W2, W1, tables={**k_tables, j: table})
         col, blocks = {}, {}
         for pi, term, base in readers.get((j, wrd), ()):
             coeff = term[0]
@@ -365,7 +358,7 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
     two2 = W2.space.keys(2)
 
     # the arity-2 relation must hold for the linear part alone
-    cur = InfinityMorphism(W2, W1, tables=k_tables, arity_cap=arity_cap)
+    cur = InfinityMorphism(W2, W1, tables=k_tables)
     for wrd in itertools.product(one2, repeat=2):
         if morphism_defect(cur, [{k: ONE} for k in wrd]):
             raise ModelError("linear comparison is not multiplicative on "
@@ -388,7 +381,7 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
         probes.extend(itertools.product(one2, repeat=n))
 
     if unknowns:
-        cols, rhs = _linear_system(W2, W1, k_tables, unknowns, probes, arity_cap)
+        cols, rhs = _linear_system(W2, W1, k_tables, unknowns, probes)
         sol = solve(cols, rhs)
         if sol is None:
             raise ModelError("comparison extension is obstructed")
@@ -412,9 +405,9 @@ def compare_models(model1: OneMinimalModel, model2: OneMinimalModel,
 def check_comparison(comp: Comparison, fib1: FiberLieAlgebra, fib2: FiberLieAlgebra):
     """Filtered-isomorphism checks for the induced dual map.
 
-    ``fib1`` and ``fib2`` are the ``model_fiber_data`` quotients of
-    ``comp.model1`` and ``comp.model2``, built at the same truncation and
-    quotient order; the dual map keeps word length, so it stays within
+    ``fib1`` and ``fib2`` are the ``model_fiber_data`` quotients of the
+    two models given to ``compare_models``, built at the same truncation
+    and quotient order; the dual map keeps word length, so it stays within
     ``fib2.free``.  Verifies that the dual algebra map sends the first
     model's ideal generators into the second model's ideal span (per word
     length), and that the induced maps on nilpotent quotients are

@@ -150,7 +150,7 @@ def tot_inclusion(B: FiniteAlgebra, m, arity_cap) -> InfinityMorphism:
         for g in _split_word(name, gens) if d else ():
             form = form.wedge(PolyForm.dvar(m, gens.index(g), varname="z", ndiff=m))
         table[((d, name),)] = TotElement(tot.backend, {(0, d): GroupCochain(m, 0, form)})
-    return InfinityMorphism(B, tot, tables={1: table}, arity_cap=arity_cap)
+    return InfinityMorphism(B, tot, tables={1: table})
 
 
 class PipelineResult:

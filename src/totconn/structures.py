@@ -406,14 +406,12 @@ def tuple_repr(elems):
     return "(" + ", ".join(bits) + ")"
 
 
-def check_shuffle_vanishing(alg, arity_cap, degrees=None):
+def check_shuffle_vanishing(alg, arity_cap):
     """All m_k vanish on images of non-trivial shuffle products."""
     if getattr(alg, "kind", None) not in ("Cinf", "1Cinf"):
         raise ValueError("shuffle vanishing only applies to Cinf kinds")
     failures = []
     keys = alg.space.keys()
-    if degrees is not None:
-        keys = [k for k in keys if k[0] in degrees]
     for k in range(2, arity_cap + 1):
         for entries in itertools.product(keys, repeat=k):
             if not alg.in_window(k, entries):
@@ -441,14 +439,13 @@ class InfinityMorphism:
     """Arity-indexed components f_k of degree 1-k between carriers.
 
     Components are either sparse tables {input word: target element}
-    (finite sources) or callables taking a list of source elements.
+    (finite sources) or callables taking a list of source elements.  An
+    arity with neither is the zero component, so the morphism has no cap.
     """
 
-    def __init__(self, source, target, components=None, tables=None,
-                 arity_cap=6):
+    def __init__(self, source, target, components=None, tables=None):
         self.source = source
         self.target = target
-        self.arity_cap = arity_cap
         self.components = dict(components or {})
         self.tables = {int(k): dict(v) for k, v in (tables or {}).items()}
 

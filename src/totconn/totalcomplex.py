@@ -815,12 +815,7 @@ def window_basis(be: GroupCochainBackend, level_cap, poly_cap, q_cap):
         for q in range(q_cap + 1):
             for dts in itertools.combinations(range(m), q):
                 for exps in _bounded_exponents(nv, poly_cap):
-                    ok = True
-                    for s in range(1, p + 1):
-                        if not any(exps[m * s + j] for j in range(m)):
-                            ok = False
-                            break
-                    if not ok:
+                    if not all(any(exps[m * s:m * s + m]) for s in range(1, p + 1)):
                         continue
                     form = PolyForm(nv, {(tuple(exps), dts): Fraction(1)},
                                     varname="z", ndiff=m)
@@ -867,27 +862,17 @@ def tot_window_cohomology(be: GroupCochainBackend, max_degree=2, level_cap=2,
 
     dims = {}
     ranks = {}
-    kernels = {}
     for deg in range(max_degree + 2):
         degree_basis = [(pq, el) for (pq, el) in basis
                         if pq[0] + pq[1] == deg and pq[0] <= level_cap]
         dims[deg] = len(degree_basis)
         ech = Echelon()
-        kernel_count = 0
-        for (p, q), el in degree_basis:
-            v = TotElement(be, {(p, q): el})
-            dv = tot_differential(v)
-            vec = coords(dv)
-            if not vec:
-                kernel_count += 1
-            elif not ech.insert(vec):
-                kernel_count += 1
+        for pq, el in degree_basis:
+            ech.insert(coords(tot_differential(TotElement(be, {pq: el}))))
         ranks[deg] = ech.rank
-        kernels[deg] = kernel_count
-    betti = {}
-    for deg in range(max_degree + 1):
-        betti[deg] = kernels[deg] - ranks.get(deg - 1, 0)
-    return betti
+    # rank-nullity: degree deg has dims[deg] - ranks[deg] cycles
+    return {deg: dims[deg] - ranks[deg] - ranks.get(deg - 1, 0)
+            for deg in range(max_degree + 1)}
 
 
 # ---------------------------------------------------------------------
@@ -989,8 +974,8 @@ def _m2_bb(alg, b1, b2):
 def tot_product_degree1_with_scalar(alg: TotalComplexAlgebra, elems, x, slot):
     """Closed form for one total-degree-0 input x among degree-1 inputs.
 
-    m_l(a_1, .., x, .., a_l) = (-1)^slot binom(l-1, slot-1) B_{l-1}/(l-1)!
-    b_1 ... b_l ptilde(x), slots counted from 1.
+    For l >= 3, m_l(a_1, .., x, .., a_{l-1}) = (-1)^(l-1) binom(l-1, slot-1)
+    B_{l-1}/(l-1)! b_1 ... b_{l-1} ptilde(x), slots counted from 1.
     """
     be = alg.backend
     l = len(elems) + 1

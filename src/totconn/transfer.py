@@ -96,11 +96,10 @@ class TransferResult:
     """Transferred structure plus the inclusion quasi-morphism."""
 
     def __init__(self, algebra: FiniteAlgebra, inclusion: InfinityMorphism,
-                 contraction: Contraction, arity_cap: int):
+                 contraction: Contraction):
         self.algebra = algebra
         self.inclusion = inclusion
         self.contraction = contraction
-        self.arity_cap = arity_cap
 
 
 class ArityCapError(RuntimeError):
@@ -265,9 +264,8 @@ def transfer_structure(contraction: Contraction, arity_cap: int,
                         else -coeff) for wrd, coeff in multilinear_terms(elems))
 
     components = dict.fromkeys(range(1, arity_cap + 1), component)
-    inclusion = InfinityMorphism(alg, big, components=components,
-                                 arity_cap=arity_cap)
-    return TransferResult(alg, inclusion, contraction, arity_cap)
+    inclusion = InfinityMorphism(alg, big, components=components)
+    return TransferResult(alg, inclusion, contraction)
 
 
 # ---------------------------------------------------------------------

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from totconn import dupont
 from totconn.cli import main
+from totconn.dupont import NCElement
 from tests.test_convolution import torus_model
 from tests.test_minimal import circle_cdga
 
@@ -19,9 +21,19 @@ def test_dupont_verify_passes():
     assert run(["dupont", "verify", "--n", "1", "--max-poly-deg", "2"]) == 0
 
 
-def test_dupont_verify_corruption_detected():
-    assert run(["dupont", "verify", "--n", "1", "--max-poly-deg", "2",
-                "--corrupt"]) == 1
+def test_dupont_verify_corruption_detected(monkeypatch, capsys):
+    Int = dupont.dupont_Int
+    monkeypatch.setattr(dupont, "dupont_Int",
+                        lambda form, n: NCElement.basis(n, (0,)) + Int(form, n))
+    assert run(["dupont", "verify", "--n", "1", "--max-poly-deg", "2"]) == 1
+    assert "witness:" in capsys.readouterr().out
+
+
+def test_dupont_verify_has_no_corrupt_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["dupont", "verify", "--n", "1", "--corrupt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --corrupt" in capsys.readouterr().err
 
 
 def test_dupont_n0_trivially_passes():
@@ -127,6 +139,24 @@ def test_conv_fiber_lie(tmp_path, capsys):
     assert data["dim"] == 2
     assert data["ideal_generators"] == [{"[w1,w2]": "1"}] or \
         data["ideal_generators"] == [{"[w1,w2]": "-1"}]
+
+
+TAIL = str(Path(__file__).parent / "golden" / "tail_model.json")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["tot", "cohomology", "--window", "0..2", "--group-rank", "2"],
+     "betti:\n  0: 1\n  1: 2\n  2: 1\n"),
+    (["conv", "fiber-lie", "--input", TAIL, "--trunc", "4"],
+     "generators:\n  a\n  b\n  c\n"
+     "ideal_generators:\n  [a,[a,b]]: 1\n  [a,b]: 1\n"
+     "graded_dims:\n  1: 3\n  2: 2\n  3: 5\n"
+     "dim: 10\n"),
+])
+def test_output_without_json(argv, want, capsys):
+    # nested dicts, a list of scalars, a list of dicts and a scalar value
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_conv_mc_check(tmp_path):

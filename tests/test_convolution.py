@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totconn.cli import main
 from totconn.convolution import (ConvolutionAlgebra, Generators, TensorSeries,
                                  check_filtration_additive, check_reduced,
                                  conv_M, conv_l, conv_partial, degree_zero_restrict,
@@ -41,7 +43,7 @@ def torus_inclusion():
     tables = {1: {((1, "w1"),): {(1, "dx"): Fraction(1)},
                   ((1, "w2"),): {(1, "dy"): Fraction(1)},
                   ((2, "w12"),): {(2, "dxdy"): Fraction(1)}}}
-    return W, B, InfinityMorphism(W, B, tables=tables, arity_cap=4)
+    return W, B, InfinityMorphism(W, B, tables=tables)
 
 
 def heisenberg_model():
@@ -243,6 +245,20 @@ def test_delta_star_rejects_nonminimal():
         delta_star(W, trunc=3)
 
 
+def test_delta_star_rejects_a_non_lie_image(tmp_path, capsys):
+    # m2(a, b) = c with m2(b, a) = 0 dualises to the word ab alone, which
+    # is no Lie element
+    space = GradedVectorSpace({1: ["a", "b"], 2: ["c"]})
+    W = FiniteAlgebra(space, kind="1Cinf", arity_cap=3)
+    W.set_value(2, ((1, "a"), (1, "b")), {(2, "c"): Fraction(1)})
+    with pytest.raises(ValueError, match=r"generator 0 is not a Lie element: 1\*ab$"):
+        delta_star(W, trunc=3)
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(W.to_json()))
+    assert main(["conv", "fiber-lie", "--input", str(f), "--trunc", "3"]) == 2
+    assert "not a Lie element" in capsys.readouterr().err
+
+
 def test_degree_zero_reduction_of_mc():
     # the degree-zero restriction of an MC element is MC modulo the ideal
     W, B, incl = torus_inclusion()
@@ -309,7 +325,7 @@ def test_pullback_preserves_mc():
     w1, w2, w12 = (1, "w1"), (1, "w2"), (2, "w12")
     tables = {1: {(w1,): {w2: Fraction(1)}, (w2,): {w1: Fraction(1)},
                   (w12,): {w12: Fraction(-1)}}}
-    swap = InfinityMorphism(W, W, tables=tables, arity_cap=4)
+    swap = InfinityMorphism(W, W, tables=tables)
     assert check_morphism(swap, all_words(W, 3)) == []
     pulled = pullback_along(swap, alpha, gens)
     assert mc_check(pulled, W) == []
@@ -324,7 +340,7 @@ def test_pushforward_strict():
     for key in B.space.keys():
         c = Fraction(2) if key in ((1, "dx"), (2, "dxdy")) else Fraction(1)
         tables[1][(key,)] = {key: c}
-    h = InfinityMorphism(B, B, tables=tables, arity_cap=4)
+    h = InfinityMorphism(B, B, tables=tables)
     assert check_morphism(h, all_words(B, 2)) == []
     pushed = pushforward_along(h, alpha, B)
     for w, val in alpha.data.items():
@@ -340,7 +356,7 @@ def test_degree_zero_restriction_commutes_with_pullback():
     w1, w2, w12 = (1, "w1"), (1, "w2"), (2, "w12")
     tables = {1: {(w1,): {w2: Fraction(1)}, (w2,): {w1: Fraction(1)},
                   (w12,): {w12: Fraction(-1)}}}
-    swap = InfinityMorphism(W, W, tables=tables, arity_cap=4)
+    swap = InfinityMorphism(W, W, tables=tables)
     lhs = degree_zero_restrict(pullback_along(swap, alpha, gens))
     rhs = pullback_along(swap, degree_zero_restrict(alpha), gens)
     assert lhs.eq(rhs)
@@ -369,11 +385,11 @@ def test_homotopy_transport_of_mc():
     dt = simplex_dt(1, 1)
     t = simplex_t(1, 1)
     w = (1, "w")
-    f = InfinityMorphism(W, B, tables={1: {(w,): dt}}, arity_cap=3)
-    g = InfinityMorphism(W, B, tables={1: {(w,): B.zero()}}, arity_cap=3)
+    f = InfinityMorphism(W, B, tables={1: {(w,): dt}})
+    g = InfinityMorphism(W, B, tables={1: {(w,): B.zero()}})
     # H(w) = tau (x) dt + dtau (x) t interpolates f (tau=1) and g (tau=0)
     H_val = {(1, False): dt, (0, True): t}
-    H = InfinityMorphism(W, omega_b, tables={1: {(w,): H_val}}, arity_cap=3)
+    H = InfinityMorphism(W, omega_b, tables={1: {(w,): H_val}})
     assert check_morphism(H, [[{w: Fraction(1)}]]) == []
     gens = Generators(W.space)
     path = morphism_to_mc(H, gens, trunc=3)
@@ -693,7 +709,7 @@ def morphism_h(target):
             options = [key for key in keys if key[0] == sum(d for d, _ in wrd) + 1 - k]
             if options and rng.random() < 0.4:
                 tables[k][wrd] = {rng.choice(options): Fraction(rng.randint(1, 3))}
-    return InfinityMorphism(target, target, tables=tables, arity_cap=3)
+    return InfinityMorphism(target, target, tables=tables)
 
 
 @given(convolution_case())
@@ -712,7 +728,7 @@ def test_pushforward_matches_the_all_words_loop_on_the_fixtures(trunc):
     alpha = morphism_to_mc(incl, gens, trunc=trunc)
     strict = {1: {(key,): {key: Fraction(2) if key[0] == 1 else Fraction(1)}
                   for key in B.space.keys()}}
-    for h in (InfinityMorphism(B, B, tables=strict, arity_cap=4), morphism_h(B)):
+    for h in (InfinityMorphism(B, B, tables=strict), morphism_h(B)):
         assert_same_series(pushforward_along(h, alpha, B),
                            ref_pushforward_along(h, alpha, B))
 

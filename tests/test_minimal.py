@@ -134,9 +134,8 @@ def test_comparison_with_rescaled_generator():
         m1.algebra, B,
         tables={1: {(k,): {bk: 2 * c for bk, c in
                            m1.morphism.apply(1, [{k: Fraction(1)}]).items()}
-                    for k in m1.algebra.space.keys()}},
-        arity_cap=3)
-    m2 = OneMinimalModel(m1.algebra, scaled, B, m1.transfer, "scaled")
+                    for k in m1.algebra.space.keys()}})
+    m2 = OneMinimalModel(m1.algebra, scaled, B, m1.transfer)
     comp = compare_models(m1, m2, arity_cap=3)
     assert comp.dual_matrix[key[1]] == {key[1]: Fraction(2)}
     assert check_comparison(comp, model_fiber_data(m1, trunc=4, k=4),
@@ -337,7 +336,7 @@ def ref_linear_system(model1, model2, arity_cap):
     unknowns, probes = ref_unknowns_and_probes(W1, W2, arity_cap)
 
     def total_defect(tables):
-        mor = InfinityMorphism(W2, W1, tables=tables, arity_cap=arity_cap)
+        mor = InfinityMorphism(W2, W1, tables=tables)
         out = {}
         for wi, wrd in enumerate(probes):
             d = morphism_defect(mor, [{k: Fraction(1)} for k in wrd])
@@ -400,7 +399,7 @@ def test_compare_models_matches_the_all_probes_loop(name, pivot1, pivot2, arity_
     # does not change
     unknowns, probes, cols, rhs = system
     assert _linear_system(m2.algebra, m1.algebra, ref_linear_part(m1, m2),
-                          unknowns, probes, arity_cap) == (cols, rhs)
+                          unknowns, probes) == (cols, rhs)
 
 
 def ref_dual_series(comp, series, free1, free2, trunc):
@@ -487,7 +486,7 @@ def test_term_read_sets_do_not_depend_on_the_tables(name, pivot1, pivot2):
 
     def evaluate(tables):
         """Per term, its value and the entries it looks up."""
-        mor = InfinityMorphism(W2, W1, tables=tables, arity_cap=4)
+        mor = InfinityMorphism(W2, W1, tables=tables)
         out = []
         for ts in terms:
             for term in ts:
@@ -523,7 +522,7 @@ def test_linear_system_on_tables_that_hold_the_unknowns(name, pivot1, pivot2):
     unknowns, probes = ref_unknowns_and_probes(W1, W2, 4)
 
     def total_defect(tables):
-        mor = InfinityMorphism(W2, W1, tables=tables, arity_cap=4)
+        mor = InfinityMorphism(W2, W1, tables=tables)
         return {(pi, key): c for pi, wrd in enumerate(probes)
                 for key, c in morphism_defect(mor, [{k: Fraction(1)} for k in wrd]).items()}
 
@@ -533,7 +532,7 @@ def test_linear_system_on_tables_that_hold_the_unknowns(name, pivot1, pivot2):
         table = dict(k_tables.get(j, {}))
         table[wrd] = vec_add(table.get(wrd, {}), {vk: Fraction(1)})
         want.append(vec_add(total_defect({**k_tables, j: table}), base, Fraction(-1)))
-    cols, rhs = _linear_system(W2, W1, k_tables, unknowns, probes, 4)
+    cols, rhs = _linear_system(W2, W1, k_tables, unknowns, probes)
     assert cols == want
     assert rhs == {k: -c for k, c in base.items()} and rhs
 
@@ -553,6 +552,6 @@ def test_linear_system_calls_no_morphism_defect(monkeypatch):
     m1, m2 = _model("heisenberg", "lex"), _model("heisenberg", "shear")
     unknowns, probes = ref_unknowns_and_probes(m1.algebra, m2.algebra, 4)
     cols, _ = _linear_system(m2.algebra, m1.algebra, ref_linear_part(m1, m2),
-                             unknowns, probes, 4)
+                             unknowns, probes)
     assert len(cols) == len(unknowns) and any(cols)
     assert calls == []

@@ -262,6 +262,26 @@ def test_degree0_cases_of_binary_product():
     assert got == want
 
 
+def test_scalar_insertion_closed_form_at_higher_arity():
+    # m_l with one (0,0) input x at each slot among degree-1 inputs, for
+    # l = 3, 4, 5, against the general product; B_3 = 0 makes l = 4 zero
+    rng = random.Random(11)
+    nonzero = 0
+    for m in (1, 2):
+        be = GroupCochainBackend(m)
+        alg = TotalComplexAlgebra(be, level_cap=2, arity_cap=5)
+        x = x_form(be, m)
+        for l in (3, 4, 5):
+            for slot in range(1, l + 1):
+                for _ in range(3):
+                    elems = [random_degree1_element(be, rng) for _ in range(l - 1)]
+                    args = elems[:slot - 1] + [TotElement(be, {(0, 0): x})] + elems[slot - 1:]
+                    got = alg.m(l, args)
+                    assert tot_product_degree1_with_scalar(alg, elems, x, slot) == got
+                    nonzero += not alg.is_zero(got)
+    assert nonzero
+
+
 def test_degree1_products_have_no_base_two_form_part():
     # for arity > 2 and degree-1 inputs the (0,2) output component is zero
     rng = random.Random(9)
