@@ -142,7 +142,15 @@ def _degree_one_products(alg: FiniteAlgebra):
 
 
 def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalModel:
-    """Build the low-degree minimal model of a finite (c)dga window."""
+    """Build the low-degree minimal model of a finite (c)dga window.
+
+    The structure is transferred onto the harmonic basis W, and the model
+    keeps W's degree-0 and degree-1 keys and the degree-2 keys that
+    products of degree-1 elements generate.  The transferred m_k is read
+    (``TransferredAlgebra.entry``) only on words of kept keys whose output
+    degree is a degree of the model, for k = 2 .. ``arity_cap``; no other
+    word of W is evaluated.
+    """
     w_vectors, m_vectors = hodge_decomposition(B, pivot=pivot)
     # connectedness: exactly one harmonic representative in degree 0
     h0 = [v for v in w_vectors if {k[0] for k in v} == {0}]
@@ -162,7 +170,6 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
         raise ModelError("side conditions failed: %r" % (failures[:3],))
     res = transfer_structure(con, arity_cap, kind="1Cinf")
     full = res.algebra
-    full.materialize(arity_cap)
 
     # regenerate the degree-2 part from products of degree-1 elements
     one_keys = full.space.keys(1)
@@ -184,15 +191,27 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
     model = FiniteAlgebra(space, kind="1Cinf", arity_cap=arity_cap,
                           unit_key=unit_name)
     keep = set(space.keys())
-    for k, table in full.maps.items():
-        for wrd, val in table.items():
-            if all(kk in keep for kk in wrd):
-                vv = {kk: c for kk, c in val.items() if kk in keep}
-                bad = {kk: c for kk, c in val.items() if kk not in keep and kk[0] == 2}
-                if bad and all(kk[0] == 1 for kk in wrd):
-                    raise ModelError("degree-1 products escape the generated part")
-                if vv:
-                    model.set_value(k, wrd, vv)
+    # the model's words in the order of the full space's, so that every
+    # table is filled in the order a product over all of W would fill it.
+    # A word whose output degree is not a degree of the model is skipped:
+    # its value has no kept key.  The skip drops all-degree-1 words, of
+    # output degree 2, only when no degree-2 key is kept, i.e. when gen2
+    # has rank 0 and every degree-1 product is zero, so the escape check
+    # below loses nothing.
+    keep_keys = [key for key in full.space.keys() if key in keep]
+    keep_degrees = [key[0] for key in keep_keys]
+    for k in range(2, arity_cap + 1):
+        for wrd, degs in zip(itertools.product(keep_keys, repeat=k),
+                             itertools.product(keep_degrees, repeat=k)):
+            if sum(degs) + 2 - k not in space.degrees:
+                continue
+            val = full.entry(k, wrd)
+            vv = {kk: c for kk, c in val.items() if kk in keep}
+            bad = {kk: c for kk, c in val.items() if kk not in keep and kk[0] == 2}
+            if bad and all(kk[0] == 1 for kk in wrd):
+                raise ModelError("degree-1 products escape the generated part")
+            if vv:
+                model.set_value(k, wrd, vv)
 
     # the morphism: inclusion components restricted to the model basis
     morphism = InfinityMorphism(model, B, components=res.inclusion.components)

@@ -839,7 +839,9 @@ def tot_window_cohomology(be: GroupCochainBackend, max_degree=2, level_cap=2,
     Cycles are counted among the cochains of level <= ``level_cap``, and
     the boundaries subtracted in degree d, images of cochains of degree
     d - 1, reach level d.  So the window must hold level ``max_degree``:
-    a smaller ``level_cap`` is a ValueError.
+    a smaller ``level_cap`` is a ValueError.  D is ranked on the degrees
+    0 .. ``max_degree`` only, the ones the Betti numbers read; an image
+    that leaves the window is a ``LevelCapError``.
     """
     if level_cap < max_degree:
         raise ValueError("level_cap %d is below max_degree %d: boundaries would "
@@ -862,7 +864,7 @@ def tot_window_cohomology(be: GroupCochainBackend, max_degree=2, level_cap=2,
 
     dims = {}
     ranks = {}
-    for deg in range(max_degree + 2):
+    for deg in range(max_degree + 1):
         degree_basis = [(pq, el) for (pq, el) in basis
                         if pq[0] + pq[1] == deg and pq[0] <= level_cap]
         dims[deg] = len(degree_basis)

@@ -110,8 +110,12 @@ class TransferredAlgebra(FiniteAlgebra):
     """Transferred structure with lazily computed structure constants.
 
     Structure constants m_n on basis words are evaluated from the tree
-    recursion on first use and cached in sparse tables of the usual shape,
-    so checkers and serialization see a table-backed structure.  The
+    recursion on first read (``entry``, ``m``) and cached in sparse tables
+    of the usual shape, so checkers and serialization see a table-backed
+    structure; only the words a reader asks for are evaluated.  m_n has
+    degree 2 - n and the contraction is graded, so a word whose output
+    degree (its degree sum plus 2 - n) holds no basis key is zero: it is
+    recorded as filled without evaluating its tree sum.  The
     tables belong to the transfer, so that a shared (memoized) structure
     cannot be changed by one of its users: ``set_value`` raises
     ``TypeError``, and ``maps``, each of its tables and each table value
@@ -218,8 +222,12 @@ class TransferredAlgebra(FiniteAlgebra):
     def _ensure(self, k, word):
         """Fill m_k on ``word``: at a representative by projecting its
         form, at any other word by relabelling its representative's entry,
-        so that no form is relabelled only to be projected."""
+        so that no form is relabelled only to be projected.  A word of an
+        output degree with no basis key is zero and evaluates nothing."""
         if k == 1 or (k, word) in self._done:
+            return
+        if sum(key[0] for key in word) + 2 - k not in self.space.degrees:
+            self._done.add((k, word))
             return
         rep, perm, sign = self._canonical(word)
         if (k, rep) not in self._done:
@@ -246,10 +254,19 @@ class TransferredAlgebra(FiniteAlgebra):
             self._ensure(k, wrd)
         return super().m(k, elems)
 
+    def entry(self, k, word):
+        """m_k on one word of basis keys, filled on its first read: the
+        stored read-only value, empty when it is zero."""
+        if k > self.arity_cap:
+            raise ArityCapError("transfer: arity cap %d exceeded" % self.arity_cap)
+        self._ensure(k, word)
+        return self._tables.get(k, {}).get(word, {})
+
     def materialize(self, arity):
+        """Fill m_k on every word of arity 2..``arity``."""
         for k in range(2, arity + 1):
             for word in itertools.product(self.space.keys(), repeat=k):
-                self._ensure(k, word)
+                self.entry(k, word)
 
 
 def transfer_structure(contraction: Contraction, arity_cap: int,
@@ -283,7 +300,10 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
     """Contraction onto span(w_vectors) along m_vectors (+) d(m_vectors).
 
     The decomposition must be direct and span the window; W must consist
-    of closed vectors and M may not contain nonzero exact elements.  The
+    of closed vectors and M may not contain nonzero exact elements.  Every
+    W and M vector must be homogeneous, so that ``project`` and
+    ``homotopy`` keep degrees and the transferred m_k has degree 2 - k
+    (``TransferredAlgebra`` skips words on that premise).  The
     homotopy inverts d from dM back to M with the sign forced by
     d h + h d = i p - Id.  Each basis key's (W, M, dM) coordinates are
     found once, here; ``project`` and ``homotopy`` only sum them.
@@ -336,6 +356,9 @@ def contraction_from_hodge(alg: FiniteAlgebra, w_vectors, m_vectors,
         deg = deg.pop()
         by_degree.setdefault(deg, []).append(name)
         w_keys.append((deg, name))
+    for v in m_vectors:
+        if len({k[0] for k in v}) != 1:
+            raise HodgeError("M basis vector not homogeneous", witness=v)
     small = GradedVectorSpace(by_degree)
 
     unit_key = None

@@ -72,6 +72,8 @@ CASES = {
                                "--group-rank", "1", "--json"],
     "tot_cohomology_r2.json": ["tot", "cohomology", "--window", "0..2",
                                "--group-rank", "2", "--json"],
+    "tot_cohomology_r2_w0.json": ["tot", "cohomology", "--window", "0..0",
+                                  "--group-rank", "2", "--json"],
     "fiber_lie_tail_t5.json": ["conv", "fiber-lie", "--input", TAIL, "--trunc", "5",
                                "--json"],
 }
@@ -79,9 +81,10 @@ CASES = {
 
 # ``transfer nc --n 3 --arity 4`` prints 1.9 MB; its arity-4 words on the
 # tetrahedron are where a wrong composition of vertex permutations in the
-# orbit fill of the transferred tables would show.  The two pipeline runs
-# pin the fiber data at truncation 9 and a model comparison at truncation
-# 6, above those of the committed files.
+# orbit fill of the transferred tables would show.  The pipeline runs
+# pin the fiber data at truncations 9 and 10, a model comparison at
+# truncation 6, and one at arity cap 6, above those of the committed
+# files: there the minimal model reads its transferred words up to arity 6.
 DIGESTS = {
     "transfer_nc_3_4": (["transfer", "nc", "--n", "3", "--arity", "4", "--json"],
                         "a02e7140a0160a8d324b3a1e749f17b5ffd0ac030b64ba063daae3789fac9db2"),
@@ -92,6 +95,9 @@ DIGESTS = {
     "pipeline_heisenberg_compare_t6": (
         ["pipeline", "--input", "heisenberg", "--compare", "--trunc", "6", "--json"],
         "b95f5d47772a80c061207c83566bfffd61da099db608f7ba2115bc2cb38c0740"),
+    "pipeline_heisenberg_compare_a6": (
+        ["pipeline", "--input", "heisenberg", "--compare", "--arity", "6", "--json"],
+        "ed0a203451157851c05db43342f7ad77a8383e0963b30928d52c2031e263ad9d"),
 }
 
 

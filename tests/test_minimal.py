@@ -1,6 +1,8 @@
 import functools
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,15 +10,20 @@ from totconn.convolution import Generators
 from totconn.freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
                              LieIdealPresentation, commutator)
 from totconn.graded import GradedVectorSpace
-from totconn.linalg import accumulate, solve, vec_add
+from totconn.linalg import Echelon, accumulate, solve, vec_add
 from totconn.minimal import (ModelError, _linear_system,
                              check_comparison, compare_models, formality_check,
                              hodge_decomposition, massey_report,
                              model_fiber_data, model_mc, one_minimal_model,
                              positive_part)
+from totconn.pipeline import PRESETS
 from totconn.structures import (FiniteAlgebra, InfinityMorphism, defect_term_reads,
-                                defect_term_value, defect_terms, morphism_defect)
+                                defect_term_value, defect_terms, morphism_defect,
+                                shift_sign)
+from totconn.transfer import TransferredAlgebra, contraction_from_hodge
 from tests.test_structures import heisenberg_cdga, torus_cdga
+
+CIRCLE_JSON = Path(__file__).parent / "golden" / "circle.json"
 
 
 def circle_cdga():
@@ -555,3 +562,79 @@ def test_linear_system_calls_no_morphism_defect(monkeypatch):
                              unknowns, probes)
     assert len(cols) == len(unknowns) and any(cols)
     assert calls == []
+
+
+# ---------------------------------------------------------------------
+# the model's on-demand fill against the eager fill it replaced
+# ---------------------------------------------------------------------
+
+def ref_one_minimal_model(B, arity_cap, pivot):
+    """The model algebra from m_k evaluated on every word of W up to the
+    arity cap, each from its own tree sum, keeping the words of the
+    model's keys in the order of that fill."""
+    w_vectors, m_vectors = hodge_decomposition(B, pivot=pivot)
+    names, counter = [], {}
+    for v in w_vectors:
+        d = next(iter(v))[0]
+        counter[d] = counter.get(d, 0) + 1
+        names.append("h%d_%d" % (d, counter[d]))
+    con = contraction_from_hodge(B, w_vectors, m_vectors, names=names)
+    full = TransferredAlgebra(con, arity_cap, kind="1Cinf")
+    tables = {k: dict(table) for k, table in full.maps.items()}
+    for k in range(2, arity_cap + 1):
+        for wrd in itertools.product(full.space.keys(), repeat=k):
+            val = con.project(full.lam(wrd))
+            if val:
+                sign = shift_sign([key[0] for key in wrd])
+                tables.setdefault(k, {})[wrd] = {key: sign * c for key, c in val.items()}
+    gen2 = Echelon(full.space.key_order)
+    for table in tables.values():
+        for wrd, val in table.items():
+            if len(wrd) > 1 and all(key[0] == 1 for key in wrd):
+                gen2.insert(val)
+    kept2 = [k for k in full.space.keys(2) if gen2.contains({k: Fraction(1)})]
+    assert gen2.rank == len(kept2)
+    degrees = {1: [name for _, name in full.space.keys(1)],
+               2: [name for _, name in kept2], 0: [full.unit_key[1]]}
+    space = GradedVectorSpace(degrees)
+    model = FiniteAlgebra(space, kind="1Cinf", arity_cap=arity_cap,
+                          unit_key=full.unit_key)
+    keep = set(space.keys())
+    for k, table in tables.items():
+        for wrd, val in table.items():
+            if all(kk in keep for kk in wrd):
+                bad = {kk for kk in val if kk not in keep and kk[0] == 2}
+                assert not (bad and all(kk[0] == 1 for kk in wrd))
+                vv = {kk: c for kk, c in val.items() if kk in keep}
+                if vv:
+                    model.set_value(k, wrd, vv)
+    return model
+
+
+MODEL_CASES = [(name, pivot, arity_cap) for name in ("circle", "torus", "heisenberg")
+               for pivot in ("lex", "revlex", "shear") for arity_cap in (3, 4, 5)]
+
+
+def assert_same_model(got, want):
+    # the same tables, each filled in the same order
+    assert got.to_json() == want.to_json()
+    assert list(got.maps) == list(want.maps)
+    for k in want.maps:
+        assert list(got.maps[k]) == list(want.maps[k])
+
+
+@pytest.mark.parametrize("name,pivot,arity_cap", MODEL_CASES)
+def test_model_reads_only_its_words_and_matches_the_eager_fill(name, pivot, arity_cap):
+    B = PRESETS[name]["window"](arity_cap)
+    model = one_minimal_model(B, arity_cap=arity_cap, pivot=pivot)
+    assert_same_model(model.algebra, ref_one_minimal_model(B, arity_cap, pivot))
+    # no word with a key outside the model was filled
+    keep = set(model.algebra.space.keys())
+    assert all(key in keep for _, wrd in model.transfer.algebra._done for key in wrd)
+
+
+@pytest.mark.parametrize("pivot", ["lex", "revlex", "shear"])
+def test_model_of_the_circle_input_matches_the_eager_fill(pivot):
+    B = FiniteAlgebra.from_json(json.loads(CIRCLE_JSON.read_text()))
+    model = one_minimal_model(B, arity_cap=4, pivot=pivot)
+    assert_same_model(model.algebra, ref_one_minimal_model(B, 4, pivot))

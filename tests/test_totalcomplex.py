@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totconn.forms import PolyForm
+from totconn.linalg import Echelon
 from totconn.signs import perm_sign, sorted_image
 from totconn import totalcomplex
 from totconn.structures import FiniteAlgebra, check_stasheff
@@ -23,7 +24,7 @@ from totconn.totalcomplex import (FinitePresentation, GroupCochain,
                                   psi_roundtrip_ok, sigma_pushforward,
                                   tot_differential, tot_product_degree1,
                                   tot_product_degree1_with_scalar,
-                                  tot_window_cohomology)
+                                  tot_window_cohomology, window_basis)
 from totconn.transfer import transfer_structure
 from tests.test_structures import torus_cdga
 from tests.test_transfer import plain_dupont
@@ -862,6 +863,57 @@ def test_window_cohomology_refuses_a_level_cap_below_the_top_degree():
         tot_window_cohomology(be, max_degree=2, level_cap=1, poly_cap=2)
     betti = tot_window_cohomology(be, max_degree=2, level_cap=2, poly_cap=2)
     assert betti == {0: 1, 1: 1, 2: 0}
+
+
+def ref_tot_window_cohomology(be, max_degree, level_cap, poly_cap):
+    """Betti numbers with D also ranked on degree max_degree + 1, which
+    no Betti number reads."""
+    basis = window_basis(be, level_cap + 1, poly_cap, max_degree + 1)
+    index = {}
+    for (pq, el) in basis:
+        for key in el.form.terms:
+            index[(pq, key)] = len(index)
+
+    def coords(v):
+        out = {}
+        for (p, q), val in v.components.items():
+            for key, c in val.form.terms.items():
+                idx = index.get(((p, q), key))
+                if idx is None:
+                    raise LevelCapError("window too small for the image")
+                out[idx] = c
+        return out
+
+    dims, ranks = {}, {}
+    for deg in range(max_degree + 2):
+        degree_basis = [(pq, el) for (pq, el) in basis
+                        if pq[0] + pq[1] == deg and pq[0] <= level_cap]
+        dims[deg] = len(degree_basis)
+        ech = Echelon()
+        for pq, el in degree_basis:
+            ech.insert(coords(tot_differential(TotElement(be, {pq: el}))))
+        ranks[deg] = ech.rank
+    return {deg: dims[deg] - ranks[deg] - ranks.get(deg - 1, 0)
+            for deg in range(max_degree + 1)}
+
+
+def test_window_cohomology_ranks_only_the_degrees_it_reads():
+    # ranking D on degree max_degree + 1 as well changes no Betti number,
+    # but on rank 2 with max_degree 0 one of its dx^dy images leaves the
+    # window, and H^0 = 1 was refused as a LevelCapError
+    refused = []
+    for rank, max_degree, poly_cap in itertools.product((1, 2), range(4), range(4)):
+        be = GroupCochainBackend(rank)
+        for level_cap in (max_degree, max_degree + 1):
+            case = (be, max_degree, level_cap, poly_cap)
+            betti = tot_window_cohomology(*case)
+            try:
+                assert betti == ref_tot_window_cohomology(*case)
+            except LevelCapError:
+                refused.append((rank, max_degree, level_cap, poly_cap))
+                assert betti == {0: 1}
+    assert refused == [(2, 0, level_cap, poly_cap)
+                       for poly_cap in (1, 2, 3) for level_cap in (0, 1)]
 
 
 # -------------------------------------------------------------------
