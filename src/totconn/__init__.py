@@ -8,8 +8,9 @@ The layers, bottom up:
   simplicial contraction onto elementary forms;
 * ``structures``, ``transfer`` -- infinity-structure carriers, relation
   checkers, and homotopy transfer (the simplex structures included);
-* ``totalcomplex`` -- cosimplicial cdgas, the normalized total complex,
-  and its products (general formula and degree-one closed forms);
+* ``totalcomplex`` -- polynomial group cochains of Z^m on R^m, their
+  normalized total complex, and its products (general formula and
+  degree-one closed forms);
 * ``freelie``, ``convolution`` -- truncated free Lie/tensor machinery and
   convolution structures with Maurer-Cartan elements;
 * ``minimal``, ``connection``, ``pipeline``, ``cli`` -- minimal models,

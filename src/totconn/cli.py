@@ -117,8 +117,15 @@ def _tot_element_from_json(be, data):
     comps = {}
     for item in data["components"]:
         p, q = int(item["p"]), int(item["q"])
+        if p < 0:
+            raise ValueError("component level p = %d is negative" % p)
+        if (p, q) in comps:
+            raise ValueError("component (%d, %d) is listed twice" % (p, q))
         nv = be.m * (p + 1)
         form = PolyForm.from_json(nv, item["form"], varname="z", ndiff=be.m)
+        if not form.is_zero() and form.homogeneous_degree() != q:
+            raise ValueError("component (%d, %d) holds a form not of degree %d"
+                             % (p, q, q))
         comps[(p, q)] = GroupCochain(be.m, p, form)
     return TotElement(be, comps)
 

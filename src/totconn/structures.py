@@ -1,6 +1,6 @@
 """Multiplicative infinity-structures and their relation checkers.
 
-Every algebra carrier, and every cosimplicial backend of ``totalcomplex``,
+Every algebra carrier, and the group-cochain backend of ``totalcomplex``,
 is a ``Carrier``.  The protocol:
 
 * ``sum(terms, p=None)`` is primary: the sum of c * x over the ``(x, c)``

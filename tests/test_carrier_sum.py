@@ -21,7 +21,7 @@ from totconn.pipeline import run_pipeline
 from totconn.structures import FormsAlgebra, FormSpace, IntervalAlgebra
 from totconn.totalcomplex import (GroupCochain, GroupCochainBackend,
                                   TotalComplexAlgebra, TotElement,
-                                  constant_presentation, tot_product_degree1)
+                                  tot_product_degree1)
 from totconn.transfer import nc_structure
 from tests.test_convolution import torus_model
 from tests.test_structures import torus_cdga
@@ -82,7 +82,7 @@ def ref_add(carrier, a, b, coeff=Fraction(1)):
             else:
                 out[w] = s
         return out
-    return vec_add(a, b, coeff)     # dict vectors and presentations
+    return vec_add(a, b, coeff)     # dict vectors
 
 
 def shape(x):
@@ -126,7 +126,6 @@ def cancel_and_return(x, y):
 # -------------------------------------------------------------------
 
 TORUS = torus_cdga()
-PRESENTATION = constant_presentation(TORUS, level_cap=1)
 COCHAINS = GroupCochainBackend(1)
 TOT = TotalComplexAlgebra(COCHAINS, level_cap=2, arity_cap=3)
 TORUS_GENS = Generators(torus_model().space)
@@ -201,7 +200,6 @@ CASES = {
     "dict vectors": (TORUS, {}, dict_vector(), None),
     "forms": (FormsAlgebra(2), PolyForm.zero(2), simplex_form(), None),
     "group cochains": (COCHAINS, GroupCochain.zero(1, 1), cochain(), 1),
-    "presentation": (PRESENTATION, {}, dict_vector(), 0),
     "total complex": (TOT, TotElement.zero(COCHAINS), tot_element(), None),
     "convolution": (CONV, TensorSeries(TORUS_GENS, TORUS, 2, 1), series(), None),
     "interval": (INTERVAL, {}, interval_element(), None),

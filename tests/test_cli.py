@@ -129,6 +129,42 @@ def test_tot_product_with_closed_form(tmp_path, capsys):
     assert data["closed_form_agrees"] is True
 
 
+def relabel_as_one_form(elements):
+    elements[0]["components"][1]["q"] = 1
+
+
+def repeat_with_other_coefficients(elements):
+    comps = elements[0]["components"]
+    again = json.loads(json.dumps(comps[1]))
+    again["form"][0]["coeff"] = "5"
+    comps.append(again)
+
+
+def negative_level(elements):
+    elements[1]["components"][0]["p"] = -1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (relabel_as_one_form, "not of degree 1"),
+    (repeat_with_other_coefficients, "listed twice"),
+    (negative_level, "negative"),
+])
+def test_tot_product_refuses_malformed_components(tmp_path, capsys, corrupt, message):
+    # each of these changed the product and still exited 0: the (2,0)
+    # component of element 0 declared as q = 1 or repeated (the last copy
+    # won), and p = -1 on element 1
+    golden = Path(__file__).parent / "golden" / "tot_mixed_r1_a3_inputs.json"
+    data = json.loads(golden.read_text())
+    assert [c["p"] for c in data["elements"][0]["components"]][1] == 2
+    corrupt(data["elements"])
+    f = tmp_path / "inputs.json"
+    f.write_text(json.dumps(data))
+    assert run(["tot", "product", "--inputs", str(f), "--level-cap", "2",
+                "--arity-cap", "5", "--json"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+
+
 def test_conv_fiber_lie(tmp_path, capsys):
     model = torus_model()
     f = tmp_path / "model.json"

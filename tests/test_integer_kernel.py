@@ -22,8 +22,10 @@ back to polynomials of positive degree in s (a non-flat connection).
 """
 
 import functools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +34,10 @@ from hypothesis import strategies as st
 from totconn.connection import (ConnectionForm, PLPath, _transport, form_dvar,
                                 form_var, transport)
 from totconn.forms import PolyForm
-from totconn.freelie import (EMPTY, EnvelopingQuotient, FreeLie,
-                             LieIdealPresentation, _length_first, commutator,
-                             is_grouplike, lyndon_bracket, tensor_exp,
-                             tensor_log, tensor_mul)
+from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
+                             FreeLie, LieIdealPresentation, _length_first,
+                             commutator, is_grouplike, lyndon_bracket,
+                             tensor_exp, tensor_log, tensor_mul)
 from totconn.linalg import (Echelon, accumulate, from_scaled, lowest_terms,
                             vec_add, vec_scale)
 from totconn.scalars import rat
@@ -553,6 +555,28 @@ def test_lie_structure_constants_are_quotient_commutators_of_fitting_weights(nam
         for k, n in coords.items():
             accumulate(from_coords, ((w, Fraction(n, lie.den) * c) for w, c in rows[k].items()))
         assert env.eq(bracket, from_coords)
+
+
+def tail_quotients():
+    """(free, ideal) of the delta-star fiber of the tail model at trunc
+    2..6, whose ideal generator [a,b] + [a,[a,b]] is inhomogeneous."""
+    from totconn.convolution import delta_star
+    from totconn.structures import FiniteAlgebra
+    path = Path(__file__).parent / "golden" / "tail_model.json"
+    model = FiniteAlgebra.from_json(json.loads(path.read_text()))
+    return [delta_star(model, trunc=trunc)[:2] for trunc in range(2, 7)]
+
+
+def test_quotient_lie_has_the_dimension_of_the_fiber():
+    # the span of the Lyndon brackets in U/I up to order n has the
+    # dimension of u/I^(n+1) at every order; the weights need not agree
+    # on an inhomogeneous ideal (not checked here)
+    cases = [QUOTIENTS[name]() for name in sorted(QUOTIENTS)] + tail_quotients()
+    for free, ideal in cases:
+        for order in range(1, free.order + 1):
+            lie = EnvelopingQuotient(free, ideal, order)._lie
+            fiber = FiberLieAlgebra(free, ideal, order + 1)
+            assert len(lie.weights) == fiber.dim(), (free.order, order)
 
 
 def test_polynomial_connection_pulls_back_to_positive_degree():

@@ -14,19 +14,15 @@ from totconn.forms import PolyForm
 from totconn.linalg import Echelon
 from totconn.signs import perm_sign, sorted_image
 from totconn import totalcomplex
-from totconn.structures import FiniteAlgebra, check_stasheff
-from totconn.totalcomplex import (FinitePresentation, GroupCochain,
-                                  GroupCochainBackend, LevelCapError,
-                                  TotalComplexAlgebra, TotElement,
-                                  _nc_top_coefficient, constant_presentation,
-                                  group_action_presentation, partial_tilde,
-                                  project_to_base, psi_components,
-                                  psi_roundtrip_ok, sigma_pushforward,
+from totconn.structures import check_stasheff
+from totconn.totalcomplex import (GroupCochain, GroupCochainBackend,
+                                  LevelCapError, TotalComplexAlgebra,
+                                  TotElement, _nc_top_coefficient,
+                                  partial_tilde, sigma_pushforward,
                                   tot_differential, tot_product_degree1,
                                   tot_product_degree1_with_scalar,
                                   tot_window_cohomology, window_basis)
 from totconn.transfer import transfer_structure
-from tests.test_structures import torus_cdga
 from tests.test_transfer import plain_dupont
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,49 +110,18 @@ def test_unit_closed():
     assert tot_differential(alg.one()).is_zero()
 
 
-def test_psi_level1_of_form():
-    # a (0,1) form c at level 1 reconstructs as contributions along both
-    # vertex inclusions: values d^1 c and d^0 c
-    be = circle_backend()
-    c = dx_form(be)
-    v = TotElement(be, {(0, 1): c})
-    comp = psi_components(v, 1)
-    assert set(comp) == {((0,), 1), ((1,), 1)}
-    assert comp[((0,), 1)] == c.coface(1)
-    assert comp[((1,), 1)] == c.coface(0)
-
-
-def test_psi_level2_of_group_cochain():
-    # a (1,0) cochain b at level 2: values d^0 b, d^1 b, d^2 b along the
-    # three edge inclusions (12), (02), (01)
-    be = circle_backend()
-    b = g_cochain()
-    v = TotElement(be, {(1, 0): b})
-    comp = psi_components(v, 2)
-    assert comp[((1, 2), 0)] == b.coface(0)
-    assert comp[((0, 2), 0)] == b.coface(1)
-    assert comp[((0, 1), 0)] == b.coface(2)
-
-
-def test_psi_roundtrip():
-    be = circle_backend()
-    v = TotElement(be, {(0, 1): dx_form(be), (1, 0): g_cochain()})
-    for level in (0, 1, 2):
-        assert psi_roundtrip_ok(v, level)
-
-
 def test_sigma_pushforward_skips():
-    be = circle_backend()
-    b = g_cochain()
-    # sigma_{0,1}: [1] -> [2] is d^2
-    assert sigma_pushforward(be, b, (0, 1), 1, 2) == b.coface(2)
-
-
-def test_project_to_base_kills_positive_levels():
-    be = circle_backend()
-    v = TotElement(be, {(0, 1): dx_form(be), (1, 0): g_cochain()})
-    r = project_to_base(v)
-    assert r == TotElement(be, {(0, 1): dx_form(be)})
+    # sigma_I applies d^j for each vertex j missing from I, in increasing
+    # order: the edges of [2] and the vertices of [1]
+    b, c = g_cochain(), dx_form(circle_backend())
+    for val, I, p, level, want in [
+            (b, (1, 2), 1, 2, b.coface(0)),
+            (b, (0, 2), 1, 2, b.coface(1)),
+            (b, (0, 1), 1, 2, b.coface(2)),
+            (c, (0,), 0, 1, c.coface(1)),
+            (c, (1,), 0, 1, c.coface(0)),
+            (b, (0, 1), 1, 1, b)]:
+        assert sigma_pushforward(val, I, p, level) == want, I
 
 
 def test_strictness_on_base_forms():
@@ -318,20 +283,20 @@ def test_products_stay_normalized():
 
 
 # -------------------------------------------------------------------
-# finite presentations
+# the base: level zero
 # -------------------------------------------------------------------
 
 def test_projection_intertwines_differentials():
-    # r(D v) = d(r v): the base projection is a chain map
+    # r(D v) = d(r v) for r the projection to level 0: the base
+    # projection is a chain map
     rng = random.Random(21)
     be = circle_backend()
     for _ in range(6):
         v = random_degree1_element(be, rng)
-        lhs = project_to_base(tot_differential(v))
-        rv = project_to_base(v)
+        lhs = TotElement(be, {(p, q): val for (p, q), val
+                              in tot_differential(v).components.items() if p == 0})
         want = TotElement(be, {(0, q + 1): val.d()
-                               for (p, q), val in rv.components.items()
-                               if not val.d().is_zero()})
+                               for (p, q), val in v.components.items() if p == 0})
         assert lhs == want
 
 
@@ -367,107 +332,6 @@ def test_pipeline_model_series_into_total_complex(name, trunc):
     assert mc_check(tot_alpha, positive_part(model.algebra)) == []
 
 
-def test_constant_presentation_identities_and_tot():
-    alg = torus_cdga()
-    pres = constant_presentation(alg, level_cap=2)
-    assert pres.check_identities() == []
-    tot = TotalComplexAlgebra(pres, level_cap=2, arity_cap=4)
-    dx = TotElement(pres, {(0, 1): {(1, "dx"): Fraction(1)}})
-    dy = TotElement(pres, {(0, 1): {(1, "dy"): Fraction(1)}})
-    got = tot.m(2, [dx, dy])
-    assert got == TotElement(pres, {(0, 2): {(2, "dxdy"): Fraction(1)}})
-    assert tot_differential(dx).is_zero()
-    # normalized part of a constant presentation is concentrated at level 0
-    lifted = TotElement(pres, {(1, 0): {(0, "1"): Fraction(1)}})
-    assert not lifted.is_normalized()
-
-
-def test_group_action_presentation_z2():
-    # Z/2 acting on the torus algebra by dx -> -dx, dy -> -dy
-    alg = torus_cdga()
-    flip = {}
-    for key in alg.space.keys():
-        d, name = key
-        sign = Fraction(-1) if d == 1 else Fraction(1)
-        flip[key] = {key: sign}
-    ident_map = {k: {k: Fraction(1)} for k in alg.space.keys()}
-
-    def mult(a, b):
-        return (a + b) % 2
-
-    def action(g):
-        return ident_map if g == 0 else flip
-
-    pres = group_action_presentation(alg, [0, 1], mult, action, level_cap=2)
-    assert pres.check_identities() == []
-    tot = TotalComplexAlgebra(pres, level_cap=2, arity_cap=4)
-    # the invariant 2-form dxdy gives a closed (0,2) element
-    vol = TotElement(pres, {(0, 2): {(2, str(((), "dxdy"))): Fraction(1)}})
-    assert tot_differential(vol).is_zero()
-    # dx is not invariant: its partial-tilde hits the nontrivial group slot
-    dx = TotElement(pres, {(0, 1): {(1, str(((), "dx"))): Fraction(1)}})
-    ddx = tot_differential(dx)
-    assert not ddx.is_zero()
-    assert ddx.component(1, 1)
-    # normalized degree-1 elements: b the indicator of g=1 at (1,0), c a
-    # 1-form at (0,1); the closed form and psi go through the cofaces,
-    # wedges and codegeneracies of the presentation
-    b = TotElement(pres, {(1, 0): {(0, str(((1,), "1"))): Fraction(1)}})
-    c = TotElement(pres, {(0, 1): {(1, str(((), "dx"))): Fraction(1),
-                                   (1, str(((), "dy"))): Fraction(-3)}})
-    c2 = TotElement(pres, {(0, 1): {(1, str(((), "dy"))): Fraction(1, 2)}})
-    a1, a2, a3 = b + c, b.scale(2) + c2, b + c2
-    assert b.is_normalized()
-    assert not TotElement(pres, {(1, 0): {(0, str(((0,), "1"))): Fraction(1)}}
-                          ).is_normalized()
-    for elems in ([a1, a2], [a1, a2, a3]):
-        assert tot.m(len(elems), elems) == tot_product_degree1(tot, elems)
-    assert not tot.m(3, [a1, a2, a3]).is_zero()
-    for level in (1, 2):
-        assert psi_roundtrip_ok(a1, level)
-
-
-def test_presentation_json_roundtrip():
-    from totconn.totalcomplex import (presentation_from_json,
-                                      presentation_to_json)
-    alg = torus_cdga()
-    flip = {}
-    for key in alg.space.keys():
-        d, name = key
-        sign = Fraction(-1) if d == 1 else Fraction(1)
-        flip[key] = {key: sign}
-    ident_map = {k: {k: Fraction(1)} for k in alg.space.keys()}
-    pres = group_action_presentation(
-        alg, [0, 1], lambda a, b: (a + b) % 2,
-        lambda g: ident_map if g == 0 else flip, level_cap=2)
-    data = presentation_to_json(pres)
-    again = presentation_from_json(data)
-    assert again.check_identities() == []
-    for p in range(pres.level_cap):
-        for i in range(p + 2):
-            assert again.cofaces[p][i] == pres.cofaces[p][i]
-
-
-def test_presentation_with_non_multiplicative_cofaces_is_rejected():
-    """Z/2 swapping dx and dy but fixing dxdy: the cofaces are linear and
-    satisfy the cosimplicial identities, but d^0(dx dy) != d^0 dx d^0 dy."""
-    from totconn.totalcomplex import (presentation_from_json,
-                                      presentation_to_json)
-    alg = torus_cdga()
-    ident_map = {k: {k: Fraction(1)} for k in alg.space.keys()}
-    swap = dict(ident_map)
-    swap[(1, "dx")] = {(1, "dy"): Fraction(1)}
-    swap[(1, "dy")] = {(1, "dx"): Fraction(1)}
-    pres = group_action_presentation(
-        alg, [0, 1], lambda a, b: (a + b) % 2,
-        lambda g: ident_map if g == 0 else swap, level_cap=2)
-    failures = pres.check_identities()
-    assert failures
-    assert all(f[0] == "d^i" and f[3] == "m_2" for f in failures)
-    with pytest.raises(ValueError, match="dga-map"):
-        presentation_from_json(presentation_to_json(pres))
-
-
 # -------------------------------------------------------------------
 # the general product against the per-string-tuple loop
 # -------------------------------------------------------------------
@@ -497,8 +361,8 @@ def ref_pure_product(alg, n, bidegs, vals):
             continue
         wedge = None
         for I, p, val in zip(strings, ps, vals):
-            img = sigma_pushforward(be, val, I, p, l)
-            wedge = img if wedge is None else be.wedge(wedge, img, l)
+            img = sigma_pushforward(val, I, p, l)
+            wedge = img if wedge is None else wedge.wedge(img)
             if be.is_zero(wedge):
                 break
         else:
@@ -636,75 +500,9 @@ def test_m_matches_the_per_tuple_loop(case):
     assert_m_matches_reference(COCHAIN_ALGEBRAS[m], elems)
 
 
-def z2_torus_presentation():
-    """Z/2 acting on the torus algebra by dx -> -dx, dy -> -dy."""
-    alg = torus_cdga()
-    ident_map = {k: {k: Fraction(1)} for k in alg.space.keys()}
-    flip = {k: {k: Fraction(-1 if k[0] == 1 else 1)} for k in alg.space.keys()}
-    return group_action_presentation(
-        alg, [0, 1], lambda a, b: (a + b) % 2,
-        lambda g: ident_map if g == 0 else flip, level_cap=2)
-
-
-Z2_PRESENTATION = z2_torus_presentation()
-Z2_ALGEBRA = TotalComplexAlgebra(Z2_PRESENTATION, level_cap=2, arity_cap=5)
-
-
-@st.composite
-def presentation_product_case(draw):
-    elems = []
-    for top in draw(top_levels()):
-        comps = {}
-        for p, q in draw(bidegrees_up_to(top)):
-            keys = [k for k in Z2_PRESENTATION.levels[p].space.keys() if k[0] == q]
-            comps[(p, q)] = {k: Fraction(draw(st.sampled_from([-2, -1, 1, 3])))
-                             for k in draw(st.lists(st.sampled_from(keys),
-                                                    min_size=1, max_size=3))}
-        elems.append(TotElement(Z2_PRESENTATION, comps))
-    return elems
-
-
-@given(presentation_product_case())
-@settings(deadline=None, max_examples=100)
-def test_m_matches_the_per_tuple_loop_on_a_presentation(elems):
-    assert_m_matches_reference(Z2_ALGEBRA, elems)
-
-
-def test_coface_past_the_presentation_cap_raises_as_before():
-    # an algebra cap above the presentation's: a level-3 product needs a
-    # coface the presentation does not have
-    tot = TotalComplexAlgebra(Z2_PRESENTATION, level_cap=3, arity_cap=4)
-    b = TotElement(Z2_PRESENTATION, {(2, 0): {(0, str(((1, 1), "1"))): Fraction(1)}})
-    c = TotElement(Z2_PRESENTATION, {(1, 0): {(0, str(((1,), "1"))): Fraction(1)}})
-    with pytest.raises(LevelCapError):
-        ref_m(tot, 2, [b, c])
-    with pytest.raises(LevelCapError):
-        tot.m(2, [b, c])
-
-
 # -------------------------------------------------------------------
-# the right fold: associativity gate, work bound, fixed cases
+# the right fold: work bound, fixed cases
 # -------------------------------------------------------------------
-
-def test_associativity_gate_rejects_a_non_associative_level():
-    # the Z/2 and constant presentations pass the gate: see
-    # test_group_action_presentation_z2 and
-    # test_constant_presentation_identities_and_tot
-    from totconn.totalcomplex import (presentation_from_json,
-                                      presentation_to_json)
-    data = presentation_to_json(Z2_PRESENTATION)
-    # 1 * dx = 2 dx at level 1, so (1 * 1) * dx != 1 * (1 * dx)
-    entry = next(e for e in data["levels"][1]["maps"]["2"]
-                 if e["in"] == [[0, "((0,), '1')"], [1, "((0,), 'dx')"]])
-    entry["coeff"] = "2"
-    levels = [FiniteAlgebra.from_json(lvl) for lvl in data["levels"]]
-    failures = FinitePresentation(levels, Z2_PRESENTATION.cofaces,
-                                  Z2_PRESENTATION.codegeneracies).check_identities()
-    assert ("assoc", 1, (0, "((0,), '1')"), (0, "((0,), '1')"),
-            (1, "((0,), 'dx')")) in failures
-    with pytest.raises(ValueError, match="associativity"):
-        presentation_from_json(data)
-
 
 def test_fold_wedges_once_per_internal_edge(monkeypatch):
     rng = random.Random(5)
@@ -727,7 +525,7 @@ def test_fold_wedges_once_per_internal_edge(monkeypatch):
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(be, "wedge", counted("wedge", be.wedge))
+    monkeypatch.setattr(GroupCochain, "wedge", counted("wedge", GroupCochain.wedge))
     monkeypatch.setattr(totalcomplex, "sigma_pushforward",
                         counted("push", sigma_pushforward))
     got = alg.m(5, [TotElement(be, {(1, 0): b}) for b in vals])
@@ -814,27 +612,36 @@ def test_top_representative_is_one_per_orbit():
             assert {totalcomplex._top_representative(t, l)[0] for t in orbit} == {rep}
 
 
-def presentation_element(rng, bidegrees):
-    """One component per bidegree, each 1-3 basis keys of its level and
-    form degree with small coefficients."""
+def mixed_element(rng, m, bidegrees):
+    """One normalized component per bidegree, each 1-2 monomials carrying
+    every group slot, with small coefficients."""
     comps = {}
     for p, q in bidegrees:
-        keys = [k for k in Z2_PRESENTATION.levels[p].space.keys() if k[0] == q]
-        comps[(p, q)] = {k: Fraction(rng.choice((-2, -1, 1, 3)))
-                         for k in rng.sample(keys, rng.randint(1, min(3, len(keys))))}
-    return TotElement(Z2_PRESENTATION, comps)
+        nv = m * (p + 1)
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            exps = [0] * nv
+            exps[rng.randrange(m)] = rng.randint(0, 1)
+            for s in range(1, p + 1):
+                exps[m * s + rng.randrange(m)] += rng.randint(1, 2)
+            dts = tuple(sorted(rng.sample(range(m), q)))
+            terms[(tuple(exps), dts)] = Fraction(rng.choice((-2, -1, 1, 3)))
+        comps[(p, q)] = GroupCochain(m, p, PolyForm(nv, terms, varname="z", ndiff=m))
+    return TotElement(COCHAIN_ALGEBRAS[m].backend, comps)
 
 
 @pytest.mark.parametrize("shapes", [
     [[(2, 0), (0, 1)], [(1, 0), (1, 1)], [(1, 0), (0, 0)], [(0, 1), (0, 2)]],
     [[(1, 0), (0, 1)], [(1, 1)], [(1, 0), (0, 2)], [(1, 0)], [(1, 0), (0, 1)]],
 ])
-def test_m_matches_the_per_tuple_loop_on_fixed_presentation_cases(shapes):
+def test_m_matches_the_per_tuple_loop_on_fixed_mixed_cases(shapes):
+    # mixed bidegrees at output level 2 on rank 2, where the 2-forms live
     rng = random.Random(len(shapes))
-    elems = [presentation_element(rng, bidegs) for bidegs in shapes]
-    want = ref_m(Z2_ALGEBRA, len(elems), elems)
+    alg = COCHAIN_ALGEBRAS[2]
+    elems = [mixed_element(rng, 2, bidegs) for bidegs in shapes]
+    want = ref_m(alg, len(elems), elems)
     assert not want.is_zero()
-    assert Z2_ALGEBRA.m(len(elems), elems) == want
+    assert alg.m(len(elems), elems) == want
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -1008,18 +815,7 @@ def test_group_cochain_face_indices_are_range_checked():
             b.codegeneracy(i)
 
 
-def test_presentation_face_indices_are_range_checked():
-    pres = constant_presentation(torus_cdga(), level_cap=2)
-    v = {(1, "dx"): Fraction(1)}
-    for i in (-1, 2):
-        with pytest.raises(ValueError, match="coface index"):
-            pres.coface(v, i, 0)
-    for i in (-1, 1):
-        with pytest.raises(ValueError, match="codegeneracy index"):
-            pres.codegeneracy(v, i, 1)
-
-
 @pytest.mark.parametrize("I", [(0, 5), (0, 1, 2), (2, 0), (1, 1), (-1, 0)])
 def test_sigma_pushforward_refuses_a_bad_index_string(I):
     with pytest.raises(ValueError, match="index string"):
-        sigma_pushforward(circle_backend(), g_cochain(), I, 1, 2)
+        sigma_pushforward(g_cochain(), I, 1, 2)
