@@ -357,7 +357,7 @@ def build_parser():
 
     mm = sub.add_parser("minimal-model", help="build a low-degree minimal model")
     mm.add_argument("--input", required=True)
-    mm.add_argument("--arity", type=_int_at_least(1), default=4)
+    mm.add_argument("--arity", type=_int_at_least(2), default=4)
     mm.add_argument("--pivot", default="lex", choices=("lex", "revlex", "shear"))
     mm.add_argument("--json", action="store_true")
     mm.set_defaults(fn=cmd_minimal_model)

@@ -267,7 +267,8 @@ def gauge(alpha: ConnectionForm, h: GaugeElement) -> ConnectionForm:
 
 
 def gauge_compose_check(alpha, h1, h2):
-    """Group-action law: e^{h1}(e^{h2}(alpha)) = e^{BCH(h2, h1)}(alpha).
+    """Group-action law: e^{h1}(e^{h2}(alpha)) = e^{h12}(alpha), where
+    e^{h12} = e^{h2} e^{h1} (h12 is the Baker-Campbell-Hausdorff product).
 
     The composite gauge parameter is computed in the enveloping series
     with polynomial coefficients (form-valued elements do not commute).

@@ -279,11 +279,6 @@ def dupont_s(form: PolyForm, n: int) -> PolyForm:
     return PolyForm._trusted(n, *scaled_sum(acc), "t", n)
 
 
-def nc_differential(lam: NCElement) -> NCElement:
-    """Differential transported through the contraction: Int o d o E."""
-    return dupont_Int(dupont_E(lam).d(), lam.n)
-
-
 def nc_simplicial_action(theta: SimplicialOperator, lam: NCElement) -> NCElement:
     """Action of a monotone map [q] -> [n] on elementary cochains.
 

@@ -21,11 +21,13 @@ public interface.
 Lie elements, the ideal of a presentation and the fiber u/I^k are kept
 in Lyndon coordinates, read off without an elimination.
 
-``QuotientLie`` is the enveloping quotient's Lie algebra in coordinates:
-a basis of the normal forms of the Lyndon brackets, ordered by weight,
-with structure constants computed once per pair on first use.  Transport
-runs in it (``connection.transport``), and only its final exp is taken
-in the quotient.
+``QuotientLie`` is the enveloping quotient's Lie algebra in coordinates,
+and the one owner of its Lie span: a basis of the normal forms of the
+Lyndon brackets, ordered by weight, with structure constants computed
+once per pair on first use.  Transport runs in it
+(``connection.transport``), and only its final exp is taken in the
+quotient; ``EnvelopingQuotient.is_grouplike`` asks it whether a log lies
+in the span.
 """
 
 from __future__ import annotations
@@ -166,32 +168,8 @@ def _log(t, order, table):
 
 
 # ---------------------------------------------------------------------
-# the truncated tensor algebra
+# the unshuffle coproduct
 # ---------------------------------------------------------------------
-
-def tensor_mul(a: dict, b: dict, order: int) -> dict:
-    """Concatenation product, dropping words longer than ``order``."""
-    return from_scaled(_mul(_scaled(a, order), _scaled(b, order), order, FREE))
-
-
-def tensor_exp(x: dict, order: int) -> dict:
-    """exp of a series with no constant term."""
-    return from_scaled(_exp(_scaled(x, order), order, FREE))
-
-
-def tensor_log(t: dict, order: int) -> dict:
-    """log of a series with constant term 1."""
-    return from_scaled(_log(_scaled(t, order), order, FREE))
-
-
-def bch(x: dict, y: dict, order: int) -> dict:
-    """log(exp(x) exp(y)) in the truncated tensor algebra, computed on
-    scaled series from the inputs to the result."""
-    check_order(order)
-    t = _mul(_exp(_scaled(x, order), order, FREE),
-             _exp(_scaled(y, order), order, FREE), order, FREE)
-    return from_scaled(_log(t, order, FREE))
-
 
 def unshuffle_coproduct(t: dict, order: int) -> dict:
     """Delta(T) as {(left word, right word): coeff}; generators primitive."""
@@ -214,18 +192,6 @@ def is_grouplike(t: dict, order: int) -> bool:
     want = accumulate({}, (((w1, w2), c1 * c2) for w1, c1 in t.items()
                            for w2, c2 in t.items() if len(w1) + len(w2) <= order))
     delta = {k: v for k, v in delta.items() if len(k[0]) + len(k[1]) <= order}
-    return delta == want
-
-
-def is_primitive(x: dict, order: int) -> bool:
-    delta = unshuffle_coproduct(x, order)
-    want = {}
-    for w, c in x.items():
-        if 0 < len(w) <= order:
-            want[(w, EMPTY)] = c
-            want[(EMPTY, w)] = c
-    if x.get(EMPTY):
-        return False
     return delta == want
 
 
@@ -625,8 +591,7 @@ class EnvelopingQuotient:
         s = self._normal_form(t)
         if s[1].get(EMPTY) != s[0]:
             return False
-        den, num = _log(s, self.order, self._pivot_images)
-        return not self._lie_normal_forms.reduce_scaled(den, num)[1]
+        return self._lie.contains(_log(s, self.order, self._pivot_images))
 
     @functools.cached_property
     def _lie(self):
@@ -634,26 +599,16 @@ class EnvelopingQuotient:
         use."""
         return QuotientLie(self)
 
-    @functools.cached_property
-    def _lie_normal_forms(self):
-        """The echelon of the table normal forms of the Lyndon brackets up
-        to the order, built once per quotient on first use.  A Lyndon
-        bracket is homogeneous of its word's length, so the brackets of
-        ``free`` need no truncation."""
-        ech = Echelon(_length_first)
-        for w in self.free.lyndon:
-            if len(w) <= self.order:
-                ech.insert(_table_nf(self._pivot_images, self.free._bracket_elems[w]))
-        return ech
-
 
 class QuotientLie:
     """The Lie algebra of an enveloping quotient: the span of the normal
     forms of the Lyndon brackets up to the order, closed under the
     commutator.
 
-    Its basis is the rows of the quotient's ``_lie_normal_forms``, in
-    pivot order, as integer vectors.  A row's pivot is its shortest word
+    It owns the quotient's one echelon of the table normal forms of the
+    Lyndon brackets, which ``contains`` reads for
+    ``EnvelopingQuotient.is_grouplike``.  Its basis is the echelon's rows,
+    in pivot order, as integer vectors.  A row's pivot is its shortest word
     and no other row holds it, so an element of the span is read off its
     pivot entries, and its weight (the length of the shortest word of its
     normal form) is the least pivot length among the rows it uses.
@@ -673,7 +628,12 @@ class QuotientLie:
         self._order = env.order
         self._table = env._pivot_images
         self._free = env.free
-        echelon = env._lie_normal_forms
+        # a Lyndon bracket is homogeneous of its word's length, so the
+        # brackets of ``free`` need no truncation
+        echelon = self._echelon = Echelon(_length_first)
+        for w in env.free.lyndon:
+            if len(w) <= env.order:
+                echelon.insert(_table_nf(self._table, env.free._bracket_elems[w]))
         rows = echelon._rows
         pivots = echelon.pivots()
         self.weights = [len(w) for w in pivots]
@@ -686,6 +646,10 @@ class QuotientLie:
         self._reads = [(w, Q // rows[w][0]) for w in pivots]
         self._constants = {}
         self._lyndon = {}
+
+    def contains(self, scaled):
+        """Whether the scaled normal form ``(den, num)`` lies in the span."""
+        return not self._echelon.reduce_scaled(*scaled)[1]
 
     def _coordinates(self, num):
         """The coordinates over ``den`` of num/P, for a table normal form

@@ -149,8 +149,12 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
     products of degree-1 elements generate.  The transferred m_k is read
     (``TransferredAlgebra.entry``) only on words of kept keys whose output
     degree is a degree of the model, for k = 2 .. ``arity_cap``; no other
-    word of W is evaluated.
+    word of W is evaluated.  An ``arity_cap`` below 2 is a ValueError: the
+    model would lose its products.
     """
+    if arity_cap < 2:
+        raise ValueError("one_minimal_model: arity_cap must be at least 2, got %d"
+                         % arity_cap)
     w_vectors, m_vectors = hodge_decomposition(B, pivot=pivot)
     # connectedness: exactly one harmonic representative in degree 0
     h0 = [v for v in w_vectors if {k[0] for k in v} == {0}]

@@ -548,33 +548,8 @@ def check_morphism(f: InfinityMorphism, probes):
 
 
 # ---------------------------------------------------------------------
-# antisymmetrization and the skew relations
+# the skew relations
 # ---------------------------------------------------------------------
-
-def antisymmetrize(alg: FiniteAlgebra) -> FiniteAlgebra:
-    """l_n := sum over permutations of sgn * Koszul * m_n^sigma."""
-    if alg.kind not in ("Ainf", "Cinf"):
-        raise ValueError("antisymmetrize expects an associative-flavor input")
-    out = FiniteAlgebra(alg.space, kind="Linf", arity_cap=alg.arity_cap,
-                        unit_key=None)
-    for k, table in alg.maps.items():
-        # candidate input words: permutations of the stored ones
-        seen = set()
-        for wrd in table:
-            for perm in itertools.permutations(range(k)):
-                seen.add(tuple(wrd[j] for j in perm))
-        for src in seen:
-            degs = [key[0] for key in src]
-            total = {}
-            for perm in itertools.permutations(range(k)):
-                val = table.get(tuple(src[p] for p in perm))
-                if val:
-                    sign = antisym_sign(perm, degs)
-                    accumulate(total, ((key, sign * c) for key, c in val.items()))
-            if total:
-                out.set_value(k, src, total)
-    return out
-
 
 def linfty_defect(alg, elems):
     """The skew-symmetric relation on one probe word.

@@ -1,7 +1,7 @@
 """Homotopy transfer of structures across a contraction.
 
 The big side is any dga-flavored carrier (polynomial forms, a finite
-presentation); the small side gets the transferred structure through the
+(c)dga window); the small side gets the transferred structure through the
 planar-tree sum, implemented as the two-branch recursion
 
     lam_n = sum_{s=1}^{n-1} (-1)^{s+1} m2( H lam_s (x) H lam_{n-s} ),

@@ -67,6 +67,17 @@ def test_negative_sizes_are_parse_errors(argv, capsys):
     assert "must be at least" in capsys.readouterr().err
 
 
+def test_minimal_model_below_arity_two_is_a_parse_error(capsys):
+    # --arity 1 used to print a model with no m2 ("maps": {}) and exit 0
+    circle = str(Path(__file__).parent / "golden" / "circle.json")
+    with pytest.raises(SystemExit) as exc:
+        run(["minimal-model", "--input", circle, "--arity", "1", "--json"])
+    assert exc.value.code == 2
+    assert "must be at least 2, got 1" in capsys.readouterr().err
+    assert run(["minimal-model", "--input", circle, "--arity", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["model"]["maps"]
+
+
 def test_transfer_nc_n_above_nine_is_a_parse_error(capsys):
     # L_I is named by one digit per vertex, so n = 10 has ambiguous names
     with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,8 @@ from totconn.connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
                                 transport)
 from totconn.forms import PolyForm
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
-                             FreeLie, LieIdealPresentation, bch, commutator)
+                             FreeLie, LieIdealPresentation, QuotientLie,
+                             commutator)
 
 
 def abelian_rank1(k=4):
@@ -92,15 +93,32 @@ def test_heisenberg_flat_connection():
     assert flatness_check(alpha).flat
 
 
-def test_bch_regression_values():
-    order = 3
-    x = {(0,): Fraction(1)}
-    y = {(1,): Fraction(1)}
-    z = bch(x, y, order)
-    assert z[(0,)] == 1 and z[(1,)] == 1
-    # 1/2 [x,y] plus the two 1/12 terms
-    assert z[(0, 1)] == Fraction(1, 2)
-    assert z[(0, 0, 1)] == Fraction(1, 12)
+@pytest.mark.parametrize("grouplike_first", [True, False])
+def test_one_quotient_lie_per_quotient(monkeypatch, grouplike_first):
+    # is_grouplike reads the Lie span that transport and holonomy run in:
+    # one QuotientLie per quotient, whichever is called first
+    built = []
+    init = QuotientLie.__init__
+    monkeypatch.setattr(QuotientLie, "__init__",
+                        lambda self, env: built.append(env) or init(self, env))
+    _, _, fib, env = heisenberg_rank2(k=4)
+    x, y = form_var(2, 0), form_var(2, 1)
+    dx, dy = form_dvar(2, 0), form_dvar(2, 1)
+    half = (x.wedge(dy) - y.wedge(dx)).scale(Fraction(-1, 2))
+    alpha = ConnectionForm(2, fib, {(0,): dx, (1,): dy, (0, 1): half})
+    F = AutomorphyFactor(GaugeElement(2, fib, {}), env)
+
+    def check():
+        assert env.is_grouplike(env.exp({(0,): Fraction(1), (1,): Fraction(1, 2)}))
+
+    def move():
+        T = transport(alpha, PLPath([(0, 0), (1, Fraction(1, 3)), (Fraction(1, 2), 2)]), env)
+        theta = holonomy(alpha, F, parse_loop("a b a- b-", 2), (0, 0), env)
+        assert env.is_grouplike(T) and env.is_grouplike(theta)
+
+    for step in ((check, move) if grouplike_first else (move, check)):
+        step()
+    assert built == [env]
 
 
 def test_gauge_trivial_and_abelian():

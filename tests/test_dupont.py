@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from totconn import dupont
 from totconn.dupont import (NCElement, _h_monomial, dupont_E, dupont_Int,
                             dupont_s, elementary_form, h_operator, index_strings,
-                            nc_basis, nc_differential, nc_simplicial_action,
+                            nc_basis, nc_simplicial_action,
                             verify_naturality, verify_side_conditions,
                             verify_stokes)
 from totconn.forms import (SimplicialOperator, integrate_over_simplex,
                            simplex_dt, simplex_monomials, simplex_t)
 from totconn.linalg import accumulate, lowest_terms
+from totconn.transfer import (nc_key_to_lambda, nc_space, nc_structure,
+                              nc_vector_from_element)
 
 
 def test_elementary_forms_dimension_one():
@@ -138,11 +140,20 @@ def test_naturality_small():
 
 
 def test_nc_differential_matches_form_differential():
-    # transported differential: d(lambda_0) = -lambda_01 on the interval
-    lam = NCElement.basis(1, (0,))
-    assert nc_differential(lam) == NCElement.basis(1, (0, 1)).scale(-1)
-    lam1 = NCElement.basis(1, (1,))
-    assert nc_differential(lam1) == NCElement.basis(1, (0, 1))
+    # the transferred m1 on the interval: d(lambda_1) = lambda_01, and the
+    # unit lambda_0 + lambda_1 is closed
+    m = nc_structure(1, 2).algebra.m
+    assert m(1, [{(0, "v1"): Fraction(1)}]) == {(1, "L01"): Fraction(1)}
+    assert m(1, [{(0, "1"): Fraction(1)}]) == {}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transferred_m1_is_int_d_e(n):
+    # m1 = p d i = Int d E on every basis key of the n-simplex
+    m = nc_structure(n, 2).algebra.m
+    for key in nc_space(n).keys():
+        want = nc_vector_from_element(dupont_Int(dupont_E(nc_key_to_lambda(key, n)).d(), n))
+        assert m(1, [{key: Fraction(1)}]) == want, key
 
 
 def test_nc_action_collapses_and_includes():

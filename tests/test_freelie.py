@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                              FreeLie, LieIdealPresentation, TruncationError,
-                             _length_first, bch, commutator, is_grouplike,
-                             is_primitive, lyndon_bracket, lyndon_words,
-                             tensor_exp, tensor_log)
-from totconn.linalg import Coordinates, Echelon, accumulate, vec_add, vec_scale
+                             _length_first, commutator, is_grouplike,
+                             lyndon_bracket, lyndon_words)
+from totconn.linalg import Coordinates, Echelon, accumulate, vec_add
 from totconn.scalars import rat
 
 
@@ -58,50 +57,13 @@ def test_lyndon_bracket_expansion():
     assert b == {(0, 0, 1): Fraction(1), (0, 1, 0): Fraction(-2), (1, 0, 0): Fraction(1)}
 
 
-def test_exp_log_roundtrip():
-    x = {(0,): Fraction(1), (1,): Fraction(1, 2), (0, 1): Fraction(-1, 3)}
-    order = 4
-    t = tensor_exp(x, order)
-    assert tensor_log(t, order) == x
-
-
-def test_bch_low_orders():
-    order = 3
-    x = {(0,): Fraction(1)}
-    y = {(1,): Fraction(1)}
-    z = bch(x, y, order)
-    # z = x + y + [x,y]/2 + [x,[x,y]]/12 + [y,[y,x]]/12
-    want = vec_add(x, y)
-    want = vec_add(want, commutator(x, y, order), Fraction(1, 2))
-    want = vec_add(want, commutator(x, commutator(x, y, order), order), Fraction(1, 12))
-    want = vec_add(want, commutator(y, commutator(y, x, order), order), Fraction(1, 12))
-    assert z == want
-
-
-def test_bch_inverse():
-    order = 4
-    x = {(0,): Fraction(2), (1,): Fraction(-1)}
-    z = bch(x, vec_scale(x, Fraction(-1)), order)
-    assert z == {}
-
-
-def test_bch_is_lie_element():
-    free = FreeLie(["x", "y"], 4)
-    z = bch(free.gen(0), free.gen(1), 4)
-    assert free.to_lyndon(z) is not None
-
-
-def test_primitivity():
-    free = FreeLie(["x", "y"], 3)
-    assert is_primitive(commutator(free.gen(0), free.gen(1), 3), 3)
-    assert not is_primitive({(0, 1): Fraction(1)}, 3)
-
-
 def test_grouplike_exp():
     order = 4
+    free = FreeLie(["x", "y"], order)
+    tensor = EnvelopingQuotient(free, LieIdealPresentation(free, []), order)
     x = {(0,): Fraction(1), (0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}
-    assert is_grouplike(tensor_exp(x, order), order)
-    bad = tensor_exp(x, order)
+    assert is_grouplike(tensor.exp(x), order)
+    bad = tensor.exp(x)
     bad[(0, 1)] = bad.get((0, 1), Fraction(0)) + 1
     assert not is_grouplike(bad, order)
 
@@ -194,8 +156,9 @@ def test_enveloping_order_above_the_free_truncation_is_refused():
 
 @pytest.mark.parametrize("abelian", [False, True])
 def test_enveloping_is_grouplike_repeats_on_one_quotient(abelian):
-    # the echelon of the Lyndon brackets' table normal forms, which
-    # is_grouplike reduces against, is built on the first call and reused
+    # the quotient's QuotientLie, whose echelon of the Lyndon brackets'
+    # table normal forms is_grouplike reduces against, is built on the
+    # first call and reused
     free = FreeLie(["x", "y"], 4)
     gens = [commutator(free.gen(0), free.gen(1), 4)] if abelian else []
     env = EnvelopingQuotient(free, LieIdealPresentation(free, gens), 4)

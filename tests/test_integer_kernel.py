@@ -36,8 +36,7 @@ from totconn.connection import (ConnectionForm, PLPath, _transport, form_dvar,
 from totconn.forms import PolyForm
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                              FreeLie, LieIdealPresentation, _length_first,
-                             commutator, is_grouplike, lyndon_bracket,
-                             tensor_exp, tensor_log, tensor_mul)
+                             commutator, is_grouplike, lyndon_bracket)
 from totconn.linalg import (Echelon, accumulate, from_scaled, lowest_terms,
                             vec_add, vec_scale)
 from totconn.scalars import rat
@@ -416,15 +415,6 @@ def test_exp_log_inverse_match_fractions(data):
     assert env.eq(env.mul(t, env.inverse(t)), {EMPTY: Fraction(1)})
 
 
-@settings(deadline=None, max_examples=60)
-@given(series(5), series(5, constant=1))
-def test_tensor_wrappers_match_fractions(x, t):
-    assert tensor_mul(x, t, 5) == ref_tensor_mul(x, t, 5)
-    assert tensor_exp(x, 5) == ref_tensor_exp(x, 5)
-    assert tensor_log(t, 5) == ref_tensor_log(t, 5)
-    assert all(type(c) is Fraction for c in tensor_exp(x, 5).values())
-
-
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_transport_matches_fractions(data):
@@ -455,8 +445,8 @@ def test_free_quotient_matches_the_coproduct_and_the_tensor_series(data):
     assert env.is_grouplike(t)
     x = data.draw(series(env.order))
     s = data.draw(series(env.order, constant=1))
-    assert env.exp(x) == tensor_exp(x, env.order)
-    assert env.log(s) == tensor_log(s, env.order)
+    assert env.exp(x) == ref_tensor_exp(x, env.order)
+    assert env.log(s) == ref_tensor_log(s, env.order)
 
 
 @pytest.mark.parametrize("name", sorted(QUOTIENTS))

@@ -61,6 +61,14 @@ def test_torus_model():
     assert verdict == "homogeneous generators"
 
 
+@pytest.mark.parametrize("arity_cap", [0, 1])
+def test_model_below_arity_two_is_refused(arity_cap):
+    # at arity cap 1 the torus model used to drop its degree-2 key and
+    # every m2 entry, and come back without an error
+    with pytest.raises(ValueError, match="at least 2, got %d" % arity_cap):
+        one_minimal_model(torus_cdga(), arity_cap=arity_cap)
+
+
 def test_heisenberg_model():
     model = one_minimal_model(heisenberg_cdga(arity_cap=4), arity_cap=4)
     assert len(model.algebra.space.keys(1)) == 2
