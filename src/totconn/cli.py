@@ -19,8 +19,8 @@ from .connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
                          NonFlatError, PLPath, flatness_check, holonomy,
                          parse_loop, transport)
 from .convolution import Generators, TensorSeries, mc_check
-from .dupont import verify_naturality, verify_side_conditions, verify_stokes
-from .forms import PolyForm
+from .dupont import verify_naturality, verify_stokes
+from .forms import PolyForm, simplex_monomials
 from .freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
                       LieIdealPresentation, TruncationError, bracket_label,
                       lie_series_from_json, word_labels)
@@ -31,7 +31,7 @@ from .structures import FiniteAlgebra
 from .totalcomplex import (GroupCochain, GroupCochainBackend, LevelCapError,
                            TotalComplexAlgebra, TotElement,
                            tot_product_degree1, tot_window_cohomology)
-from .transfer import NC_MAX_N, ArityCapError, nc_structure
+from .transfer import NC_MAX_N, ArityCapError, dupont_contraction, nc_structure
 
 PASS, FAIL, INPUT_ERROR, CAP_ERROR = 0, 1, 2, 3
 BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by it
@@ -50,6 +50,16 @@ def _int_at_least(lo, hi=None):
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _window(text):
+    """argparse type for a degree window ``lo..hi`` with 0 <= lo <= hi."""
+    parts = text.split("..")
+    if len(parts) == 2 and all(part.isdecimal() for part in parts):
+        lo, hi = map(int, parts)
+        if lo <= hi:
+            return lo, hi
+    raise argparse.ArgumentTypeError("must be lo..hi with 0 <= lo <= hi, got %r" % text)
 
 
 def _emit(data, as_json):
@@ -78,7 +88,8 @@ def _pretty(data, indent=0):
 def cmd_dupont_verify(args):
     status = PASS
     for n in range(args.n + 1):
-        failures = verify_side_conditions(n, max_poly_deg=args.max_poly_deg)
+        failures = dupont_contraction(n).verify_side_conditions(
+            simplex_monomials(n, args.max_poly_deg))
         line = "side conditions  n=%d: %s" % (n, "pass" if not failures else
                                               "FAIL (%d)" % len(failures))
         print(line)
@@ -154,9 +165,7 @@ def cmd_tot_product(args):
 
 
 def cmd_tot_cohomology(args):
-    lo, hi = (int(x) for x in args.window.split(".."))
-    if not 0 <= lo <= hi:
-        raise ValueError("--window must be lo..hi with 0 <= lo <= hi, got %s" % args.window)
+    lo, hi = args.window
     be = GroupCochainBackend(args.group_rank)
     betti = tot_window_cohomology(be, max_degree=hi, level_cap=args.level_cap,
                                   poly_cap=args.poly_deg_cap)
@@ -314,7 +323,7 @@ def build_parser():
     dup = sub.add_parser("dupont", help="simplicial contraction checks")
     dups = dup.add_subparsers(dest="cmd", required=True)
     v = dups.add_parser("verify")
-    v.add_argument("--n", type=_int_at_least(0), default=3)
+    v.add_argument("--n", type=_int_at_least(0, NC_MAX_N), default=3)
     v.add_argument("--max-poly-deg", type=_int_at_least(0), default=4)
     v.set_defaults(fn=cmd_dupont_verify)
 
@@ -337,7 +346,7 @@ def build_parser():
     tp.add_argument("--json", action="store_true")
     tp.set_defaults(fn=cmd_tot_product)
     tc = tots.add_parser("cohomology")
-    tc.add_argument("--window", default="0..2")
+    tc.add_argument("--window", type=_window, default="0..2")
     tc.add_argument("--group-rank", type=_int_at_least(0), default=1)
     tc.add_argument("--level-cap", type=_int_at_least(0), default=2)
     tc.add_argument("--poly-deg-cap", type=_int_at_least(0), default=3)

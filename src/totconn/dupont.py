@@ -2,12 +2,16 @@
 
 Provides the three maps E (elementary-form extension), Int (integration
 over sub-simplices) and s (the simplicial homotopy operator built from
-radial contractions toward vertices), together with verifiers for the
-side conditions
+radial contractions toward vertices), together with verifiers for Stokes
+compatibility and simplicial naturality.  An elementary cochain is a
+plain sparse vector {I: c} over strictly increasing index strings I in
+{0..n}; L_I has degree |I| - 1.  The side conditions
 
-    Int o E = Id,   Int o s = s o E = s o s = 0,   ds + sd = E Int - Id,
+    Int o E = Id,   Int o s = s o E = s o s = 0,   ds + sd = E Int - Id
 
-Stokes compatibility and simplicial naturality.  All arithmetic is exact.
+are those of every contraction: ``transfer.dupont_contraction(n)``
+packages E, Int and s, and its ``verify_side_conditions`` checks them.
+All arithmetic is exact.
 
 E, Int and each h^i are linear, so they are applied to a form as sparse
 sums of cached images of its monomials t^exps dt_dts: ``elementary_form``
@@ -31,71 +35,11 @@ from math import comb, factorial, gcd
 from .forms import (PolyForm, SimplicialOperator, simplex_dt, simplex_monomials,
                     simplex_t)
 from .linalg import accumulate, accumulate_scaled, lowest_terms, scaled_sum
-from .scalars import rat, rat_str
 
 
 def index_strings(n, size):
     """Strictly increasing tuples of the given size inside {0..n}."""
     return list(itertools.combinations(range(n + 1), size))
-
-
-class NCElement:
-    """Element of the elementary-forms cochain space on the n-simplex.
-
-    Stored as {I: coefficient} over strictly increasing index tuples
-    I in {0..n}; the basis element indexed by I has degree |I| - 1.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-
-        def checked():
-            for I, c in coeffs.items():
-                I = tuple(I)
-                if list(I) != sorted(set(I)):
-                    raise ValueError("NCElement: index set not strictly increasing")
-                if I and not (0 <= I[0] and I[-1] <= n):
-                    raise ValueError("NCElement: index out of range")
-                yield I, rat(c)
-
-        self.coeffs = accumulate({}, checked()) if coeffs else {}
-
-    @classmethod
-    def basis(cls, n, I):
-        return cls(n, {tuple(I): Fraction(1)})
-
-    @classmethod
-    def unit(cls, n):
-        return cls(n, {(i,): Fraction(1) for i in range(n + 1)})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("NCElement: mixed simplices")
-        return NCElement(self.n, accumulate(dict(self.coeffs), other.coeffs.items()))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = rat(c)
-        return NCElement(self.n, {k: c * v for k, v in self.coeffs.items()} if c else {})
-
-    def __eq__(self, other):
-        return isinstance(other, NCElement) and self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join("%s*L%s" % (rat_str(c), "".join(map(str, I)))
-                          for I, c in sorted(self.coeffs.items()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,12 +61,14 @@ def elementary_form(I, n) -> PolyForm:
     return PolyForm._trusted(n, *scaled_sum(acc), "t", n)
 
 
-def dupont_E(lam: NCElement) -> PolyForm:
+def dupont_E(lam: dict, n: int) -> PolyForm:
+    """Extend the elementary cochain ``lam`` = {I: c} on the n-simplex to
+    the form sum_I c w_I."""
     acc = {}
-    for I, c in lam.coeffs.items():
-        w = elementary_form(I, lam.n)
+    for I, c in lam.items():
+        w = elementary_form(I, n)
         accumulate_scaled(acc, w.den, w.num.items(), c)
-    return PolyForm._trusted(lam.n, *scaled_sum(acc), "t", lam.n)
+    return PolyForm._trusted(n, *scaled_sum(acc), "t", n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,8 +98,9 @@ def _int_monomial(exps, dts, n):
     return den, tuple(out)
 
 
-def dupont_Int(form: PolyForm, n: int) -> NCElement:
-    """Integrate over all sub-simplices sigma_I of the n-simplex.
+def dupont_Int(form: PolyForm, n: int) -> dict:
+    """Integrate over all sub-simplices sigma_I of the n-simplex: the
+    elementary cochain {I: c}, with no zero stored.
 
     Int is linear, so it is applied termwise from the per-monomial table
     ``_int_monomial``, which uses the Dirichlet integral in closed form.
@@ -182,7 +129,7 @@ def dupont_Int(form: PolyForm, n: int) -> NCElement:
     # faces by size, then lexicographically: the key order does not
     # depend on the order of the form's terms
     faces = sorted(num, key=lambda I: (len(I), I))
-    return NCElement(n, {I: Fraction(num[I], den) for I in faces})
+    return {I: Fraction(num[I], den) for I in faces}
 
 
 # ---------------------------------------------------------------------
@@ -279,19 +226,19 @@ def dupont_s(form: PolyForm, n: int) -> PolyForm:
     return PolyForm._trusted(n, *scaled_sum(acc), "t", n)
 
 
-def nc_simplicial_action(theta: SimplicialOperator, lam: NCElement) -> NCElement:
+def nc_simplicial_action(theta: SimplicialOperator, lam: dict) -> dict:
     """Action of a monotone map [q] -> [n] on elementary cochains.
 
     theta_* lambda_I = sum of lambda_K over K in {0..q} mapped bijectively
-    onto I by theta.
+    onto I by theta.  Every I must be an index string in {0..n}.
     """
-    if theta.m != lam.n:
-        raise ValueError("nc_simplicial_action: dimension mismatch")
+    for I in lam:
+        elementary_form(I, theta.m)  # raises ValueError on an invalid I
     q = theta.n
     # theta(K) = I fixes I, so no two terms share a K
-    return NCElement(q, {K: c for I, c in lam.coeffs.items()
-                         for K in itertools.combinations(range(q + 1), len(I))
-                         if tuple(theta.images[k] for k in K) == I})
+    return {K: c for I, c in lam.items()
+            for K in itertools.combinations(range(q + 1), len(I))
+            if tuple(theta.images[k] for k in K) == I}
 
 
 # ---------------------------------------------------------------------
@@ -299,37 +246,7 @@ def nc_simplicial_action(theta: SimplicialOperator, lam: NCElement) -> NCElement
 # ---------------------------------------------------------------------
 
 def nc_basis(n):
-    out = []
-    for size in range(1, n + 2):
-        for I in index_strings(n, size):
-            out.append(NCElement.basis(n, I))
-    return out
-
-
-def verify_side_conditions(n, max_poly_deg=4):
-    """Check the contraction identities on a spanning set; returns a report:
-    one (identity, n, witness) per failure, empty when all hold."""
-    failures = []
-    span = simplex_monomials(n, max_poly_deg)
-
-    for lam in nc_basis(n):
-        if dupont_Int(dupont_E(lam), n) != lam:
-            failures.append(("Int(E(lambda)) != lambda", n, repr(lam)))
-        sE = dupont_s(dupont_E(lam), n)
-        if not sE.is_zero():
-            failures.append(("s(E(lambda)) != 0", n, repr(lam)))
-
-    for w in span:
-        sw = dupont_s(w, n)
-        if not dupont_Int(sw, n).is_zero():
-            failures.append(("Int(s(w)) != 0", n, repr(w)))
-        if not dupont_s(sw, n).is_zero():
-            failures.append(("s(s(w)) != 0", n, repr(w)))
-        lhs = sw.d() + dupont_s(w.d(), n)
-        rhs = dupont_E(dupont_Int(w, n)) - w
-        if lhs != rhs:
-            failures.append(("d s + s d != E Int - Id", n, repr(w)))
-    return failures
+    return [{I: Fraction(1)} for size in range(1, n + 2) for I in index_strings(n, size)]
 
 
 def verify_stokes(n, max_poly_deg=4):
@@ -340,11 +257,11 @@ def verify_stokes(n, max_poly_deg=4):
         val = dupont_Int(w, n)
         for size in range(2, n + 2):
             for I in index_strings(n, size):
-                lhs = left.coeffs.get(I, Fraction(0))
+                lhs = left.get(I, Fraction(0))
                 rhs = Fraction(0)
                 for j in range(size):
                     J = I[:j] + I[j + 1:]
-                    rhs += (-1) ** j * val.coeffs.get(J, Fraction(0))
+                    rhs += (-1) ** j * val.get(J, Fraction(0))
                 if lhs != rhs:
                     failures.append(("stokes", n, repr(w), I))
     return failures
@@ -359,8 +276,8 @@ def verify_naturality(n, max_poly_deg=3):
     ops += [SimplicialOperator.codegeneracy(n - 1, i) for i in range(n)] if n >= 1 else []
     for theta in ops:
         for lam in nc_basis(theta.m):
-            lhs = theta.pullback(dupont_E(lam))
-            rhs = dupont_E(nc_simplicial_action(theta, lam))
+            lhs = theta.pullback(dupont_E(lam, theta.m))
+            rhs = dupont_E(nc_simplicial_action(theta, lam), theta.n)
             if lhs != rhs:
                 failures.append(("E naturality", repr(theta), repr(lam)))
         for w in simplex_monomials(theta.m, max_poly_deg):

@@ -54,7 +54,6 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .dupont import NCElement
 from .forms import PolyForm
 from .linalg import ONE, Echelon, accumulate_scaled, scaled_sum
 from .scalars import bernoulli, rat
@@ -315,8 +314,8 @@ def sigma_pushforward(val, I, p, target_level):
 def _nc_top_coefficient(l, n, strings, arity_cap):
     """Top coefficient of m_n^{[l]}(lam_{I_1}, .., lam_{I_n})."""
     alg = nc_structure(l, arity_cap).algebra
-    elems = [nc_vector_from_element(NCElement.basis(l, I)) for I in strings]
-    [top] = nc_vector_from_element(NCElement.basis(l, range(l + 1)))
+    elems = [nc_vector_from_element({I: ONE}, l) for I in strings]
+    [top] = nc_vector_from_element({tuple(range(l + 1)): ONE}, l)
     return alg.m(n, elems).get(top, Fraction(0))
 
 

@@ -38,7 +38,7 @@ import itertools
 from fractions import Fraction
 from types import MappingProxyType
 
-from .dupont import NCElement, dupont_E, dupont_Int, dupont_s, index_strings
+from .dupont import dupont_E, dupont_Int, dupont_s, index_strings
 from .graded import GradedVectorSpace
 from .linalg import MINUS_ONE, ONE, Coordinates, Echelon, accumulate, multilinear_terms
 from .signs import column_order, sorted_image
@@ -413,19 +413,20 @@ def nc_space(n) -> GradedVectorSpace:
 
 
 def nc_key_to_lambda(key, n):
-    """Small basis key -> NCElement (the unit key is the sum of vertices)."""
-    deg, name = key
+    """Small basis key -> elementary cochain {I: c} on the n-simplex: L_I
+    and v_i are lambda_I and lambda_i, and the unit key is the sum of the
+    vertices."""
+    name = key[1]
     if name == "1":
-        return NCElement.unit(n)
-    if name.startswith("v"):
-        return NCElement.basis(n, (int(name[1:]),))
-    return NCElement.basis(n, tuple(int(ch) for ch in name[1:]))
+        return {(i,): ONE for i in range(n + 1)}
+    return {tuple(int(ch) for ch in name[1:]): ONE}
 
 
-def nc_vector_from_element(elem: NCElement):
-    """NCElement -> sparse vector over the nc_space basis."""
+def nc_vector_from_element(vec, n):
+    """Elementary cochain {I: c} on the n-simplex -> sparse vector over
+    the nc_space basis."""
     def terms():
-        for I, c in elem.coeffs.items():
+        for I, c in vec.items():
             if len(I) > 1:
                 yield (len(I) - 1, "L" + "".join(map(str, I))), c
             elif I[0]:
@@ -433,7 +434,7 @@ def nc_vector_from_element(elem: NCElement):
             else:
                 # lambda_0 = 1 - sum_i lambda_i in the adapted basis
                 yield (0, "1"), c
-                for j in range(1, elem.n + 1):
+                for j in range(1, n + 1):
                     yield (0, "v%d" % j), -c
 
     return accumulate({}, terms())
@@ -519,10 +520,10 @@ def dupont_contraction(n) -> Contraction:
     space = nc_space(n)
 
     def include(key):
-        return dupont_E(nc_key_to_lambda(key, n))
+        return dupont_E(nc_key_to_lambda(key, n), n)
 
     def project(form):
-        return nc_vector_from_element(dupont_Int(form, n))
+        return nc_vector_from_element(dupont_Int(form, n), n)
 
     def homotopy(form):
         return dupont_s(form, n)

@@ -17,9 +17,8 @@ from totconn.connection import (AutomorphyFactor, ConnectionForm, GaugeElement,
                                 gauge_compose_check, holonomy, parse_loop)
 from totconn.convolution import (ConvolutionAlgebra, Generators, mc_check,
                                  mc_to_morphism, morphism_to_mc)
-from totconn.dupont import (elementary_form, verify_naturality,
-                            verify_side_conditions, verify_stokes)
-from totconn.forms import integrate_over_simplex
+from totconn.dupont import elementary_form, verify_naturality, verify_stokes
+from totconn.forms import integrate_over_simplex, simplex_monomials
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                              FreeLie, LieIdealPresentation, commutator)
 from totconn.minimal import (check_comparison, compare_models,
@@ -33,7 +32,7 @@ from totconn.totalcomplex import (GroupCochain, GroupCochainBackend,
                                   tot_product_degree1,
                                   tot_product_degree1_with_scalar,
                                   tot_window_cohomology)
-from totconn.transfer import nc_structure
+from totconn.transfer import dupont_contraction, nc_structure
 from totconn.signs import shuffle_product, word
 from tests.test_convolution import torus_inclusion
 
@@ -50,7 +49,8 @@ def test_criterion_1_dupont_contraction():
     t0 = time.time()
     ok = True
     for n in (0, 1, 2, 3):
-        ok = ok and verify_side_conditions(n, max_poly_deg=4) == []
+        ok = ok and dupont_contraction(n).verify_side_conditions(
+            simplex_monomials(n, 4)) == []
     ok = ok and verify_stokes(3, max_poly_deg=4) == []
     for n in (1, 2, 3):
         ok = ok and verify_naturality(n, max_poly_deg=4) == []

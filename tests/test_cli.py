@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from totconn import dupont
+from totconn import transfer
 from totconn.cli import main
-from totconn.dupont import NCElement
+from totconn.linalg import ONE, vec_add
 from tests.test_convolution import torus_model
 from tests.test_minimal import circle_cdga
 
@@ -22,9 +22,9 @@ def test_dupont_verify_passes():
 
 
 def test_dupont_verify_corruption_detected(monkeypatch, capsys):
-    Int = dupont.dupont_Int
-    monkeypatch.setattr(dupont, "dupont_Int",
-                        lambda form, n: NCElement.basis(n, (0,)) + Int(form, n))
+    Int = transfer.dupont_Int
+    monkeypatch.setattr(transfer, "dupont_Int",
+                        lambda form, n: vec_add({(0,): ONE}, Int(form, n)))
     assert run(["dupont", "verify", "--n", "1", "--max-poly-deg", "2"]) == 1
     assert "witness:" in capsys.readouterr().out
 
@@ -86,6 +86,14 @@ def test_transfer_nc_n_above_nine_is_a_parse_error(capsys):
     assert "must be at most 9, got 10" in capsys.readouterr().err
 
 
+def test_dupont_verify_n_above_nine_is_a_parse_error(capsys):
+    # the side conditions are checked on the contraction onto nc_space(n)
+    with pytest.raises(SystemExit) as exc:
+        run(["dupont", "verify", "--n", "10"])
+    assert exc.value.code == 2
+    assert "must be at most 9, got 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--level-cap", "--poly-deg-cap"])
 def test_pipeline_has_no_tot_caps(flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -110,8 +118,21 @@ def test_tot_cohomology_circle(capsys):
 
 def test_tot_cohomology_empty_window_is_an_input_error(capsys):
     # a window with lo > hi used to print an empty table and exit 0
-    assert run(["tot", "cohomology", "--window", "2..1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["tot", "cohomology", "--window", "2..1"])
+    assert exc.value.code == 2
     assert "0 <= lo <= hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["1", "a..b", "3..1"])
+def test_tot_cohomology_malformed_window_is_a_parse_error(window, capsys):
+    # "1" used to end in "input error: not enough values to unpack"
+    with pytest.raises(SystemExit) as exc:
+        run(["tot", "cohomology", "--window", window])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --window: must be lo..hi" in err
+    assert repr(window) in err
 
 
 @pytest.mark.parametrize("level_cap", ["0", "1"])

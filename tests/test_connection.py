@@ -392,6 +392,25 @@ def test_conjugation_with_a_bracket_gauge():
     assert conjugation_compatibility(theta1, theta2, h_at_p, env) == []
 
 
+def test_conjugation_by_the_wrong_gauge_is_reported():
+    _, _, fib, env = heisenberg_rank2(k=4)
+    x, y = form_var(2, 0), form_var(2, 1)
+    dx, dy = form_dvar(2, 0), form_dvar(2, 1)
+    half = (x.wedge(dy) - y.wedge(dx)).scale(Fraction(-1, 2))
+    alpha = ConnectionForm(2, fib, {(0,): dx, (1,): dy, (0, 1): half})
+    F = AutomorphyFactor(GaugeElement(2, fib, {}), env)
+    p = (Fraction(1, 3), Fraction(1, 5))
+    loops = {text: parse_loop(text, 2) for text in ("a", "b", "a b")}
+    theta1 = {t: holonomy(alpha, F, lp, p, env) for t, lp in loops.items()}
+    # the table conjugated by e^X
+    X = {(0,): Fraction(1)}
+    eX, eX_inv = env.exp(X), env.exp({(0,): Fraction(-1)})
+    theta2 = {t: env.mul(env.mul(eX_inv, th), eX) for t, th in theta1.items()}
+    assert conjugation_compatibility(theta1, theta2, X, env) == []
+    # read with h = 2X: theta1(a) commutes with X, the other two do not
+    assert conjugation_compatibility(theta1, theta2, {(0,): Fraction(2)}, env) == ["b", "a b"]
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         PLPath([])

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totconn import dupont
-from totconn.dupont import (NCElement, _h_monomial, dupont_E, dupont_Int,
-                            dupont_s, elementary_form, h_operator, index_strings,
-                            nc_basis, nc_simplicial_action,
-                            verify_naturality, verify_side_conditions,
+from totconn import dupont, transfer
+from totconn.dupont import (_h_monomial, dupont_E, dupont_Int, dupont_s,
+                            elementary_form, h_operator, index_strings,
+                            nc_basis, nc_simplicial_action, verify_naturality,
                             verify_stokes)
 from totconn.forms import (SimplicialOperator, integrate_over_simplex,
                            simplex_dt, simplex_monomials, simplex_t)
-from totconn.linalg import accumulate, lowest_terms
-from totconn.transfer import (nc_key_to_lambda, nc_space, nc_structure,
-                              nc_vector_from_element)
+from totconn.linalg import ONE, accumulate, lowest_terms, vec_add, vec_scale
+from totconn.transfer import (dupont_contraction, nc_key_to_lambda, nc_space,
+                              nc_structure, nc_vector_from_element)
 
 
 def test_elementary_forms_dimension_one():
@@ -50,17 +49,17 @@ def test_integral_of_two_elementary_forms():
 
 def test_int_of_vertex_coordinate():
     lam = dupont_Int(simplex_t(1, 0), 1)
-    assert lam.coeffs == {(0,): 1}
+    assert lam == {(0,): 1}
 
 
 def test_int_records_vertex_values_and_edge_integral():
     # degree-0 component of Int(t0) is the vertex values, and the edge
     # integral of the degree-1 part of d-related forms stays exact
     lam = dupont_Int(simplex_t(1, 0), 1)
-    assert lam.coeffs.get((0,), 0) == 1
-    assert lam.coeffs.get((1,), 0) == 0
+    assert lam.get((0,), 0) == 1
+    assert lam.get((1,), 0) == 0
     onedim = dupont_Int(simplex_t(1, 0).wedge(simplex_dt(1, 1)), 1)
-    assert onedim.coeffs == {(0, 1): Fraction(1, 2)}
+    assert onedim == {(0, 1): Fraction(1, 2)}
 
 
 def _int_by_pullback(form, n):
@@ -80,7 +79,7 @@ def _int_by_pullback(form, n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_int_closed_form_matches_integral_on_monomials(n):
     for w in simplex_monomials(n, 4):
-        assert dupont_Int(w, n).coeffs == _int_by_pullback(w, n), w
+        assert dupont_Int(w, n) == _int_by_pullback(w, n), w
 
 
 def test_int_closed_form_matches_integral_on_mixed_forms():
@@ -93,40 +92,72 @@ def test_int_closed_form_matches_integral_on_mixed_forms():
         # every edge integral of d(t0 t1 t2) cancels between its monomials
         (t(2, 0).wedge(t(2, 1)).wedge(t(2, 2)).d(), 2),
         # elementary forms with cancelling coefficients plus a vertex function
-        (dupont_E(NCElement(2, {(0, 1): 1, (1, 2): -2, (0, 1, 2): Fraction(1, 2)}))
+        (dupont_E({(0, 1): 1, (1, 2): -2, (0, 1, 2): Fraction(1, 2)}, 2)
          - t(2, 2).scale(2), 2),
         (t(3, 0).wedge(t(3, 3)).wedge(t(3, 3)).d().scale(Fraction(1, 3))
          + dt(3, 1).wedge(dt(3, 2)).wedge(dt(3, 3)).scale(5) + t(3, 0)
          - t(3, 2).wedge(dt(3, 0)).wedge(dt(3, 3)), 3),
     ]
     for w, n in forms:
-        assert dupont_Int(w, n).coeffs == _int_by_pullback(w, n), w
+        assert dupont_Int(w, n) == _int_by_pullback(w, n), w
 
 
 def test_int_E_identity_small():
     for n in (0, 1, 2, 3):
         for lam in nc_basis(n):
-            assert dupont_Int(dupont_E(lam), n) == lam
+            assert dupont_Int(dupont_E(lam, n), n) == lam
 
 
 def test_homotopy_identity_on_t1_squared():
     n = 1
     w = simplex_t(n, 1).wedge(simplex_t(n, 1))
     lhs = dupont_s(w, n).d() + dupont_s(w.d(), n)
-    rhs = dupont_E(dupont_Int(w, n)) - w
+    rhs = dupont_E(dupont_Int(w, n), n) - w
     assert lhs == rhs
 
 
 def test_side_conditions_n_small():
     for n in (0, 1, 2):
-        assert verify_side_conditions(n, max_poly_deg=3) == []
+        assert dupont_contraction(n).verify_side_conditions(simplex_monomials(n, 3)) == []
 
 
 def test_corruption_detected(monkeypatch):
-    Int = dupont.dupont_Int
-    monkeypatch.setattr(dupont, "dupont_Int",
-                        lambda form, n: NCElement.basis(n, (0,)) + Int(form, n))
-    assert verify_side_conditions(1, max_poly_deg=2)
+    Int = transfer.dupont_Int
+    monkeypatch.setattr(transfer, "dupont_Int",
+                        lambda form, n: vec_add({(0,): ONE}, Int(form, n)))
+    assert dupont_contraction(1).verify_side_conditions(simplex_monomials(1, 2))
+
+
+def _bent_part(form):
+    """The function part of ``form`` on the interval minus its linear
+    interpolation E Int.  It is zero on the image of E and on 1-forms, but
+    not on s(t1 dt1), a non-zero function vanishing at both vertices."""
+    f = form.component(0)
+    return f - dupont_E(dupont_Int(f, 1), 1)
+
+
+ONE_FORMS = simplex_monomials(1, 2, form_degree=1)
+# label -> (corrupted (project, homotopy) from the true ones, witnesses);
+# p i and h i are checked on the small basis, so they need no witnesses
+CORRUPTIONS = {
+    "p i != Id": (lambda p, h: (lambda w: vec_scale(p(w), 2), h), ()),
+    "h i != 0": (lambda p, h: (p, lambda w: h(w) + w), ()),
+    "h h != 0": (lambda p, h: (p, lambda w: h(w) + _bent_part(w)), ONE_FORMS),
+    "p h != 0": (lambda p, h: (lambda w: vec_add(p(w), {} if _bent_part(w).is_zero()
+                                                 else {(0, "1"): ONE}), h), ONE_FORMS),
+    "d h + h d != i p - Id": (lambda p, h: (p, lambda w: h(w).scale(2)),
+                              simplex_monomials(1, 2)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CORRUPTIONS))
+def test_each_side_condition_can_fail(label):
+    # one corrupted map per identity, each breaking that identity alone
+    corrupt, witnesses = CORRUPTIONS[label]
+    con = dupont_contraction(1)
+    assert con.verify_side_conditions(witnesses) == []
+    con.project, con.homotopy = corrupt(con.project, con.homotopy)
+    assert {f[0] for f in con.verify_side_conditions(witnesses)} == {label}
 
 
 def test_stokes_small():
@@ -137,6 +168,16 @@ def test_stokes_small():
 def test_naturality_small():
     for n in (1, 2):
         assert verify_naturality(n, max_poly_deg=2) == []
+
+
+@pytest.mark.parametrize("name", ["dupont_E", "dupont_s"])
+def test_naturality_failures_are_reported(monkeypatch, name):
+    # E or s scaled by n + 1 on the n-simplex is linear but not natural:
+    # a coface or codegeneracy changes n
+    true = getattr(dupont, name)
+    monkeypatch.setattr(dupont, name, lambda x, n: true(x, n).scale(n + 1))
+    report = verify_naturality(2, max_poly_deg=1)
+    assert {f[0] for f in report} == {name[-1] + " naturality"}
 
 
 def test_nc_differential_matches_form_differential():
@@ -152,20 +193,37 @@ def test_transferred_m1_is_int_d_e(n):
     # m1 = p d i = Int d E on every basis key of the n-simplex
     m = nc_structure(n, 2).algebra.m
     for key in nc_space(n).keys():
-        want = nc_vector_from_element(dupont_Int(dupont_E(nc_key_to_lambda(key, n)).d(), n))
+        lam = nc_key_to_lambda(key, n)
+        want = nc_vector_from_element(dupont_Int(dupont_E(lam, n).d(), n), n)
         assert m(1, [{key: Fraction(1)}]) == want, key
 
 
 def test_nc_action_collapses_and_includes():
     # codegeneracy s^0: [1] -> [0] sends both vertices onto vertex 0
     s0 = SimplicialOperator.codegeneracy(0, 0)
-    lam = NCElement.basis(0, (0,))
-    assert nc_simplicial_action(s0, lam) == NCElement(1, {(0,): 1, (1,): 1})
+    assert nc_simplicial_action(s0, {(0,): 1}) == {(0,): 1, (1,): 1}
     # s^0: [2] -> [1] sends vertices 0 and 1 to 0, so the edge L01 comes
     # from L02 + L12, and the collapsed edge (0, 1) does not appear
     s0 = SimplicialOperator.codegeneracy(1, 0)
-    assert nc_simplicial_action(s0, NCElement.basis(1, (0, 1))) == \
-        NCElement(2, {(0, 2): 1, (1, 2): 1})
+    assert nc_simplicial_action(s0, {(0, 1): 1}) == {(0, 2): 1, (1, 2): 1}
+
+
+@pytest.mark.parametrize("lam", [{(0, 3): ONE}, {(1, 1): ONE}, {(1, 0): ONE},
+                                 {(-1,): ONE}])
+def test_nc_action_rejects_index_strings_outside_the_target(lam):
+    # d^0: [1] -> [2]; an index string must be increasing in 0..2
+    with pytest.raises(ValueError):
+        nc_simplicial_action(SimplicialOperator.coface(1, 0), lam)
+
+
+def test_int_is_a_sparse_vector_in_face_order():
+    # faces by size, then lexicographically; t2 dt1 vanishes on the edges
+    # 01 and 02, and no zero is stored for them
+    w = (simplex_t(2, 0) + simplex_t(2, 2).wedge(simplex_dt(2, 1))
+         + simplex_dt(2, 1).wedge(simplex_dt(2, 2)))
+    got = dupont_Int(w, 2)
+    assert list(got) == [(0,), (1, 2), (0, 1, 2)]
+    assert got == {(0,): 1, (1, 2): Fraction(-1, 2), (0, 1, 2): Fraction(1, 2)}
 
 
 def test_h_operator_lowers_degree():
@@ -181,7 +239,7 @@ def test_cached_forms_cannot_be_changed_through_terms():
     w = elementary_form((0, 1), 2)
     hw = h_operator(simplex_t(2, 1).wedge(simplex_dt(2, 2)), 1)
     assert not hw.is_zero()
-    saved = [dict(w.terms), dict(hw.terms), dict(dupont_E(NCElement.basis(2, (0, 1))).terms)]
+    saved = [dict(w.terms), dict(hw.terms), dict(dupont_E({(0, 1): ONE}, 2).terms)]
     for form in (w, hw):
         key = next(iter(form.terms))
         with pytest.raises(TypeError):
@@ -190,7 +248,7 @@ def test_cached_forms_cannot_be_changed_through_terms():
             form.terms[key] = Fraction(7)
     assert dict(elementary_form((0, 1), 2).terms) == saved[0]
     assert dict(h_operator(simplex_t(2, 1).wedge(simplex_dt(2, 2)), 1).terms) == saved[1]
-    assert dict(dupont_E(NCElement.basis(2, (0, 1))).terms) == saved[2]
+    assert dict(dupont_E({(0, 1): ONE}, 2).terms) == saved[2]
 
 
 def ref_h_monomial(exps, dts, n, i):

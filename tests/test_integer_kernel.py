@@ -36,7 +36,7 @@ from totconn.connection import (ConnectionForm, PLPath, _transport, form_dvar,
 from totconn.forms import PolyForm
 from totconn.freelie import (EMPTY, EnvelopingQuotient, FiberLieAlgebra,
                              FreeLie, LieIdealPresentation, _length_first,
-                             commutator, is_grouplike, lyndon_bracket)
+                             _table_nf, commutator, is_grouplike, lyndon_bracket)
 from totconn.linalg import (Echelon, accumulate, from_scaled, lowest_terms,
                             vec_add, vec_scale)
 from totconn.scalars import rat
@@ -559,14 +559,56 @@ def tail_quotients():
 
 def test_quotient_lie_has_the_dimension_of_the_fiber():
     # the span of the Lyndon brackets in U/I up to order n has the
-    # dimension of u/I^(n+1) at every order; the weights need not agree
-    # on an inhomogeneous ideal (not checked here)
+    # dimension of u/I^(n+1) at every order.  Its weights are the lengths
+    # of the Lyndon words that are no pivot of the ideal's span (the test
+    # below), not those of the fiber's basis, which is pivoted on each
+    # row's last Lyndon word: on ``fractional`` at order 4 they are
+    # 1, 1, 2, 3, 4 against the fiber's 1, 1, 2, 3, 3
     cases = [QUOTIENTS[name]() for name in sorted(QUOTIENTS)] + tail_quotients()
     for free, ideal in cases:
         for order in range(1, free.order + 1):
             lie = EnvelopingQuotient(free, ideal, order)._lie
             fiber = FiberLieAlgebra(free, ideal, order + 1)
             assert len(lie.weights) == fiber.dim(), (free.order, order)
+
+
+def assert_lie_basis_is_the_unpivoted_lyndon_words(free, ideal):
+    """At every order n, the weights of the quotient's Lie algebra are the
+    lengths of the Lyndon words b of length <= n that are no pivot of the
+    ideal's span; each such b is a normal word of the quotient, and the
+    table normal form of its bracket is P b plus greater words only."""
+    for order in range(1, free.order + 1):
+        env = EnvelopingQuotient(free, ideal, order)
+        words = [w for w in free.lyndon
+                 if len(w) <= order and w not in ideal.span._rows]
+        assert sorted(env._lie.weights) == sorted(map(len, words)), order
+        P, images = env._pivot_images
+        for b in words:
+            assert b not in images
+            nf = _table_nf(env._pivot_images, free._bracket_elems[b])
+            assert nf[b] == P
+            assert all(_length_first(u) > _length_first(b) for u in nf if u != b)
+
+
+def test_quotient_lie_basis_is_the_unpivoted_lyndon_words():
+    for free, ideal in [QUOTIENTS[name]() for name in sorted(QUOTIENTS)] + tail_quotients():
+        assert_lie_basis_is_the_unpivoted_lyndon_words(free, ideal)
+
+
+@st.composite
+def ideals_with_tails(draw):
+    """One or two generators, each a combination of Lyndon brackets of
+    mixed lengths, on two or three letters."""
+    letters = draw(st.sampled_from([2, 3]))
+    free = FreeLie(["X", "Y", "Z"][:letters], 5 if letters == 2 else 4)
+    return free, LieIdealPresentation(
+        free, draw(st.lists(lie_series(free), min_size=1, max_size=2)))
+
+
+@given(ideals_with_tails())
+@settings(deadline=None, max_examples=50)
+def test_quotient_lie_basis_is_the_unpivoted_lyndon_words_on_random_ideals(case):
+    assert_lie_basis_is_the_unpivoted_lyndon_words(*case)
 
 
 def test_polynomial_connection_pulls_back_to_positive_degree():

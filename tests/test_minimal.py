@@ -11,7 +11,7 @@ from totconn.freelie import (EnvelopingQuotient, FiberLieAlgebra, FreeLie,
                              LieIdealPresentation, commutator)
 from totconn.graded import GradedVectorSpace
 from totconn.linalg import Echelon, accumulate, solve, vec_add
-from totconn.minimal import (ModelError, _linear_system,
+from totconn.minimal import (Comparison, ModelError, _linear_system,
                              check_comparison, compare_models, formality_check,
                              hodge_decomposition, massey_report,
                              model_fiber_data, model_mc, one_minimal_model,
@@ -170,6 +170,30 @@ def test_comparison_of_heisenberg_pivots():
         fa = model_fiber_data(m1, trunc=4, k=kk)
         fb = model_fiber_data(m2, trunc=4, k=kk)
         assert fa.dim() == fb.dim()
+
+
+def test_comparison_failures_are_reported():
+    # torus self-comparison: its fiber's relation [a,b] escapes a fiber with
+    # no relation, and a dual map zero on one generator is not injective
+    m = one_minimal_model(torus_cdga(), arity_cap=3)
+    comp = compare_models(m, m, arity_cap=3)
+    fib = model_fiber_data(m, trunc=4, k=4)
+    free_fib = FiberLieAlgebra(fib.free, LieIdealPresentation(fib.free, []), 2)
+    assert fib.dim() == free_fib.dim() == 2
+    assert check_comparison(comp, fib, free_fib) == [
+        ("generator image escapes the ideal", fib.ideal.generators[0])]
+    name = next(iter(comp.dual_matrix))
+    dual = dict(comp.dual_matrix, **{name: {}})
+    assert check_comparison(Comparison(m, m, comp.k_tables, dual), fib, fib) == [
+        ("induced quotient map is not injective", 1)]
+    # heisenberg pivots: the quotient below length 2 against the full one
+    B = heisenberg_cdga()
+    m1 = one_minimal_model(B, arity_cap=4, pivot="lex")
+    m2 = one_minimal_model(B, arity_cap=4, pivot="shear")
+    comp = compare_models(m1, m2, arity_cap=4)
+    assert check_comparison(comp, model_fiber_data(m1, trunc=4, k=2),
+                            model_fiber_data(m2, trunc=4, k=4)) == [
+        ("quotient dimensions differ", 2, 3)]
 
 
 def test_fiber_data_is_built_once_per_model(monkeypatch):
