@@ -256,12 +256,16 @@ class Echelon:
     other (RREF-style), so reduction gives canonical normal forms.
 
     Each row is stored as ``(p, tail)``: a primitive integer row with
-    coefficient p > 0 at its pivot, ``tail`` its other entries.
+    coefficient p > 0 at its pivot, ``tail`` its other entries.  No tail
+    holds a pivot, and ``_holders`` indexes the tails by key: {key: set
+    of the pivots whose tail holds it}, so an insert rewrites the rows
+    that hold its new pivot without scanning the others.
     """
 
     def __init__(self, key_order=None):
         self.key_order = key_order if key_order is not None else (lambda k: k)
         self._rows = {}  # pivot key -> (p, tail)
+        self._holders = {}  # key -> pivots whose tail holds it
 
     def reduce_scaled(self, den, num):
         """The scaled vector num/den modulo the span, not in lowest terms."""
@@ -278,10 +282,21 @@ class Echelon:
             return False
         pivot = min(num, key=self.key_order)
         row = _primitive(pivot, num)
+        new_tail = row[1]
         rows = self._rows
-        for k, (p, tail) in list(rows.items()):
-            if pivot in tail:
-                rows[k] = _primitive(k, _reduce_scaled({pivot: row}, 1, {k: p, **tail})[1])
+        holders = self._holders
+        # only the rows whose tail holds the new pivot change, and only on
+        # that pivot and the keys of the new row's tail
+        for k in holders.pop(pivot, ()):
+            p, tail = rows[k]
+            rows[k] = new = _primitive(k, _reduce_scaled({pivot: row}, 1, {k: p, **tail})[1])
+            for w in new_tail:
+                if w in new[1]:
+                    holders.setdefault(w, set()).add(k)
+                elif w in tail:
+                    holders[w].discard(k)
+        for w in new_tail:
+            holders.setdefault(w, set()).add(pivot)
         rows[pivot] = row
         return True
 

@@ -148,8 +148,9 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
     keeps W's degree-0 and degree-1 keys and the degree-2 keys that
     products of degree-1 elements generate.  The transferred m_k is read
     (``TransferredAlgebra.entry``) only on words of kept keys whose output
-    degree is a degree of the model, for k = 2 .. ``arity_cap``; no other
-    word of W is evaluated.  An ``arity_cap`` below 2 is a ValueError: the
+    degree is a degree of the model, for k = 2 .. ``arity_cap``, and at
+    k >= 3 not on a word that holds a strict unit; no other word of W is
+    evaluated.  An ``arity_cap`` below 2 is a ValueError: the
     model would lose its products.
     """
     if arity_cap < 2:
@@ -201,12 +202,15 @@ def one_minimal_model(B: FiniteAlgebra, arity_cap=4, pivot="lex") -> OneMinimalM
     # its value has no kept key.  The skip drops all-degree-1 words, of
     # output degree 2, only when no degree-2 key is kept, i.e. when gen2
     # has rank 0 and every degree-1 product is zero, so the escape check
-    # below loses nothing.
+    # below loses nothing.  A strictly unital transfer has m_k = 0 on a
+    # word that holds the unit for k >= 3, so those words are not
+    # enumerated; the others come in the same order.
     keep_keys = [key for key in full.space.keys() if key in keep]
-    keep_degrees = [key[0] for key in keep_keys]
     for k in range(2, arity_cap + 1):
-        for wrd, degs in zip(itertools.product(keep_keys, repeat=k),
-                             itertools.product(keep_degrees, repeat=k)):
+        keys = [key for key in keep_keys if k == 2 or key != full.strict_unit_key]
+        degrees = [key[0] for key in keys]
+        for wrd, degs in zip(itertools.product(keys, repeat=k),
+                             itertools.product(degrees, repeat=k)):
             if sum(degs) + 2 - k not in space.degrees:
                 continue
             val = full.entry(k, wrd)

@@ -29,6 +29,15 @@ alone, together with the permutation and sign that carry it back.
 other word when that word is first read; ``_ensure`` projects each
 representative once and fills every other word's table entry from it.
 Contractions without a symmetry evaluate every word on its own.
+
+Dupont's contraction and the Hodge contractions send the unit to the
+unit, and their side conditions h i = 0, h h = 0 and p h = 0 make the
+transfer strictly unital: m_k vanishes for k >= 3 on every word that
+holds the unit, and so does hlam on every such word of length >= 2
+(see ``TransferredAlgebra``).  The transfer checks once that the
+contraction's unit key includes to a two-sided unit of the big product,
+and then evaluates none of those words; a contraction without a unit
+key, or whose unit fails the check, has every word evaluated.
 """
 
 from __future__ import annotations
@@ -127,6 +136,19 @@ class TransferredAlgebra(FiniteAlgebra):
     Under a symmetry a form is evaluated only at its orbit's
     representative and relabelled from there on the first read of another
     word.  Both are write-once: no value in them is ever replaced.
+
+    ``strict_unit_key`` is the contraction's unit key when its inclusion
+    is a two-sided unit of the big product (``_includes_a_unit``), else
+    None.  Then the transfer is strictly unital.  A planar tree of the
+    sum with a unit leaf dies at that leaf's parent vertex: the product
+    there returns the other branch, which is i(x) for a leaf x and
+    h(...) for a subtree, and the next map above kills it, h by h i = 0
+    or h h = 0 below the root and p by p h = 0 at the root.  Only at
+    arity 2 is the other branch a leaf read by p, and p i = Id.  So hlam
+    is zero on every word of length >= 2 that holds the unit, and m_k on
+    every such word of arity k >= 3; neither is evaluated or stored, and
+    ``m`` is zero at k >= 3 as soon as one argument is a multiple of the
+    unit alone.
     """
 
     def __init__(self, contraction: Contraction, arity_cap: int, kind="Cinf"):
@@ -138,6 +160,8 @@ class TransferredAlgebra(FiniteAlgebra):
         self.contraction = contraction
         self._lam = {}
         self._done = set()
+        self.strict_unit_key = (contraction.unit_key if _includes_a_unit(contraction)
+                                else None)
         big = contraction.big
         for key in self.space.keys():
             val = contraction.project(big.m(1, [contraction.include(key)]))
@@ -166,10 +190,14 @@ class TransferredAlgebra(FiniteAlgebra):
 
     def _form(self, tag, word):
         """lam (tag None) or hlam (tag "h") of ``word``: stored, or on the
-        first read that of the representative, relabelled and stored."""
+        first read that of the representative, relabelled and stored.  The
+        hlam of a word of length >= 2 that holds a strict unit is a fresh
+        zero, never stored."""
         key = (tag, word) if tag else word
         val = self._lam.get(key)
         if val is None:
+            if tag and len(word) > 1 and self.strict_unit_key in word:
+                return self.contraction.big.zero()
             rep, perm, sign = self._canonical(word)
             val = self._rep_form(tag, rep)
             if rep != word:
@@ -223,10 +251,12 @@ class TransferredAlgebra(FiniteAlgebra):
         """Fill m_k on ``word``: at a representative by projecting its
         form, at any other word by relabelling its representative's entry,
         so that no form is relabelled only to be projected.  A word of an
-        output degree with no basis key is zero and evaluates nothing."""
+        output degree with no basis key, and under a strict unit a word of
+        arity k >= 3 that holds the unit, is zero and evaluates nothing."""
         if k == 1 or (k, word) in self._done:
             return
-        if sum(key[0] for key in word) + 2 - k not in self.space.degrees:
+        if ((k > 2 and self.strict_unit_key in word)
+                or sum(key[0] for key in word) + 2 - k not in self.space.degrees):
             self._done.add((k, word))
             return
         rep, perm, sign = self._canonical(word)
@@ -248,6 +278,9 @@ class TransferredAlgebra(FiniteAlgebra):
             raise ValueError("arity mismatch")
         if k > self.arity_cap:
             raise ArityCapError("transfer: arity cap %d exceeded" % self.arity_cap)
+        unit = self.strict_unit_key
+        if k > 2 and any(len(e) == 1 and unit in e for e in elems):
+            return {}
         # only the words are needed here; their coefficients are
         # multiplied out once, in FiniteAlgebra.m
         for wrd in itertools.product(*elems):
@@ -267,6 +300,20 @@ class TransferredAlgebra(FiniteAlgebra):
         for k in range(2, arity + 1):
             for word in itertools.product(self.space.keys(), repeat=k):
                 self.entry(k, word)
+
+
+def _includes_a_unit(contraction: Contraction) -> bool:
+    """Whether the contraction's unit key includes to a two-sided unit of
+    the big product: ``big.one()`` on forms, and on a finite algebra an
+    element u with m2(u, e) = e = m2(e, u) on every basis key e."""
+    if contraction.unit_key is None:
+        return False
+    big = contraction.big
+    unit = contraction.include(contraction.unit_key)
+    if isinstance(big, FormsAlgebra):
+        return unit == big.one()
+    return all(big.m(2, [unit, e]) == e == big.m(2, [e, unit])
+               for e in big.basis_vectors())
 
 
 def transfer_structure(contraction: Contraction, arity_cap: int,

@@ -60,6 +60,7 @@ CASES = {
                                  "--path", PATH_MIXED, "--order", "4", "--json"],
     "conn_holonomy_poly.json": ["conn", "holonomy", "--input", POLY_CONN, "--loop",
                                 "a b- a- b a", "--basepoint", "2/7,-1/3", "--json"],
+    "transfer_nc_1_6.json": ["transfer", "nc", "--n", "1", "--arity", "6", "--json"],
     "transfer_nc_2_4.json": ["transfer", "nc", "--n", "2", "--arity", "4", "--json"],
     "transfer_nc_3_3.json": ["transfer", "nc", "--n", "3", "--arity", "3", "--json"],
     "tot_product_degree1_r1_a5.json": ["tot", "product", "--inputs", TOT_R1,
@@ -82,7 +83,7 @@ CASES = {
 # ``transfer nc --n 3 --arity 4`` prints 1.9 MB; its arity-4 words on the
 # tetrahedron are where a wrong composition of vertex permutations in the
 # orbit fill of the transferred tables would show.  The pipeline runs
-# pin the fiber data at truncations 9 and 10, a model comparison at
+# pin the fiber data at truncations 9, 10 and 11, a model comparison at
 # truncation 6, and one at arity cap 6, above those of the committed
 # files: there the minimal model reads its transferred words up to arity 6.
 DIGESTS = {
@@ -92,6 +93,8 @@ DIGESTS = {
                           "44c95592b65a66147b3a5fd6eb1e19dbffca5b47f467087198df4513774808be"),
     "pipeline_torus_t10": (["pipeline", "--input", "torus", "--trunc", "10", "--json"],
                            "6b518b57af2387512e98dd13bf966f46951e179abc265c1192db3f2189cc31c7"),
+    "pipeline_torus_t11": (["pipeline", "--input", "torus", "--trunc", "11", "--json"],
+                           "8744834f6eebc5e36d82844abcc44cfc13cd44f731779fe15e74704a07908851"),
     "pipeline_heisenberg_compare_t6": (
         ["pipeline", "--input", "heisenberg", "--compare", "--trunc", "6", "--json"],
         "b95f5d47772a80c061207c83566bfffd61da099db608f7ba2115bc2cb38c0740"),

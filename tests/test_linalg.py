@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from totconn.freelie import (FiberLieAlgebra, FreeLie, LieIdealPresentation,
                              commutator)
 from totconn.graded import GradedVectorSpace
-from totconn.linalg import (Coordinates, Echelon, accumulate, intersect_spans,
-                            multilinear_terms, solve, vec_add)
+from totconn.linalg import (Coordinates, Echelon, _primitive, _reduce_scaled,
+                            accumulate, intersect_spans, multilinear_terms, solve,
+                            to_scaled, vec_add)
 from totconn.structures import FiniteAlgebra, InfinityMorphism
 from totconn.transfer import nc_structure
 
@@ -114,6 +115,42 @@ def test_basis_rows_are_not_changed_by_later_inserts(first, later):
     for v in later:
         ech.insert(v)
     assert rows == snapshot
+
+
+class ref_ScanningEchelon(Echelon):
+    """``Echelon`` with the insert that scans every stored row for the
+    new pivot, and no index of the tails."""
+
+    def insert(self, vec):
+        _, num = self.reduce_scaled(*to_scaled(vec))
+        if not num:
+            return False
+        pivot = min(num, key=self.key_order)
+        row = _primitive(pivot, num)
+        rows = self._rows
+        for k, (p, tail) in list(rows.items()):
+            if pivot in tail:
+                rows[k] = _primitive(k, _reduce_scaled({pivot: row}, 1, {k: p, **tail})[1])
+        rows[pivot] = row
+        return True
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 7), COEFF, max_size=5), max_size=10),
+       st.sampled_from([None, lambda k: -k, lambda k: (k % 3, k)]))
+@settings(deadline=None, max_examples=200)
+def test_insert_rewrites_the_rows_a_scan_would(vectors, order):
+    ech, ref = Echelon(order), ref_ScanningEchelon(order)
+    for v in vectors:
+        assert ech.insert(v) == ref.insert(v)
+        # the same rows, keyed in the same order, and the index is that of
+        # the tails
+        assert ([(k, p, list(tail.items())) for k, (p, tail) in ech._rows.items()]
+                == [(k, p, list(tail.items())) for k, (p, tail) in ref._rows.items()])
+        index = {}
+        for k, (_, tail) in ech._rows.items():
+            for w in tail:
+                index.setdefault(w, set()).add(k)
+        assert {w: ks for w, ks in ech._holders.items() if ks} == index
 
 
 @st.composite

@@ -15,10 +15,11 @@ from totconn.scalars import bernoulli
 from totconn.structures import (FiniteAlgebra, check_morphism,
                                 check_shuffle_vanishing, check_stasheff,
                                 check_unitality, shift_sign)
-from totconn.transfer import (ArityCapError, HodgeError, TransferredAlgebra,
-                              contraction_from_hodge, dupont_contraction,
-                              identity_contraction, nc_space, nc_structure,
-                              transfer_structure)
+from totconn.transfer import (ArityCapError, Contraction, HodgeError,
+                              TransferredAlgebra, contraction_from_hodge,
+                              dupont_contraction, identity_contraction, nc_space,
+                              nc_structure, transfer_structure)
+from tests.test_minimal import circle_cdga
 from tests.test_structures import all_words, heisenberg_cdga, torus_cdga
 
 
@@ -268,6 +269,10 @@ def test_nc2_stasheff_and_shuffle_arity4():
 
 
 def test_nc2_unitality():
+    # on the tables of full tree sums: the strictly unital transfer does
+    # not evaluate a word of arity >= 3 that holds the unit, so on its
+    # own tables check_unitality would read only the zeros it skipped
+    assert check_unitality(ref_materialize(2, 4)) == []
     res = nc_structure(2, 4)
     res.algebra.materialize(4)
     assert check_unitality(res.algebra) == []
@@ -318,13 +323,24 @@ def plain_dupont(n):
     return con
 
 
+def without_unit(con):
+    """``con`` with its unit key taken off: a structure transferred along
+    this twin takes no strictly unital shortcut, so it evaluates the full
+    tree sum of every word that holds the unit."""
+    twin = Contraction(con.big, con.small_space, con.include, con.project,
+                       con.homotopy, tag=con.tag)
+    twin.symmetry = con.symmetry
+    return twin
+
+
 @functools.lru_cache(maxsize=None)
 def ref_materialize(n, arity):
     """The per-word loop: m_k on every word of arity 2..arity from that
-    word's own lam, on a structure without symmetry, as a FiniteAlgebra."""
-    alg = TransferredAlgebra(plain_dupont(n), arity)
+    word's own lam, on a structure without symmetry or unit shortcut, as
+    a FiniteAlgebra with the unit key of nc(n)."""
+    alg = TransferredAlgebra(without_unit(plain_dupont(n)), arity)
     out = FiniteAlgebra(alg.space, kind="Cinf", arity_cap=arity,
-                        unit_key=alg.unit_key)
+                        unit_key=(0, "1"))
     for wrd, val in alg.maps[1].items():
         out.set_value(1, wrd, val)
     for k in range(2, arity + 1):
@@ -377,9 +393,9 @@ def test_lazy_calls_then_materialize_match_the_per_word_loop(case):
 @settings(deadline=None, max_examples=25)
 def test_words_of_an_empty_degree_are_skipped(data):
     # a word is evaluated on its first read (its representative looked
-    # up) exactly when its output degree holds a basis key; entry is
-    # empty on every skipped word, and the filled tables are the per-word
-    # loop's
+    # up) exactly when its output degree holds a basis key and it is not
+    # a word of arity >= 3 that holds the unit; entry is empty on every
+    # skipped word, and the filled tables are the per-word loop's
     n, arity = data.draw(st.sampled_from([(1, 4), (2, 3), (2, 4), (3, 2), (3, 3)]))
     alg = transfer_structure(dupont_contraction(n), arity).algebra
     keys = alg.space.keys()
@@ -393,10 +409,11 @@ def test_words_of_an_empty_degree_are_skipped(data):
         first = (k, word) not in alg._done
         looked_up.clear()
         val = alg.entry(k, word)
-        empty = sum(key[0] for key in word) + 2 - k not in alg.space.degrees
+        skipped = (sum(key[0] for key in word) + 2 - k not in alg.space.degrees
+                   or (k > 2 and (0, "1") in word))
         if first:
-            assert (looked_up[:1] != [word]) == empty, word
-        if empty:
+            assert (looked_up[:1] != [word]) == skipped, word
+        if skipped:
             assert looked_up == [] and val == {}, word
     alg.materialize(arity)
     assert alg.to_json() == ref_materialize(n, arity).to_json()
@@ -415,14 +432,88 @@ def test_relabelled_forms_match_a_fresh_evaluation(monkeypatch):
     # one homotopy per orbit of words of length 2, the longest whose
     # hlam the arity-3 tree sums read, less the 5 orbits of degree sum 5
     # or 6: only arity-3 words of output degree 4 or more read them, and
-    # nc(3) has no key there, so their tree sums are skipped
-    assert len(homotopies) == 60
-    plain = TransferredAlgebra(plain_dupont(3), 3)
+    # nc(3) has no key there, so their tree sums are skipped.  Less too
+    # the 13 orbits that hold the unit, (1, x) and (x, 1) for the 7 orbits
+    # of keys: under the strict unit their hlam is zero with no homotopy
+    assert len(homotopies) == 60 - 13
+    plain = TransferredAlgebra(without_unit(plain_dupont(3)), 3)
     words = [w for k in (1, 2, 3) for w in itertools.product(alg.space.keys(), repeat=k)]
     for w in words:
         assert alg.lam(w) == plain.lam(w), w
         assert alg.hlam(w) == plain.hlam(w), w
-    assert len(alg._lam) == len(plain._lam) == 2 * len(words)
+    # the zero hlam of a word of length >= 2 that holds the unit is not stored
+    unit_words = [w for w in words if len(w) > 1 and (0, "1") in w]
+    assert len(plain._lam) == 2 * len(words)
+    assert len(alg._lam) == 2 * len(words) - len(unit_words)
+
+
+# -------------------------------------------------------------------
+# the strictly unital shortcuts against the full tree sums
+# -------------------------------------------------------------------
+
+def tables(alg):
+    """The filled tables of ``alg`` in insertion order."""
+    return {k: [(w, dict(v)) for w, v in table.items()] for k, table in alg.maps.items()}
+
+
+def hodge_contraction(alg):
+    w, m = hodge_decomposition(alg)
+    return contraction_from_hodge(alg, w, m)
+
+
+def broken_unit_window():
+    """The Heisenberg window with m2(1, e3) = e3 + e1: its declared unit
+    key is no left unit, and the full tree sums give a non-zero m_3 on
+    words that hold it."""
+    alg = heisenberg_cdga()
+    bad = FiniteAlgebra(alg.space, kind=alg.kind, arity_cap=alg.arity_cap,
+                        maps=alg.maps, unit_key=alg.unit_key)
+    bad.set_value(2, ((0, "1"), (1, "e3")), {(1, "e3"): Fraction(1), (1, "e1"): Fraction(1)})
+    return bad
+
+
+@pytest.mark.parametrize("con, arity", [
+    pytest.param(dupont_contraction(1), 6, id="nc1"),
+    pytest.param(dupont_contraction(2), 4, id="nc2"),
+    pytest.param(dupont_contraction(3), 3, id="nc3"),
+    pytest.param(hodge_contraction(circle_cdga()), 6, id="circle"),
+    pytest.param(hodge_contraction(torus_cdga()), 6, id="torus"),
+    pytest.param(hodge_contraction(heisenberg_cdga()), 6, id="heisenberg"),
+])
+def test_strictly_unital_tables_match_the_full_tree_sums(con, arity):
+    alg = transfer_structure(con, arity).algebra
+    assert alg.strict_unit_key == con.unit_key is not None
+    alg.materialize(arity)
+    twin = transfer_structure(without_unit(con), arity).algebra
+    assert twin.strict_unit_key is None
+    twin.materialize(arity)
+    assert tables(alg) == tables(twin)
+
+
+def test_full_tree_sums_vanish_on_unit_words():
+    # what the shortcuts take for granted, on nc(2) without them
+    twin = transfer_structure(without_unit(dupont_contraction(2)), 4).algebra
+    unit = (0, "1")
+    keys = twin.space.keys()
+    for k in (2, 3, 4):
+        for w in itertools.product(keys, repeat=k):
+            if unit in w:
+                assert twin.hlam(w).is_zero(), w
+                if k > 2:
+                    assert twin.entry(k, w) == {}, w
+
+
+def test_a_unit_key_that_is_no_unit_takes_no_shortcut():
+    con = hodge_contraction(broken_unit_window())
+    assert con.unit_key is not None
+    assert con.verify_side_conditions([{k: Fraction(1)} for k in con.big.space.keys()]) == []
+    alg = transfer_structure(con, 5).algebra
+    assert alg.strict_unit_key is None
+    alg.materialize(5)
+    twin = transfer_structure(without_unit(con), 5).algebra
+    twin.materialize(5)
+    assert tables(alg) == tables(twin)
+    assert any(con.unit_key in w for k in (3, 4, 5) for w in alg.maps.get(k, ()))
 
 
 def test_canonical_is_one_representative_per_orbit():
