@@ -59,10 +59,14 @@ def _merge_dts(d1, d2):
     return tuple(sorted(merged)), sign
 
 
-def _wedge_num(a, b):
-    """The numerators of the wedge of the numerators ``a`` and ``b``, over
-    the product of their denominators (not in lowest terms)."""
-    out = {}
+def _wedge_into(out, a, b):
+    """out += a ^ b on numerators, in place; returns ``out``.
+
+    ``a`` and ``b`` are numerator dicts, over denominators whose product
+    is ``out``'s; a sum that reaches zero is deleted, so ``out`` stays
+    sparse, and no gcd is taken.  This is the one wedge of the library:
+    ``PolyForm.wedge`` runs it on ``{}``.
+    """
     get = out.get
     merged = {}
     for (e1, d1), c1 in a.items():
@@ -223,7 +227,8 @@ class PolyForm:
     def wedge(self, other):
         if self.nvars != other.nvars:
             raise ValueError("PolyForm: mixed ambients")
-        return self._combined(other, self.den * other.den, _wedge_num(self.num, other.num))
+        return self._combined(other, self.den * other.den,
+                              _wedge_into({}, self.num, other.num))
 
     def d(self):
         def derivatives():
@@ -267,7 +272,7 @@ class PolyForm:
                 j = max(i for i, e in enumerate(exps) if e)
                 den, num = poly(exps[:j] + (exps[j] - 1,) + exps[j + 1:])
                 im = images[j]
-                hit = polys[exps] = (den * im.den, _wedge_num(num, im.num))
+                hit = polys[exps] = (den * im.den, _wedge_into({}, num, im.num))
             return hit
 
         acc = {}
@@ -276,7 +281,7 @@ class PolyForm:
             for j in dts:
                 im = dimages[j]
                 den *= im.den
-                num = _wedge_num(num, im.num)
+                num = _wedge_into({}, num, im.num)
             accumulate_scaled(acc, den, num.items(), c)
         den, num = scaled_sum(acc)
         return PolyForm._trusted(tgt_nvars, den * self.den, num, tgt_name, tgt_ndiff)

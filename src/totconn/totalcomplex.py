@@ -35,12 +35,21 @@ The formula is evaluated on its support as a right fold:
   relabelled in the order of their columns, ``signs.column_order``),
   the other tuples take it with their sign, and the table is arranged
   as a trie over the slots so that a prefix of index strings with no
-  non-zero coefficient below it never appears;
-* each pushforward sigma_{I *} a_i is computed at most once per call;
-* each trie node stands for the sum of its subtree: at the last slot
-  sum_I c sigma_{I *} a_n, above it the sum over (I, child) of
-  sigma_{I *} a_i ^ (the child's sum), so every edge above the last
-  slot costs one wedge and no prefix is ever wedged.
+  non-zero coefficient below it never appears; its leaves are integer
+  numerators over one common denominator C, the lcm of the
+  coefficients' denominators;
+* each pushforward sigma_{I *} a_i is computed at most once per call,
+  as one exponent map (``sigma_pushforward``), and read as integer
+  numerators over the denominator of a_i;
+* each trie node stands for the sum of its subtree, kept as integer
+  numerators over C times the denominators of a_i .. a_n: at the last
+  slot sum_I c sigma_{I *} a_n, with the sign (-1)^{sum q_i p_j} in c,
+  above it the sum over (I, child) of sigma_{I *} a_i ^ (the child's
+  sum), accumulated in place by the one wedge kernel
+  (``forms._wedge_into``), so every edge above the last slot costs one
+  wedge, no prefix is ever wedged, and nothing is rescaled or reduced
+  on the way; the root's numerators become one form, with one gcd, over
+  C times the product of the inputs' denominators.
 
 By bilinearity of the wedge this is the same sum as the per-string
 formula above, regrouped as a_1 ^ (a_2 ^ (...)); the regrouping is valid
@@ -52,10 +61,11 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
-from .forms import PolyForm
-from .linalg import ONE, Echelon, accumulate_scaled, scaled_sum
+from .forms import PolyForm, _wedge_into
+from .linalg import (ONE, Echelon, accumulate, accumulate_scaled, multilinear_terms,
+                     scaled_sum)
 from .scalars import bernoulli, rat
 from .signs import column_order, perm_sign, sorted_image
 from .structures import Carrier, KeyedCarrier
@@ -140,24 +150,38 @@ class GroupCochain:
         appends a zero block, and for i <= p, d^i pulls back along
         x -> x + g_1 (i = 0) or g_i -> g_i + g_{i+1}, so it splits block
         i into blocks i and i+1 by the binomial theorem and shifts the
-        later blocks up.  Group variables carry no differentials, so the
-        dts stay, and distinct (monomial, split) pairs give distinct
-        monomials.
+        later blocks up.
         """
-        p, m, f = self.p, self.m, self.form
+        p = self.p
         if not 0 <= i <= p + 1:
             raise ValueError("coface index %r out of range 0..%d" % (i, p + 1))
-        if i == p + 1:
-            pad = (0,) * m
-            num = {(exps + pad, dts): c for (exps, dts), c in f.num.items()}
-        else:
-            lo, hi = m * i, m * (i + 1)
-            num = {}
-            for (exps, dts), c in f.num.items():
-                head, tail = exps[:lo], exps[hi:]
-                for split, b in _binomial_splits(exps[lo:hi]):
-                    num[(head + split + tail, dts)] = b * c
-        return GroupCochain(m, p + 1, PolyForm._trusted(m * (p + 2), f.den, num, "z", m))
+        return self._block_sums([2 if k == i else 1 for k in range(p + 1)], p + 1)
+
+    def _block_sums(self, sizes, level):
+        """The pullback to ``level`` along block k -> the sum of the next
+        sizes[k] blocks, from block 0 on, the blocks after them unread.
+
+        One exponent map: each block is expanded by the multinomial
+        theorem.  Group variables carry no differentials, so the dts
+        stay, and distinct (monomial, split) pairs give distinct
+        monomials.  Each monomial's image holds it moved whole into one
+        block per range, with its own numerator, and every other
+        numerator of the image is a multiple of that one; so the image
+        has the numerators' gcd and the denominator of the cochain.
+        """
+        m, f = self.m, self.form
+        pad = (0,) * (m * (level + 1 - sum(sizes)))
+        num = {}
+        for (exps, dts), c in f.num.items():
+            images = [((), c)]
+            for k, r in enumerate(sizes):
+                splits = _multinomial_splits(exps[m * k:m * k + m], r)
+                images = [(e + split, b * coeff) for e, b in images
+                          for split, coeff in splits]
+            for e, b in images:
+                num[(e + pad, dts)] = b
+        return GroupCochain(m, level, PolyForm._trusted(m * (level + 1), f.den, num,
+                                                        "z", m))
 
     def codegeneracy(self, i):
         """s^i pullback: level p -> p-1, inserting the identity after slot
@@ -175,12 +199,19 @@ class GroupCochain:
 
 
 @functools.lru_cache(maxsize=1024)
-def _binomial_splits(block):
-    """The expansion of prod_j (u_j + v_j)^block[j]: the pairs
-    (exponents of u then of v, prod_j binom(block[j], k_j))."""
-    return tuple((ks + tuple(e - k for e, k in zip(block, ks)),
-                  prod(comb(e, k) for e, k in zip(block, ks)))
-                 for ks in itertools.product(*[range(e + 1) for e in block]))
+def _multinomial_splits(block, r):
+    """The expansion of prod_j (u_1j + .. + u_rj)^block[j]: the pairs
+    (exponents of u_1, then of u_2, .., of u_r, the product over j of
+    the multinomial coefficients), the first part's exponents ascending
+    in ``itertools.product`` order."""
+    if r == 1:
+        return ((block, 1),)
+    out = []
+    for ks in itertools.product(*[range(e + 1) for e in block]):
+        b = prod(comb(e, k) for e, k in zip(block, ks))
+        rest = tuple(e - k for e, k in zip(block, ks))
+        out += [(ks + split, b * c) for split, c in _multinomial_splits(rest, r - 1)]
+    return tuple(out)
 
 
 class GroupCochainBackend(Carrier):
@@ -297,14 +328,19 @@ def tot_differential(v: TotElement) -> TotElement:
 
 def sigma_pushforward(val, I, p, target_level):
     """A(sigma_I) for the inclusion with image I in {0..target_level}: I
-    is a strictly increasing string of p+1 vertices."""
+    is a strictly increasing string of p+1 vertices.
+
+    The composite of the cofaces d^j, j not in I, as one exponent map:
+    x -> x + g_1 + .. + g_{I_0}, g_k -> g_{I_{k-1}+1} + .. + g_{I_k},
+    and no g after g_{I_p} is read.
+    """
     if (len(I) != p + 1 or any(a >= b for a, b in zip(I, I[1:]))
             or not 0 <= I[0] <= I[-1] <= target_level):
         raise ValueError("index string %r is not an increasing string of %d "
                          "vertices in 0..%d" % (I, p + 1, target_level))
-    for j in sorted(set(range(target_level + 1)).difference(I)):
-        val = val.coface(j)
-    return val
+    if p == target_level:
+        return val
+    return val._block_sums([I[0] + 1] + [b - a for a, b in zip(I, I[1:])], target_level)
 
 
 # ---------------------------------------------------------------------
@@ -312,20 +348,23 @@ def sigma_pushforward(val, I, p, target_level):
 # ---------------------------------------------------------------------
 
 def _nc_top_coefficient(l, n, strings, arity_cap):
-    """Top coefficient of m_n^{[l]}(lam_{I_1}, .., lam_{I_n})."""
+    """Top coefficient of m_n^{[l]}(lam_{I_1}, .., lam_{I_n}), read off
+    the entries of m_n on the words of the product."""
     alg = nc_structure(l, arity_cap).algebra
     elems = [nc_vector_from_element({I: ONE}, l) for I in strings]
     [top] = nc_vector_from_element({tuple(range(l + 1)): ONE}, l)
-    return alg.m(n, elems).get(top, Fraction(0))
+    return sum((c * alg.entry(n, word).get(top, 0)
+                for word, c in multilinear_terms(elems)), Fraction(0))
 
 
-def _freeze(trie):
-    """Nested dicts as nested tuples of (index string, child) pairs."""
-    return tuple((I, _freeze(child) if isinstance(child, dict) else child)
-                 for I, child in trie.items())
+def _freeze(trie, scale):
+    """Nested dicts as nested tuples of (index string, child) pairs, the
+    leaves multiplied by ``scale``."""
+    return tuple((I, _freeze(child, scale) if isinstance(child, dict)
+                  else int(child * scale)) for I, child in trie.items())
 
 
-# (l, ps, arity_cap) -> the frozen trie of ``_top_table``
+# (l, ps, arity_cap) -> the (denominator, frozen trie) of ``_top_table``
 _TOP_TABLES = {}
 
 
@@ -348,10 +387,11 @@ def _top_representative(strings, l):
 def _top_table(l, ps, arity_cap):
     """The non-zero top coefficients of m_n^{[l]} for input levels ps.
 
-    A trie over the n = len(ps) slots: level i holds (I_i, child) pairs
-    and the last level (I_n, coefficient) pairs, in the order of
-    ``itertools.product`` over the slots.  A prefix appears only when
-    some coefficient below it is non-zero.  ``_nc_top_coefficient`` runs
+    Returns (C, trie): C the lcm of the coefficients' denominators and
+    a trie over the n = len(ps) slots, whose level i holds (I_i, child)
+    pairs and last level (I_n, C * coefficient) pairs of integers, in
+    the order of ``itertools.product`` over the slots.  A prefix appears
+    only when some coefficient below it is non-zero.  ``_nc_top_coefficient`` runs
     once per representative (``_top_representative``), and every other
     tuple of the orbit takes its signed value; a representative fixed by
     an odd permutation with a non-zero coefficient raises
@@ -364,6 +404,7 @@ def _top_table(l, ps, arity_cap):
     if table is None:
         coeffs = {}
         trie = {}
+        den = 1
         for strings in itertools.product(
                 *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
             rep, _, sign = _top_representative(strings, l)
@@ -384,7 +425,8 @@ def _top_table(l, ps, arity_cap):
                 for I in strings[:-1]:
                     node = node.setdefault(I, {})
                 node[strings[-1]] = c if sign == 1 else -c
-        table = _TOP_TABLES[key] = _freeze(trie)
+                den = lcm(den, c.denominator)
+        table = _TOP_TABLES[key] = (den, _freeze(trie, den))
     return table
 
 
@@ -432,9 +474,8 @@ class TotalComplexAlgebra(KeyedCarrier):
         """The level-l part of m_n on one component per slot.
 
         Returns a TotElement in bidegree (l, sum q): the right fold of
-        the module docstring over the trie of non-zero top coefficients,
-        one wedge per edge above the last slot, each sigma_{I *} a_i
-        computed at most once, times (-1)^{sum_{i<j} q_i p_j}.
+        the module docstring over the integer trie of non-zero top
+        coefficients, times (-1)^{sum_{i<j} q_i p_j}.
         """
         be = self.backend
         if n > self.arity_cap:
@@ -446,28 +487,43 @@ class TotalComplexAlgebra(KeyedCarrier):
             return self.zero()
         if l > self.level_cap:
             raise LevelCapError("product level %d exceeds cap %d" % (l, self.level_cap))
-        sign_exp = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                sign_exp += qs[i] * ps[j]
+        sign = (-1) ** sum(qs[i] * ps[j] for i in range(n) for j in range(i + 1, n))
+        dens = [val.form.den for val in vals]
         pushed = {}
 
         def push(slot, I):
-            img = pushed.get((slot, I))
-            if img is None:
-                img = pushed[(slot, I)] = sigma_pushforward(vals[slot], I, ps[slot], l)
-            return img
+            """The numerators of sigma_{I *} a_slot, over den(a_slot):
+            a pushforward keeps its input's denominator (see
+            ``GroupCochain._block_sums``)."""
+            num = pushed.get((slot, I))
+            if num is None:
+                img = sigma_pushforward(vals[slot], I, ps[slot], l)
+                num = pushed[(slot, I)] = img.form.num
+            return num
 
         def fold(node, slot):
-            """The sum below node: sigma_{I *} a_slot ^ fold(child) over its
-            (I, child) pairs, and sum_I c sigma_{I *} a_n at the last slot."""
+            """The numerators of the sum below node, over C times the
+            denominators of a_slot..a_n: sigma_{I *} a_slot ^ fold(child)
+            over its (I, child) pairs, and sign * sum_I c sigma_{I *} a_n
+            at the last slot."""
+            out = {}
             if slot == n - 1:
-                return be.sum(((push(slot, I), c) for I, c in node), l)
-            return be.sum(((push(slot, I).wedge(fold(child, slot + 1)), ONE)
-                           for I, child in node), l)
+                for I, c in node:
+                    c *= sign
+                    accumulate(out, ((k, c * v) for k, v in push(slot, I).items()))
+                return out
+            for I, child in node:
+                a = push(slot, I)
+                if a:
+                    b = fold(child, slot + 1)
+                    if b:
+                        _wedge_into(out, a, b)
+            return out
 
-        total = fold(_top_table(l, ps, self.arity_cap), 0)
-        return TotElement(be, {(l, sum(qs)): be.scale(total, Fraction((-1) ** sign_exp))})
+        den, table = _top_table(l, ps, self.arity_cap)
+        m = be.m
+        form = PolyForm._trusted(m * (l + 1), den * prod(dens), fold(table, 0), "z", m)
+        return TotElement(be, {(l, sum(qs)): GroupCochain(m, l, form)})
 
 
 def window_basis(be: GroupCochainBackend, level_cap, poly_cap, q_cap):

@@ -36,6 +36,9 @@ PATH_MIXED = str(GOLDEN / "path_mixed.json")
 TOT_R1 = str(GOLDEN / "tot_degree1_r1_a5_inputs.json")
 TOT_R2 = str(GOLDEN / "tot_degree1_r2_a5_inputs.json")
 TOT_MIXED = str(GOLDEN / "tot_mixed_r1_a3_inputs.json")
+# rank 2, with forms on dx1, dx2 and dx1 dx2 in several slots, so the
+# signs of merging dts in the product's wedges show; inputs reach level 3
+TOT_MIXED_R2 = str(GOLDEN / "tot_mixed_r2_a3_inputs.json")
 TOT_CAPS = ["--level-cap", "2", "--arity-cap", "5", "--json"]
 # a 1-C-infinity model whose delta-star generator [a,b] + [a,[a,b]] has a
 # tail, so the fiber's basis is chosen on a non-homogeneous ideal
@@ -69,6 +72,8 @@ CASES = {
                                        "--degree1"] + TOT_CAPS,
     "tot_product_mixed_r1_a3.json": ["tot", "product", "--inputs", TOT_MIXED]
                                     + TOT_CAPS,
+    "tot_product_mixed_r2_a3.json": ["tot", "product", "--inputs", TOT_MIXED_R2,
+                                     "--level-cap", "3", "--json"],
     "tot_cohomology_r1.json": ["tot", "cohomology", "--window", "0..2",
                                "--group-rank", "1", "--json"],
     "tot_cohomology_r2.json": ["tot", "cohomology", "--window", "0..2",

@@ -124,6 +124,44 @@ def test_sigma_pushforward_skips():
         assert sigma_pushforward(val, I, p, level) == want, I
 
 
+def ref_sigma_pushforward(val, I, p, target_level):
+    """sigma_I as its chain of cofaces: d^j for each vertex j missing
+    from I, in increasing order."""
+    for j in sorted(set(range(target_level + 1)).difference(I)):
+        val = val.coface(j)
+    return val
+
+
+@st.composite
+def pushforward_case(draw):
+    """(p, a cochain of level p at rank 1 or 2), normalized or not: 1-3
+    terms, exponents 0..3 in every block, any dts."""
+    m = draw(st.sampled_from([1, 2]))
+    p = draw(st.integers(0, 3))
+    nv = m * (p + 1)
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exps = tuple(draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv)))
+        dts = tuple(sorted(draw(st.sets(st.integers(0, m - 1)))))
+        terms[(exps, dts)] = Fraction(draw(st.sampled_from([-3, -1, 1, 2])),
+                                      draw(st.sampled_from([1, 2, 3])))
+    return p, GroupCochain(m, p, PolyForm(nv, terms, varname="z", ndiff=m))
+
+
+@given(pushforward_case())
+@settings(deadline=None, max_examples=60)
+def test_sigma_pushforward_is_its_coface_chain(case):
+    # the composed exponent map against one coface at a time, on every
+    # increasing index string at every level up to 3
+    p, val = case
+    for level in range(p, 4):
+        for I in itertools.combinations(range(level + 1), p + 1):
+            got = sigma_pushforward(val, I, p, level)
+            assert got == ref_sigma_pushforward(val, I, p, level), (I, level)
+            # the product's fold reads it over the input's denominator
+            assert got.form.den == val.form.den
+
+
 def test_strictness_on_base_forms():
     # products of (0,q) elements are levelwise wedges
     be = GroupCochainBackend(2)
@@ -511,13 +549,14 @@ def test_fold_wedges_once_per_internal_edge(monkeypatch):
     vals = [workload_b(be, rng) for _ in range(5)]
     ps = (1,) * 5
     edges, pairs = 0, set()
-    level = [totalcomplex._top_table(2, ps, alg.arity_cap)]
+    _, trie = totalcomplex._top_table(2, ps, alg.arity_cap)
+    level = [trie]
     for slot in range(5):
         pairs.update((slot, I) for node in level for I, _ in node)
         if slot < 4:
             edges += sum(len(node) for node in level)
             level = [child for node in level for _, child in node]
-    calls = {"wedge": 0, "push": 0}
+    calls = {"wedge": 0, "push": 0, "trusted": 0, "trusted_in_push": 0}
 
     def counted(name, f):
         def wrapper(*args):
@@ -525,13 +564,26 @@ def test_fold_wedges_once_per_internal_edge(monkeypatch):
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(GroupCochain, "wedge", counted("wedge", GroupCochain.wedge))
-    monkeypatch.setattr(totalcomplex, "sigma_pushforward",
-                        counted("push", sigma_pushforward))
-    got = alg.m(5, [TotElement(be, {(1, 0): b}) for b in vals])
+    push = counted("push", sigma_pushforward)
+
+    def counted_push(*args):
+        before = calls["trusted"]
+        out = push(*args)
+        calls["trusted_in_push"] += calls["trusted"] - before
+        return out
+
+    trusted = counted("trusted", PolyForm._trusted)
+    monkeypatch.setattr(totalcomplex, "_wedge_into",
+                        counted("wedge", totalcomplex._wedge_into))
+    monkeypatch.setattr(totalcomplex, "sigma_pushforward", counted_push)
+    monkeypatch.setattr(PolyForm, "_trusted",
+                        classmethod(lambda cls, *args: trusted(*args)))
+    got = alg._pure_product(5, [(1, 0)] * 5, vals)
     monkeypatch.undo()
     assert 0 < calls["wedge"] <= edges
     assert 0 < calls["push"] <= len(pairs)
+    # one gcd for the whole product, beyond those of its pushforwards
+    assert calls["trusted"] - calls["trusted_in_push"] == 1
     want = ref_pure_product(alg, 5, [(1, 0)] * 5, vals)
     assert not want.is_zero()
     assert got == want
@@ -584,6 +636,7 @@ def test_top_tables_match_a_per_tuple_fill(monkeypatch):
     monkeypatch.setattr(totalcomplex, "nc_structure", plain_nc_structure)
     for l, ps in shapes:
         trie = {}
+        den = 1
         for strings in itertools.product(
                 *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
             c = totalcomplex._nc_top_coefficient(l, len(ps), strings, 5)
@@ -592,7 +645,8 @@ def test_top_tables_match_a_per_tuple_fill(monkeypatch):
                 for I in strings[:-1]:
                     node = node.setdefault(I, {})
                 node[strings[-1]] = c
-        assert got[(l, ps)] == totalcomplex._freeze(trie), (l, ps)
+                den = math.lcm(den, c.denominator)
+        assert got[(l, ps)] == (den, totalcomplex._freeze(trie, den)), (l, ps)
 
 
 def test_top_representative_is_one_per_orbit():
@@ -610,6 +664,39 @@ def test_top_representative_is_one_per_orbit():
             # the first tuple of its orbit in product order
             assert rep == min(orbit)
             assert {totalcomplex._top_representative(t, l)[0] for t in orbit} == {rep}
+
+
+def test_integer_top_tables_hold_the_top_coefficients_over_their_denominator():
+    # mixed input levels: every tuple of index strings, in the trie or
+    # not, reads entry / C = its top coefficient, and the table is nested
+    # tuples down to int leaves
+    shapes = [(l, ps) for n in (2, 3, 4) for ps in itertools.product(range(3), repeat=n)
+              for l in [sum(ps) + 2 - n] if 0 <= l <= 2]
+    assert len(shapes) == 6 + 16 + 45
+    for l, ps in shapes:
+        den, trie = totalcomplex._top_table(l, ps, 5)
+        assert type(den) is int and den > 0
+        entries = {}
+        stack = [((), trie)]
+        while stack:
+            prefix, node = stack.pop()
+            assert type(node) is tuple
+            for pair in node:
+                assert type(pair) is tuple and len(pair) == 2
+                I, child = pair
+                assert type(I) is tuple and all(type(v) is int for v in I)
+                if len(prefix) + 1 < len(ps):
+                    stack.append((prefix + (I,), child))
+                else:
+                    assert type(child) is int and child
+                    entries[prefix + (I,)] = child
+        coeffs = {}
+        for strings in itertools.product(
+                *[itertools.combinations(range(l + 1), p + 1) for p in ps]):
+            c = totalcomplex._nc_top_coefficient(l, len(ps), strings, 5)
+            assert Fraction(entries.get(strings, 0), den) == c, (l, ps, strings)
+            coeffs[strings] = c
+        assert den == math.lcm(*[c.denominator for c in coeffs.values()])
 
 
 def mixed_element(rng, m, bidegrees):
@@ -651,7 +738,8 @@ def test_total_complex_outputs_are_exact(name):
     with open(GOLDEN / name) as fh:
         data = json.load(fh)
     be = GroupCochainBackend(int(data["group_rank"]))
-    alg = TotalComplexAlgebra(be, level_cap=2, arity_cap=5)
+    # level 3 for the rank-2 mixed inputs, whose top levels sum to 4
+    alg = TotalComplexAlgebra(be, level_cap=3, arity_cap=5)
     elems = [_tot_element_from_json(be, e) for e in data["elements"]]
     outputs = [alg.m(len(elems), elems)]
     if "degree1" in name:
